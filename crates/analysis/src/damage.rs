@@ -7,8 +7,7 @@
 //! fuzzer-candidate evaluation. This module abstracts the bookkeeping behind
 //! [`DamageModel`] and provides two implementations:
 //!
-//! * [`MapDamage`] — the original hash map, kept as the differential oracle
-//!   and the perf-A/B reference side;
+//! * [`MapDamage`] — the original hash map, kept as the differential oracle;
 //! * [`DamageArena`] — a dense paged arena: rows map to fixed 4096-row pages
 //!   allocated on first touch, each page holding SoA `stamp`/`value` columns.
 //!   "Clearing" the arena between fuzzer candidates is an epoch bump: a slot
@@ -47,8 +46,8 @@ pub trait DamageModel {
     fn clear(&mut self);
 }
 
-/// The PR-9 damage map: one hash entry per currently-disturbed row.
-/// Reference implementation for the differential oracle and the perf A/B.
+/// The original damage map: one hash entry per currently-disturbed row.
+/// Reference implementation for the differential oracle.
 #[derive(Debug, Default, Clone)]
 pub struct MapDamage {
     map: HashMap<u32, u64>,

@@ -41,7 +41,6 @@ use crate::pattern::{AttackPattern, PatternCursor, MAX_OFFSETS, MAX_SCHEDULE};
 use autorfm_mitigation::{build_policy, MitigationKind};
 use autorfm_sim_core::{DetRng, RowAddr};
 use autorfm_trackers::{OracleRh, TrackerKind};
-use autorfm_workloads::AttackPattern as FixedShape;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -199,21 +198,12 @@ impl AttackFuzzer {
         let base = RowAddr(cfg.rows_per_bank / 2);
         let w = cfg.window.max(1);
         let mut seeds = vec![
-            AttackPattern::from_fixed(FixedShape::Circular { base, window: w }),
-            AttackPattern::from_fixed(FixedShape::Circular {
-                base,
-                window: 2 * w,
-            }),
-            AttackPattern::from_fixed(FixedShape::DoubleSided { victim: base }),
-            AttackPattern::from_fixed(FixedShape::HalfDouble {
-                victim: base,
-                near_ratio: 2,
-            }),
-            AttackPattern::from_fixed(FixedShape::Decoy {
-                aggressor: base,
-                decoys: w.saturating_sub(1).max(1),
-            }),
-            AttackPattern::from_fixed(FixedShape::SingleSided { aggressor: base }),
+            AttackPattern::circular(base, w),
+            AttackPattern::circular(base, 2 * w),
+            AttackPattern::double_sided(base),
+            AttackPattern::half_double(base, 2),
+            AttackPattern::decoy(base, w.saturating_sub(1).max(1)),
+            AttackPattern::single(base),
         ];
         for s in &mut seeds {
             s.sanitize(cfg.rows_per_bank);
@@ -266,9 +256,9 @@ impl AttackFuzzer {
     }
 
     /// [`AttackFuzzer::evaluate`] on the legacy `HashMap` damage backend
-    /// with a freshly built stack per candidate — the pre-refactor serial
-    /// path, kept as the reference side of the perf A/B and the
-    /// differential tests. Bitwise-identical to `evaluate`.
+    /// with a freshly built stack per candidate — the pre-arena serial
+    /// path, kept as the reference side of the differential tests.
+    /// Bitwise-identical to `evaluate`.
     pub fn evaluate_ref(cfg: &FuzzConfig, pattern: &AttackPattern) -> CandidateResult {
         Self::evaluate_on::<MapDamage>(cfg, pattern)
     }
@@ -510,8 +500,8 @@ const LANE_CHUNK: u64 = 4_096;
 /// candidate the lane is [`reset`](AttackSimCore::reset) (epoch-cleared
 /// damage arena, tracker reset, reseed) instead of rebuilt, which is where
 /// the amortization comes from. Purity is untouched: each candidate still
-/// runs under [`AttackFuzzer::candidate_seed`] with its own pattern-RNG
-/// fork, so `evaluate_batch` is bitwise-identical to mapping
+/// runs under [`AttackFuzzer::candidate_seed`] from its own cursor, so
+/// `evaluate_batch` is bitwise-identical to mapping
 /// [`AttackFuzzer::evaluate`] over the batch — at any lane count, in any
 /// batch composition. The identity tests in `crates/analysis/tests` pin
 /// this for every registered tracker.
@@ -549,18 +539,16 @@ impl LaneEvaluator {
         let mut out = Vec::with_capacity(batch.len());
         for group in batch.chunks(self.sims.len()) {
             let mut cursors = Vec::with_capacity(group.len());
-            let mut rngs = Vec::with_capacity(group.len());
             for (sim, p) in self.sims.iter_mut().zip(group) {
                 sim.reset(AttackFuzzer::candidate_seed(&self.cfg, p.digest()));
                 sim.watch_thresholds(&self.cfg.thresholds);
                 cursors.push(PatternCursor::new(p.clone()));
-                rngs.push(sim.pattern_rng());
             }
             let mut remaining = self.cfg.activations;
             while remaining > 0 {
                 let step = remaining.min(LANE_CHUNK);
-                for ((sim, cursor), rng) in self.sims.iter_mut().zip(&mut cursors).zip(&mut rngs) {
-                    sim.run_pattern_steps(cursor, rng, step);
+                for (sim, cursor) in self.sims.iter_mut().zip(&mut cursors) {
+                    sim.run_pattern(cursor, step);
                 }
                 remaining -= step;
             }

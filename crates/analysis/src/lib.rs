@@ -19,9 +19,10 @@
 //!   sealed `KIND_FUZZ` records in a [`CellStore`](autorfm_snapshot::store::CellStore),
 //!   keyed by `(config, genome)` digests so `attack_fuzz --resume` skips
 //!   every previously evaluated genome.
-//! * [`pattern`] — the serializable [`AttackPattern`] genome and the
-//!   [`PatternGen`] trait: one API for replay, search, and storage of
-//!   adversarial activation sequences.
+//! * [`pattern`] — the serializable [`AttackPattern`] genome (with named
+//!   constructors for the paper's fixed shapes) and its [`PatternCursor`]:
+//!   one representation for replay, search, and storage of adversarial
+//!   activation sequences.
 //! * [`fuzzer`] — [`AttackFuzzer`], a mutation + simulated-annealing search
 //!   over the genome space with a digest-keyed survivor archive, producing
 //!   per-tracker minimum-activations-to-escape curves.
@@ -60,5 +61,5 @@ pub use fuzzer::{
 pub use history::{TrhEntry, TRH_HISTORY};
 pub use mint_model::MintModel;
 pub use montecarlo::{AttackReport, AttackSim, AttackSimCore, AttackSimRef};
-pub use pattern::{AttackPattern, FnPattern, PatternCursor, PatternGen};
+pub use pattern::{AttackPattern, PatternCursor};
 pub use perf_model::{AutoRfmConflictModel, RfmPerfModel};

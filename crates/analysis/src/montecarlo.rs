@@ -8,11 +8,10 @@
 //! internal) adds one unit of damage to its immediate neighbors; refreshing or
 //! activating a row restores it.
 //!
-//! Attack inputs are [`PatternGen`] implementations (see [`crate::pattern`]):
-//! [`AttackSim::run_pattern`] is the primary entry point, driving legacy
-//! fixed shapes, serialized [`crate::AttackPattern`] genomes, and fuzzer
-//! candidates through one API (closures wrap in
-//! [`FnPattern`](crate::pattern::FnPattern)).
+//! Attack inputs are [`crate::AttackPattern`] genomes (see
+//! [`crate::pattern`]): [`AttackSim::run_pattern`] is the primary entry
+//! point, replaying the paper's fixed shapes, serialized genomes, and fuzzer
+//! candidates alike through a [`PatternCursor`].
 //! [`AttackSim::watch_thresholds`] records the minimum activation count at
 //! which the worst damage first reached each watched threshold — the
 //! per-candidate sample behind the fuzzer's minimum-activations-to-escape
@@ -25,7 +24,7 @@
 //! [`crate::damage`] and the sim-level A/B below.
 
 use crate::damage::{DamageArena, DamageModel, MapDamage};
-use crate::pattern::PatternGen;
+use crate::pattern::PatternCursor;
 use autorfm_mitigation::{build_policy, MitigationKind, MitigationPolicy};
 use autorfm_sim_core::{ConfigError, DetRng, RowAddr};
 use autorfm_trackers::{build_tracker, Tracker, TrackerKind};
@@ -68,7 +67,7 @@ pub struct AttackSimCore<D: DamageModel> {
 pub type AttackSim = AttackSimCore<DamageArena>;
 
 /// The attack sim on the legacy `HashMap` backend ([`MapDamage`]): the
-/// pre-arena reference side of the perf A/B and the differential tests.
+/// pre-arena reference side of the differential tests.
 pub type AttackSimRef = AttackSimCore<MapDamage>;
 
 impl<D: DamageModel> core::fmt::Debug for AttackSimCore<D> {
@@ -233,40 +232,13 @@ impl<D: DamageModel> AttackSimCore<D> {
         }
     }
 
-    /// Runs `n` activations drawn from `pattern` and returns the report.
-    ///
-    /// This is the primary entry point: any [`PatternGen`] — a legacy
-    /// [`autorfm_workloads::AttackStream`], a replayed
-    /// [`crate::AttackPattern`] genome via [`crate::PatternCursor`], or a
-    /// closure wrapped in [`crate::pattern::FnPattern`] — drives the same
-    /// loop. The pattern RNG is forked from the sim seed exactly as the
-    /// closure-era `run` did, so ports are bitwise-identical.
-    pub fn run_pattern(&mut self, pattern: &mut impl PatternGen, n: u64) -> AttackReport {
-        let mut rng = self.pattern_rng();
-        self.run_pattern_steps(pattern, &mut rng, n)
-    }
-
-    /// The pattern-RNG fork [`run_pattern`](Self::run_pattern) would use.
-    /// Lockstep lane evaluation holds this fork across chunked
-    /// [`run_pattern_steps`](Self::run_pattern_steps) calls so a candidate
-    /// split into chunks replays the exact single-call activation sequence.
-    pub fn pattern_rng(&self) -> DetRng {
-        self.rng.fork(0xA77AC)
-    }
-
-    /// Advances the sim by `n` activations drawn from `pattern` using the
-    /// caller-held pattern RNG, returning the report so far. One
-    /// `run_pattern(p, a + b)` call and two `run_pattern_steps(p, rng, a)`
-    /// / `(p, rng, b)` calls over one [`pattern_rng`](Self::pattern_rng)
-    /// fork are bitwise-identical.
-    pub fn run_pattern_steps(
-        &mut self,
-        pattern: &mut impl PatternGen,
-        rng: &mut DetRng,
-        n: u64,
-    ) -> AttackReport {
+    /// Advances the sim by the next `n` activations of `cursor` and returns
+    /// the report so far. The cursor keeps its position, so driving one
+    /// cursor in chunks (as the fuzzer's lockstep lanes do) replays exactly
+    /// the sequence of a single call.
+    pub fn run_pattern(&mut self, cursor: &mut PatternCursor, n: u64) -> AttackReport {
         for _ in 0..n {
-            let row = pattern.next_row(rng);
+            let row = cursor.next_row();
             self.activate(row);
         }
         self.report
@@ -286,7 +258,7 @@ impl<D: DamageModel> AttackSimCore<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autorfm_workloads::{AttackPattern, AttackStream};
+    use crate::pattern::AttackPattern;
 
     const ROWS: u32 = 131_072;
 
@@ -294,12 +266,12 @@ mod tests {
         tracker: TrackerKind,
         policy: MitigationKind,
         window: u32,
-        pattern: AttackPattern,
+        pattern: &AttackPattern,
         n: u64,
         seed: u64,
     ) -> AttackReport {
         let mut sim = AttackSim::new(tracker, policy, window, ROWS, seed).unwrap();
-        sim.run_pattern(&mut AttackStream::new(pattern), n)
+        sim.run_pattern(&mut PatternCursor::new(pattern.clone()), n)
     }
 
     /// Sim-level differential pin: the dense arena and the legacy map
@@ -309,29 +281,20 @@ mod tests {
     #[test]
     fn arena_and_map_sims_agree() {
         let shapes = [
-            AttackPattern::Circular {
-                base: RowAddr(5000),
-                window: 4,
-            },
-            AttackPattern::HalfDouble {
-                victim: RowAddr(8000),
-                near_ratio: 2,
-            },
-            AttackPattern::Decoy {
-                aggressor: RowAddr(3000),
-                decoys: 3,
-            },
+            AttackPattern::circular(RowAddr(5000), 4),
+            AttackPattern::half_double(RowAddr(8000), 2),
+            AttackPattern::decoy(RowAddr(3000), 3),
         ];
         for tracker in [TrackerKind::Mint, TrackerKind::NaiveTrr] {
-            for shape in shapes {
+            for shape in &shapes {
                 let mut arena =
                     AttackSim::new(tracker, MitigationKind::Fractal, 4, ROWS, 21).unwrap();
                 let mut map =
                     AttackSimRef::new(tracker, MitigationKind::Fractal, 4, ROWS, 21).unwrap();
                 arena.watch_thresholds(&[8, 32, 128]);
                 map.watch_thresholds(&[8, 32, 128]);
-                let ra = arena.run_pattern(&mut AttackStream::new(shape), 40_000);
-                let rm = map.run_pattern(&mut AttackStream::new(shape), 40_000);
+                let ra = arena.run_pattern(&mut PatternCursor::new(shape.clone()), 40_000);
+                let rm = map.run_pattern(&mut PatternCursor::new(shape.clone()), 40_000);
                 assert_eq!(ra, rm, "{tracker:?} {shape:?} reports diverged");
                 assert_eq!(arena.crossings(), map.crossings());
                 for row in 0..ROWS.min(12_000) {
@@ -350,26 +313,23 @@ mod tests {
     /// mid-stream abandon (partial window, pending watch state).
     #[test]
     fn reset_matches_fresh_build() {
-        let pattern = AttackPattern::Circular {
-            base: RowAddr(5000),
-            window: 4,
-        };
+        let pattern = AttackPattern::circular(RowAddr(5000), 4);
         let fresh = |seed: u64| {
             let mut sim =
                 AttackSim::new(TrackerKind::Mint, MitigationKind::Fractal, 4, ROWS, seed).unwrap();
             sim.watch_thresholds(&[8, 64]);
-            let report = sim.run_pattern(&mut AttackStream::new(pattern), 30_000);
+            let report = sim.run_pattern(&mut PatternCursor::new(pattern.clone()), 30_000);
             (report, sim.crossings().to_vec())
         };
         let mut sim =
             AttackSim::new(TrackerKind::Mint, MitigationKind::Fractal, 4, ROWS, 1).unwrap();
         sim.watch_thresholds(&[8, 64]);
         // Abandon one run mid-window so reset has real state to scrub.
-        sim.run_pattern(&mut AttackStream::new(pattern), 12_345);
+        sim.run_pattern(&mut PatternCursor::new(pattern.clone()), 12_345);
         for seed in [1u64, 99] {
             sim.reset(seed);
             sim.watch_thresholds(&[8, 64]);
-            let report = sim.run_pattern(&mut AttackStream::new(pattern), 30_000);
+            let report = sim.run_pattern(&mut PatternCursor::new(pattern.clone()), 30_000);
             assert_eq!(
                 (report, sim.crossings().to_vec()),
                 fresh(seed),
@@ -387,11 +347,8 @@ mod tests {
         sim.watch_thresholds(&[64, 1, 16, 16, 1, 64]);
         assert_eq!(sim.watched(), &[1, 16, 64]);
         assert_eq!(sim.crossings(), &[None, None, None]);
-        let mut stream = AttackStream::new(AttackPattern::Decoy {
-            aggressor: RowAddr(3000),
-            decoys: 3,
-        });
-        sim.run_pattern(&mut stream, 30_000);
+        let mut cursor = PatternCursor::new(AttackPattern::decoy(RowAddr(3000), 3));
+        sim.run_pattern(&mut cursor, 30_000);
         let crossed: Vec<u64> = sim.crossings().iter().flatten().copied().collect();
         assert_eq!(crossed.len(), 3, "decoy attack crosses all three");
         assert!(crossed.windows(2).all(|w| w[0] <= w[1]));
@@ -405,11 +362,8 @@ mod tests {
         let mut sim =
             AttackSim::new(TrackerKind::NaiveTrr, MitigationKind::Fractal, 4, ROWS, 5).unwrap();
         sim.watch_thresholds(&[1, 16]);
-        let mut stream = AttackStream::new(AttackPattern::Decoy {
-            aggressor: RowAddr(3000),
-            decoys: 3,
-        });
-        sim.run_pattern(&mut stream, 2_000);
+        let mut cursor = PatternCursor::new(AttackPattern::decoy(RowAddr(3000), 3));
+        sim.run_pattern(&mut cursor, 2_000);
         let first = sim.crossings().to_vec();
         assert!(first[0].is_some() && first[1].is_some());
         let acts_now = sim.report().activations;
@@ -431,7 +385,7 @@ mod tests {
         assert_eq!(rewatched[2], None, "unreachable threshold stays open");
 
         // Later crossings land at later activation counts than the catch-up.
-        sim.run_pattern(&mut stream, 28_000);
+        sim.run_pattern(&mut cursor, 28_000);
         let final_crossings = sim.crossings().to_vec();
         assert!(final_crossings[1].unwrap() >= acts_now);
     }
@@ -463,11 +417,8 @@ mod tests {
         let mut sim =
             AttackSim::new(TrackerKind::NaiveTrr, MitigationKind::Fractal, 4, ROWS, 5).unwrap();
         sim.watch_thresholds(&[64, 1, 16]);
-        let mut stream = AttackStream::new(AttackPattern::Decoy {
-            aggressor: RowAddr(3000),
-            decoys: 3,
-        });
-        let report = sim.run_pattern(&mut stream, 30_000);
+        let mut cursor = PatternCursor::new(AttackPattern::decoy(RowAddr(3000), 3));
+        let report = sim.run_pattern(&mut cursor, 30_000);
         assert_eq!(sim.watched(), &[1, 16, 64]);
         let crossings = sim.crossings().to_vec();
         assert_eq!(crossings[0], Some(1), "first act damages a neighbor");
@@ -487,10 +438,7 @@ mod tests {
             TrackerKind::Mint,
             MitigationKind::Fractal,
             4,
-            AttackPattern::Circular {
-                base: RowAddr(5000),
-                window: 4,
-            },
+            &AttackPattern::circular(RowAddr(5000), 4),
             200_000,
             1,
         );
@@ -509,10 +457,7 @@ mod tests {
             TrackerKind::MintRecursive,
             MitigationKind::Recursive,
             4,
-            AttackPattern::Circular {
-                base: RowAddr(5000),
-                window: 4,
-            },
+            &AttackPattern::circular(RowAddr(5000), 4),
             200_000,
             2,
         );
@@ -526,20 +471,24 @@ mod tests {
 
     #[test]
     fn half_double_breaks_baseline_but_not_fractal() {
-        let pattern = AttackPattern::HalfDouble {
-            victim: RowAddr(8000),
-            near_ratio: 2,
-        };
+        let pattern = AttackPattern::half_double(RowAddr(8000), 2);
         let n = 100_000;
         let baseline = run_fixed(
             TrackerKind::Mint,
             MitigationKind::Baseline,
             4,
-            pattern,
+            &pattern,
             n,
             3,
         );
-        let fractal = run_fixed(TrackerKind::Mint, MitigationKind::Fractal, 4, pattern, n, 3);
+        let fractal = run_fixed(
+            TrackerKind::Mint,
+            MitigationKind::Fractal,
+            4,
+            &pattern,
+            n,
+            3,
+        );
         // Under the fixed blast-radius policy, rows just outside the blast
         // radius accumulate unbounded transitive damage; Fractal keeps them
         // bounded. (Section V-A vs V-C.)
@@ -579,20 +528,24 @@ mod tests {
         // Three decoys align the pattern period with the window, so the
         // deterministic tracker's candidate is always a decoy at selection
         // time — the classic TRR bypass.
-        let pattern = AttackPattern::Decoy {
-            aggressor: RowAddr(3000),
-            decoys: 3,
-        };
+        let pattern = AttackPattern::decoy(RowAddr(3000), 3);
         let n = 60_000;
         let trr = run_fixed(
             TrackerKind::NaiveTrr,
             MitigationKind::Fractal,
             4,
-            pattern,
+            &pattern,
             n,
             5,
         );
-        let mint = run_fixed(TrackerKind::Mint, MitigationKind::Fractal, 4, pattern, n, 5);
+        let mint = run_fixed(
+            TrackerKind::Mint,
+            MitigationKind::Fractal,
+            4,
+            &pattern,
+            n,
+            5,
+        );
         assert!(
             trr.max_damage > 3 * mint.max_damage,
             "naive TRR {} vs MINT {}",
@@ -608,9 +561,7 @@ mod tests {
             TrackerKind::Mint,
             MitigationKind::Fractal,
             4,
-            AttackPattern::DoubleSided {
-                victim: RowAddr(4000),
-            },
+            &AttackPattern::double_sided(RowAddr(4000)),
             200_000,
             11,
         );
@@ -629,10 +580,7 @@ mod tests {
             TrackerKind::Mint,
             MitigationKind::Fractal,
             4,
-            AttackPattern::Circular {
-                base: RowAddr(100),
-                window: 4,
-            },
+            &AttackPattern::circular(RowAddr(100), 4),
             200_000,
             13,
         )
@@ -641,10 +589,7 @@ mod tests {
             TrackerKind::Mint,
             MitigationKind::Fractal,
             16,
-            AttackPattern::Circular {
-                base: RowAddr(100),
-                window: 16,
-            },
+            &AttackPattern::circular(RowAddr(100), 16),
             200_000,
             13,
         )
@@ -659,15 +604,12 @@ mod tests {
     fn minimal_pair_is_insecure_against_half_double() {
         // The Section IV-B "2 victim refreshes" option trades away all
         // transitive (and even d=2) protection: documented as ablation-only.
-        let pattern = AttackPattern::HalfDouble {
-            victim: RowAddr(8000),
-            near_ratio: 2,
-        };
+        let pattern = AttackPattern::half_double(RowAddr(8000), 2);
         let minimal = run_fixed(
             TrackerKind::Mint,
             MitigationKind::MinimalPair,
             4,
-            pattern,
+            &pattern,
             100_000,
             31,
         );
@@ -675,7 +617,7 @@ mod tests {
             TrackerKind::Mint,
             MitigationKind::Fractal,
             4,
-            pattern,
+            &pattern,
             100_000,
             31,
         );

@@ -1,65 +1,30 @@
-//! First-class attack patterns: the serializable [`AttackPattern`] genome and
-//! the [`PatternGen`] trait that unifies replay, search, and storage.
+//! First-class attack patterns: the serializable [`AttackPattern`] genome —
+//! the one representation of an adversarial activation sequence, shared by
+//! replay, search, and storage.
 //!
-//! The Monte-Carlo harness historically consumed an opaque
-//! `FnMut(&mut DetRng) -> RowAddr` closure, which could be replayed but not
-//! inspected, mutated, stored, or deduplicated. This module replaces that
-//! surface with:
+//! A genome is an aggressor-row layout (`base` + signed `offsets`), an
+//! interleaving `schedule` over that layout, a `phase` rotation against the
+//! mitigation-window boundary, and a decoy mix (`decoy_every`/`decoys`). It
+//! is encoded with the snapshot crate's [`Writer`]/[`Reader`] codec;
+//! [`AttackPattern::digest`] (the snapshot crate's `digest64` over the
+//! canonical encoding) keys the fuzzer's survivor archive the same way
+//! `cell_key` keys campaign cells. [`PatternCursor`] replays a genome as the
+//! activation stream [`crate::AttackSim::run_pattern`] drives.
 //!
-//! * [`PatternGen`] — the row-source trait [`crate::AttackSim::run_pattern`]
-//!   drives. The legacy fixed shapes ([`autorfm_workloads::AttackStream`]),
-//!   raw closures ([`FnPattern`]), and fuzzer candidates
-//!   ([`PatternCursor`]) all implement it — one API for replay, search, and
-//!   storage.
-//! * [`AttackPattern`] — a mutable, serializable genome: an aggressor-row
-//!   layout (`base` + signed `offsets`), an interleaving `schedule` over
-//!   that layout, a `phase` rotation against the mitigation-window boundary,
-//!   and a decoy mix (`decoy_every`/`decoys`). Encoded with the snapshot
-//!   crate's [`Writer`]/[`Reader`] codec; [`AttackPattern::digest`] (the
-//!   snapshot crate's `digest64` over the canonical encoding) keys the
-//!   fuzzer's survivor archive the same way `cell_key` keys campaign cells.
-//!
-//! Every legacy [`autorfm_workloads::AttackPattern`] shape converts exactly:
-//! [`AttackPattern::from_fixed`] produces a genome whose emitted row sequence
-//! is bitwise identical to the closure-era `AttackStream` (pinned by the
-//! fixed-shape equivalence tests).
+//! The paper's classic shapes are named constructors —
+//! [`single`](AttackPattern::single),
+//! [`double_sided`](AttackPattern::double_sided),
+//! [`circular`](AttackPattern::circular) (MINT's `(A B C D)^K` of
+//! Appendix A), [`half_double`](AttackPattern::half_double), and
+//! [`decoy`](AttackPattern::decoy) — pinned against their closed-form row
+//! sequences by the unit tests below.
 
-use autorfm_sim_core::{DetRng, RowAddr};
+use autorfm_sim_core::RowAddr;
 use autorfm_snapshot::{digest64, Reader, SnapError, Snapshot, Writer};
-use autorfm_workloads::{AttackPattern as FixedShape, AttackStream};
 
-/// A source of adversarial row activations.
-///
-/// Implementations must be deterministic in `(self state, rng stream)`: the
-/// harness forks a dedicated [`DetRng`] per run, so the same generator state
-/// and seed always replay the same activation sequence regardless of thread
-/// placement.
-pub trait PatternGen {
-    /// Produces the next row to activate.
-    fn next_row(&mut self, rng: &mut DetRng) -> RowAddr;
-}
-
-/// The legacy fixed shapes are pattern generators too — `AttackStream`
-/// already exposes exactly this contract.
-impl PatternGen for AttackStream {
-    fn next_row(&mut self, rng: &mut DetRng) -> RowAddr {
-        AttackStream::next_row(self, rng)
-    }
-}
-
-/// Adapter for raw closures, used by the deprecated closure-based
-/// `AttackSim::run` shim and handy for one-off experiments.
-pub struct FnPattern<F>(pub F);
-
-impl<F: FnMut(&mut DetRng) -> RowAddr> PatternGen for FnPattern<F> {
-    fn next_row(&mut self, rng: &mut DetRng) -> RowAddr {
-        (self.0)(rng)
-    }
-}
-
-/// Decoy rows live this far above `base` — matching the legacy
-/// `AttackPattern::Decoy` convention of `aggressor + 1000 + k`, far enough
-/// that decoy activations never disturb the pattern's own victims.
+/// Decoy rows live this far above `base` — the [`AttackPattern::decoy`]
+/// convention of `aggressor + 1000 + k` — far enough that decoy activations
+/// never disturb the pattern's own victims.
 pub const DECOY_REGION_OFFSET: u32 = 1000;
 
 /// Hard cap on aggressor-set size (offsets). Keeps genomes small and the
@@ -105,82 +70,67 @@ pub struct AttackPattern {
 }
 
 impl AttackPattern {
-    /// A minimal valid genome: single-sided hammering of `base`.
+    /// Classic single-sided hammering of one aggressor row — also the
+    /// minimal valid genome.
     pub fn single(base: RowAddr) -> Self {
+        Self::scheduled(base, vec![0], vec![0])
+    }
+
+    /// A genome with no phase and no decoy mix: `schedule` indexes into
+    /// `offsets` from `base`.
+    fn scheduled(base: RowAddr, offsets: Vec<i16>, schedule: Vec<u16>) -> Self {
         AttackPattern {
             base,
-            offsets: vec![0],
-            schedule: vec![0],
+            offsets,
+            schedule,
             phase: 0,
             decoy_every: 0,
             decoys: 0,
         }
     }
 
-    /// Converts a legacy fixed shape into a genome whose emitted row
-    /// sequence is **bitwise identical** to
-    /// [`autorfm_workloads::AttackStream`] for that shape (pinned by the
-    /// fixed-shape equivalence tests).
-    pub fn from_fixed(shape: FixedShape) -> Self {
-        match shape {
-            FixedShape::SingleSided { aggressor } => AttackPattern::single(aggressor),
-            FixedShape::DoubleSided { victim } => AttackPattern {
-                base: victim,
-                offsets: vec![-1, 1],
-                schedule: vec![0, 1],
-                phase: 0,
-                decoy_every: 0,
-                decoys: 0,
-            },
-            FixedShape::Circular { base, window } => {
-                let n = window.clamp(1, MAX_OFFSETS as u32) as u16;
-                AttackPattern {
-                    base,
-                    offsets: (0..n as i16).collect(),
-                    schedule: (0..n).collect(),
-                    phase: 0,
-                    decoy_every: 0,
-                    decoys: 0,
-                }
-            }
-            FixedShape::HalfDouble { victim, near_ratio } => {
-                // Legacy burst of length max(near_ratio + 2, 3): step 0 far
-                // low, step 1 far high, then alternating near rows starting
-                // with the low side on even in-burst indices.
-                let burst = (near_ratio as usize + 2).clamp(3, MAX_SCHEDULE);
-                let mut schedule = Vec::with_capacity(burst);
-                schedule.push(0); // -2
-                schedule.push(1); // +2
-                for k in 2..burst {
-                    schedule.push(if k % 2 == 0 { 2 } else { 3 }); // -1 / +1
-                }
-                AttackPattern {
-                    base: victim,
-                    offsets: vec![-2, 2, -1, 1],
-                    schedule,
-                    phase: 0,
-                    decoy_every: 0,
-                    decoys: 0,
-                }
-            }
-            FixedShape::Decoy { aggressor, decoys } => {
-                // Legacy period decoys+1: aggressor, then decoy rows at
-                // aggressor + 1000 + 1..=decoys. Encoded as a pure schedule
-                // so the sequence matches exactly.
-                let d = decoys.clamp(1, (MAX_OFFSETS - 1) as u32) as u16;
-                let mut offsets = vec![0i16];
-                offsets
-                    .extend((1..=d).map(|k| (DECOY_REGION_OFFSET as i16).saturating_add(k as i16)));
-                AttackPattern {
-                    base: aggressor,
-                    offsets,
-                    schedule: (0..=d).collect(),
-                    phase: 0,
-                    decoy_every: 0,
-                    decoys: 0,
-                }
-            }
-        }
+    /// Double-sided hammering: alternate the two rows sandwiching `victim`
+    /// (`victim - 1`, then `victim + 1`).
+    pub fn double_sided(victim: RowAddr) -> Self {
+        Self::scheduled(victim, vec![-1, 1], vec![0, 1])
+    }
+
+    /// The MINT-adversarial pattern of Appendix A: `window` unique rows from
+    /// `base` activated in a circular fashion, `(A B C D)^K`. `window` is
+    /// clamped to `1..=MAX_OFFSETS`.
+    pub fn circular(base: RowAddr, window: u32) -> Self {
+        let n = window.clamp(1, MAX_OFFSETS as u32) as u16;
+        Self::scheduled(base, (0..n as i16).collect(), (0..n).collect())
+    }
+
+    /// Half-Double \[23\]: hammer the far aggressors `victim ± 2` plus a few
+    /// near `victim ± 1` activations, flipping bits in the middle row via
+    /// transitive disturbance from the victim refreshes. Each burst of
+    /// `max(near_ratio + 2, 3)` steps (capped at `MAX_SCHEDULE`) is far low,
+    /// far high, then near rows alternating from the low side.
+    pub fn half_double(victim: RowAddr, near_ratio: u32) -> Self {
+        let burst = (near_ratio as usize + 2).clamp(3, MAX_SCHEDULE);
+        // Offsets: 0 = -2, 1 = +2, 2 = -1, 3 = +1.
+        let schedule = (0..burst)
+            .map(|k| match k {
+                0 | 1 => k as u16,
+                _ if k % 2 == 0 => 2,
+                _ => 3,
+            })
+            .collect();
+        Self::scheduled(victim, vec![-2, 2, -1, 1], schedule)
+    }
+
+    /// A decoy pattern that defeats deterministic single-entry trackers: one
+    /// `aggressor` activation followed by `decoys` distinct decoy rows at
+    /// `aggressor + 1000 + 1..=decoys`. `decoys` is clamped to
+    /// `1..MAX_OFFSETS`.
+    pub fn decoy(aggressor: RowAddr, decoys: u32) -> Self {
+        let d = decoys.clamp(1, (MAX_OFFSETS - 1) as u32) as u16;
+        let offsets = std::iter::once(0)
+            .chain((1..=d).map(|k| (DECOY_REGION_OFFSET as i16).saturating_add(k as i16)))
+            .collect();
+        Self::scheduled(aggressor, offsets, (0..=d).collect())
     }
 
     /// The row activated at step `step` (0-based). The sequence is a pure
@@ -350,10 +300,9 @@ impl PatternCursor {
     pub fn pattern(&self) -> &AttackPattern {
         &self.pattern
     }
-}
 
-impl PatternGen for PatternCursor {
-    fn next_row(&mut self, _rng: &mut DetRng) -> RowAddr {
+    /// The next row to activate.
+    pub fn next_row(&mut self) -> RowAddr {
         let row = self.pattern.row_at(self.step);
         self.step += 1;
         row
@@ -366,54 +315,52 @@ mod tests {
 
     fn emitted(p: &AttackPattern, n: usize) -> Vec<u32> {
         let mut cur = PatternCursor::new(p.clone());
-        let mut rng = DetRng::seeded(0);
-        (0..n).map(|_| cur.next_row(&mut rng).0).collect()
+        (0..n).map(|_| cur.next_row().0).collect()
     }
 
-    fn legacy(shape: FixedShape, n: usize) -> Vec<u32> {
-        let mut s = AttackStream::new(shape);
-        let mut rng = DetRng::seeded(0);
-        (0..n)
-            .map(|_| PatternGen::next_row(&mut s, &mut rng).0)
-            .collect()
-    }
-
+    /// Every named constructor emits its shape's closed-form row sequence
+    /// exactly (the sequences the security experiments were calibrated on).
     #[test]
-    fn fixed_shapes_convert_exactly() {
-        let shapes = [
-            FixedShape::SingleSided {
-                aggressor: RowAddr(7000),
-            },
-            FixedShape::DoubleSided {
-                victim: RowAddr(7000),
-            },
-            FixedShape::Circular {
-                base: RowAddr(7000),
-                window: 4,
-            },
-            FixedShape::Circular {
-                base: RowAddr(7000),
-                window: 16,
-            },
-            FixedShape::HalfDouble {
-                victim: RowAddr(7000),
-                near_ratio: 2,
-            },
-            FixedShape::HalfDouble {
-                victim: RowAddr(7000),
-                near_ratio: 7,
-            },
-            FixedShape::Decoy {
-                aggressor: RowAddr(7000),
-                decoys: 3,
-            },
+    fn constructors_emit_closed_form_shapes() {
+        let v = 7000u32;
+        let seq = |row: &dyn Fn(u64) -> u32| (0..200).map(row).collect::<Vec<u32>>();
+        let half_double = |near_ratio: u64| {
+            seq(&|i| match i % (near_ratio + 2).max(3) {
+                0 => v - 2,
+                1 => v + 2,
+                k if k % 2 == 0 => v - 1,
+                _ => v + 1,
+            })
+        };
+        let cases = [
+            (AttackPattern::single(RowAddr(v)), seq(&|_| v)),
+            (
+                AttackPattern::double_sided(RowAddr(v)),
+                seq(&|i| if i % 2 == 0 { v - 1 } else { v + 1 }),
+            ),
+            (
+                AttackPattern::circular(RowAddr(v), 4),
+                seq(&|i| v + (i % 4) as u32),
+            ),
+            (
+                AttackPattern::circular(RowAddr(v), 16),
+                seq(&|i| v + (i % 16) as u32),
+            ),
+            (AttackPattern::half_double(RowAddr(v), 2), half_double(2)),
+            (AttackPattern::half_double(RowAddr(v), 7), half_double(7)),
+            (
+                AttackPattern::decoy(RowAddr(v), 3),
+                seq(&|i| match i % 4 {
+                    0 => v,
+                    k => v + DECOY_REGION_OFFSET + k as u32,
+                }),
+            ),
         ];
-        for shape in shapes {
-            let genome = AttackPattern::from_fixed(shape);
+        for (pattern, want) in &cases {
             assert_eq!(
-                emitted(&genome, 200),
-                legacy(shape, 200),
-                "sequence drifted for {shape:?}"
+                &emitted(pattern, 200),
+                want,
+                "sequence drifted for {pattern:?}"
             );
         }
     }
@@ -474,10 +421,7 @@ mod tests {
 
     #[test]
     fn phase_rotates_schedule() {
-        let mut p = AttackPattern::from_fixed(FixedShape::Circular {
-            base: RowAddr(1000),
-            window: 4,
-        });
+        let mut p = AttackPattern::circular(RowAddr(1000), 4);
         p.phase = 2;
         assert_eq!(emitted(&p, 6), vec![1002, 1003, 1000, 1001, 1002, 1003]);
     }
@@ -498,12 +442,5 @@ mod tests {
         assert!(p.base.0 >= DECOY_REGION_OFFSET);
         // A sanitized genome always encodes and decodes.
         assert_eq!(AttackPattern::from_bytes(&p.to_bytes()).unwrap(), p);
-    }
-
-    #[test]
-    fn closure_adapter_works() {
-        let mut gen = FnPattern(|_rng: &mut DetRng| RowAddr(42));
-        let mut rng = DetRng::seeded(1);
-        assert_eq!(gen.next_row(&mut rng), RowAddr(42));
     }
 }

@@ -5,8 +5,8 @@
 //!   collection strategies, so genomes are drawn from a proptest-drawn seed),
 //! * fuzzer determinism across evaluator thread counts (the acceptance
 //!   criterion behind `attack_fuzz --jobs N`),
-//! * fixed-shape genomes driving [`AttackSim`] bitwise-identically to the
-//!   legacy [`AttackStream`] closures,
+//! * cursor replay driving [`AttackSim`] bitwise-identically whether a genome
+//!   runs in one call, in chunks, or one [`AttackPattern::row_at`] at a time,
 //! * exactly-once dedup in the survivor archive.
 
 use autorfm_analysis::{
@@ -16,7 +16,6 @@ use autorfm_analysis::{
 use autorfm_mitigation::MitigationKind;
 use autorfm_sim_core::{DetRng, RowAddr};
 use autorfm_trackers::TrackerKind;
-use autorfm_workloads::{AttackPattern as FixedShape, AttackStream};
 use proptest::prelude::*;
 
 /// A pseudo-random (sanitized, hence valid) genome drawn from `seed`.
@@ -85,44 +84,43 @@ proptest! {
     }
 }
 
-/// Every legacy fixed shape, expressed as a genome, drives `AttackSim` to a
-/// bitwise-identical report (same damage map digest, same max) as the
-/// legacy `AttackStream` closure path did.
+/// Every named shape drives `AttackSim` to one bitwise-identical report
+/// however its cursor is consumed: a single `run_pattern` call, uneven
+/// chunks over one cursor (the lockstep lanes' pattern), or a manual
+/// `activate(row_at(i))` loop.
 #[test]
-fn fixed_shape_genomes_match_legacy_streams() {
+fn cursor_replay_is_chunking_invariant() {
     let shapes = [
-        FixedShape::SingleSided {
-            aggressor: RowAddr(25_000),
-        },
-        FixedShape::DoubleSided {
-            victim: RowAddr(20_000),
-        },
-        FixedShape::Circular {
-            base: RowAddr(10_000),
-            window: 4,
-        },
-        FixedShape::Circular {
-            base: RowAddr(10_000),
-            window: 8,
-        },
-        FixedShape::HalfDouble {
-            victim: RowAddr(40_000),
-            near_ratio: 2,
-        },
-        FixedShape::Decoy {
-            aggressor: RowAddr(30_000),
-            decoys: 3,
-        },
+        AttackPattern::single(RowAddr(25_000)),
+        AttackPattern::double_sided(RowAddr(20_000)),
+        AttackPattern::circular(RowAddr(10_000), 4),
+        AttackPattern::circular(RowAddr(10_000), 8),
+        AttackPattern::half_double(RowAddr(40_000), 2),
+        AttackPattern::decoy(RowAddr(30_000), 3),
     ];
+    let sim = || {
+        AttackSim::new(TrackerKind::Mint, MitigationKind::Fractal, 4, 131_072, 77)
+            .expect("valid config")
+    };
     for shape in shapes {
-        let sim = || {
-            AttackSim::new(TrackerKind::Mint, MitigationKind::Fractal, 4, 131_072, 77)
-                .expect("valid config")
-        };
-        let legacy = sim().run_pattern(&mut AttackStream::new(shape), 50_000);
-        let genome = AttackPattern::from_fixed(shape);
-        let via_genome = sim().run_pattern(&mut PatternCursor::new(genome), 50_000);
-        assert_eq!(legacy, via_genome, "shape {shape:?} diverged");
+        let whole = sim().run_pattern(&mut PatternCursor::new(shape.clone()), 50_000);
+
+        let mut chunked_sim = sim();
+        let mut cursor = PatternCursor::new(shape.clone());
+        for n in [1, 4_095, 20_000, 25_904] {
+            chunked_sim.run_pattern(&mut cursor, n);
+        }
+        assert_eq!(
+            chunked_sim.report(),
+            whole,
+            "{shape:?}: chunked replay diverged"
+        );
+
+        let mut manual = sim();
+        for i in 0..50_000 {
+            manual.activate(shape.row_at(i));
+        }
+        assert_eq!(manual.report(), whole, "{shape:?}: row_at replay diverged");
     }
 }
 

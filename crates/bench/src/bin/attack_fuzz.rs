@@ -33,26 +33,19 @@
 //! below the budget must be crossed within a small multiple of `E`, and
 //! thresholds with `E` far above `budget × archive` must never be crossed.
 //!
-//! Every run also times the legacy serial evaluator (hash-map damage,
-//! per-candidate sim construction) against the lane path on a fixed probe
-//! batch under the interleaved min-of-3 protocol, asserts the two produce
-//! bitwise-identical results, and reports `fuzz_speedup = min_ref/min_new`
-//! (gated by `--gate-fuzz-speedup MIN`).
-//!
-//! The last stdout line is a JSON record `{pr, patterns_per_sec,
-//! fuzz_speedup, lanes, sim_evaluated, store_hits, archive_digest,
-//! trackers, curves, hardness, oracle_escape_margin, fuzzer_beats_fixed}`
-//! that `scripts/verify.sh` distills into `BENCH_10.json`.
+//! The last stdout line is a JSON record `{pr, patterns_per_sec, lanes,
+//! sim_evaluated, store_hits, archive_digest, trackers, thresholds, curves,
+//! hardness, oracle_escape_margin, fuzzer_beats_fixed}`; `scripts/verify.sh`
+//! reads it to check that `--resume` re-simulates nothing.
 //!
 //! Usage: `attack_fuzz [--tracker NAME] [--jobs N] [--seed N]
 //! [--activations N] [--generations N] [--population N] [--lanes N]
-//! [--store DIR] [--resume] [--gate-fuzz-speedup MIN] [--full]`
+//! [--store DIR] [--resume] [--full]`
 //! (unknown flags are rejected; harness env knobs like `AUTORFM_JOBS`
 //! still apply underneath).
 
 use autorfm::analysis::{
-    AttackFuzzer, AttackPattern, CandidateResult, EvaluatorPool, FuzzConfig, FuzzStore,
-    LaneEvaluator, MintModel,
+    AttackFuzzer, AttackPattern, CandidateResult, EvaluatorPool, FuzzConfig, FuzzStore, MintModel,
 };
 use autorfm::snapshot::{digest64, Writer};
 use autorfm::telemetry::Json;
@@ -61,10 +54,6 @@ use autorfm_bench::{par_map, print_table, Harness, RunOpts};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Interleaved A/B repetitions for the fuzz-speedup probe.
-const KERNEL_REPS: usize = 3;
-/// Candidates in the speedup probe batch.
-const PROBE_BATCH: usize = 24;
 /// A threshold is "must cross" when `slack × E` fits the budget this many
 /// times over, and its crossing must lie within `slack × E`.
 const BAND_SLACK: f64 = 16.0;
@@ -82,7 +71,6 @@ struct FuzzArgs {
     lanes: usize,
     store: Option<PathBuf>,
     resume: bool,
-    gate_fuzz_speedup: Option<f64>,
 }
 
 fn parse_args() -> FuzzArgs {
@@ -97,12 +85,10 @@ fn parse_args() -> FuzzArgs {
         lanes: 8,
         store: None,
         resume: false,
-        gate_fuzz_speedup: None,
     };
     let usage = "usage: attack_fuzz [--tracker NAME] [--jobs N] [--seed N] \
                  [--activations N] [--generations N] [--population N] \
-                 [--lanes N] [--store DIR] [--resume] \
-                 [--gate-fuzz-speedup MIN] [--full]";
+                 [--lanes N] [--store DIR] [--resume] [--full]";
     let mut args = std::env::args().skip(1);
     let next_val = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next()
@@ -149,13 +135,6 @@ fn parse_args() -> FuzzArgs {
                 out.store = Some(PathBuf::from(next_val(&mut args, "--store")));
             }
             "--resume" => out.resume = true,
-            "--gate-fuzz-speedup" => {
-                out.gate_fuzz_speedup = Some(
-                    next_val(&mut args, "--gate-fuzz-speedup")
-                        .parse()
-                        .expect("--gate-fuzz-speedup needs a number"),
-                );
-            }
             "--full" => {
                 out.activations = 120_000;
                 out.generations = 12;
@@ -216,46 +195,7 @@ fn evaluate_batch(
         .collect()
 }
 
-/// Interleaved min-of-3 A/B: legacy serial evaluator (hash-map damage, a
-/// fresh sim per candidate) vs the lane path (arena damage, pooled sims,
-/// lockstep dispatch — constructed inside the timed region, as `run` pays
-/// it). Asserts bitwise-identical results, returns `min_ref / min_new`.
-fn fuzz_speedup_probe(cfg: &FuzzConfig, lanes: usize) -> f64 {
-    let probe: Vec<AttackPattern> = AttackFuzzer::seed_patterns(cfg)
-        .into_iter()
-        .cycle()
-        .take(PROBE_BATCH)
-        .collect();
-    let want: Vec<CandidateResult> = probe
-        .iter()
-        .map(|p| AttackFuzzer::evaluate(cfg, p))
-        .collect();
-    let mut min_ref = f64::INFINITY;
-    let mut min_new = f64::INFINITY;
-    for rep in 0..KERNEL_REPS {
-        for side in 0..2 {
-            // Alternate which evaluator goes first so drift hits both.
-            if (rep + side) % 2 == 0 {
-                let t = std::time::Instant::now();
-                let got: Vec<CandidateResult> = probe
-                    .iter()
-                    .map(|p| AttackFuzzer::evaluate_ref(cfg, p))
-                    .collect();
-                min_ref = min_ref.min(t.elapsed().as_secs_f64());
-                assert_eq!(got, want, "reference evaluator diverged");
-            } else {
-                let t = std::time::Instant::now();
-                let mut ev = LaneEvaluator::new(cfg.clone(), lanes);
-                let got = ev.evaluate_batch(&probe);
-                min_new = min_new.min(t.elapsed().as_secs_f64());
-                assert_eq!(got, want, "lane evaluator diverged from serial reference");
-            }
-        }
-    }
-    min_ref / min_new.max(1e-12)
-}
-
-/// Satellite gate: MINT (fractal) and PrIDE sample each activation with
+/// Closed-form gate: MINT (fractal) and PrIDE sample each activation with
 /// probability `1/W`, so the expected activations to a first `T`-damage
 /// escape follow the run-of-successes closed form. Checks each watched
 /// threshold of `outcome` against the band and appends violations.
@@ -450,28 +390,6 @@ fn main() {
         }
     }
 
-    // Interleaved min-of-3 fuzz-speedup probe: legacy serial path vs the
-    // lane path, on a short fixed batch of the first kind's config.
-    let probe_cfg = FuzzConfig {
-        activations: 10_000,
-        seed: args.seed,
-        ..FuzzConfig::smoke(kinds[0])
-    };
-    let fuzz_speedup = fuzz_speedup_probe(&probe_cfg, args.lanes);
-    println!(
-        "fuzz_speedup {fuzz_speedup:.2}x (lane path vs legacy serial, \
-         min-of-{KERNEL_REPS} interleaved, {PROBE_BATCH}-candidate probe, \
-         {} lanes)",
-        args.lanes
-    );
-    if let Some(min) = args.gate_fuzz_speedup {
-        if fuzz_speedup < min {
-            violations.push(format!(
-                "fuzz_speedup {fuzz_speedup:.2}x below gate {min:.2}x"
-            ));
-        }
-    }
-
     let fuzzer_beats_fixed = outcomes
         .iter()
         .filter(|o| o.best.score() >= o.best_fixed.score())
@@ -496,7 +414,6 @@ fn main() {
         );
     }
     harness.gauge("fuzz_patterns_per_sec", &[], patterns_per_sec);
-    harness.gauge("fuzz_speedup", &[], fuzz_speedup);
     harness.gauge("fuzz_store_hits", &[], hits as f64);
     harness.finish();
 
@@ -526,7 +443,6 @@ fn main() {
     let record = Json::obj(vec![
         ("pr", Json::Num(10.0)),
         ("patterns_per_sec", Json::Num(patterns_per_sec)),
-        ("fuzz_speedup", Json::Num(fuzz_speedup)),
         ("lanes", Json::Num(args.lanes as f64)),
         ("sim_evaluated", Json::Num(simulated as f64)),
         ("store_hits", Json::Num(hits as f64)),

@@ -8,32 +8,20 @@
 //! three tolerate sub-125 TRH-D at AutoRFMTH-4; MINT beats PrIDE; Mithril
 //! needs >30K counter entries per bank.
 
-use autorfm::analysis::{AttackSim, MintModel};
+use autorfm::analysis::{AttackPattern, AttackSim, MintModel, PatternCursor};
 use autorfm::mitigation::MitigationKind;
 use autorfm::sim_core::RowAddr;
 use autorfm::trackers::TrackerKind;
-use autorfm::workloads::{AttackPattern, AttackStream};
 use autorfm_bench::{par_map, print_table, Harness, RunOpts};
 
 /// Empirical worst-case damage for a tracker under its adversarial pattern.
 fn empirical_worst_damage(tracker: TrackerKind, window: u32) -> u64 {
     let mut worst = 0u64;
     for (i, pattern) in [
-        AttackPattern::Circular {
-            base: RowAddr(10_000),
-            window,
-        },
-        AttackPattern::DoubleSided {
-            victim: RowAddr(20_000),
-        },
-        AttackPattern::Decoy {
-            aggressor: RowAddr(30_000),
-            decoys: 3,
-        },
-        AttackPattern::HalfDouble {
-            victim: RowAddr(40_000),
-            near_ratio: 2,
-        },
+        AttackPattern::circular(RowAddr(10_000), window),
+        AttackPattern::double_sided(RowAddr(20_000)),
+        AttackPattern::decoy(RowAddr(30_000), 3),
+        AttackPattern::half_double(RowAddr(40_000), 2),
     ]
     .into_iter()
     .enumerate()
@@ -46,7 +34,7 @@ fn empirical_worst_damage(tracker: TrackerKind, window: u32) -> u64 {
             77 + i as u64,
         )
         .expect("valid tracker");
-        let report = sim.run_pattern(&mut AttackStream::new(pattern), 500_000);
+        let report = sim.run_pattern(&mut PatternCursor::new(pattern), 500_000);
         worst = worst.max(report.max_damage);
     }
     worst

@@ -95,7 +95,7 @@ fn main() {
     }
     let warm_prefetch_s = t_warm.elapsed().as_secs_f64();
 
-    // Isolated caches: a checkpoint reload would collapse the timings.
+    // Isolated caches: a cell-store reload would collapse the timings.
     let mut serial = quick.clone();
     serial.jobs = 1;
     let t0 = Instant::now();

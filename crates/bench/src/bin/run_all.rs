@@ -7,20 +7,18 @@
 //! * `--list` — print the target names and exit,
 //! * `--only <substring>` — run only matching targets (repeatable),
 //! * `--resume` — skip targets whose manifest records a clean exit, and let
-//!   the rest reload completed simulations from their checkpoint.
+//!   the rest reload completed simulations from the cell store.
 //!
-//! Every child runs with `AUTORFM_CHECKPOINT=results/<target>.ckpt`: as its
-//! simulations complete, the harness appends them to that sealed snapshot
-//! file, so a campaign killed mid-flight resumes under `--resume` without
-//! re-running finished targets or finished simulations inside interrupted
-//! targets. Checkpoints of targets that complete cleanly are deleted.
-//!
-//! With `AUTORFM_STORE=DIR` set, the per-target checkpoint files are skipped
-//! entirely: every child inherits the variable and routes its completed
-//! simulations through the campaign service's content-addressed cell store
-//! at `DIR` instead (see `autorfm_campaign`) — one shared, restart-safe
-//! result per `(workload, scenario, cores, instructions, seed)` cell across
-//! all targets and any concurrently running `campaignd`.
+//! Every child runs with `AUTORFM_STORE` set: the user's store when the
+//! variable is already set, else `results/store`. Children route their
+//! completed simulations through that content-addressed cell store (see
+//! `autorfm_snapshot::store`) — one shared, restart-safe result per
+//! `(workload, scenario, cores, instructions, seed)` cell across all targets
+//! and any concurrently running `campaignd` — so a campaign killed mid-flight
+//! resumes under `--resume` without re-running finished targets or finished
+//! simulations inside interrupted targets. A fresh (non-`--resume`) run
+//! empties the default `results/store` first, so cells computed by an older
+//! build are never reused; a user-set store is never emptied.
 //!
 //! Experiments run as child processes with bounded concurrency: up to
 //! `AUTORFM_PROCS` targets at a time. The default pool size is the host's
@@ -32,9 +30,12 @@
 
 use autorfm::telemetry::{Json, RunManifest};
 use autorfm_bench::{default_jobs, par_map, RunOpts};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
+
+/// The cell store children share when `AUTORFM_STORE` is unset.
+const DEFAULT_STORE: &str = "results/store";
 
 const TARGETS: &[&str] = &[
     "fig01_overview",
@@ -176,12 +177,18 @@ fn main() {
         .expect("locate target dir");
     let procs = pool_size(&flags);
     let jobs = child_jobs(&flags);
-    // With a shared cell store configured, children inherit AUTORFM_STORE
-    // and the ad-hoc per-target checkpoint files are bypassed.
-    let store = RunOpts::from_env().store;
-    if let Some(dir) = &store {
-        eprintln!("cell store: {} (per-target checkpoints off)", dir.display());
-    }
+    let store = match RunOpts::from_env().store {
+        Some(dir) => dir,
+        None => {
+            let dir = PathBuf::from(DEFAULT_STORE);
+            if !resume {
+                // Cells an older build computed must not answer this run.
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            dir
+        }
+    };
+    eprintln!("cell store: {}", store.display());
     eprintln!("process pool: {procs} (child --jobs {jobs})");
 
     let failures: Vec<Option<String>> = par_map(&selected, procs, |&target| {
@@ -191,31 +198,21 @@ fn main() {
         }
         eprintln!("=== running {target} ===");
         let manifest_path = format!("results/{target}.json");
-        let checkpoint_path = format!("results/{target}.ckpt");
         // Remove any stale manifest so a crash can't leave last run's data
-        // behind wearing this run's exit code. The checkpoint, by contrast,
-        // deliberately survives: it's how an interrupted target resumes.
+        // behind wearing this run's exit code.
         let _ = std::fs::remove_file(&manifest_path);
-        if !resume && store.is_none() {
-            let _ = std::fs::remove_file(&checkpoint_path);
-        }
         let mut cmd = Command::new(exe_dir.join(target));
         if TAKES_FLAGS.contains(&target) {
             cmd.args(&flags);
         }
         cmd.env("AUTORFM_MANIFEST", &manifest_path);
-        if store.is_none() {
-            cmd.env("AUTORFM_CHECKPOINT", &checkpoint_path);
-        }
+        cmd.env("AUTORFM_STORE", &store);
         let path = format!("results/{target}.txt");
         let started = Instant::now();
         match cmd.output() {
             Ok(out) if out.status.success() => {
                 std::fs::write(&path, &out.stdout).expect("write result");
                 finalize_manifest(target, Some(0), started.elapsed().as_secs_f64(), jobs);
-                if store.is_none() {
-                    let _ = std::fs::remove_file(&checkpoint_path);
-                }
                 eprintln!("    -> {path}");
                 None
             }

@@ -5,11 +5,10 @@
 //! the worst damage any row accumulated; the attack *fails* as long as that
 //! stays below `T = 2 × TRH-D` of the Appendix-A model.
 
-use autorfm::analysis::{AttackSim, FractalModel, MintModel};
+use autorfm::analysis::{AttackPattern, AttackSim, FractalModel, MintModel, PatternCursor};
 use autorfm::mitigation::MitigationKind;
 use autorfm::sim_core::RowAddr;
 use autorfm::trackers::TrackerKind;
-use autorfm::workloads::{AttackPattern, AttackStream};
 use autorfm_bench::print_table;
 
 fn worst_damage(
@@ -19,45 +18,20 @@ fn worst_damage(
     acts: u64,
 ) -> (u64, &'static str) {
     let patterns = [
-        (
-            "circular",
-            AttackPattern::Circular {
-                base: RowAddr(10_000),
-                window,
-            },
-        ),
-        (
-            "double-sided",
-            AttackPattern::DoubleSided {
-                victim: RowAddr(20_000),
-            },
-        ),
-        (
-            "single-sided",
-            AttackPattern::SingleSided {
-                aggressor: RowAddr(25_000),
-            },
-        ),
+        ("circular", AttackPattern::circular(RowAddr(10_000), window)),
+        ("double-sided", AttackPattern::double_sided(RowAddr(20_000))),
+        ("single-sided", AttackPattern::single(RowAddr(25_000))),
         (
             "half-double",
-            AttackPattern::HalfDouble {
-                victim: RowAddr(40_000),
-                near_ratio: 2,
-            },
+            AttackPattern::half_double(RowAddr(40_000), 2),
         ),
-        (
-            "decoy",
-            AttackPattern::Decoy {
-                aggressor: RowAddr(30_000),
-                decoys: 3,
-            },
-        ),
+        ("decoy", AttackPattern::decoy(RowAddr(30_000), 3)),
     ];
     let mut worst = (0u64, "none");
     for (i, (name, pattern)) in patterns.into_iter().enumerate() {
         let mut sim = AttackSim::new(tracker, policy, window, 131_072, 1234 + i as u64)
             .expect("valid config");
-        let report = sim.run_pattern(&mut AttackStream::new(pattern), acts);
+        let report = sim.run_pattern(&mut PatternCursor::new(pattern), acts);
         if report.max_damage > worst.0 {
             worst = (report.max_damage, name);
         }

@@ -1,10 +1,10 @@
-//! Inspect, digest, and diff sealed snapshot files (`*.ckpt`, warm and
-//! system snapshots — anything written through `autorfm_snapshot::seal`).
+//! Inspect, digest, and diff sealed snapshot files (cell-store records,
+//! warm and system snapshots — anything written through
+//! `autorfm_snapshot::seal`).
 //!
 //! ```text
 //! snapshot_tool inspect <file>
-//!     Print kind, format version, payload size, and digest; for results
-//!     checkpoints, list every stored simulation.
+//!     Print kind, format version, payload size, and digest.
 //!
 //! snapshot_tool digest <file>
 //!     Print the 64-bit payload digest as 16 hex digits (the golden-test
@@ -12,14 +12,11 @@
 //!
 //! snapshot_tool diff <a> <b>
 //!     Compare two snapshot files. Exit 0 when the payloads are identical,
-//!     1 when they differ, 2 on error. For results checkpoints the diff is
-//!     per-entry; otherwise it reports the first diverging payload byte.
+//!     1 when they differ, 2 on error; a difference reports the first
+//!     diverging payload byte.
 //! ```
 
-use autorfm::snapshot::{kind_name, read_file, Container, Reader, Snapshot, KIND_RESULTS};
-use autorfm::SimResult;
-use autorfm_bench::decode_results;
-use std::collections::BTreeMap;
+use autorfm::snapshot::{kind_name, read_file, Container};
 use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
@@ -55,20 +52,6 @@ fn load(path: &str) -> Result<Container, Stop> {
     })
 }
 
-/// One-line description of a stored result entry.
-fn describe_entry(bytes: &[u8]) -> String {
-    match SimResult::decode(&mut Reader::new(bytes)) {
-        Ok(r) => format!(
-            "{:<14} elapsed {:>12} ns  acts {:>9}  perf {:.3}",
-            r.workload,
-            r.elapsed.as_ns(),
-            r.dram.acts.get(),
-            r.perf()
-        ),
-        Err(e) => format!("<undecodable: {e}>"),
-    }
-}
-
 fn inspect(out: &mut Out, path: &str) -> Result<(), Stop> {
     let c = load(path)?;
     writeln!(out, "file      : {path}")?;
@@ -76,20 +59,6 @@ fn inspect(out: &mut Out, path: &str) -> Result<(), Stop> {
     writeln!(out, "version   : {}", c.version)?;
     writeln!(out, "payload   : {} bytes", c.payload.len())?;
     writeln!(out, "digest    : {:016x}", c.digest)?;
-    if c.kind == KIND_RESULTS {
-        match decode_results(&c.payload) {
-            Ok(entries) => {
-                writeln!(out, "entries   : {}", entries.len())?;
-                for (key, bytes) in &entries {
-                    writeln!(out, "  {key:016x}  {}", describe_entry(bytes))?;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: cannot decode results map: {e}");
-                return Err(Stop::Exit(2));
-            }
-        }
-    }
     Ok(())
 }
 
@@ -97,38 +66,6 @@ fn digest(out: &mut Out, path: &str) -> Result<(), Stop> {
     let c = load(path)?;
     writeln!(out, "{:016x}", c.digest)?;
     Ok(())
-}
-
-/// Diffs two results checkpoints entry by entry.
-fn diff_results(
-    out: &mut Out,
-    a: &BTreeMap<u64, Vec<u8>>,
-    b: &BTreeMap<u64, Vec<u8>>,
-) -> Result<bool, Stop> {
-    let mut same = true;
-    for key in a
-        .keys()
-        .chain(b.keys())
-        .collect::<std::collections::BTreeSet<_>>()
-    {
-        match (a.get(key), b.get(key)) {
-            (Some(x), Some(y)) if x == y => {}
-            (Some(_), Some(_)) => {
-                writeln!(out, "~ {key:016x}  entries differ")?;
-                same = false;
-            }
-            (Some(_), None) => {
-                writeln!(out, "- {key:016x}  only in first")?;
-                same = false;
-            }
-            (None, Some(_)) => {
-                writeln!(out, "+ {key:016x}  only in second")?;
-                same = false;
-            }
-            (None, None) => unreachable!("key came from one of the maps"),
-        }
-    }
-    Ok(same)
 }
 
 fn diff(out: &mut Out, path_a: &str, path_b: &str) -> Result<bool, Stop> {
@@ -158,11 +95,6 @@ fn diff(out: &mut Out, path_a: &str, path_b: &str) -> Result<bool, Stop> {
         "digests differ: {:016x} vs {:016x}",
         a.digest, b.digest
     )?;
-    if a.kind == KIND_RESULTS {
-        if let (Ok(ma), Ok(mb)) = (decode_results(&a.payload), decode_results(&b.payload)) {
-            return diff_results(out, &ma, &mb);
-        }
-    }
     let common = a.payload.len().min(b.payload.len());
     let at = (0..common)
         .find(|&i| a.payload[i] != b.payload[i])

@@ -64,7 +64,7 @@
 
 use autorfm::experiments::Scenario;
 use autorfm::snapshot::store::{cell_key, CellRecord, CellStore};
-use autorfm::snapshot::{open, write_file, Reader, SnapError, Snapshot, Writer, KIND_RESULTS};
+use autorfm::snapshot::{Reader, Snapshot, Writer};
 use autorfm::telemetry::{Json, Labels, RunEntry, RunManifest};
 use autorfm::trackers::TrackerKind;
 use autorfm::{
@@ -73,7 +73,7 @@ use autorfm::{
 use autorfm_campaign::run_batch_fallible;
 use autorfm_sim_core::Cycle;
 use autorfm_workloads::{WorkloadSpec, ALL_WORKLOADS};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -112,13 +112,10 @@ pub struct RunOpts {
     /// Child-process pool size for `run_all` (env `AUTORFM_PROCS`;
     /// `None` = derive from host parallelism and the per-child `--jobs`).
     pub procs: Option<usize>,
-    /// Checkpoint file for [`ResultCache::new`] (env `AUTORFM_CHECKPOINT`;
-    /// `None` disables checkpointing).
-    pub checkpoint: Option<PathBuf>,
     /// Root of the campaign service's content-addressed cell store (env
     /// `AUTORFM_STORE`). When set, [`ResultCache::new`] reads and writes
-    /// per-cell records there — shared with `campaignd` — and the per-target
-    /// checkpoint file is bypassed.
+    /// per-cell records there — shared with `campaignd` and every other
+    /// experiment — so completed simulations survive a killed run.
     pub store: Option<PathBuf>,
     /// Whether [`run`] may fork from cached warm snapshots
     /// (default yes; env `AUTORFM_NO_WARM_FORK=1` disables).
@@ -171,7 +168,6 @@ impl Default for RunOpts {
             epoch_ns: None,
             telemetry_csv: None,
             procs: None,
-            checkpoint: None,
             store: None,
             warm_fork: true,
             kernel: KernelKind::Event,
@@ -192,7 +188,6 @@ impl RunOpts {
     /// | `AUTORFM_JOBS=N`         | worker threads ([`RunOpts::jobs`])       |
     /// | `AUTORFM_PROCS=N`        | `run_all` process pool ([`RunOpts::procs`]) |
     /// | `AUTORFM_TELEMETRY=1`    | epoch telemetry on ([`RunOpts::telemetry`]) |
-    /// | `AUTORFM_CHECKPOINT=F`   | result checkpoint file ([`RunOpts::checkpoint`]) |
     /// | `AUTORFM_STORE=DIR`      | content-addressed cell store ([`RunOpts::store`]) |
     /// | `AUTORFM_NO_WARM_FORK=1` | disable warm forking ([`RunOpts::warm_fork`]) |
     /// | `AUTORFM_STEPPED_KERNEL=1` | stepped oracle kernel ([`RunOpts::kernel`]) |
@@ -213,10 +208,6 @@ impl RunOpts {
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n >= 1);
         opts.telemetry = env_flag("AUTORFM_TELEMETRY");
-        opts.checkpoint = std::env::var("AUTORFM_CHECKPOINT")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .map(PathBuf::from);
         opts.store = std::env::var("AUTORFM_STORE")
             .ok()
             .filter(|p| !p.is_empty())
@@ -526,7 +517,7 @@ pub fn run_matrix(jobs: &[SimJob], opts: &RunOpts) -> Vec<SimResult> {
 }
 
 /// [`run_matrix`] against a caller-supplied cache (so the cache — and its
-/// checkpoint wiring, or deliberate lack of it — can outlive the call).
+/// store wiring, or deliberate lack of it — can outlive the call).
 ///
 /// With [`RunOpts::batch`] > 1, same-shape jobs are first simulated in
 /// lockstep batches ([`ResultCache::prefetch_batched`]); the per-job `get`s
@@ -558,8 +549,7 @@ type CacheSlot = Arc<OnceLock<Arc<SimResult>>>;
 pub struct ResultCache {
     results: Mutex<HashMap<CacheKey, CacheSlot>>,
     runs: AtomicUsize,
-    checkpoint: Option<Arc<CheckpointFile>>,
-    store: Option<Arc<CellStore>>,
+    store: Option<CellStore>,
     failures: Mutex<Vec<CellFailure>>,
 }
 
@@ -580,29 +570,16 @@ pub struct CellFailure {
 }
 
 impl ResultCache {
-    /// Creates an empty cache honoring the environment's persistence knobs:
-    /// `AUTORFM_STORE` (the campaign service's content-addressed cell store,
-    /// preferred) or `AUTORFM_CHECKPOINT` (the per-target checkpoint file
-    /// `run_all` sets up). Either way completed results are reloaded and
-    /// every fresh simulation is persisted — so a killed experiment resumes
-    /// instead of starting over. Use [`ResultCache::isolated`] to opt out,
-    /// or [`ResultCache::with_checkpoint`] / [`ResultCache::with_store`] to
-    /// pass an explicit path.
+    /// Creates an empty cache honoring `AUTORFM_STORE` (the content-addressed
+    /// cell store `run_all` and `campaignd` share): with a store, completed
+    /// results are reloaded and every fresh simulation is persisted — so a
+    /// killed experiment resumes instead of starting over. Without one the
+    /// cache lives in memory only. Use [`ResultCache::isolated`] to opt out,
+    /// or [`ResultCache::with_store`] to pass an explicit root.
     pub fn new() -> Self {
-        let env = RunOpts::from_env();
-        match env.store {
-            Some(root) => Self::with_store(root),
-            None => Self::with_checkpoint(env.checkpoint),
-        }
-    }
-
-    /// Creates an empty cache backed by the given checkpoint file (`None`
-    /// disables checkpointing).
-    pub fn with_checkpoint(path: Option<PathBuf>) -> Self {
-        ResultCache {
-            checkpoint: path.map(|p| Arc::new(CheckpointFile::load(p))),
-            ..Self::default()
-        }
+        RunOpts::from_env()
+            .store
+            .map_or_else(Self::default, Self::with_store)
     }
 
     /// Creates an empty cache backed by the content-addressed cell store at
@@ -611,7 +588,7 @@ impl ResultCache {
     /// degrades (with a warning) to a plain in-memory cache.
     pub fn with_store(root: PathBuf) -> Self {
         let store = match CellStore::open(&root) {
-            Ok(store) => Some(Arc::new(store)),
+            Ok(store) => Some(store),
             Err(e) => {
                 eprintln!("warning: could not open store {}: {e}", root.display());
                 None
@@ -623,9 +600,9 @@ impl ResultCache {
         }
     }
 
-    /// Creates an empty cache that never touches a checkpoint file, even when
-    /// `AUTORFM_CHECKPOINT` is set — for A/B timing passes (`perf_smoke`)
-    /// whose wall clocks would be meaningless with reloaded results.
+    /// Creates an empty cache that never touches a cell store, even when
+    /// `AUTORFM_STORE` is set — for A/B timing passes (`perf_smoke`) whose
+    /// wall clocks would be meaningless with reloaded results.
     pub fn isolated() -> Self {
         Self::default()
     }
@@ -633,7 +610,7 @@ impl ResultCache {
     /// Runs (or returns the cached result of) `scenario` on `spec`.
     ///
     /// Telemetry-enabled runs always simulate: their epoch series cannot be
-    /// checkpointed (see `SimResult`'s snapshot docs), and a reloaded result
+    /// persisted (see `SimResult`'s snapshot docs), and a reloaded result
     /// would silently lose it.
     ///
     /// # Panics
@@ -663,29 +640,23 @@ impl ResultCache {
         .clone()
     }
 
-    /// The completed result persisted under `key` — from the cell store when
-    /// one is configured, else the checkpoint file. A store record of a
-    /// *failed* cell is not a result: the job re-runs (and re-fails, loudly)
-    /// rather than silently vanishing from the matrix.
+    /// The completed result the cell store holds under `key`, if a store is
+    /// configured. A record of a *failed* cell — or one that no longer
+    /// decodes, e.g. written by an older build — is not a result: the job
+    /// re-runs (and a failure re-fails, loudly) rather than silently
+    /// vanishing from the matrix.
     fn persisted(&self, key: u64) -> Option<SimResult> {
-        if let Some(store) = &self.store {
-            let bytes = store.get(key)?.outcome.ok()?;
-            return SimResult::decode(&mut Reader::new(&bytes)).ok();
-        }
-        self.checkpoint.as_ref()?.get(key)
+        let bytes = self.store.as_ref()?.get(key)?.outcome.ok()?;
+        SimResult::decode(&mut Reader::new(&bytes)).ok()
     }
 
-    /// Persists a completed result under `key` (store preferred, else
-    /// checkpoint, else nothing).
+    /// Persists a completed result under `key` when a store is configured.
     fn persist(&self, key: u64, result: &SimResult) {
-        if let Some(store) = &self.store {
-            let mut w = Writer::new();
-            result.encode(&mut w);
-            if let Err(e) = store.put(key, &CellRecord::ok(key, w.into_bytes())) {
-                eprintln!("warning: could not write store cell {key:016x}: {e}");
-            }
-        } else if let Some(c) = &self.checkpoint {
-            c.put(key, result);
+        let Some(store) = &self.store else { return };
+        let mut w = Writer::new();
+        result.encode(&mut w);
+        if let Err(e) = store.put(key, &CellRecord::ok(key, w.into_bytes())) {
+            eprintln!("warning: could not write store cell {key:016x}: {e}");
         }
     }
 
@@ -745,7 +716,7 @@ impl ResultCache {
     /// warm shape (`autorfm::warm_digest` of their configs), splits each
     /// group into `autorfm::SimBatch`es of up to [`RunOpts::batch`] lanes,
     /// and runs the batches on `opts.jobs` threads. Each lane's result lands
-    /// in the job's cache slot (and the store or checkpoint, when configured)
+    /// in the job's cache slot (and the store, when configured)
     /// exactly as an unbatched run would have put it — lanes are bitwise
     /// identical to standalone simulations, so later `get`s cannot tell the
     /// difference.
@@ -890,128 +861,6 @@ pub fn job_digest(spec: &WorkloadSpec, scenario: Scenario, opts: &RunOpts) -> u6
         opts.instructions,
         42,
     )
-}
-
-/// Encodes a job-digest → result-bytes map as a [`KIND_RESULTS`] payload
-/// (count, then sorted `(u64 key, length-prefixed bytes)` pairs).
-pub fn encode_results(entries: &BTreeMap<u64, Vec<u8>>) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_usize(entries.len());
-    for (key, bytes) in entries {
-        w.put_u64(*key);
-        w.put_bytes(bytes);
-    }
-    w.into_bytes()
-}
-
-/// Decodes a [`KIND_RESULTS`] payload written by [`encode_results`].
-///
-/// # Errors
-///
-/// Returns [`SnapError`] on truncation, duplicate keys, or trailing bytes.
-pub fn decode_results(payload: &[u8]) -> Result<BTreeMap<u64, Vec<u8>>, SnapError> {
-    let mut r = Reader::new(payload);
-    let n = r.take_usize()?;
-    let mut map = BTreeMap::new();
-    for _ in 0..n {
-        let key = r.take_u64()?;
-        let bytes = r.take_bytes()?.to_vec();
-        if map.insert(key, bytes).is_some() {
-            return Err(SnapError::corrupt("duplicate job key in checkpoint"));
-        }
-    }
-    if !r.is_empty() {
-        return Err(SnapError::corrupt("trailing bytes after checkpoint map"));
-    }
-    Ok(map)
-}
-
-/// An on-disk checkpoint of completed simulations: a sealed [`KIND_RESULTS`]
-/// container mapping [`job_digest`] keys to encoded `SimResult`s. Rewritten
-/// atomically (tmp file + rename) after every completed simulation, so a
-/// killed campaign loses at most the runs still in flight; on the next
-/// attempt, [`ResultCache`] serves the finished ones from here without
-/// re-simulating.
-#[derive(Debug)]
-pub struct CheckpointFile {
-    path: PathBuf,
-    entries: Mutex<BTreeMap<u64, Vec<u8>>>,
-}
-
-impl CheckpointFile {
-    /// Opens `path`, reloading any entries a previous run left behind. A
-    /// missing file starts empty; a corrupt one is ignored with a warning
-    /// (it will be overwritten by the first completed simulation).
-    pub fn load(path: PathBuf) -> Self {
-        let entries = match std::fs::read(&path) {
-            Ok(bytes) => match open(&bytes).and_then(|c| {
-                if c.kind == KIND_RESULTS {
-                    decode_results(&c.payload)
-                } else {
-                    Err(SnapError::corrupt("not a results checkpoint"))
-                }
-            }) {
-                Ok(map) => map,
-                Err(e) => {
-                    eprintln!(
-                        "warning: ignoring corrupt checkpoint {}: {e}",
-                        path.display()
-                    );
-                    BTreeMap::new()
-                }
-            },
-            Err(_) => BTreeMap::new(),
-        };
-        CheckpointFile {
-            path,
-            entries: Mutex::new(entries),
-        }
-    }
-
-    /// The completed result stored under `key`, if any. An entry that fails
-    /// to decode (e.g. written by an older build) is treated as absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock is poisoned.
-    pub fn get(&self, key: u64) -> Option<SimResult> {
-        let entries = self.entries.lock().expect("checkpoint lock poisoned");
-        let bytes = entries.get(&key)?;
-        SimResult::decode(&mut Reader::new(bytes)).ok()
-    }
-
-    /// Records a completed simulation and rewrites the file atomically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock is poisoned.
-    pub fn put(&self, key: u64, result: &SimResult) {
-        let mut w = Writer::new();
-        result.encode(&mut w);
-        let mut entries = self.entries.lock().expect("checkpoint lock poisoned");
-        entries.insert(key, w.into_bytes());
-        let payload = encode_results(&entries);
-        if let Err(e) = write_file(&self.path, KIND_RESULTS, &payload) {
-            eprintln!(
-                "warning: could not write checkpoint {}: {e}",
-                self.path.display()
-            );
-        }
-    }
-
-    /// Number of completed results on record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock is poisoned.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("checkpoint lock poisoned").len()
-    }
-
-    /// Whether no results are on record.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Records a machine-readable manifest of one experiment binary's runs and

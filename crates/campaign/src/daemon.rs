@@ -139,8 +139,9 @@ pub struct Daemon {
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
-/// Encodes a result exactly as the checkpoint codec does — these bytes (and
-/// their digest) are the store's canonical form of a completed cell.
+/// Encodes a result with its `Snapshot` codec, exactly as the harness's
+/// `ResultCache` does — these bytes (and their digest) are the store's one
+/// canonical form of a completed cell, whoever computed it.
 fn encode_result(result: &SimResult) -> Vec<u8> {
     let mut w = Writer::new();
     result.encode(&mut w);

@@ -99,9 +99,12 @@ mod tests {
     use autorfm::workloads::WorkloadSpec;
 
     fn cfg(scenario: Scenario) -> SimConfig {
-        SimConfig::scenario(WorkloadSpec::by_name("mcf").unwrap(), scenario)
-            .with_cores(2)
-            .with_instructions(4_000)
+        SimConfig::builder(WorkloadSpec::by_name("mcf").unwrap())
+            .scenario(scenario)
+            .cores(2)
+            .instructions(4_000)
+            .build()
+            .unwrap()
     }
 
     #[test]
@@ -136,7 +139,10 @@ mod tests {
         // Different seeds = different shapes: the batch build fails, but each
         // cell still gets its own standalone result.
         let a = cfg(Scenario::AutoRfm { th: 4 });
-        let b = cfg(Scenario::AutoRfm { th: 4 }).with_seed(99);
+        let b = SimConfig {
+            seed: 99,
+            ..cfg(Scenario::AutoRfm { th: 4 })
+        };
         let out = run_batch_fallible(&[a, b], None, KernelKind::Event, true);
         assert!(out.warm_state.is_none());
         assert_eq!(out.results.len(), 2);

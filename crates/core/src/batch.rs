@@ -176,9 +176,12 @@ mod tests {
 
     fn lane_cfg(scenario: Scenario) -> SimConfig {
         let spec = WorkloadSpec::by_name("mcf").unwrap();
-        SimConfig::scenario(spec, scenario)
-            .with_cores(2)
-            .with_instructions(4_000)
+        SimConfig::builder(spec)
+            .scenario(scenario)
+            .cores(2)
+            .instructions(4_000)
+            .build()
+            .unwrap()
     }
 
     #[test]
@@ -233,7 +236,10 @@ mod tests {
     #[test]
     fn mismatched_shapes_are_rejected() {
         let a = lane_cfg(Scenario::AutoRfm { th: 4 });
-        let b = lane_cfg(Scenario::AutoRfm { th: 4 }).with_seed(99);
+        let b = SimConfig {
+            seed: 99,
+            ..lane_cfg(Scenario::AutoRfm { th: 4 })
+        };
         assert!(SimBatch::new(vec![a, b]).is_err());
     }
 }

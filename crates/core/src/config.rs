@@ -271,58 +271,6 @@ impl SimConfig {
         scenario.apply(Self::baseline(workload))
     }
 
-    /// Deprecated shim: use [`SimConfig::builder`] + [`SimConfigBuilder::cores`].
-    #[doc(hidden)]
-    pub fn with_cores(mut self, n: u8) -> Self {
-        self.num_cores = n;
-        self
-    }
-
-    /// Deprecated shim: use [`SimConfig::builder`] +
-    /// [`SimConfigBuilder::instructions`].
-    #[doc(hidden)]
-    pub fn with_instructions(mut self, n: u64) -> Self {
-        self.instructions_per_core = n;
-        self
-    }
-
-    /// Deprecated shim: use [`SimConfig::builder`] + [`SimConfigBuilder::seed`].
-    #[doc(hidden)]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Deprecated shim: use [`SimConfig::builder`] + [`SimConfigBuilder::audit`].
-    #[doc(hidden)]
-    pub fn with_audit(mut self) -> Self {
-        self.audit = true;
-        self
-    }
-
-    /// Deprecated shim: use [`SimConfig::builder`] +
-    /// [`SimConfigBuilder::trace_capacity`].
-    #[doc(hidden)]
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// Deprecated shim: use [`SimConfig::builder`] + [`SimConfigBuilder::mix`].
-    #[doc(hidden)]
-    pub fn with_mix(mut self, mix: Vec<&'static WorkloadSpec>) -> Self {
-        self.mix = mix;
-        self
-    }
-
-    /// Deprecated shim: use [`SimConfig::builder`] +
-    /// [`SimConfigBuilder::telemetry`].
-    #[doc(hidden)]
-    pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
     /// The workload assigned to `core`.
     pub fn workload_of(&self, core: u8) -> &'static WorkloadSpec {
         if self.mix.is_empty() {
@@ -378,30 +326,22 @@ mod tests {
     #[test]
     fn builder_methods() {
         let spec = WorkloadSpec::by_name("mcf").unwrap();
-        let cfg = SimConfig::baseline(spec)
-            .with_cores(2)
-            .with_instructions(1000)
-            .with_seed(7);
+        let cfg = SimConfig::builder(spec)
+            .cores(2)
+            .instructions(1000)
+            .seed(7)
+            .build()
+            .unwrap();
         assert_eq!(cfg.num_cores, 2);
         assert_eq!(cfg.instructions_per_core, 1000);
         assert_eq!(cfg.seed, 7);
     }
 
     #[test]
-    fn validation_rejects_degenerate() {
-        let spec = WorkloadSpec::by_name("mcf").unwrap();
-        assert!(SimConfig::baseline(spec).with_cores(0).validate().is_err());
-        assert!(SimConfig::baseline(spec)
-            .with_instructions(0)
-            .validate()
-            .is_err());
-    }
-
-    #[test]
     fn mix_assignment_round_robins() {
         let a = WorkloadSpec::by_name("bwaves").unwrap();
         let b = WorkloadSpec::by_name("mcf").unwrap();
-        let cfg = SimConfig::baseline(a).with_mix(vec![a, b]);
+        let cfg = SimConfig::builder(a).mix(vec![a, b]).build().unwrap();
         assert_eq!(cfg.workload_of(0).name, "bwaves");
         assert_eq!(cfg.workload_of(1).name, "mcf");
         assert_eq!(cfg.workload_of(2).name, "bwaves");
@@ -410,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_is_equivalent_to_shims() {
+    fn builder_is_equivalent_to_field_assignment() {
         let spec = WorkloadSpec::by_name("mcf").unwrap();
         let built = SimConfig::builder(spec)
             .scenario(Scenario::AutoRfm { th: 4 })
@@ -419,13 +359,15 @@ mod tests {
             .seed(42)
             .build()
             .unwrap();
-        let legacy = SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-            .with_cores(2)
-            .with_instructions(10_000)
-            .with_seed(42);
+        let assigned = SimConfig {
+            num_cores: 2,
+            instructions_per_core: 10_000,
+            seed: 42,
+            ..SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
+        };
         // The config digest is derived from the Debug form; the builder must
         // not perturb it (snapshot compatibility).
-        assert_eq!(format!("{built:?}"), format!("{legacy:?}"));
+        assert_eq!(format!("{built:?}"), format!("{assigned:?}"));
     }
 
     #[test]

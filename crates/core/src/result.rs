@@ -121,10 +121,10 @@ impl SimResult {
     }
 }
 
-/// Checkpointed results carry every numeric field, but the optional telemetry
+/// Stored results carry every numeric field, but the optional telemetry
 /// attachments ([`SimResult::series`] / [`SimResult::metrics`]) are dropped:
-/// they exist only on telemetry-enabled runs, and those refuse checkpointing
-/// anyway (see `System::snapshot`).
+/// they exist only on telemetry-enabled runs, which the harness never
+/// persists (and whose machines refuse checkpointing; see `System::snapshot`).
 impl Snapshot for SimResult {
     fn encode(&self, w: &mut Writer) {
         w.put_str(self.workload);

@@ -776,9 +776,12 @@ mod tests {
 
     fn quick(scenario: Scenario, name: &str) -> SimResult {
         let spec = WorkloadSpec::by_name(name).unwrap();
-        let cfg = SimConfig::scenario(spec, scenario)
-            .with_cores(2)
-            .with_instructions(15_000);
+        let cfg = SimConfig::builder(spec)
+            .scenario(scenario)
+            .cores(2)
+            .instructions(15_000)
+            .build()
+            .unwrap();
         System::new(cfg).unwrap().run()
     }
 
@@ -848,9 +851,12 @@ mod tests {
     #[test]
     fn small_geometry_wraps_addresses() {
         let spec = WorkloadSpec::by_name("mcf").unwrap();
-        let mut cfg = SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-            .with_cores(2)
-            .with_instructions(5_000);
+        let mut cfg = SimConfig::builder(spec)
+            .scenario(Scenario::AutoRfm { th: 4 })
+            .cores(2)
+            .instructions(5_000)
+            .build()
+            .unwrap();
         cfg.geometry = Geometry::small();
         let r = System::new(cfg).unwrap().run();
         assert!(r.dram.acts.get() > 0);
@@ -859,13 +865,18 @@ mod tests {
     #[test]
     fn telemetry_records_series_without_perturbing_results() {
         let spec = WorkloadSpec::by_name("bwaves").unwrap();
-        let cfg = SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-            .with_cores(2)
-            .with_instructions(15_000);
+        let cfg = SimConfig::builder(spec)
+            .scenario(Scenario::AutoRfm { th: 4 })
+            .cores(2)
+            .instructions(15_000)
+            .build()
+            .unwrap();
         let plain = System::new(cfg.clone()).unwrap().run();
-        let traced = System::new(cfg.with_telemetry(crate::TelemetryConfig::default()))
-            .unwrap()
-            .run();
+        let traced_cfg = SimConfig {
+            telemetry: Some(crate::TelemetryConfig::default()),
+            ..cfg
+        };
+        let traced = System::new(traced_cfg).unwrap().run();
         // The sampler must not perturb the simulation.
         assert_eq!(plain.elapsed, traced.elapsed);
         assert_eq!(plain.dram.acts.get(), traced.dram.acts.get());
@@ -896,10 +907,13 @@ mod tests {
     #[test]
     fn telemetry_series_identical_across_kernels() {
         let spec = WorkloadSpec::by_name("bwaves").unwrap();
-        let cfg = SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-            .with_cores(2)
-            .with_instructions(15_000)
-            .with_telemetry(crate::TelemetryConfig::default());
+        let cfg = SimConfig::builder(spec)
+            .scenario(Scenario::AutoRfm { th: 4 })
+            .cores(2)
+            .instructions(15_000)
+            .telemetry(crate::TelemetryConfig::default())
+            .build()
+            .unwrap();
         let stepped = System::new(cfg.clone())
             .unwrap()
             .run_with(KernelKind::Stepped);
@@ -920,9 +934,12 @@ mod tests {
     #[test]
     fn warm_fork_is_bitwise_identical_to_cold_construction() {
         let spec = WorkloadSpec::by_name("bwaves").unwrap();
-        let cfg = SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-            .with_cores(2)
-            .with_instructions(10_000);
+        let cfg = SimConfig::builder(spec)
+            .scenario(Scenario::AutoRfm { th: 4 })
+            .cores(2)
+            .instructions(10_000)
+            .build()
+            .unwrap();
         let warm = System::new(cfg.clone()).unwrap().warm_state();
         let mut cold = System::new(cfg.clone()).unwrap();
         let mut forked = System::new_from_warm(cfg, &warm).unwrap();
@@ -948,17 +965,20 @@ mod tests {
         // Scenarios differ only in mitigation, so their warm digests agree and
         // one warmup serves both.
         let spec = WorkloadSpec::by_name("fotonik3d").unwrap();
-        let base_cfg = SimConfig::scenario(
-            spec,
-            Scenario::Baseline {
+        let base_cfg = SimConfig::builder(spec)
+            .scenario(Scenario::Baseline {
                 mapping: MappingKind::Zen,
-            },
-        )
-        .with_cores(2)
-        .with_instructions(8_000);
-        let rfm_cfg = SimConfig::scenario(spec, Scenario::Rfm { th: 4 })
-            .with_cores(2)
-            .with_instructions(8_000);
+            })
+            .cores(2)
+            .instructions(8_000)
+            .build()
+            .unwrap();
+        let rfm_cfg = SimConfig::builder(spec)
+            .scenario(Scenario::Rfm { th: 4 })
+            .cores(2)
+            .instructions(8_000)
+            .build()
+            .unwrap();
         assert_eq!(warm_digest(&base_cfg), warm_digest(&rfm_cfg));
         let warm = System::new(base_cfg).unwrap().warm_state();
         let cold = System::new(rfm_cfg.clone()).unwrap().run();
@@ -970,11 +990,14 @@ mod tests {
     #[test]
     fn midrun_checkpoint_restore_matches_uninterrupted_run() {
         let spec = WorkloadSpec::by_name("mcf").unwrap();
-        let cfg = SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-            .with_cores(2)
-            .with_instructions(15_000)
-            .with_audit()
-            .with_trace(128);
+        let cfg = SimConfig::builder(spec)
+            .scenario(Scenario::AutoRfm { th: 4 })
+            .cores(2)
+            .instructions(15_000)
+            .audit(true)
+            .trace_capacity(128)
+            .build()
+            .unwrap();
         let mut uninterrupted = System::new(cfg.clone()).unwrap();
         let full = uninterrupted.run();
 
@@ -1002,24 +1025,33 @@ mod tests {
     #[test]
     fn snapshot_guards_reject_mismatches() {
         let spec = WorkloadSpec::by_name("bwaves").unwrap();
-        let cfg = SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-            .with_cores(2)
-            .with_instructions(5_000);
+        let cfg = SimConfig::builder(spec)
+            .scenario(Scenario::AutoRfm { th: 4 })
+            .cores(2)
+            .instructions(5_000)
+            .build()
+            .unwrap();
         let mut sys = System::new(cfg.clone()).unwrap();
         sys.run_steps(100);
         let snap = sys.snapshot().unwrap();
         // Different configuration (seed) is refused.
-        let other = cfg.clone().with_seed(7);
+        let other = SimConfig {
+            seed: 7,
+            ..cfg.clone()
+        };
         assert!(System::restore(other, &snap).is_err());
         // A warm container is not a system snapshot and vice versa.
         let warm = System::new(cfg.clone()).unwrap().warm_state();
         assert!(System::restore(cfg.clone(), &warm).is_err());
         assert!(System::new_from_warm(cfg.clone(), &snap).is_err());
         // Telemetry-enabled machines refuse to checkpoint.
-        let traced = SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-            .with_cores(2)
-            .with_instructions(5_000)
-            .with_telemetry(crate::TelemetryConfig::default());
+        let traced = SimConfig::builder(spec)
+            .scenario(Scenario::AutoRfm { th: 4 })
+            .cores(2)
+            .instructions(5_000)
+            .telemetry(crate::TelemetryConfig::default())
+            .build()
+            .unwrap();
         let sys = System::new(traced).unwrap();
         assert!(sys.snapshot().is_err());
     }

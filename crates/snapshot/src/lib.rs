@@ -64,8 +64,6 @@ pub const FORMAT_VERSION: u16 = 1;
 pub const KIND_SYSTEM: u8 = 0;
 /// Payload kind: a post-warmup (streams + LLC) state for warmup forking.
 pub const KIND_WARM: u8 = 1;
-/// Payload kind: a harness result-cache checkpoint (completed simulations).
-pub const KIND_RESULTS: u8 = 2;
 /// Payload kind: one content-addressed sweep-cell result (see [`store`]).
 pub const KIND_CELL: u8 = 3;
 /// Payload kind: one content-addressed fuzz-evaluation result (a
@@ -77,7 +75,6 @@ pub fn kind_name(kind: u8) -> &'static str {
     match kind {
         KIND_SYSTEM => "system checkpoint",
         KIND_WARM => "warm state",
-        KIND_RESULTS => "result cache",
         KIND_CELL => "cell result",
         KIND_FUZZ => "fuzz evaluation",
         _ => "unknown",
@@ -545,15 +542,28 @@ pub fn open(bytes: &[u8]) -> Result<Container, SnapError> {
 }
 
 /// Writes a sealed container to `path` atomically (tmp file + rename), so a
-/// crash mid-write never leaves a half-written checkpoint behind.
+/// crash mid-write never leaves a half-written file behind.
+///
+/// Every call writes through its own tmp file in `path`'s directory, named
+/// after the process id and a process-wide counter: concurrent writers of the
+/// same path — threads or processes — never share a tmp file, so none can
+/// rename another's half-written bytes into place. The last rename wins.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from writing or renaming.
 pub fn write_file(path: &std::path::Path, kind: u8, payload: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, seal(kind, payload))?;
-    std::fs::rename(&tmp, path)
+    static NEXT_TMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = NEXT_TMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+    tmp_name.push(format!(".{}.{n}.tmp", std::process::id()));
+    let tmp = path.with_file_name(tmp_name);
+    let result =
+        std::fs::write(&tmp, seal(kind, payload)).and_then(|()| std::fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 /// Reads and validates a sealed container from `path`.

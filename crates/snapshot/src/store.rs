@@ -18,9 +18,9 @@
 //! Each cell file is a sealed container (see [`crate::seal`]) of kind
 //! [`KIND_CELL`] whose payload is a [`CellRecord`]: the key (self-check), and
 //! either the caller-encoded result bytes or a failure message. Writes go
-//! through [`crate::write_file`] (tmp file + atomic rename), so a killed
-//! writer never leaves a half-written cell behind, and two processes racing
-//! on the same key both write the identical deterministic bytes.
+//! through [`crate::write_file`] (a per-writer tmp file + atomic rename), so a
+//! killed writer never leaves a half-written cell behind, and two processes
+//! racing on the same key both land the identical deterministic bytes.
 //!
 //! This module deliberately knows nothing about `SimResult`: callers encode
 //! and decode the result payload themselves (the snapshot crate sits below
@@ -360,6 +360,36 @@ mod tests {
         // Corrupt bytes read as absent.
         std::fs::write(store.fuzz_path(8), b"garbage").unwrap();
         assert!(store.get_fuzz(8).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_key_all_land_whole() {
+        let dir = scratch("race");
+        let store = CellStore::open(&dir).unwrap();
+        let key = cell_key("mcf", "baseline-zen", 2, 1000, 42);
+        let record = CellRecord::ok(key, vec![7u8; 64 * 1024]);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..20 {
+                        store.put(key, &record).expect("every put succeeds");
+                        store.put_fuzz(key, &record).expect("every put succeeds");
+                        assert_eq!(store.get(key).as_ref(), Some(&record));
+                        assert_eq!(store.get_fuzz(key).as_ref(), Some(&record));
+                    }
+                });
+            }
+        });
+        let leftovers: Vec<_> = std::fs::read_dir(dir.join("cells"))
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name())
+            .filter(|n| n.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "tmp files left behind: {leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! # autorfm-workloads
 //!
-//! Synthetic workload generators and Rowhammer attack patterns.
+//! Synthetic workload generators and trace record/replay.
 //!
 //! The paper evaluates on SPEC-2017, GAP, and STREAM binaries (Table V). Real
 //! traces are not redistributable, so this crate provides one synthetic
@@ -11,10 +11,8 @@
 //! side by side. See DESIGN.md ("Substitutions") for why this preserves the
 //! paper's results.
 //!
-//! The [`attacks`] module provides the adversarial access patterns used by the
-//! security analyses: single-/double-sided hammering, the MINT-adversarial
-//! circular pattern of Appendix A, Half-Double \[23\], and the mixed
-//! direct+fractal attack of Appendix B.
+//! Adversarial Rowhammer patterns live in `autorfm_analysis::AttackPattern`
+//! (one genome type for replay, search, and storage).
 //!
 //! # Examples
 //!
@@ -31,13 +29,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod attacks;
 pub mod generator;
 pub mod memo;
 pub mod spec;
 pub mod tracefile;
 
-pub use attacks::{AttackPattern, AttackStream};
 pub use generator::WorkloadGen;
 pub use memo::{MemoCursor, TraceMemo};
 pub use spec::{Pattern, Suite, WorkloadSpec, ALL_WORKLOADS};

@@ -7,22 +7,21 @@
 //!
 //! Run with: `cargo run --release --example rowhammer_attack`
 
-use autorfm::analysis::{AttackSim, MintModel};
+use autorfm::analysis::{AttackPattern, AttackSim, MintModel, PatternCursor};
 use autorfm::mitigation::MitigationKind;
 use autorfm::sim_core::RowAddr;
 use autorfm::trackers::TrackerKind;
-use autorfm::workloads::{AttackPattern, AttackStream};
 
 fn attack(
     label: &str,
     tracker: TrackerKind,
     policy: MitigationKind,
-    pattern: AttackPattern,
+    pattern: &AttackPattern,
     bound: f64,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let window = 4;
     let mut sim = AttackSim::new(tracker, policy, window, 131_072, 2024)?;
-    let report = sim.run_pattern(&mut AttackStream::new(pattern), 500_000);
+    let report = sim.run_pattern(&mut PatternCursor::new(pattern.clone()), 500_000);
     let verdict = if (report.max_damage as f64) < bound {
         "HELD"
     } else {
@@ -39,53 +38,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("500K adversarial activations against each configuration\n");
     let bound = 2.0 * MintModel::auto_rfm(4, false).tolerated_trh_d();
 
-    let half_double = AttackPattern::HalfDouble {
-        victim: RowAddr(40_000),
-        near_ratio: 2,
-    };
+    let half_double = AttackPattern::half_double(RowAddr(40_000), 2);
     attack(
         "MINT + Fractal vs Half-Double",
         TrackerKind::Mint,
         MitigationKind::Fractal,
-        half_double,
+        &half_double,
         bound,
     )?;
     attack(
         "MINT + fixed blast-radius vs Half-Double",
         TrackerKind::Mint,
         MitigationKind::Baseline,
-        half_double,
+        &half_double,
         bound,
     )?;
 
-    let decoy = AttackPattern::Decoy {
-        aggressor: RowAddr(30_000),
-        decoys: 3,
-    };
+    let decoy = AttackPattern::decoy(RowAddr(30_000), 3);
     attack(
         "MINT + Fractal vs decoy pattern",
         TrackerKind::Mint,
         MitigationKind::Fractal,
-        decoy,
+        &decoy,
         bound,
     )?;
     attack(
         "naive TRR + Fractal vs decoy pattern",
         TrackerKind::NaiveTrr,
         MitigationKind::Fractal,
-        decoy,
+        &decoy,
         bound,
     )?;
 
-    let circular = AttackPattern::Circular {
-        base: RowAddr(10_000),
-        window: 4,
-    };
+    let circular = AttackPattern::circular(RowAddr(10_000), 4);
     attack(
         "MINT + Fractal vs circular (optimal)",
         TrackerKind::Mint,
         MitigationKind::Fractal,
-        circular,
+        &circular,
         bound,
     )?;
     println!("\n(The fixed blast-radius policy and the naive tracker are expected to break;");

@@ -56,32 +56,8 @@ echo "== perf_smoke (serial/parallel + warm-fork + kernel + batch timings) =="
 # (a regression must fail CI, not hide in JSON). The kernel and batch A/Bs
 # run serially (--jobs 1 affects only the fan-out sections) so timings are
 # not cross-polluted.
-perf_json="$(cargo run --release -p autorfm-bench --bin perf_smoke -- \
-    --jobs "${JOBS}" --gate-speedup 1.0 --gate-batch-speedup 1.0)"
-printf '%s\n' "${perf_json}"
-printf '%s\n' "${perf_json}" | tail -n 1 > results/perf_smoke_kernels.json
-echo "kernel timings -> results/perf_smoke_kernels.json"
-
-echo "== BENCH_6.json (per-PR bench trajectory) =="
-# Distill the headline throughput numbers into a top-level per-PR record so
-# the bench trajectory across PRs stays greppable in one place.
-python3 - <<'EOF'
-import json
-
-with open("results/perf_smoke_kernels.json") as f:
-    d = json.load(f)
-bench = {
-    "pr": 6,
-    "cycles_per_sec": d["cycles_per_sec"],
-    "geomean_speedup": d["geomean_speedup"],
-    "batch_speedup": d["batch_speedup"],
-    "kernel_skip_ratio": d["kernel_skip_ratio"],
-}
-with open("BENCH_6.json", "w") as f:
-    json.dump(bench, f, indent=2)
-    f.write("\n")
-print("BENCH_6.json:", json.dumps(bench))
-EOF
+cargo run --release -p autorfm-bench --bin perf_smoke -- \
+    --jobs "${JOBS}" --gate-speedup 1.0 --gate-batch-speedup 1.0
 
 echo "== tracker zoo (registry sweep + OracleRH lower-bound gate) =="
 # One quick-sweep column per *registered* tracker — the binary enumerates the
@@ -91,27 +67,8 @@ echo "== tracker zoo (registry sweep + OracleRH lower-bound gate) =="
 # slowdown than every real tracker; tracker_zoo exits nonzero otherwise.
 # Memory-heavy workloads + 200k instructions: enough pressure that every
 # real tracker pays for at least one mitigation (shorter runs tie at 0%).
-zoo_out="$(cargo run --release -p autorfm-bench --bin tracker_zoo -- \
-    --workloads mcf,bwaves,triad --cores 4 --instructions 200000 --jobs "${JOBS}")"
-printf '%s\n' "${zoo_out}"
-printf '%s\n' "${zoo_out}" | tail -n 1 > results/tracker_zoo.json
-
-echo "== BENCH_8.json (tracker zoo / oracle gap) =="
-python3 - <<'EOF'
-import json
-
-with open("results/tracker_zoo.json") as f:
-    d = json.load(f)
-bench = {
-    "pr": 8,
-    "trackers": d["trackers"],
-    "oracle_gap_geomean": d["oracle_gap_geomean"],
-}
-with open("BENCH_8.json", "w") as f:
-    json.dump(bench, f, indent=2)
-    f.write("\n")
-print("BENCH_8.json:", json.dumps(bench))
-EOF
+cargo run --release -p autorfm-bench --bin tracker_zoo -- \
+    --workloads mcf,bwaves,triad --cores 4 --instructions 200000 --jobs "${JOBS}"
 
 echo "== attack fuzzer smoke (escape curves + OracleRH strictly-hardest gate) =="
 # One bounded fuzz campaign per *registered* tracker: mutation + annealing
@@ -119,16 +76,17 @@ echo "== attack fuzzer smoke (escape curves + OracleRH strictly-hardest gate) ==
 # The binary exits nonzero unless the eager-oracle hardness is strictly
 # greater than every real tracker's AND every real tracker escapes at least
 # the lowest watched threshold (nonzero curve coverage) AND the MINT/PrIDE
-# curves sit inside the closed-form run-of-successes expectation band AND
-# the lockstep lane evaluator beats the legacy serial path (interleaved
-# min-of-3 A/B, bitwise-equal results, --gate-fuzz-speedup). Per-candidate
-# seeds derive from genome digests, so the sweep is bit-identical at any
-# --jobs and any --lanes. Evaluations persist into a scratch store for the
-# resume smoke below.
+# curves sit inside the closed-form run-of-successes expectation band.
+# Per-candidate seeds derive from genome digests, so the sweep is
+# bit-identical at any --jobs and any --lanes. Evaluations persist into a
+# scratch store for the resume smoke below.
 FUZZ_STORE="$(mktemp -d)"
-trap 'rm -rf "${FUZZ_STORE}"' EXIT
+CAMPAIGND_PID=""
+# On any exit, stop the campaign daemon (if a failing step left it running)
+# and remove the scratch store.
+trap '[ -n "${CAMPAIGND_PID}" ] && kill "${CAMPAIGND_PID}" 2>/dev/null; rm -rf "${FUZZ_STORE}"' EXIT
 fuzz_out="$(cargo run --release -p autorfm-bench --bin attack_fuzz -- \
-    --jobs "${JOBS}" --store "${FUZZ_STORE}" --gate-fuzz-speedup 1.0)"
+    --jobs "${JOBS}" --store "${FUZZ_STORE}")"
 printf '%s\n' "${fuzz_out}"
 printf '%s\n' "${fuzz_out}" | tail -n 1 > results/attack_fuzz.json
 
@@ -138,7 +96,7 @@ echo "== attack_fuzz --resume smoke (warm store answers every genome) =="
 # (same archive digest). This is the persistence analogue of the campaign
 # dedup gate below.
 resume_fuzz_out="$(cargo run --release -p autorfm-bench --bin attack_fuzz -- \
-    --jobs "${JOBS}" --store "${FUZZ_STORE}" --resume --gate-fuzz-speedup 1.0)"
+    --jobs "${JOBS}" --store "${FUZZ_STORE}" --resume)"
 printf '%s\n' "${resume_fuzz_out}" | tail -n 1 > results/attack_fuzz_resume.json
 python3 - <<'EOF'
 import json
@@ -154,42 +112,6 @@ assert warm["archive_digest"] == cold["archive_digest"], \
     f"resume archive digest {warm['archive_digest']} != cold {cold['archive_digest']}"
 print(f"attack_fuzz --resume: 0 re-evaluations, {warm['store_hits']} store hits, "
       f"archive digest {warm['archive_digest']} reproduced")
-EOF
-
-echo "== BENCH_9.json (attack fuzzer throughput / oracle escape margin) =="
-python3 - <<'EOF'
-import json
-
-with open("results/attack_fuzz.json") as f:
-    d = json.load(f)
-bench = {
-    "pr": 9,
-    "patterns_per_sec": d["patterns_per_sec"],
-    "trackers": d["trackers"],
-    "oracle_escape_margin": d["oracle_escape_margin"],
-}
-with open("BENCH_9.json", "w") as f:
-    json.dump(bench, f, indent=2)
-    f.write("\n")
-print("BENCH_9.json:", json.dumps(bench))
-EOF
-
-echo "== BENCH_10.json (fuzzer lane throughput / speedup) =="
-python3 - <<'EOF'
-import json
-
-with open("results/attack_fuzz.json") as f:
-    d = json.load(f)
-bench = {
-    "pr": 10,
-    "patterns_per_sec": d["patterns_per_sec"],
-    "fuzz_speedup": d["fuzz_speedup"],
-    "oracle_escape_margin": d["oracle_escape_margin"],
-}
-with open("BENCH_10.json", "w") as f:
-    json.dump(bench, f, indent=2)
-    f.write("\n")
-print("BENCH_10.json:", json.dumps(bench))
 EOF
 
 echo "== campaign service smoke (campaignd + campaign CLI) =="
@@ -263,22 +185,6 @@ print(f"campaignd adopted {n} fuzz records from the shared store")
 '
 campaign shutdown > /dev/null
 wait "${CAMPAIGND_PID}"
-
-echo "== BENCH_7.json (campaign service throughput) =="
-python3 - <<'EOF'
-import json
-
-with open("results/campaign_stats.json") as f:
-    d = json.load(f)
-bench = {
-    "pr": 7,
-    "cells_per_sec": d["cells_per_sec"],
-    "dedup_hits": d["cells_deduped"],
-}
-with open("BENCH_7.json", "w") as f:
-    json.dump(bench, f, indent=2)
-    f.write("\n")
-print("BENCH_7.json:", json.dumps(bench))
-EOF
+CAMPAIGND_PID=""
 
 echo "verify: OK"

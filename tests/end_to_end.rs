@@ -8,9 +8,12 @@ use autorfm_workloads::WorkloadSpec;
 
 fn quick(name: &str, scenario: Scenario) -> SimResult {
     let spec = WorkloadSpec::by_name(name).expect("known workload");
-    let cfg = SimConfig::scenario(spec, scenario)
-        .with_cores(4)
-        .with_instructions(20_000);
+    let cfg = SimConfig::builder(spec)
+        .scenario(scenario)
+        .cores(4)
+        .instructions(20_000)
+        .build()
+        .unwrap();
     System::new(cfg).expect("valid config").run()
 }
 
@@ -138,9 +141,12 @@ fn prac_runs_with_increased_timings() {
 fn per_request_retry_is_no_worse_than_whole_bank() {
     let spec = WorkloadSpec::by_name("lbm").unwrap();
     let mk = |retry| {
-        let mut cfg = SimConfig::scenario(spec, Scenario::AutoRfmZen { th: 4 })
-            .with_cores(4)
-            .with_instructions(20_000);
+        let mut cfg = SimConfig::builder(spec)
+            .scenario(Scenario::AutoRfmZen { th: 4 })
+            .cores(4)
+            .instructions(20_000)
+            .build()
+            .unwrap();
         cfg.mc.retry = retry;
         System::new(cfg).unwrap().run()
     };
@@ -171,18 +177,24 @@ fn different_seeds_still_converge_on_slowdown() {
     let spec = WorkloadSpec::by_name("fotonik3d").unwrap();
     let run_seed = |seed| {
         let base = System::new(
-            SimConfig::scenario(spec, ZEN)
-                .with_cores(4)
-                .with_instructions(20_000)
-                .with_seed(seed),
+            SimConfig::builder(spec)
+                .scenario(ZEN)
+                .cores(4)
+                .instructions(20_000)
+                .seed(seed)
+                .build()
+                .unwrap(),
         )
         .unwrap()
         .run();
         let auto = System::new(
-            SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-                .with_cores(4)
-                .with_instructions(20_000)
-                .with_seed(seed),
+            SimConfig::builder(spec)
+                .scenario(Scenario::AutoRfm { th: 4 })
+                .cores(4)
+                .instructions(20_000)
+                .seed(seed)
+                .build()
+                .unwrap(),
         )
         .unwrap()
         .run();

@@ -44,10 +44,13 @@ fn golden_zen_mapping() {
 fn golden_small_simulation() {
     // A tiny but full-stack run; every statistic is seed-pinned.
     let spec = WorkloadSpec::by_name("mcf").unwrap();
-    let cfg = SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-        .with_cores(2)
-        .with_instructions(10_000)
-        .with_seed(42);
+    let cfg = SimConfig::builder(spec)
+        .scenario(Scenario::AutoRfm { th: 4 })
+        .cores(2)
+        .instructions(10_000)
+        .seed(42)
+        .build()
+        .unwrap();
     let r = System::new(cfg).unwrap().run();
     // These pin simulator behaviour; see the module docs before editing.
     let acts = r.dram.acts.get();
@@ -60,10 +63,13 @@ fn golden_small_simulation() {
         "mitigations {mitigations} vs acts {acts}"
     );
     let again = {
-        let cfg = SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-            .with_cores(2)
-            .with_instructions(10_000)
-            .with_seed(42);
+        let cfg = SimConfig::builder(spec)
+            .scenario(Scenario::AutoRfm { th: 4 })
+            .cores(2)
+            .instructions(10_000)
+            .seed(42)
+            .build()
+            .unwrap();
         System::new(cfg).unwrap().run()
     };
     assert_eq!(again.dram.acts.get(), acts);
@@ -79,10 +85,13 @@ fn golden_baseline_vs_scenarios_ordering() {
     // Cross-scenario ordering on a fixed seed: baseline >= AutoRFM-4 > RFM-4.
     let spec = WorkloadSpec::by_name("fotonik3d").unwrap();
     let mk = |s| {
-        SimConfig::scenario(spec, s)
-            .with_cores(4)
-            .with_instructions(15_000)
-            .with_seed(42)
+        SimConfig::builder(spec)
+            .scenario(s)
+            .cores(4)
+            .instructions(15_000)
+            .seed(42)
+            .build()
+            .unwrap()
     };
     let base = System::new(mk(Scenario::Baseline {
         mapping: MappingKind::Zen,
@@ -103,10 +112,13 @@ fn golden_snapshot_digest() {
     // simulator shows up here. If a change is intentional, re-run with
     // `snapshot_tool digest` and update the constant, saying why.
     let spec = WorkloadSpec::by_name("mcf").unwrap();
-    let cfg = SimConfig::scenario(spec, Scenario::AutoRfm { th: 4 })
-        .with_cores(2)
-        .with_instructions(10_000)
-        .with_seed(42);
+    let cfg = SimConfig::builder(spec)
+        .scenario(Scenario::AutoRfm { th: 4 })
+        .cores(2)
+        .instructions(10_000)
+        .seed(42)
+        .build()
+        .unwrap();
     let mut sys = System::new(cfg).unwrap();
     assert!(
         sys.run_steps(1_000).is_none(),

@@ -54,10 +54,13 @@ proptest! {
         half_credit in any::<bool>(),
     ) {
         let spec = &ALL_WORKLOADS[workload_idx];
-        let mut cfg = SimConfig::scenario(spec, scenario)
-            .with_cores(cores)
-            .with_instructions(4_000)
-            .with_seed(seed);
+        let mut cfg = SimConfig::builder(spec)
+            .scenario(scenario)
+            .cores(cores)
+            .instructions(4_000)
+            .seed(seed)
+            .build()
+            .unwrap();
         cfg.warmup_mem_ops_per_core = 1_000;
         if retry_per_request {
             cfg.mc.retry = RetryPolicy::PerRequest;

@@ -2,12 +2,11 @@
 //! simulated machine (controller + device + audit oracle), not just the
 //! tracker harness.
 
+use autorfm::analysis::AttackPattern;
 use autorfm::dram::{ActOutcome, DeviceMitigation, DramConfig, DramDevice};
 use autorfm::mitigation::MitigationKind;
 use autorfm::sim_core::{BankId, Cycle, Geometry, RowAddr};
 use autorfm::trackers::TrackerKind;
-use autorfm_sim_core::DetRng;
-use autorfm_workloads::{AttackPattern, AttackStream};
 
 /// Hammers one bank of a full device with `pattern` for `acts` activations,
 /// returning the worst damage the audit observed.
@@ -19,14 +18,14 @@ fn hammer_device(mitigation: DeviceMitigation, pattern: AttackPattern, acts: u32
         ..DramConfig::default()
     };
     let mut dev = DramDevice::new(cfg, 99).unwrap();
-    let mut stream = AttackStream::new(pattern);
-    let mut rng = DetRng::seeded(0);
     let bank = BankId(7);
     let mut now = Cycle::from_ns(100);
     let mut done = 0u32;
+    let mut step = 0u64;
     while done < acts {
         dev.tick(now);
-        let row = stream.next_row(&mut rng);
+        let row = pattern.row_at(step);
+        step += 1;
         now = now.max(dev.earliest_act(bank));
         match dev.try_act(bank, row, now) {
             ActOutcome::Accepted => {
@@ -54,25 +53,13 @@ const AUTORFM4: DeviceMitigation = DeviceMitigation::AutoRfm {
 
 #[test]
 fn device_holds_single_sided_hammer() {
-    let damage = hammer_device(
-        AUTORFM4,
-        AttackPattern::SingleSided {
-            aggressor: RowAddr(5000),
-        },
-        40_000,
-    );
+    let damage = hammer_device(AUTORFM4, AttackPattern::single(RowAddr(5000)), 40_000);
     assert!(damage < 148, "single-sided beat AutoRFM-4: damage {damage}");
 }
 
 #[test]
 fn device_holds_double_sided_hammer() {
-    let damage = hammer_device(
-        AUTORFM4,
-        AttackPattern::DoubleSided {
-            victim: RowAddr(9000),
-        },
-        40_000,
-    );
+    let damage = hammer_device(AUTORFM4, AttackPattern::double_sided(RowAddr(9000)), 40_000);
     assert!(damage < 148, "double-sided beat AutoRFM-4: damage {damage}");
 }
 
@@ -80,10 +67,7 @@ fn device_holds_double_sided_hammer() {
 fn device_holds_circular_mint_adversarial_pattern() {
     let damage = hammer_device(
         AUTORFM4,
-        AttackPattern::Circular {
-            base: RowAddr(20_000),
-            window: 4,
-        },
+        AttackPattern::circular(RowAddr(20_000), 4),
         40_000,
     );
     assert!(
@@ -96,10 +80,7 @@ fn device_holds_circular_mint_adversarial_pattern() {
 fn device_holds_half_double_with_fractal() {
     let damage = hammer_device(
         AUTORFM4,
-        AttackPattern::HalfDouble {
-            victim: RowAddr(30_000),
-            near_ratio: 2,
-        },
+        AttackPattern::half_double(RowAddr(30_000), 2),
         40_000,
     );
     assert!(
@@ -117,18 +98,12 @@ fn half_double_breaks_plain_blast_radius_on_device() {
     };
     let fixed = hammer_device(
         broken,
-        AttackPattern::HalfDouble {
-            victim: RowAddr(30_000),
-            near_ratio: 2,
-        },
+        AttackPattern::half_double(RowAddr(30_000), 2),
         40_000,
     );
     let fractal = hammer_device(
         AUTORFM4,
-        AttackPattern::HalfDouble {
-            victim: RowAddr(30_000),
-            near_ratio: 2,
-        },
+        AttackPattern::half_double(RowAddr(30_000), 2),
         40_000,
     );
     assert!(
@@ -141,9 +116,7 @@ fn half_double_breaks_plain_blast_radius_on_device() {
 fn unmitigated_device_accumulates_unbounded_damage() {
     let damage = hammer_device(
         DeviceMitigation::None,
-        AttackPattern::DoubleSided {
-            victim: RowAddr(9000),
-        },
+        AttackPattern::double_sided(RowAddr(9000)),
         10_000,
     );
     assert!(

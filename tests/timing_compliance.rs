@@ -11,10 +11,13 @@ use autorfm_workloads::WorkloadSpec;
 
 fn check_scenario(workload: &str, scenario: Scenario) {
     let spec = WorkloadSpec::by_name(workload).expect("known workload");
-    let cfg = SimConfig::scenario(spec, scenario)
-        .with_cores(4)
-        .with_instructions(10_000)
-        .with_trace(2_000_000);
+    let cfg = SimConfig::builder(spec)
+        .scenario(scenario)
+        .cores(4)
+        .instructions(10_000)
+        .trace_capacity(2_000_000)
+        .build()
+        .unwrap();
     let mut sys = System::new(cfg.clone()).expect("valid config");
     sys.run();
     let device = sys.mc().device();
