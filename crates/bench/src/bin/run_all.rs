@@ -57,12 +57,10 @@ const TARGETS: &[&str] = &[
     "ablations",
     "model_vs_sim",
     "seed_sensitivity",
-    "perf_smoke",
 ];
 
 /// Experiments that take simulation flags (the analytic ones don't need them).
 const TAKES_FLAGS: &[&str] = &[
-    "perf_smoke",
     "fig01_overview",
     "table5_workload_characteristics",
     "fig03_rfm_slowdown",

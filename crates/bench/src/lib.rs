@@ -9,8 +9,6 @@
 //! * `--full` — 400K instructions/core (report fidelity),
 //! * `--instructions N`, `--cores N`, `--workloads a,b,c` — manual control,
 //! * `--jobs N` — worker threads for the simulation fan-out (see below),
-//! * `--batch N` — batched lockstep lanes per `SimBatch` (env `AUTORFM_BATCH`;
-//!   default 1 = unbatched; see below),
 //! * `--telemetry` — record epoch time series and full final-metric
 //!   registries, and write a `results/<target>.json` manifest
 //!   (env `AUTORFM_TELEMETRY=1`; see [`Harness`]),
@@ -32,8 +30,8 @@
 //! * [`ResultCache`] is shared and thread-safe: each distinct
 //!   `(workload, scenario)` key is simulated **exactly once** even when many
 //!   scenarios request it concurrently (e.g. the Zen/Rubix baselines every
-//!   figure normalizes against), via a `Mutex<HashMap>` of per-key
-//!   `OnceLock` slots.
+//!   figure normalizes against). The first request claims the key's
+//!   `OnceLock` slot; later requesters block on it.
 //! * [`par_map`] is the underlying generic fan-out for experiments that build
 //!   custom [`SimConfig`]s (ablations, seed sweeps).
 //!
@@ -48,16 +46,19 @@
 //!
 //! ## Batched lockstep execution
 //!
-//! With `--batch N` (env `AUTORFM_BATCH=N`, default 1), [`run_matrix`] groups
-//! same-shape jobs — equal `autorfm::warm_digest`, i.e. same workloads, core
-//! count, seed, and warmup — into `autorfm::SimBatch`es of up to N lanes each
-//! and runs every group in one lockstep pass: warmup simulated once per
+//! Every simulation the harness runs goes through one place,
+//! [`ResultCache::prefetch`]: it groups the pending jobs by shape (equal
+//! `autorfm::warm_digest`, i.e. same workloads, core count, seed, and
+//! warmup), splits each group into lockstep batches and runs every batch
+//! through `autorfm_campaign::run_batch_fallible` — warmup simulated once per
 //! batch, the instruction trace generated once per core and replayed by all
-//! lanes, and the lanes advanced in cache-friendly chunks. Batching is a pure
-//! scheduling transform: every lane is bitwise identical to its standalone
-//! run (pinned by `tests/batch_differential.rs`), so `--batch` — like
-//! `--jobs` — changes wall-clock only, never results. Telemetry-enabled runs
-//! are never batched (their sinks are per-run side channels).
+//! lanes, and the lanes advanced in cache-friendly chunks. The lane count is
+//! derived, not configured: `min(LANES, ceil(pending / opts.jobs))` with
+//! `autorfm_campaign::LANES` = 8, so a small matrix still spreads over every
+//! worker. Batching is a pure scheduling transform: every lane is bitwise
+//! identical to its standalone run (pinned by `tests/batch_differential.rs`),
+//! so — like `--jobs` — it changes wall-clock only, never results.
+//! Telemetry runs batch too; each lane keeps its own sink.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -67,13 +68,11 @@ use autorfm::snapshot::store::{cell_key, CellRecord, CellStore};
 use autorfm::snapshot::{Reader, Snapshot, Writer};
 use autorfm::telemetry::{Json, Labels, RunEntry, RunManifest};
 use autorfm::trackers::TrackerKind;
-use autorfm::{
-    warm_digest, KernelKind, MappingKind, SimConfig, SimResult, System, TelemetryConfig,
-};
-use autorfm_campaign::run_batch_fallible;
+use autorfm::{KernelKind, MappingKind, SimConfig, SimResult, TelemetryConfig};
+use autorfm_campaign::{run_batch_fallible, shape_units, LANES};
 use autorfm_sim_core::Cycle;
 use autorfm_workloads::{WorkloadSpec, ALL_WORKLOADS};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{Entry, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -117,28 +116,12 @@ pub struct RunOpts {
     /// per-cell records there — shared with `campaignd` and every other
     /// experiment — so completed simulations survive a killed run.
     pub store: Option<PathBuf>,
-    /// Whether [`run`] may fork from cached warm snapshots
-    /// (default yes; env `AUTORFM_NO_WARM_FORK=1` disables).
-    pub warm_fork: bool,
     /// Simulation kernel (`--kernel stepped|event`, env
     /// `AUTORFM_STEPPED_KERNEL=1`; default: the event kernel).
     pub kernel: KernelKind,
     /// Tracker override for tracker-sweep binaries (`--tracker NAME`; see
     /// `autorfm::trackers::names()`; default: each binary's own set).
     pub tracker: Option<TrackerKind>,
-    /// Minimum acceptable geomean event-vs-stepped kernel speedup for
-    /// `perf_smoke` (`--gate-speedup MIN`; default `None` = report only).
-    /// With a gate set, a slower event kernel exits nonzero instead of
-    /// hiding the regression in JSON.
-    pub gate_speedup: Option<f64>,
-    /// Lockstep lanes per [`autorfm::SimBatch`] when grouping same-shape
-    /// matrix jobs (`--batch N`, env `AUTORFM_BATCH`; default 1 = unbatched).
-    pub batch: usize,
-    /// Minimum acceptable batched-vs-sequential aggregate speedup for
-    /// `perf_smoke` (`--gate-batch-speedup MIN`; default `None` = report
-    /// only). With a gate set, a batch slower than running its lanes one by
-    /// one exits nonzero instead of hiding the regression in JSON.
-    pub gate_batch_speedup: Option<f64>,
 }
 
 /// The default worker-thread count: `AUTORFM_JOBS` if set and valid,
@@ -169,12 +152,8 @@ impl Default for RunOpts {
             telemetry_csv: None,
             procs: None,
             store: None,
-            warm_fork: true,
             kernel: KernelKind::Event,
             tracker: None,
-            gate_speedup: None,
-            batch: 1,
-            gate_batch_speedup: None,
         }
     }
 }
@@ -189,9 +168,7 @@ impl RunOpts {
     /// | `AUTORFM_PROCS=N`        | `run_all` process pool ([`RunOpts::procs`]) |
     /// | `AUTORFM_TELEMETRY=1`    | epoch telemetry on ([`RunOpts::telemetry`]) |
     /// | `AUTORFM_STORE=DIR`      | content-addressed cell store ([`RunOpts::store`]) |
-    /// | `AUTORFM_NO_WARM_FORK=1` | disable warm forking ([`RunOpts::warm_fork`]) |
     /// | `AUTORFM_STEPPED_KERNEL=1` | stepped oracle kernel ([`RunOpts::kernel`]) |
-    /// | `AUTORFM_BATCH=N`        | lockstep lanes per batch ([`RunOpts::batch`]) |
     ///
     /// (`AUTORFM_STEPPED_KERNEL` is decoded by [`KernelKind::from_env`] so
     /// the library default path and the harness agree on one reader.)
@@ -212,14 +189,7 @@ impl RunOpts {
             .ok()
             .filter(|p| !p.is_empty())
             .map(PathBuf::from);
-        opts.warm_fork = !env_flag("AUTORFM_NO_WARM_FORK");
         opts.kernel = KernelKind::from_env();
-        if let Some(n) = std::env::var("AUTORFM_BATCH")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            opts.batch = n.max(1);
-        }
         opts
     }
 
@@ -290,31 +260,8 @@ impl RunOpts {
                             .unwrap_or_else(|e| panic!("--tracker: {e}")),
                     );
                 }
-                "--gate-speedup" => {
-                    opts.gate_speedup = Some(
-                        args.next()
-                            .and_then(|v| v.parse::<f64>().ok())
-                            .filter(|m| m.is_finite() && *m > 0.0)
-                            .expect("--gate-speedup needs a positive number"),
-                    );
-                }
-                "--batch" => {
-                    opts.batch = args
-                        .next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .map(|n| n.max(1))
-                        .expect("--batch needs a positive number");
-                }
-                "--gate-batch-speedup" => {
-                    opts.gate_batch_speedup = Some(
-                        args.next()
-                            .and_then(|v| v.parse::<f64>().ok())
-                            .filter(|m| m.is_finite() && *m > 0.0)
-                            .expect("--gate-batch-speedup needs a positive number"),
-                    );
-                }
                 other => panic!(
-                    "unknown flag {other}; expected --quick|--full|--instructions N|--cores N|--jobs N|--workloads a,b|--telemetry|--epoch-ns N|--telemetry-csv DIR|--kernel K|--tracker T|--gate-speedup MIN|--batch N|--gate-batch-speedup MIN"
+                    "unknown flag {other}; expected --quick|--full|--instructions N|--cores N|--jobs N|--workloads a,b|--telemetry|--epoch-ns N|--telemetry-csv DIR|--kernel K|--tracker T"
                 ),
             }
         }
@@ -341,14 +288,9 @@ pub fn telemetry_config(opts: &RunOpts, tag: &str) -> Option<TelemetryConfig> {
     })
 }
 
-/// The [`SimConfig`] for one `(workload, scenario)` job under `opts`.
-fn job_config(spec: &'static WorkloadSpec, scenario: Scenario, opts: &RunOpts) -> SimConfig {
-    try_job_config(spec, scenario, opts).expect("valid scenario config")
-}
-
-/// [`job_config`] without the panic — the batched prefetch path turns an
-/// invalid cell into a [`CellFailure`] record instead of dying.
-fn try_job_config(
+/// The [`SimConfig`] for one `(workload, scenario)` job under `opts`; an
+/// invalid cell becomes a [`CellFailure`] record instead of a panic.
+fn job_config(
     spec: &'static WorkloadSpec,
     scenario: Scenario,
     opts: &RunOpts,
@@ -361,104 +303,6 @@ fn try_job_config(
         builder = builder.telemetry(t);
     }
     builder.build()
-}
-
-/// Runs one workload under one scenario.
-///
-/// Warmup is shared: the first job per warm key (workload set, core count,
-/// seed, warmup length, LLC shape, geometry — see `autorfm::warm_digest`)
-/// simulates warmup once into the process-global [`WarmCache`]; every later
-/// job forks from that snapshot. Forked runs are bitwise identical to cold
-/// runs (pinned by the golden tests), so only wall-clock changes. Clear
-/// [`RunOpts::warm_fork`] (env `AUTORFM_NO_WARM_FORK=1`) to force the cold
-/// path everywhere; [`RunOpts::kernel`] selects the simulation kernel.
-pub fn run(spec: &'static WorkloadSpec, scenario: Scenario, opts: &RunOpts) -> SimResult {
-    let cfg = job_config(spec, scenario, opts);
-    if opts.warm_fork {
-        warm_cache().system(cfg).run_with(opts.kernel)
-    } else {
-        System::new(cfg)
-            .expect("valid scenario config")
-            .run_with(opts.kernel)
-    }
-}
-
-/// Cold-path variant of [`run`] that always re-simulates warmup, bypassing the
-/// [`WarmCache`]. Exists for A/B wall-clock measurement (`perf_smoke`) and for
-/// callers that must not share process-global state.
-pub fn run_cold(spec: &'static WorkloadSpec, scenario: Scenario, opts: &RunOpts) -> SimResult {
-    System::new(job_config(spec, scenario, opts))
-        .expect("valid scenario config")
-        .run_with(opts.kernel)
-}
-
-/// One cached warm snapshot: filled exactly once by the first requester;
-/// concurrent requesters block on it.
-type WarmSlot = Arc<OnceLock<Arc<Vec<u8>>>>;
-
-/// A thread-safe cache of warm-state snapshots keyed by `autorfm::warm_digest`.
-///
-/// Scenario sweeps run the same workloads under many mitigation settings, and
-/// warmup (64K memory ops per core by default) depends on none of them — so
-/// the cache simulates each distinct warmup exactly once and every other run
-/// forks from the in-memory snapshot via `System::new_from_warm`. The
-/// rendezvous discipline is the same as [`ResultCache`]: a per-key
-/// [`OnceLock`] fills once, concurrent requesters block until it's ready.
-#[derive(Default)]
-pub struct WarmCache {
-    slots: Mutex<HashMap<u64, WarmSlot>>,
-    warmups: AtomicUsize,
-    forks: AtomicUsize,
-}
-
-impl WarmCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds the machine for `cfg`, forking from the cached warm snapshot
-    /// for its warm key — simulating warmup first if this is the key's first
-    /// request. The result is bitwise identical to `System::new(cfg)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid or the internal lock is poisoned.
-    pub fn system(&self, cfg: SimConfig) -> System {
-        let key = warm_digest(&cfg);
-        let slot = {
-            let mut map = self.slots.lock().expect("warm cache lock poisoned");
-            map.entry(key).or_default().clone()
-        };
-        let warm = slot
-            .get_or_init(|| {
-                self.warmups.fetch_add(1, Ordering::Relaxed);
-                // The donor exists only to produce warm bytes; don't let it
-                // open telemetry sinks meant for the real run.
-                let mut donor_cfg = cfg.clone();
-                donor_cfg.telemetry = None;
-                Arc::new(System::new(donor_cfg).expect("valid config").warm_state())
-            })
-            .clone();
-        self.forks.fetch_add(1, Ordering::Relaxed);
-        System::new_from_warm(cfg, &warm).expect("warm fork under matching digest")
-    }
-
-    /// Number of warmups actually simulated (cache misses).
-    pub fn warmups(&self) -> usize {
-        self.warmups.load(Ordering::Relaxed)
-    }
-
-    /// Number of systems built by forking (every [`WarmCache::system`] call).
-    pub fn forks(&self) -> usize {
-        self.forks.load(Ordering::Relaxed)
-    }
-}
-
-/// The process-global warm cache [`run`] forks from.
-pub fn warm_cache() -> &'static WarmCache {
-    static CACHE: OnceLock<WarmCache> = OnceLock::new();
-    CACHE.get_or_init(WarmCache::default)
 }
 
 /// One entry of an experiment matrix: a workload under a scenario.
@@ -518,33 +362,27 @@ pub fn run_matrix(jobs: &[SimJob], opts: &RunOpts) -> Vec<SimResult> {
 
 /// [`run_matrix`] against a caller-supplied cache (so the cache — and its
 /// store wiring, or deliberate lack of it — can outlive the call).
-///
-/// With [`RunOpts::batch`] > 1, same-shape jobs are first simulated in
-/// lockstep batches ([`ResultCache::prefetch_batched`]); the per-job `get`s
-/// below then hit the warmed cache. Results are bitwise identical either way.
 pub fn run_matrix_cached(jobs: &[SimJob], opts: &RunOpts, cache: &ResultCache) -> Vec<SimResult> {
-    if opts.batch > 1 && !opts.telemetry {
-        cache.prefetch_batched(jobs, opts);
-    }
-    let results = par_map(jobs, opts.jobs, |&(spec, scenario)| {
-        cache.get(spec, scenario, opts)
-    });
-    results.into_iter().map(|arc| (*arc).clone()).collect()
+    cache.prefetch(jobs, opts);
+    jobs.iter()
+        .map(|&(spec, scenario)| (*cache.get(spec, scenario, opts)).clone())
+        .collect()
 }
 
 /// Cache key: (scenario display name, workload name).
 type CacheKey = (String, &'static str);
 
-/// One cached simulation: its `OnceLock` is filled exactly once by the first
-/// requester; concurrent requesters block on it.
-type CacheSlot = Arc<OnceLock<Arc<SimResult>>>;
+/// One cached cell: filled exactly once, by the prefetch that claimed it,
+/// with the result or the failed cell's error text; concurrent requesters
+/// block on it.
+type CacheSlot = Arc<OnceLock<Result<Arc<SimResult>, String>>>;
 
 /// A thread-safe cache of per-`(workload, scenario)` results so shared
 /// scenarios (the normalization baselines above all) are simulated only once.
 ///
-/// Concurrent `get`s for the same key rendezvous on a per-key
-/// [`OnceLock`]: the first caller simulates, the rest block until the result
-/// is ready — never re-running the simulation.
+/// The first [`ResultCache::prefetch`] (or [`ResultCache::get`]) to request
+/// a key claims its [`OnceLock`] slot and fills it; concurrent requesters
+/// block until the result is ready — never re-running the simulation.
 #[derive(Default)]
 pub struct ResultCache {
     results: Mutex<HashMap<CacheKey, CacheSlot>>,
@@ -553,10 +391,10 @@ pub struct ResultCache {
     failures: Mutex<Vec<CellFailure>>,
 }
 
-/// One cell that failed during a batched prefetch: the job's identity plus
-/// the panic or configuration-error text. Recorded by
-/// [`ResultCache::prefetch_batched`] instead of letting a single bad lane
-/// poison its whole batch; read back via [`ResultCache::failures`].
+/// One cell that failed in a prefetch: the job's identity plus the panic or
+/// configuration-error text. Recorded by [`ResultCache::prefetch`] instead of
+/// letting a single bad lane poison its whole batch; read back via
+/// [`ResultCache::failures`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
     /// Workload name of the failed job.
@@ -569,13 +407,26 @@ pub struct CellFailure {
     pub error: String,
 }
 
+/// Fills every claimed slot a prefetch leaves empty when it ends. Normally
+/// there are none; if the prefetch panicked, its waiters get an error
+/// instead of blocking forever.
+struct AbandonGuard<'a>(&'a [(SimJob, CacheSlot)]);
+
+impl Drop for AbandonGuard<'_> {
+    fn drop(&mut self) {
+        for (_, slot) in self.0 {
+            let _ = slot.set(Err("abandoned: the prefetch running it panicked".into()));
+        }
+    }
+}
+
 impl ResultCache {
     /// Creates an empty cache honoring `AUTORFM_STORE` (the content-addressed
     /// cell store `run_all` and `campaignd` share): with a store, completed
     /// results are reloaded and every fresh simulation is persisted — so a
     /// killed experiment resumes instead of starting over. Without one the
-    /// cache lives in memory only. Use [`ResultCache::isolated`] to opt out,
-    /// or [`ResultCache::with_store`] to pass an explicit root.
+    /// cache lives in memory only. `ResultCache::default()` never touches a
+    /// store; [`ResultCache::with_store`] passes an explicit root.
     pub fn new() -> Self {
         RunOpts::from_env()
             .store
@@ -600,44 +451,24 @@ impl ResultCache {
         }
     }
 
-    /// Creates an empty cache that never touches a cell store, even when
-    /// `AUTORFM_STORE` is set — for A/B timing passes (`perf_smoke`) whose
-    /// wall clocks would be meaningless with reloaded results.
-    pub fn isolated() -> Self {
-        Self::default()
-    }
-
-    /// Runs (or returns the cached result of) `scenario` on `spec`.
-    ///
-    /// Telemetry-enabled runs always simulate: their epoch series cannot be
-    /// persisted (see `SimResult`'s snapshot docs), and a reloaded result
-    /// would silently lose it.
+    /// Runs (or returns the cached result of) `scenario` on `spec`: a miss
+    /// is a one-job [`ResultCache::prefetch`].
     ///
     /// # Panics
     ///
-    /// Panics if the internal lock is poisoned (a simulation panicked).
+    /// Panics with the cell's error text if it failed (see
+    /// [`ResultCache::failures`]), or if an internal lock is poisoned.
     pub fn get(
         &self,
         spec: &'static WorkloadSpec,
         scenario: Scenario,
         opts: &RunOpts,
     ) -> Arc<SimResult> {
-        let slot = self.slot((scenario.to_string(), spec.name));
-        slot.get_or_init(|| {
-            let key = job_digest(spec, scenario, opts);
-            if !opts.telemetry {
-                if let Some(prior) = self.persisted(key) {
-                    return Arc::new(prior);
-                }
-            }
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            let result = run(spec, scenario, opts);
-            if !opts.telemetry {
-                self.persist(key, &result);
-            }
-            Arc::new(result)
-        })
-        .clone()
+        self.prefetch(&[(spec, scenario)], opts);
+        match self.slot((scenario.to_string(), spec.name)).wait() {
+            Ok(result) => Arc::clone(result),
+            Err(error) => panic!("{}/{scenario} failed: {error}", spec.name),
+        }
     }
 
     /// The completed result the cell store holds under `key`, if a store is
@@ -660,8 +491,8 @@ impl ResultCache {
         }
     }
 
-    /// Every [`CellFailure`] recorded by [`ResultCache::prefetch_batched`]
-    /// so far, in recording order.
+    /// Every [`CellFailure`] recorded by [`ResultCache::prefetch`] so far,
+    /// in recording order.
     ///
     /// # Panics
     ///
@@ -675,13 +506,7 @@ impl ResultCache {
 
     /// Records one failed cell: a structured [`CellFailure`] in memory and,
     /// with a store configured, a persisted failed-cell record.
-    fn record_failure(
-        &self,
-        spec: &'static WorkloadSpec,
-        scenario: Scenario,
-        opts: &RunOpts,
-        error: String,
-    ) {
+    fn record_failure(&self, (spec, scenario): SimJob, opts: &RunOpts, error: String) {
         let key = job_digest(spec, scenario, opts);
         if let Some(store) = &self.store {
             let _ = store.put(key, &CellRecord::failed(key, error.clone()));
@@ -697,114 +522,93 @@ impl ResultCache {
             });
     }
 
-    /// Simulates every job in the matrix on `opts.jobs` threads, warming the
-    /// cache so later `get`s are instant hits. Duplicate keys (and keys
-    /// already cached) are simulated only once.
-    pub fn prefetch(&self, jobs: &[SimJob], opts: &RunOpts) {
-        par_map(jobs, opts.jobs, |&(spec, scenario)| {
-            self.get(spec, scenario, opts);
-        });
-    }
-
     /// The rendezvous slot for `key`, creating it if absent.
     fn slot(&self, key: CacheKey) -> CacheSlot {
         let mut map = self.results.lock().expect("cache lock poisoned");
         map.entry(key).or_default().clone()
     }
 
-    /// Batched [`ResultCache::prefetch`]: groups the not-yet-cached jobs by
-    /// warm shape (`autorfm::warm_digest` of their configs), splits each
-    /// group into `autorfm::SimBatch`es of up to [`RunOpts::batch`] lanes,
-    /// and runs the batches on `opts.jobs` threads. Each lane's result lands
-    /// in the job's cache slot (and the store, when configured)
-    /// exactly as an unbatched run would have put it — lanes are bitwise
-    /// identical to standalone simulations, so later `get`s cannot tell the
-    /// difference.
+    /// Simulates every job in the matrix that no earlier request claimed, so
+    /// later `get`s are instant hits. This is the harness's one simulation
+    /// path:
     ///
-    /// Jobs already cached, or already persisted on disk, are skipped here
-    /// and served by `get` as usual. Telemetry runs are not batched.
+    /// 1. claim the keys no one has requested yet (duplicates and keys
+    ///    already cached or in flight are left to their owner);
+    /// 2. answer claimed keys the cell store already holds;
+    /// 3. group the rest by shape into lockstep batches of
+    ///    `min(LANES, ceil(pending / opts.jobs))` lanes
+    ///    (`autorfm_campaign::shape_units`) and run the batches on
+    ///    `opts.jobs` threads through `autorfm_campaign::run_batch_fallible`.
     ///
-    /// Batches execute through `autorfm_campaign::run_batch_fallible`, so a
-    /// lane that panics (or a cell whose configuration is invalid) does not
-    /// poison its batchmates: the healthy lanes still fill their slots, and
+    /// Lanes are bitwise identical to standalone simulations, so no later
+    /// `get` can tell how a result was computed. A lane that panics (or a
+    /// cell whose configuration is invalid) does not poison its batchmates:
     /// the bad cell becomes a structured [`CellFailure`] record — cell key
     /// plus error text — readable via [`ResultCache::failures`] (and, with a
-    /// store configured, a persisted failed-cell record).
+    /// store configured, a persisted failed-cell record). Telemetry runs
+    /// neither read nor write the store: their epoch series cannot be
+    /// persisted (see `SimResult`'s snapshot docs).
     ///
     /// # Panics
     ///
     /// Panics if a lock is poisoned.
-    pub fn prefetch_batched(&self, jobs: &[SimJob], opts: &RunOpts) {
-        if opts.batch <= 1 || opts.telemetry {
-            self.prefetch(jobs, opts);
-            return;
-        }
-        // Dedup to first-seen order and drop jobs something already answers.
-        let mut seen: HashSet<CacheKey> = HashSet::new();
-        let mut pending: Vec<SimJob> = Vec::new();
-        for &(spec, scenario) in jobs {
-            let key = (scenario.to_string(), spec.name);
-            if !seen.insert(key.clone()) || self.slot(key).get().is_some() {
-                continue;
-            }
-            if self.persisted(job_digest(spec, scenario, opts)).is_none() {
-                pending.push((spec, scenario));
-            }
-        }
-        // Group by warm shape (first-seen group order for determinism), then
-        // chunk each group to the requested lane count. A cell whose
-        // configuration won't even build becomes a failure record here,
-        // before any lane runs.
-        let mut order: Vec<u64> = Vec::new();
-        let mut groups: HashMap<u64, Vec<SimJob>> = HashMap::new();
-        for &(spec, scenario) in &pending {
-            let shape = match try_job_config(spec, scenario, opts) {
-                Ok(cfg) => warm_digest(&cfg),
-                Err(e) => {
-                    self.record_failure(spec, scenario, opts, e.to_string());
+    pub fn prefetch(&self, jobs: &[SimJob], opts: &RunOpts) {
+        let claimed: Vec<(SimJob, CacheSlot)> = {
+            let mut map = self.results.lock().expect("cache lock poisoned");
+            jobs.iter()
+                .filter_map(|&(spec, scenario)| {
+                    match map.entry((scenario.to_string(), spec.name)) {
+                        Entry::Occupied(_) => None,
+                        Entry::Vacant(v) => {
+                            Some(((spec, scenario), v.insert(CacheSlot::default()).clone()))
+                        }
+                    }
+                })
+                .collect()
+        };
+        let _guard = AbandonGuard(&claimed);
+        let mut cells: Vec<(usize, SimConfig)> = Vec::new();
+        for (i, &((spec, scenario), ref slot)) in claimed.iter().enumerate() {
+            if !opts.telemetry {
+                if let Some(prior) = self.persisted(job_digest(spec, scenario, opts)) {
+                    let _ = slot.set(Ok(Arc::new(prior)));
                     continue;
                 }
-            };
-            if !groups.contains_key(&shape) {
-                order.push(shape);
             }
-            groups.entry(shape).or_default().push((spec, scenario));
-        }
-        let chunks: Vec<Vec<SimJob>> = order
-            .iter()
-            .flat_map(|shape| {
-                groups[shape]
-                    .chunks(opts.batch)
-                    .map(<[SimJob]>::to_vec)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        par_map(&chunks, opts.jobs, |chunk| {
-            let cfgs: Vec<SimConfig> = chunk
-                .iter()
-                .map(|&(spec, scenario)| job_config(spec, scenario, opts))
-                .collect();
-            let outcome = run_batch_fallible(&cfgs, None, opts.kernel, false);
-            for (&(spec, scenario), result) in chunk.iter().zip(outcome.results) {
-                match result {
-                    Ok(result) => {
-                        let slot = self.slot((scenario.to_string(), spec.name));
-                        // A concurrent `get` may have raced us to the slot;
-                        // its result is bitwise identical, so either filler
-                        // is fine.
-                        slot.get_or_init(|| {
-                            self.runs.fetch_add(1, Ordering::Relaxed);
-                            self.persist(job_digest(spec, scenario, opts), &result);
-                            Arc::new(result.clone())
-                        });
-                    }
-                    Err(error) => self.record_failure(spec, scenario, opts, error),
+            match job_config(spec, scenario, opts) {
+                Ok(cfg) => cells.push((i, cfg)),
+                Err(e) => {
+                    self.record_failure((spec, scenario), opts, e.to_string());
+                    let _ = slot.set(Err(e.to_string()));
                 }
+            }
+        }
+        let lanes = LANES.min(cells.len().div_ceil(opts.jobs.max(1)));
+        par_map(&shape_units(cells, lanes), opts.jobs, |(_, unit)| {
+            let cfgs: Vec<SimConfig> = unit.iter().map(|(_, cfg)| cfg.clone()).collect();
+            let outcome = run_batch_fallible(&cfgs, None, opts.kernel, false);
+            for (&(i, _), result) in unit.iter().zip(outcome.results) {
+                let ((spec, scenario), slot) = &claimed[i];
+                let filled = match result {
+                    Ok(result) => {
+                        self.runs.fetch_add(1, Ordering::Relaxed);
+                        if !opts.telemetry {
+                            self.persist(job_digest(spec, *scenario, opts), &result);
+                        }
+                        Ok(Arc::new(result))
+                    }
+                    Err(error) => {
+                        self.record_failure((spec, *scenario), opts, error.clone());
+                        Err(error)
+                    }
+                };
+                let _ = slot.set(filled);
             }
         });
     }
 
-    /// Number of distinct `(workload, scenario)` keys cached so far.
+    /// Number of distinct `(workload, scenario)` keys requested so far
+    /// (completed, failed, or in flight).
     ///
     /// # Panics
     ///
@@ -818,17 +622,15 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Total simulations actually executed (cache misses). Equal to [`len`]
-    /// unless a simulation is still in flight.
-    ///
-    /// [`len`]: ResultCache::len
+    /// Total simulations actually executed: cells that neither hit the cache
+    /// nor the store and completed without error.
     pub fn simulations_run(&self) -> usize {
         self.runs.load(Ordering::Relaxed)
     }
 
     /// Every completed result as `(workload, scenario, result)`, sorted by
     /// key for deterministic iteration. Slots still being simulated by
-    /// another thread are skipped.
+    /// another thread, and failed cells, are skipped.
     ///
     /// # Panics
     ///
@@ -837,8 +639,9 @@ impl ResultCache {
         let map = self.results.lock().expect("cache lock poisoned");
         let mut out: Vec<_> = map
             .iter()
-            .filter_map(|((scenario, workload), slot)| {
-                slot.get().map(|r| (*workload, scenario.clone(), r.clone()))
+            .filter_map(|((scenario, workload), slot)| match slot.get() {
+                Some(Ok(r)) => Some((*workload, scenario.clone(), r.clone())),
+                _ => None,
             })
             .collect();
         out.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
@@ -1176,18 +979,37 @@ mod tests {
             jobs: 1,
             ..RunOpts::default()
         };
-        let matrix: Vec<SimJob> = vec![
-            (spec, BASELINE_ZEN),
-            (spec, Scenario::Rfm { th: 4 }),
-            (spec, Scenario::AutoRfm { th: 4 }),
-            (spec, BASELINE_ZEN), // duplicate: must dedup, not double-run
-        ];
-        let plain = run_matrix_cached(&matrix, &opts, &ResultCache::isolated());
-        opts.batch = 8;
-        let cache = ResultCache::isolated();
-        let batched = run_matrix_cached(&matrix, &opts, &cache);
-        assert_eq!(format!("{plain:?}"), format!("{batched:?}"));
-        assert_eq!(cache.simulations_run(), 3);
+        // 11 same-shape cells: more than one LANES-wide batch.
+        let mut matrix: Vec<SimJob> = vec![(spec, BASELINE_ZEN)];
+        for th in [4, 8, 16, 32, 64] {
+            matrix.push((spec, Scenario::Rfm { th }));
+            matrix.push((spec, Scenario::AutoRfm { th }));
+        }
+        let distinct = matrix.len();
+        assert!(distinct > LANES);
+        matrix.push((spec, BASELINE_ZEN)); // duplicate: must dedup, not double-run
+        let standalone: Vec<SimResult> = matrix
+            .iter()
+            .map(|&(spec, scenario)| {
+                let cfg = job_config(spec, scenario, &opts).unwrap();
+                autorfm::System::new(cfg)
+                    .unwrap()
+                    .run_with(KernelKind::Event)
+            })
+            .collect();
+        // One worker: full 8-lane batches. More workers than cells: one
+        // lane per batch.
+        for jobs in [1, 2 * distinct] {
+            opts.jobs = jobs;
+            let cache = ResultCache::default();
+            let batched = run_matrix_cached(&matrix, &opts, &cache);
+            assert_eq!(
+                format!("{standalone:?}"),
+                format!("{batched:?}"),
+                "jobs {jobs}"
+            );
+            assert_eq!(cache.simulations_run(), distinct);
+        }
     }
 
     #[test]

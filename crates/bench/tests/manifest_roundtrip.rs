@@ -6,7 +6,7 @@
 //! environment.
 
 use autorfm::telemetry::RunManifest;
-use autorfm_bench::{run, Harness, RunOpts, BASELINE_ZEN};
+use autorfm_bench::{Harness, ResultCache, RunOpts, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
 
 #[test]
@@ -27,7 +27,7 @@ fn harness_writes_manifest_where_env_points() {
         ..RunOpts::default()
     };
     let mut harness = Harness::new(&opts);
-    let result = run(spec, BASELINE_ZEN, &opts);
+    let result = ResultCache::default().get(spec, BASELINE_ZEN, &opts);
     harness.record(&format!("{}/{BASELINE_ZEN}", spec.name), &result);
     harness.record(&format!("{}/{BASELINE_ZEN}", spec.name), &result); // dup: kept once
     harness.finish();

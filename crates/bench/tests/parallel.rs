@@ -102,23 +102,24 @@ fn shared_cache_simulates_each_key_exactly_once() {
     assert_eq!(cache.simulations_run(), unique.len());
 }
 
-/// A bad cell in a batched prefetch becomes a structured failure record —
-/// cell key plus error text — while its batchmates still produce results.
+/// A bad cell in a prefetch becomes a structured failure record — cell key
+/// plus error text — while its batchmates still produce results, and a
+/// later `get` of it panics with that text instead of re-running it.
 #[test]
 fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
-    let mut opts = quick_opts(2);
-    opts.batch = 4;
+    let opts = quick_opts(1);
     let spec = opts.workloads[0];
-    // AutoRFM with window 0 is rejected by every tracker; its lane must not
+    // AutoRFM with window 0 is rejected by every tracker; its cell must not
     // poison the two valid cells batched alongside it.
+    let bad = Scenario::AutoRfm { th: 0 };
     let jobs: Vec<SimJob> = vec![
         (spec, BASELINE_ZEN),
-        (spec, Scenario::AutoRfm { th: 0 }),
+        (spec, bad),
         (spec, Scenario::AutoRfm { th: 4 }),
     ];
 
-    let cache = ResultCache::isolated();
-    cache.prefetch_batched(&jobs, &opts);
+    let cache = ResultCache::default();
+    cache.prefetch(&jobs, &opts);
 
     let failures = cache.failures();
     assert_eq!(
@@ -127,10 +128,7 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
         "exactly the bad cell failed: {failures:?}"
     );
     assert_eq!(failures[0].workload, spec.name);
-    assert_eq!(
-        failures[0].scenario,
-        Scenario::AutoRfm { th: 0 }.to_string()
-    );
+    assert_eq!(failures[0].scenario, bad.to_string());
     assert!(!failures[0].error.is_empty());
 
     // Both healthy cells are cached and never re-simulated by later gets.
@@ -139,4 +137,19 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
     assert_eq!(a.workload, spec.name);
     assert_eq!(b.workload, spec.name);
     assert_eq!(cache.simulations_run(), 2);
+
+    // The bad cell fails loudly, with its recorded error, and only once.
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        cache.get(spec, bad, &opts);
+    }))
+    .expect_err("a get of the failed cell must panic");
+    let message = panic
+        .downcast_ref::<String>()
+        .expect("panic carries a formatted message");
+    assert!(
+        message.contains(&failures[0].error),
+        "panic {message:?} lacks the config error {:?}",
+        failures[0].error
+    );
+    assert_eq!(cache.failures().len(), 1);
 }

@@ -3,7 +3,8 @@
 //! epoch series and full metric registries without perturbing results.
 
 use autorfm::experiments::Scenario;
-use autorfm_bench::{run_matrix, RunOpts, SimJob, BASELINE_ZEN};
+use autorfm::{KernelKind, SimConfig, System};
+use autorfm_bench::{run_matrix, telemetry_config, RunOpts, SimJob, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
 
 fn quick_opts(telemetry: bool) -> RunOpts {
@@ -109,4 +110,40 @@ fn epoch_length_controls_resolution_only() {
     let coarse_acts: u64 = cs.samples.iter().map(|s| s.acts).sum();
     let fine_acts: u64 = fs.samples.iter().map(|s| s.acts).sum();
     assert_eq!(coarse_acts, fine_acts);
+}
+
+/// Telemetry runs go through the batched lanes like every other run: each
+/// lane keeps its own sink, so its epoch series equals a standalone
+/// `System` run's series sample for sample.
+#[test]
+fn batched_lanes_record_the_standalone_series() {
+    let opts = quick_opts(true);
+    let jobs = matrix(&opts);
+    let batched = run_matrix(&jobs, &opts);
+    for (&(spec, scenario), lane) in jobs.iter().zip(&batched) {
+        let cfg = SimConfig::builder(spec)
+            .scenario(scenario)
+            .cores(opts.cores)
+            .instructions(opts.instructions)
+            .telemetry(telemetry_config(&opts, "standalone").expect("telemetry on"))
+            .build()
+            .unwrap();
+        let standalone = System::new(cfg).unwrap().run_with(KernelKind::Event);
+        let want = &standalone
+            .series
+            .as_ref()
+            .expect("standalone series")
+            .samples;
+        let got = &lane.series.as_ref().expect("lane series").samples;
+        assert_eq!(
+            want.len(),
+            got.len(),
+            "sample count for {} / {scenario}",
+            spec.name
+        );
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            assert_eq!(a, b, "sample {i} diverged for {} / {scenario}", spec.name);
+        }
+        assert_eq!(format!("{standalone:?}"), format!("{lane:?}"));
+    }
 }

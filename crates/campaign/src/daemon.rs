@@ -7,8 +7,9 @@
 //! * already completed (in memory or on disk) → counted as a **dedup hit**;
 //! * already queued or running for another campaign → dedup hit (the cell's
 //!   one execution will serve both campaigns);
-//! * genuinely new → grouped with same-shape cells ([`warm_digest`]) into
-//!   work units of at most `batch` lanes and queued.
+//! * genuinely new → grouped with same-shape cells
+//!   ([`shape_units`](crate::runner::shape_units)) into work units of at
+//!   most `batch` lanes and queued.
 //!
 //! Workers pop units, run them through
 //! [`run_batch_fallible`](crate::runner::run_batch_fallible) — seeding from
@@ -21,12 +22,12 @@
 //! cells as dedup hits, so nothing finished is ever recomputed.
 
 use crate::cell::{CellSpec, SweepRequest};
-use crate::runner::run_batch_fallible;
+use crate::runner::{run_batch_fallible, shape_units, LANES};
 use autorfm::sim_core::ConfigError;
 use autorfm::snapshot::store::{CellRecord, CellStore};
 use autorfm::snapshot::{Reader, Snapshot, Writer};
 use autorfm::telemetry::{Json, Registry};
-use autorfm::{warm_digest, KernelKind, SimConfig, SimResult};
+use autorfm::{KernelKind, SimConfig, SimResult};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,7 +51,8 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// A configuration with sensible defaults: workers = available
-    /// parallelism (capped at 8), batch 8, environment-selected kernel.
+    /// parallelism (capped at 8), batch [`LANES`], environment-selected
+    /// kernel.
     pub fn new(store: impl Into<PathBuf>) -> Self {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get().min(8))
@@ -58,7 +60,7 @@ impl DaemonConfig {
         DaemonConfig {
             store: store.into(),
             workers,
-            batch: 8,
+            batch: LANES,
             kernel: KernelKind::from_env(),
         }
     }
@@ -66,7 +68,7 @@ impl DaemonConfig {
 
 /// One queued unit of work: same-shape cells that run as lockstep lanes.
 struct WorkUnit {
-    /// The lanes' shared [`warm_digest`] (the warm-pool key).
+    /// The lanes' shared [`autorfm::warm_digest`] (the warm-pool key).
     shape: u64,
     /// `(cell key, configuration)` per lane.
     cells: Vec<(u64, SimConfig)>,
@@ -273,20 +275,13 @@ impl Daemon {
                 scheduled.push(*cell);
             }
             // Group schedulable cells by shape so they batch into lockstep
-            // lanes, then chunk to the configured lane limit.
-            let mut shapes: Vec<u64> = Vec::new();
-            let mut groups: HashMap<u64, Vec<(u64, SimConfig)>> = HashMap::new();
+            // lanes, chunked to the configured lane limit. A cell that
+            // cannot even build a config fails right here, deterministically,
+            // without a worker.
+            let mut buildable: Vec<(u64, SimConfig)> = Vec::new();
             for cell in &scheduled {
                 match cell.config() {
-                    Ok(cfg) => {
-                        let shape = warm_digest(&cfg);
-                        if !groups.contains_key(&shape) {
-                            shapes.push(shape);
-                        }
-                        groups.entry(shape).or_default().push((cell.key(), cfg));
-                    }
-                    // A cell that cannot even build a config fails right
-                    // here, deterministically, without a worker.
+                    Ok(cfg) => buildable.push((cell.key(), cfg)),
                     Err(e) => failed_now.push((cell.key(), e.to_string())),
                 }
             }
@@ -294,15 +289,8 @@ impl Daemon {
                 st.pending.remove(key);
                 st.errors.insert(*key, msg.clone());
             }
-            let batch = self.inner.cfg.batch.max(1);
-            for shape in shapes {
-                let group = groups.remove(&shape).expect("grouped above");
-                for chunk in group.chunks(batch) {
-                    st.queue.push_back(WorkUnit {
-                        shape,
-                        cells: chunk.to_vec(),
-                    });
-                }
+            for (shape, cells) in shape_units(buildable, self.inner.cfg.batch) {
+                st.queue.push_back(WorkUnit { shape, cells });
             }
             st.campaigns.insert(
                 id.clone(),

@@ -17,7 +17,10 @@
 //! * [`runner`] — [`run_batch_fallible`], the worker entry point: runs a
 //!   same-shape group of cells as [`autorfm::SimBatch`] lockstep lanes
 //!   (optionally seeded from a captured warm state), degrading per-lane
-//!   panics into per-cell error records instead of poisoning the batch.
+//!   panics into per-cell error records instead of poisoning the batch; and
+//!   [`shape_units`], the same-shape grouping that feeds it (shared by the
+//!   daemon and the experiment harness, with [`LANES`] lanes per unit at
+//!   most by default).
 //! * [`daemon`] — [`Daemon`]: the scheduler, the in-memory cell index, the
 //!   warm-state pool, dedup accounting, and resumption of persisted
 //!   campaigns on restart.
@@ -40,5 +43,5 @@ pub mod server;
 
 pub use cell::{CellSpec, SweepRequest};
 pub use daemon::{Daemon, DaemonConfig, SubmitOutcome};
-pub use runner::{run_batch_fallible, BatchOutcome};
+pub use runner::{run_batch_fallible, shape_units, BatchOutcome, LANES};
 pub use server::serve;

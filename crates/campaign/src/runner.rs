@@ -6,9 +6,48 @@
 //! unwind and degrades to standalone per-lane runs, each under its own
 //! catch, turning a panicking lane into one structured per-cell error while
 //! the rest still produce their (bitwise-identical) results.
+//!
+//! [`shape_units`] is the one grouping step in front of it, shared by the
+//! daemon's scheduler and the experiment harness's `ResultCache::prefetch`.
 
-use autorfm::{KernelKind, SimBatch, SimConfig, SimResult, System};
+use autorfm::{warm_digest, KernelKind, SimBatch, SimConfig, SimResult, System};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// The most lockstep lanes one work unit runs: the daemon's default batch
+/// width and the cap on the harness's derived lane count.
+pub const LANES: usize = 8;
+
+/// Groups cells by shape (the [`warm_digest`] of their configuration) and
+/// splits each group into work units of at most `lanes` cells, ready for
+/// [`run_batch_fallible`]. Groups come out in first-seen order and cells
+/// keep their input order, so the split is deterministic. `tag` rides along
+/// with each configuration (a cell key, a job) to route its outcome back.
+///
+/// Returns `(shape, unit)` pairs.
+pub fn shape_units<T: Clone>(
+    cells: Vec<(T, SimConfig)>,
+    lanes: usize,
+) -> Vec<(u64, Vec<(T, SimConfig)>)> {
+    let mut shapes: Vec<u64> = Vec::new();
+    let mut groups: HashMap<u64, Vec<(T, SimConfig)>> = HashMap::new();
+    for (tag, cfg) in cells {
+        let shape = warm_digest(&cfg);
+        if !groups.contains_key(&shape) {
+            shapes.push(shape);
+        }
+        groups.entry(shape).or_default().push((tag, cfg));
+    }
+    shapes
+        .into_iter()
+        .flat_map(|shape| {
+            groups[&shape]
+                .chunks(lanes.max(1))
+                .map(|unit| (shape, unit.to_vec()))
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
 
 /// What one batched work unit produced.
 #[derive(Debug)]
@@ -147,6 +186,31 @@ mod tests {
         assert!(out.warm_state.is_none());
         assert_eq!(out.results.len(), 2);
         assert!(out.results.iter().all(Result::is_ok));
+    }
+
+    #[test]
+    fn shape_units_group_by_shape_and_chunk_in_order() {
+        let other_shape = |th| SimConfig {
+            seed: 99,
+            ..cfg(Scenario::Rfm { th })
+        };
+        let cells = vec![
+            (0, cfg(Scenario::AutoRfm { th: 4 })),
+            (1, other_shape(4)),
+            (2, cfg(Scenario::Rfm { th: 8 })),
+            (3, cfg(Scenario::Rfm { th: 16 })),
+            (4, other_shape(8)),
+        ];
+        let units = shape_units(cells, 2);
+        let tags: Vec<Vec<i32>> = units
+            .iter()
+            .map(|(_, unit)| unit.iter().map(|(tag, _)| *tag).collect())
+            .collect();
+        assert_eq!(tags, vec![vec![0, 2], vec![3], vec![1, 4]]);
+        for (shape, unit) in &units {
+            assert!(unit.iter().all(|(_, c)| warm_digest(c) == *shape));
+        }
+        assert_ne!(units[0].0, units[2].0);
     }
 
     #[test]

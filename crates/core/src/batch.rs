@@ -160,11 +160,6 @@ impl SimBatch {
             .map(|d| d.take().expect("all lanes finished"))
             .collect()
     }
-
-    /// [`SimBatch::run_with`] under the environment-selected kernel.
-    pub fn run(&mut self) -> Vec<SimResult> {
-        self.run_with(KernelKind::from_env())
-    }
 }
 
 #[cfg(test)]

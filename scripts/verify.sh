@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification entry point: lint (fmt + clippy), build, run the full
-# test suite, then run the quick experiment sweep through the parallel harness
-# and report how long it took. Usage: scripts/verify.sh
+# test suite, then run the default-fidelity experiment sweep through the
+# parallel harness, report how long it took and diff every table against
+# results/golden/. Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,30 +35,26 @@ echo "== stepped-vs-event kernel differential gate =="
 cargo test --release -q --test kernel_differential
 AUTORFM_STEPPED_KERNEL=1 cargo test --release -q --test golden golden_snapshot_digest
 
-echo "== run_all --quick --jobs ${JOBS} =="
+echo "== run_all --jobs ${JOBS} (default fidelity) + golden-table gate =="
 start=$(date +%s)
-cargo run --release -p autorfm-bench --bin run_all -- --quick --jobs "${JOBS}"
+cargo run --release -p autorfm-bench --bin run_all -- --jobs "${JOBS}"
 end=$(date +%s)
-echo "run_all --quick --jobs ${JOBS}: $((end - start))s"
+echo "run_all --jobs ${JOBS}: $((end - start))s"
+# results/golden/ pins every table at default fidelity (100K
+# instructions/core): any drift in a regenerated table fails here (set -e).
+for golden in results/golden/*.txt; do
+    cmp "${golden}" "results/$(basename "${golden}")"
+done
+echo "golden tables: every results/golden/*.txt reproduced byte for byte"
 
-echo "== run_all --resume smoke (perf_smoke should be skipped) =="
+echo "== run_all --resume smoke (table2_trh_history should be skipped) =="
 resume_out="$(cargo run --release -p autorfm-bench --bin run_all -- \
-    --only perf_smoke --resume --quick --jobs "${JOBS}" 2>&1)"
+    --only table2_trh_history --resume --jobs "${JOBS}" 2>&1)"
 printf '%s\n' "${resume_out}"
 if ! grep -q "already complete, skipping" <<<"${resume_out}"; then
     echo "verify: --resume did not skip a completed target" >&2
     exit 1
 fi
-
-echo "== perf_smoke (serial/parallel + warm-fork + kernel + batch timings) =="
-# perf_smoke exits nonzero if any run fails or diverges, or — via the gates —
-# if the event kernel's geomean speedup over the stepped oracle drops below
-# 1.0, or the batched lockstep engine runs slower than its lanes sequentially
-# (a regression must fail CI, not hide in JSON). The kernel and batch A/Bs
-# run serially (--jobs 1 affects only the fan-out sections) so timings are
-# not cross-polluted.
-cargo run --release -p autorfm-bench --bin perf_smoke -- \
-    --jobs "${JOBS}" --gate-speedup 1.0 --gate-batch-speedup 1.0
 
 echo "== tracker zoo (registry sweep + OracleRH lower-bound gate) =="
 # One quick-sweep column per *registered* tracker — the binary enumerates the
