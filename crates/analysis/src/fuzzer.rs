@@ -35,12 +35,11 @@
 //! activation count at which *any* archived candidate pushed the worst
 //! damage past it.
 
-use crate::damage::{DamageArena, DamageModel, MapDamage};
-use crate::montecarlo::{AttackReport, AttackSimCore};
+use crate::montecarlo::{AttackReport, AttackSim};
 use crate::pattern::{AttackPattern, PatternCursor, MAX_OFFSETS, MAX_SCHEDULE};
-use autorfm_mitigation::{build_policy, MitigationKind};
+use autorfm_mitigation::MitigationKind;
 use autorfm_sim_core::{DetRng, RowAddr};
-use autorfm_trackers::{OracleRh, TrackerKind};
+use autorfm_trackers::{build_tracker, OracleRh, Tracker, TrackerKind};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -214,53 +213,16 @@ impl AttackFuzzer {
     /// The per-candidate simulation seed: a [`DetRng`] fork keyed by the
     /// genome digest, so a genome's score is a pure function of
     /// `(cfg, genome)` — the invariant every evaluation path (serial,
-    /// threaded, lockstep lanes, store replay) preserves.
+    /// threaded, reused evaluators, store replay) preserves.
     pub fn candidate_seed(cfg: &FuzzConfig, digest: u64) -> u64 {
         DetRng::seeded(cfg.seed).fork(digest).next_u64()
-    }
-
-    /// Builds the tracker + policy stack `cfg` describes, on any damage
-    /// backend. The oracle kind honors `cfg.oracle_mitigate_at` (the eager
-    /// trigger that makes OracleRH the strictly-hardest curve bound).
-    fn build_sim<D: DamageModel>(cfg: &FuzzConfig, seed: u64) -> AttackSimCore<D> {
-        match cfg.oracle_mitigate_at {
-            Some(at) if cfg.tracker.info().flags.oracle => AttackSimCore::with_parts(
-                Box::new(OracleRh::new(cfg.window, at).expect("oracle trigger must be buildable")),
-                build_policy(cfg.policy).expect("registered policy must build"),
-                cfg.rows_per_bank,
-                seed,
-            ),
-            _ => AttackSimCore::new(cfg.tracker, cfg.policy, cfg.window, cfg.rows_per_bank, seed)
-                .expect("registered tracker+policy must build"),
-        }
-    }
-
-    fn evaluate_on<D: DamageModel>(cfg: &FuzzConfig, pattern: &AttackPattern) -> CandidateResult {
-        let digest = pattern.digest();
-        let mut sim = Self::build_sim::<D>(cfg, Self::candidate_seed(cfg, digest));
-        sim.watch_thresholds(&cfg.thresholds);
-        let report = sim.run_pattern(&mut PatternCursor::new(pattern.clone()), cfg.activations);
-        CandidateResult {
-            pattern: pattern.clone(),
-            digest,
-            report,
-            crossings: sim.crossings().to_vec(),
-        }
     }
 
     /// Evaluates one candidate: pure in `(cfg, pattern)`. The simulation
     /// seed is a per-candidate [`DetRng`] fork keyed by the genome digest,
     /// so the result is independent of batch composition and thread count.
     pub fn evaluate(cfg: &FuzzConfig, pattern: &AttackPattern) -> CandidateResult {
-        Self::evaluate_on::<DamageArena>(cfg, pattern)
-    }
-
-    /// [`AttackFuzzer::evaluate`] on the legacy `HashMap` damage backend
-    /// with a freshly built stack per candidate — the pre-arena serial
-    /// path, kept as the reference side of the differential tests.
-    /// Bitwise-identical to `evaluate`.
-    pub fn evaluate_ref(cfg: &FuzzConfig, pattern: &AttackPattern) -> CandidateResult {
-        Self::evaluate_on::<MapDamage>(cfg, pattern)
+        LaneEvaluator::new(cfg.clone()).evaluate_one(pattern)
     }
 
     /// Admits an evaluated candidate into the survivor archive. Returns
@@ -281,7 +243,7 @@ impl AttackFuzzer {
 
     /// Stable content digest of the survivor archive (see
     /// [`crate::evalstore::archive_digest`]). Equal digests mean bitwise-
-    /// identical archives — the scalar the lane/thread-identity and
+    /// identical archives — the scalar the chunking/thread-identity and
     /// resume gates compare.
     pub fn archive_digest(&self) -> u64 {
         crate::evalstore::archive_digest(self.archive.values())
@@ -488,86 +450,65 @@ impl AttackFuzzer {
     }
 }
 
-/// Activations each lane advances per lockstep turn. Small enough that a
-/// group of lanes' hot state (tracker tables + touched damage pages) stays
-/// cache-resident; large enough that the lane-switch overhead vanishes.
-const LANE_CHUNK: u64 = 4_096;
-
-/// A batched candidate evaluator: `lanes` persistent [`AttackSim`]s advanced
-/// in lockstep chunks.
-///
-/// Construction builds each lane's tracker + policy stack once; per
-/// candidate the lane is [`reset`](AttackSimCore::reset) (epoch-cleared
-/// damage arena, tracker reset, reseed) instead of rebuilt, which is where
-/// the amortization comes from. Purity is untouched: each candidate still
-/// runs under [`AttackFuzzer::candidate_seed`] from its own cursor, so
+/// A reusable candidate evaluator: one [`AttackSim`], built once and
+/// [`reset`](AttackSim::reset) per candidate instead of rebuilt. Each
+/// candidate still runs under [`AttackFuzzer::candidate_seed`], so
 /// `evaluate_batch` is bitwise-identical to mapping
-/// [`AttackFuzzer::evaluate`] over the batch — at any lane count, in any
-/// batch composition. The identity tests in `crates/analysis/tests` pin
-/// this for every registered tracker.
-///
-/// [`AttackSim`]: crate::AttackSim
+/// [`AttackFuzzer::evaluate`] over the batch (pinned for every registered
+/// tracker in `crates/analysis/tests`).
 pub struct LaneEvaluator {
     cfg: FuzzConfig,
-    sims: Vec<AttackSimCore<DamageArena>>,
+    sim: AttackSim,
 }
 
 impl LaneEvaluator {
-    /// Builds an evaluator with `lanes` persistent sims for `cfg`
-    /// (`lanes` is clamped to at least 1).
+    /// Builds an evaluator for `cfg`. The oracle kind honors
+    /// `cfg.oracle_mitigate_at` (the eager trigger that makes OracleRH the
+    /// strictly-hardest curve bound).
     ///
     /// # Panics
     ///
     /// Panics if `cfg` names a tracker/policy stack that cannot be built —
     /// the same contract as [`AttackFuzzer::evaluate`].
-    pub fn new(cfg: FuzzConfig, lanes: usize) -> Self {
-        let sims = (0..lanes.max(1))
-            .map(|_| AttackFuzzer::build_sim::<DamageArena>(&cfg, 0))
-            .collect();
-        LaneEvaluator { cfg, sims }
+    pub fn new(cfg: FuzzConfig) -> Self {
+        let tracker: Box<dyn Tracker> = match cfg.oracle_mitigate_at {
+            Some(at) if cfg.tracker.info().flags.oracle => {
+                Box::new(OracleRh::new(cfg.window, at).expect("oracle trigger must be buildable"))
+            }
+            _ => build_tracker(cfg.tracker, cfg.window).expect("registered tracker must build"),
+        };
+        let sim = AttackSim::with_tracker(tracker, cfg.policy, cfg.rows_per_bank, 0)
+            .expect("registered tracker+policy must build");
+        LaneEvaluator { cfg, sim }
     }
 
-    /// Number of lockstep lanes.
-    pub fn lanes(&self) -> usize {
-        self.sims.len()
-    }
-
-    /// Evaluates `batch` in input order: groups of up to `lanes` candidates
-    /// run in lockstep `LANE_CHUNK`-activation turns. Results are
-    /// bitwise-identical to `batch.iter().map(|p| AttackFuzzer::evaluate(&cfg, p))`.
-    pub fn evaluate_batch(&mut self, batch: &[AttackPattern]) -> Vec<CandidateResult> {
-        let mut out = Vec::with_capacity(batch.len());
-        for group in batch.chunks(self.sims.len()) {
-            let mut cursors = Vec::with_capacity(group.len());
-            for (sim, p) in self.sims.iter_mut().zip(group) {
-                sim.reset(AttackFuzzer::candidate_seed(&self.cfg, p.digest()));
-                sim.watch_thresholds(&self.cfg.thresholds);
-                cursors.push(PatternCursor::new(p.clone()));
-            }
-            let mut remaining = self.cfg.activations;
-            while remaining > 0 {
-                let step = remaining.min(LANE_CHUNK);
-                for (sim, cursor) in self.sims.iter_mut().zip(&mut cursors) {
-                    sim.run_pattern(cursor, step);
-                }
-                remaining -= step;
-            }
-            for (sim, p) in self.sims.iter().zip(group) {
-                out.push(CandidateResult {
-                    pattern: p.clone(),
-                    digest: p.digest(),
-                    report: sim.report(),
-                    crossings: sim.crossings().to_vec(),
-                });
-            }
+    fn evaluate_one(&mut self, pattern: &AttackPattern) -> CandidateResult {
+        let digest = pattern.digest();
+        self.sim
+            .reset(AttackFuzzer::candidate_seed(&self.cfg, digest));
+        self.sim.watch_thresholds(&self.cfg.thresholds);
+        let report = self.sim.run_pattern(
+            &mut PatternCursor::new(pattern.clone()),
+            self.cfg.activations,
+        );
+        CandidateResult {
+            pattern: pattern.clone(),
+            digest,
+            report,
+            crossings: self.sim.crossings().to_vec(),
         }
-        out
+    }
+
+    /// Evaluates `batch` in input order. Results are bitwise-identical to
+    /// `batch.iter().map(|p| AttackFuzzer::evaluate(&cfg, p))`.
+    pub fn evaluate_batch(&mut self, batch: &[AttackPattern]) -> Vec<CandidateResult> {
+        batch.iter().map(|p| self.evaluate_one(p)).collect()
     }
 }
 
 /// A thread-safe checkout pool of [`LaneEvaluator`]s: the bridge between
 /// the bench harness's `par_map` fan-out (which splits a batch into chunks
-/// across worker threads) and lane reuse (which wants each evaluator to
+/// across worker threads) and evaluator reuse (which wants each evaluator to
 /// survive across rounds). Each call checks an evaluator out, runs the
 /// sub-batch, and returns it; evaluators are built lazily, so a serial
 /// caller only ever constructs one.
@@ -578,7 +519,8 @@ pub struct EvaluatorPool {
 }
 
 impl EvaluatorPool {
-    /// Creates an empty pool producing `lanes`-wide evaluators for `cfg`.
+    /// Creates an empty pool of evaluators for `cfg`; callers split their
+    /// batches into `lanes`-candidate chunks, one chunk per `evaluate` call.
     pub fn new(cfg: FuzzConfig, lanes: usize) -> Self {
         EvaluatorPool {
             cfg,
@@ -587,7 +529,7 @@ impl EvaluatorPool {
         }
     }
 
-    /// Lane width of the evaluators this pool produces (clamped ≥ 1).
+    /// Chunk width callers split batches by (clamped ≥ 1).
     pub fn lanes(&self) -> usize {
         self.lanes.max(1)
     }
@@ -597,8 +539,7 @@ impl EvaluatorPool {
     /// evaluator served the batch.
     pub fn evaluate(&self, batch: &[AttackPattern]) -> Vec<CandidateResult> {
         let checked_out = self.pool.lock().expect("pool poisoned").pop();
-        let mut ev =
-            checked_out.unwrap_or_else(|| LaneEvaluator::new(self.cfg.clone(), self.lanes));
+        let mut ev = checked_out.unwrap_or_else(|| LaneEvaluator::new(self.cfg.clone()));
         let out = ev.evaluate_batch(batch);
         self.pool.lock().expect("pool poisoned").push(ev);
         out
@@ -678,18 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_ref_matches_evaluate() {
-        let cfg = tiny_cfg(TrackerKind::Mint);
-        for p in AttackFuzzer::seed_patterns(&cfg) {
-            assert_eq!(
-                AttackFuzzer::evaluate(&cfg, &p),
-                AttackFuzzer::evaluate_ref(&cfg, &p),
-                "arena and map evaluation paths diverged"
-            );
-        }
-    }
-
-    #[test]
     fn lane_evaluator_matches_serial_at_any_lane_count() {
         let cfg = tiny_cfg(TrackerKind::Mint);
         let batch = AttackFuzzer::seed_patterns(&cfg);
@@ -698,15 +627,16 @@ mod tests {
             .map(|p| AttackFuzzer::evaluate(&cfg, p))
             .collect();
         for lanes in [1, 3, 16] {
-            let mut ev = LaneEvaluator::new(cfg.clone(), lanes);
-            assert_eq!(
-                ev.evaluate_batch(&batch),
-                serial,
-                "{lanes}-lane evaluation diverged from serial"
-            );
-            // Reuse: a second pass over the same evaluator must be identical
-            // too (reset scrubs all lane state).
-            assert_eq!(ev.evaluate_batch(&batch), serial, "lane reuse diverged");
+            let pool = EvaluatorPool::new(cfg.clone(), lanes);
+            // Two passes: the second reuses pooled evaluators (reset scrubs
+            // all sim state between candidates).
+            for _ in 0..2 {
+                let chunked: Vec<CandidateResult> = batch
+                    .chunks(pool.lanes())
+                    .flat_map(|chunk| pool.evaluate(chunk))
+                    .collect();
+                assert_eq!(chunked, serial, "{lanes}-wide chunks diverged from serial");
+            }
         }
     }
 

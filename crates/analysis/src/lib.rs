@@ -11,10 +11,12 @@
 //!   analysis of Fig 16.
 //! * [`montecarlo`] — drives the *real* tracker + mitigation implementations
 //!   with adversarial activation patterns and measures the worst-case
-//!   unmitigated disturbance, validating the closed forms.
-//! * [`damage`] — damage-map backends for the harness: the dense paged
-//!   epoch-cleared [`DamageArena`] fast path and the legacy hash-map
-//!   reference, pinned against each other by a differential oracle.
+//!   unmitigated disturbance, validating the closed forms. [`AttackSim`]
+//!   runs the DRAM device's own
+//!   [`MitigationEngine`](autorfm_mitigation::MitigationEngine) and
+//!   disturbance rule ([`DamageModel::hammer`](autorfm_mitigation::DamageModel::hammer))
+//!   on a dense [`DamageArena`](autorfm_mitigation::DamageArena); it differs
+//!   from the device only in timing, address mapping and queueing.
 //! * [`evalstore`] — persistence for fuzz campaigns: candidate results as
 //!   sealed `KIND_FUZZ` records in a [`CellStore`](autorfm_snapshot::store::CellStore),
 //!   keyed by `(config, genome)` digests so `attack_fuzz --resume` skips
@@ -42,7 +44,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod damage;
 pub mod evalstore;
 pub mod fractal_model;
 pub mod fuzzer;
@@ -52,7 +53,6 @@ pub mod montecarlo;
 pub mod pattern;
 pub mod perf_model;
 
-pub use damage::{DamageArena, DamageModel, MapDamage};
 pub use evalstore::{archive_digest, config_key, FuzzStore};
 pub use fractal_model::FractalModel;
 pub use fuzzer::{
@@ -60,6 +60,6 @@ pub use fuzzer::{
 };
 pub use history::{TrhEntry, TRH_HISTORY};
 pub use mint_model::MintModel;
-pub use montecarlo::{AttackReport, AttackSim, AttackSimCore, AttackSimRef};
+pub use montecarlo::{AttackReport, AttackSim};
 pub use pattern::{AttackPattern, PatternCursor};
 pub use perf_model::{AutoRfmConflictModel, RfmPerfModel};

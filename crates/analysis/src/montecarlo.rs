@@ -1,12 +1,14 @@
 //! Monte-Carlo attack harness: adversarial patterns against the *real*
 //! tracker + mitigation implementations.
 //!
-//! Timing is abstracted away (the attacker saturates the bank's activation
-//! budget anyway); what matters is the interleaving of activations,
-//! selections, and victim refreshes. Disturbance bookkeeping mirrors
-//! `autorfm_dram::RowhammerAudit`: every activation (demand or refresh-
-//! internal) adds one unit of damage to its immediate neighbors; refreshing or
-//! activating a row restores it.
+//! [`AttackSim`] is the DRAM device's mitigation machinery minus timing,
+//! address mapping and queueing (the attacker saturates the bank's
+//! activation budget anyway): the device's [`MitigationEngine`] decides when
+//! and whom to mitigate, and `RowhammerAudit`'s rule
+//! [`DamageModel::hammer`] scores the damage on a dense epoch-cleared
+//! [`DamageArena`]: every activation (demand or refresh-internal) adds one
+//! unit to its immediate neighbours; refreshing or activating a row
+//! restores it.
 //!
 //! Attack inputs are [`crate::AttackPattern`] genomes (see
 //! [`crate::pattern`]): [`AttackSim::run_pattern`] is the primary entry
@@ -16,16 +18,9 @@
 //! which the worst damage first reached each watched threshold — the
 //! per-candidate sample behind the fuzzer's minimum-activations-to-escape
 //! curves.
-//!
-//! Damage bookkeeping is generic over [`DamageModel`]: [`AttackSim`] runs on
-//! the dense epoch-cleared [`DamageArena`] (the fast path), while
-//! [`AttackSimRef`] keeps the PR-9 `HashMap` backend as the differential
-//! reference. The two are pinned bitwise-identical by the oracle tests in
-//! [`crate::damage`] and the sim-level A/B below.
 
-use crate::damage::{DamageArena, DamageModel, MapDamage};
 use crate::pattern::PatternCursor;
-use autorfm_mitigation::{build_policy, MitigationKind, MitigationPolicy};
+use autorfm_mitigation::{DamageArena, DamageModel, MitigationEngine, MitigationKind};
 use autorfm_sim_core::{ConfigError, DetRng, RowAddr};
 use autorfm_trackers::{build_tracker, Tracker, TrackerKind};
 
@@ -44,16 +39,12 @@ pub struct AttackReport {
     pub victim_refreshes: u64,
 }
 
-/// A single-bank tracker + mitigation stack under attack, generic over the
-/// damage bookkeeping backend.
-pub struct AttackSimCore<D: DamageModel> {
-    tracker: Box<dyn Tracker>,
-    policy: Box<dyn MitigationPolicy>,
-    window: u32,
+/// A single-bank tracker + mitigation stack under attack.
+#[derive(Debug)]
+pub struct AttackSim {
+    engine: MitigationEngine,
+    damage: DamageArena,
     rows_per_bank: u32,
-    rng: DetRng,
-    damage: D,
-    acts_in_window: u32,
     report: AttackReport,
     /// Damage thresholds to watch (ascending) and, for each, the activation
     /// count at which `max_damage` first reached it.
@@ -62,25 +53,7 @@ pub struct AttackSimCore<D: DamageModel> {
     next_watch: usize,
 }
 
-/// The attack sim on the dense paged [`DamageArena`] — the default fast
-/// path every caller gets.
-pub type AttackSim = AttackSimCore<DamageArena>;
-
-/// The attack sim on the legacy `HashMap` backend ([`MapDamage`]): the
-/// pre-arena reference side of the differential tests.
-pub type AttackSimRef = AttackSimCore<MapDamage>;
-
-impl<D: DamageModel> core::fmt::Debug for AttackSimCore<D> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("AttackSim")
-            .field("tracker", &self.tracker.name())
-            .field("policy", &self.policy.name())
-            .field("report", &self.report)
-            .finish()
-    }
-}
-
-impl<D: DamageModel> AttackSimCore<D> {
+impl AttackSim {
     /// Creates the stack.
     ///
     /// # Errors
@@ -93,53 +66,46 @@ impl<D: DamageModel> AttackSimCore<D> {
         rows_per_bank: u32,
         seed: u64,
     ) -> Result<Self, ConfigError> {
-        Ok(Self::with_parts(
-            build_tracker(tracker, window)?,
-            build_policy(policy)?,
-            rows_per_bank,
-            seed,
-        ))
+        Self::with_tracker(build_tracker(tracker, window)?, policy, rows_per_bank, seed)
     }
 
-    /// Creates the stack from pre-built components (the mitigation window
+    /// Creates the stack around a pre-built tracker (the mitigation window
     /// comes from `tracker.window()`). This is the entry point for
     /// non-registry builds — e.g. the attack fuzzer's eager OracleRH, whose
     /// mitigation trigger is tightened below the registry default so the
     /// idealized defender bounds every real tracker's escape curve.
-    pub fn with_parts(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] for an invalid policy or a zero window.
+    pub fn with_tracker(
         tracker: Box<dyn Tracker>,
-        policy: Box<dyn MitigationPolicy>,
+        policy: MitigationKind,
         rows_per_bank: u32,
         seed: u64,
-    ) -> Self {
+    ) -> Result<Self, ConfigError> {
         let window = tracker.window();
-        AttackSimCore {
-            tracker,
-            policy,
-            window,
+        Ok(AttackSim {
+            engine: MitigationEngine::with_tracker(tracker, policy, window, DetRng::seeded(seed))?,
+            damage: DamageArena::with_capacity(rows_per_bank),
             rows_per_bank,
-            rng: DetRng::seeded(seed),
-            damage: D::with_capacity(rows_per_bank),
-            acts_in_window: 0,
             report: AttackReport::default(),
             watch: Vec::new(),
             crossings: Vec::new(),
             next_watch: 0,
-        }
+        })
     }
 
-    /// Resets every transient surface — damage, tracker state, report,
-    /// window phase, watch state — and reseeds the RNG, leaving the sim
-    /// indistinguishable from a freshly built one. This is what lets a
-    /// [`LaneEvaluator`](crate::fuzzer::LaneEvaluator) lane amortize
+    /// Resets every transient surface — damage, engine state, report, watch
+    /// state — and reseeds the RNG, leaving the sim indistinguishable from a
+    /// freshly built one. This is what lets a
+    /// [`LaneEvaluator`](crate::fuzzer::LaneEvaluator) amortize
     /// tracker/policy construction across thousands of fuzzer candidates;
     /// the purity pin in `crates/analysis/tests` compares reset-reuse
     /// against fresh builds for every registered tracker.
     pub fn reset(&mut self, seed: u64) {
-        self.rng = DetRng::seeded(seed);
+        self.engine.reset(DetRng::seeded(seed));
         self.damage.clear();
-        self.tracker.reset();
-        self.acts_in_window = 0;
         self.report = AttackReport::default();
         self.watch.clear();
         self.crossings.clear();
@@ -179,14 +145,13 @@ impl<D: DamageModel> AttackSimCore<D> {
         }
     }
 
-    fn disturb_neighbors(&mut self, row: RowAddr) {
-        for delta in [-1i32, 1] {
-            if let Some(n) = row.neighbor(delta, self.rows_per_bank) {
-                let d = self.damage.disturb(n.0);
-                if d > self.report.max_damage {
-                    self.report.max_damage = d;
-                    self.note_damage(d);
-                }
+    /// Applies the disturbance rule to one activation of `row`.
+    #[inline]
+    fn hammer(&mut self, row: RowAddr) {
+        if let Some((_, d)) = self.damage.hammer(row, self.rows_per_bank) {
+            if d > self.report.max_damage {
+                self.report.max_damage = d;
+                self.note_damage(d);
             }
         }
     }
@@ -195,47 +160,30 @@ impl<D: DamageModel> AttackSimCore<D> {
     /// window completes (the attacker gets no say in mitigation timing).
     pub fn activate(&mut self, row: RowAddr) {
         self.report.activations += 1;
-        self.damage.restore(row.0);
-        self.disturb_neighbors(row);
-        self.tracker.on_activation(row, &mut self.rng);
-        self.acts_in_window += 1;
-        if self.acts_in_window >= self.window {
-            self.acts_in_window = 0;
+        self.hammer(row);
+        if self.engine.on_act(row) {
             self.mitigate();
         }
     }
 
+    /// Executes the engine's pending mitigation. Every victim refresh
+    /// restores the victim and, being an internal activation, disturbs the
+    /// victim's own neighbours (transitive mechanism).
+    #[inline(never)]
     fn mitigate(&mut self) {
-        let Some(target) = self.tracker.select_for_mitigation(&mut self.rng) else {
+        let Some(m) = self.engine.execute_pending(self.rows_per_bank) else {
             return;
         };
         self.report.mitigations += 1;
-        let victims = self
-            .policy
-            .victims(target, self.rows_per_bank, &mut self.rng);
-        for v in &victims {
+        for v in &m.victims {
             self.report.victim_refreshes += 1;
-            // The refresh restores the victim and, being an internal
-            // activation, disturbs the victim's own neighbors (transitive
-            // mechanism).
-            self.damage.restore(v.row.0);
-            self.disturb_neighbors(v.row);
-        }
-        if self.policy.wants_recursion() {
-            for v in &victims {
-                self.tracker.on_victim_refresh(
-                    v.row,
-                    target.level.saturating_add(1),
-                    &mut self.rng,
-                );
-            }
+            self.hammer(v.row);
         }
     }
 
     /// Advances the sim by the next `n` activations of `cursor` and returns
     /// the report so far. The cursor keeps its position, so driving one
-    /// cursor in chunks (as the fuzzer's lockstep lanes do) replays exactly
-    /// the sequence of a single call.
+    /// cursor in chunks replays exactly the sequence of a single call.
     pub fn run_pattern(&mut self, cursor: &mut PatternCursor, n: u64) -> AttackReport {
         for _ in 0..n {
             let row = cursor.next_row();
@@ -272,40 +220,6 @@ mod tests {
     ) -> AttackReport {
         let mut sim = AttackSim::new(tracker, policy, window, ROWS, seed).unwrap();
         sim.run_pattern(&mut PatternCursor::new(pattern.clone()), n)
-    }
-
-    /// Sim-level differential pin: the dense arena and the legacy map
-    /// backends drive every shape to identical reports, crossings, and
-    /// per-row damage — across trackers with very different mitigation
-    /// behavior (randomized MINT, deterministic TRR).
-    #[test]
-    fn arena_and_map_sims_agree() {
-        let shapes = [
-            AttackPattern::circular(RowAddr(5000), 4),
-            AttackPattern::half_double(RowAddr(8000), 2),
-            AttackPattern::decoy(RowAddr(3000), 3),
-        ];
-        for tracker in [TrackerKind::Mint, TrackerKind::NaiveTrr] {
-            for shape in &shapes {
-                let mut arena =
-                    AttackSim::new(tracker, MitigationKind::Fractal, 4, ROWS, 21).unwrap();
-                let mut map =
-                    AttackSimRef::new(tracker, MitigationKind::Fractal, 4, ROWS, 21).unwrap();
-                arena.watch_thresholds(&[8, 32, 128]);
-                map.watch_thresholds(&[8, 32, 128]);
-                let ra = arena.run_pattern(&mut PatternCursor::new(shape.clone()), 40_000);
-                let rm = map.run_pattern(&mut PatternCursor::new(shape.clone()), 40_000);
-                assert_eq!(ra, rm, "{tracker:?} {shape:?} reports diverged");
-                assert_eq!(arena.crossings(), map.crossings());
-                for row in 0..ROWS.min(12_000) {
-                    assert_eq!(
-                        arena.damage_of(RowAddr(row)),
-                        map.damage_of(RowAddr(row)),
-                        "{tracker:?} {shape:?} damage diverged at row {row}"
-                    );
-                }
-            }
-        }
     }
 
     /// `reset` leaves a used sim indistinguishable from a fresh build: same

@@ -86,7 +86,7 @@ proptest! {
 
 /// Every named shape drives `AttackSim` to one bitwise-identical report
 /// however its cursor is consumed: a single `run_pattern` call, uneven
-/// chunks over one cursor (the lockstep lanes' pattern), or a manual
+/// chunks over one cursor, or a manual
 /// `activate(row_at(i))` loop.
 #[test]
 fn cursor_replay_is_chunking_invariant() {
@@ -221,10 +221,9 @@ fn archive_dedups_resubmitted_genomes_exactly_once() {
     assert_eq!(rerun.archive_len as u64, rerun.evaluated);
 }
 
-/// Lane purity across the whole tracker zoo: for **every** registered
-/// tracker, a lockstep [`LaneEvaluator`] at several lane widths — including
-/// reuse of the same evaluator across batches — matches the serial
-/// per-candidate evaluator bitwise.
+/// Evaluator purity across the whole tracker zoo: for **every** registered
+/// tracker, a reused [`LaneEvaluator`] — one sim reset per candidate, across
+/// batches — matches the serial per-candidate evaluator bitwise.
 #[test]
 fn lane_evaluator_pure_for_every_tracker() {
     for kind in TrackerKind::ALL {
@@ -240,26 +239,24 @@ fn lane_evaluator_pure_for_every_tracker() {
             .iter()
             .map(|p| AttackFuzzer::evaluate(&cfg, p))
             .collect();
-        for lanes in [1, 3, 8] {
-            let mut ev = LaneEvaluator::new(cfg.clone(), lanes);
-            assert_eq!(
-                ev.evaluate_batch(&batch),
-                serial,
-                "{kind}: {lanes}-lane evaluator diverged from serial"
-            );
-            // Reuse after a full batch must not leak state into the next.
-            assert_eq!(
-                ev.evaluate_batch(&batch),
-                serial,
-                "{kind}: reused {lanes}-lane evaluator diverged"
-            );
-        }
+        let mut ev = LaneEvaluator::new(cfg.clone());
+        assert_eq!(
+            ev.evaluate_batch(&batch),
+            serial,
+            "{kind}: evaluator diverged from serial"
+        );
+        // Reuse after a full batch must not leak state into the next.
+        assert_eq!(
+            ev.evaluate_batch(&batch),
+            serial,
+            "{kind}: reused evaluator diverged"
+        );
     }
 }
 
 /// The full fuzz campaign produces one archive digest no matter how the
-/// evaluation is executed: serial reference sims, lockstep lanes at any
-/// width, pooled lanes under a threaded driver, or replayed from a
+/// evaluation is executed: a fresh sim per candidate, pooled evaluators
+/// over chunks of any width, a threaded driver, or replayed from a
 /// populated [`FuzzStore`] with zero fresh simulations.
 #[test]
 fn archive_digest_identical_across_lanes_threads_and_store_replay() {
@@ -271,20 +268,25 @@ fn archive_digest_identical_across_lanes_threads_and_store_replay() {
         (fuzzer.archive_digest(), outcome)
     };
 
-    // Reference: the legacy serial path (hash-map damage model).
+    // Reference: a freshly built sim per candidate.
     let (want, want_outcome) = digest_of(&|batch| {
         batch
             .iter()
-            .map(|p| AttackFuzzer::evaluate_ref(&cfg, p))
+            .map(|p| AttackFuzzer::evaluate(&cfg, p))
             .collect()
     });
 
-    // Lockstep lanes at several widths.
+    // Pooled evaluators over chunks of several widths.
     for lanes in [1, 4, 16] {
         let pool = EvaluatorPool::new(cfg.clone(), lanes);
-        let (got, outcome) = digest_of(&|batch| pool.evaluate(batch));
-        assert_eq!(got, want, "{lanes}-lane archive digest diverged");
-        assert_eq!(outcome, want_outcome, "{lanes}-lane outcome diverged");
+        let (got, outcome) = digest_of(&|batch| {
+            batch
+                .chunks(pool.lanes())
+                .flat_map(|chunk| pool.evaluate(chunk))
+                .collect()
+        });
+        assert_eq!(got, want, "{lanes}-wide archive digest diverged");
+        assert_eq!(outcome, want_outcome, "{lanes}-wide outcome diverged");
     }
 
     // Pooled lanes under a 3-thread driver, persisting into a store...

@@ -1,17 +1,16 @@
 //! Attack-pattern fuzzer sweep: per-tracker minimum-activations-to-escape
 //! curves for **every** registered tracker, with the OracleRH
-//! strictly-hardest gate, lockstep lane evaluation, and an optional
-//! persistent evaluation store.
+//! strictly-hardest gate, pooled evaluators, and an optional persistent
+//! evaluation store.
 //!
 //! For each `autorfm::trackers::names()` entry this runs one
 //! [`AttackFuzzer`] campaign (mutation + simulated annealing over the
 //! [`AttackPattern`] genome space). Candidate evaluation fans out with
-//! `par_map` over lane-sized chunks, each chunk running through a pooled
-//! [`LaneEvaluator`]: persistent sims are reset per candidate instead of
-//! rebuilt, and `--lanes` genomes advance in lockstep through one batched
-//! dispatcher. Because each candidate's simulation seed is derived from its
-//! genome digest, the sweep is bit-reproducible at any `--jobs` and any
-//! `--lanes`.
+//! `par_map` over chunks of `LANES` (8) genomes, each chunk running through a
+//! pooled [`LaneEvaluator`](autorfm::analysis::LaneEvaluator), whose one
+//! persistent sim is reset per candidate instead of rebuilt. Because each
+//! candidate's simulation seed is derived from its genome digest, the sweep
+//! is bit-reproducible at any `--jobs`.
 //!
 //! With `--store DIR`, every evaluation is also persisted as a sealed
 //! `KIND_FUZZ` record in the shared cell store, keyed by
@@ -33,13 +32,13 @@
 //! below the budget must be crossed within a small multiple of `E`, and
 //! thresholds with `E` far above `budget × archive` must never be crossed.
 //!
-//! The last stdout line is a JSON record `{pr, patterns_per_sec, lanes,
+//! The last stdout line is a JSON record `{patterns_per_sec,
 //! sim_evaluated, store_hits, archive_digest, trackers, thresholds, curves,
 //! hardness, oracle_escape_margin, fuzzer_beats_fixed}`; `scripts/verify.sh`
 //! reads it to check that `--resume` re-simulates nothing.
 //!
 //! Usage: `attack_fuzz [--tracker NAME] [--jobs N] [--seed N]
-//! [--activations N] [--generations N] [--population N] [--lanes N]
+//! [--activations N] [--generations N] [--population N]
 //! [--store DIR] [--resume] [--full]`
 //! (unknown flags are rejected; harness env knobs like `AUTORFM_JOBS`
 //! still apply underneath).
@@ -60,6 +59,8 @@ const BAND_SLACK: f64 = 16.0;
 /// A threshold is "must never cross" when `E` exceeds the total simulated
 /// activations (`budget × archive`) by this factor.
 const UNREACHABLE_MARGIN: f64 = 64.0;
+/// Genomes per evaluation chunk handed to one pooled evaluator.
+const LANES: usize = 8;
 
 struct FuzzArgs {
     tracker: Option<TrackerKind>,
@@ -68,7 +69,6 @@ struct FuzzArgs {
     activations: u64,
     generations: u32,
     population: u32,
-    lanes: usize,
     store: Option<PathBuf>,
     resume: bool,
 }
@@ -82,13 +82,12 @@ fn parse_args() -> FuzzArgs {
         activations: 30_000,
         generations: 6,
         population: 24,
-        lanes: 8,
         store: None,
         resume: false,
     };
     let usage = "usage: attack_fuzz [--tracker NAME] [--jobs N] [--seed N] \
                  [--activations N] [--generations N] [--population N] \
-                 [--lanes N] [--store DIR] [--resume] [--full]";
+                 [--store DIR] [--resume] [--full]";
     let mut args = std::env::args().skip(1);
     let next_val = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next()
@@ -125,12 +124,6 @@ fn parse_args() -> FuzzArgs {
                     .parse()
                     .expect("--population needs an integer");
             }
-            "--lanes" => {
-                out.lanes = next_val(&mut args, "--lanes")
-                    .parse()
-                    .expect("--lanes needs an integer");
-                assert!(out.lanes >= 1, "--lanes must be at least 1");
-            }
             "--store" => {
                 out.store = Some(PathBuf::from(next_val(&mut args, "--store")));
             }
@@ -151,8 +144,8 @@ fn parse_args() -> FuzzArgs {
 }
 
 /// Store-aware batched evaluator: answers stored genomes from `store`,
-/// simulates the misses through pooled lane evaluators (`jobs`-way over
-/// lane-sized chunks), persists fresh results, and returns everything in
+/// simulates the misses through pooled evaluators (`jobs`-way over
+/// `LANES`-sized chunks), persists fresh results, and returns everything in
 /// batch order.
 fn evaluate_batch(
     pool: &EvaluatorPool,
@@ -273,7 +266,7 @@ fn main() {
             .store
             .as_deref()
             .map(|root| FuzzStore::open(root, &cfg).expect("cannot open fuzz store"));
-        let pool = EvaluatorPool::new(cfg.clone(), args.lanes);
+        let pool = EvaluatorPool::new(cfg.clone(), LANES);
         let jobs = args.jobs;
         let outcome = fuzzer.run(|batch: &[AttackPattern]| {
             evaluate_batch(
@@ -441,9 +434,7 @@ fn main() {
             .collect(),
     );
     let record = Json::obj(vec![
-        ("pr", Json::Num(10.0)),
         ("patterns_per_sec", Json::Num(patterns_per_sec)),
-        ("lanes", Json::Num(args.lanes as f64)),
         ("sim_evaluated", Json::Num(simulated as f64)),
         ("store_hits", Json::Num(hits as f64)),
         (

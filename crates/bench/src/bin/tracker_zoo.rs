@@ -12,9 +12,8 @@
 //! tracker beats it (that would mean either the oracle regressed or a
 //! tracker stopped paying for its mitigations).
 //!
-//! The last stdout line is a JSON record `{pr, trackers, slowdowns,
-//! oracle_gap_geomean}` that `scripts/verify.sh` distills into
-//! `BENCH_8.json`.
+//! The last stdout line is a JSON record `{trackers, slowdowns,
+//! oracle_gap_geomean}`.
 
 use autorfm::experiments::Scenario;
 use autorfm::telemetry::Json;
@@ -113,7 +112,6 @@ fn main() {
             .collect(),
     );
     let record = Json::obj(vec![
-        ("pr", Json::Num(8.0)),
         (
             "trackers",
             Json::Arr(

@@ -12,15 +12,18 @@
 //! (`2 × TRH-D` units of combined neighbor activity ≈ `T`, the single-sided
 //! equivalent of Appendix A).
 
+use autorfm_mitigation::{DamageModel, MapDamage};
 use autorfm_sim_core::{BankId, RowAddr};
 use autorfm_snapshot::{Reader, SnapError, Snapshot, Writer};
-use std::collections::HashMap;
 
 /// Per-bank Rowhammer damage tracker (simulation oracle, not hardware).
+///
+/// Each bank's damage lives in a sparse [`MapDamage`]: a device has 64 banks
+/// of 128K rows, and an attack touches only a handful of them.
 #[derive(Debug, Clone)]
 pub struct RowhammerAudit {
-    /// damage[bank][row] = neighbor activations since last charge restore.
-    damage: Vec<HashMap<u32, u64>>,
+    /// damage[bank] = per-row neighbor activations since last charge restore.
+    damage: Vec<MapDamage>,
     rows_per_bank: u32,
     max_damage: u64,
     /// Row that experienced the maximum damage (for diagnostics).
@@ -31,7 +34,7 @@ impl RowhammerAudit {
     /// Creates an audit for `num_banks` banks of `rows_per_bank` rows.
     pub fn new(num_banks: u16, rows_per_bank: u32) -> Self {
         RowhammerAudit {
-            damage: vec![HashMap::new(); num_banks as usize],
+            damage: vec![MapDamage::default(); num_banks as usize],
             rows_per_bank,
             max_damage: 0,
             max_row: None,
@@ -41,17 +44,11 @@ impl RowhammerAudit {
     /// Records an activation of `row`: both immediate neighbors take one unit
     /// of damage; the activated row's own charge is restored.
     pub fn on_act(&mut self, bank: BankId, row: RowAddr) {
-        let map = &mut self.damage[bank.0 as usize];
-        // An ACT restores the activated row itself.
-        map.remove(&row.0);
-        for delta in [-1i32, 1] {
-            if let Some(n) = row.neighbor(delta, self.rows_per_bank) {
-                let d = map.entry(n.0).or_insert(0);
-                *d += 1;
-                if *d > self.max_damage {
-                    self.max_damage = *d;
-                    self.max_row = Some((bank, n));
-                }
+        let hit = self.damage[bank.0 as usize].hammer(row, self.rows_per_bank);
+        if let Some((n, d)) = hit {
+            if d > self.max_damage {
+                self.max_damage = d;
+                self.max_row = Some((bank, n));
             }
         }
     }
@@ -61,18 +58,7 @@ impl RowhammerAudit {
     /// of disturbance. This is exactly the transitive (Half-Double) mechanism
     /// of Section V-A.
     pub fn on_victim_refresh(&mut self, bank: BankId, row: RowAddr) {
-        let map = &mut self.damage[bank.0 as usize];
-        map.remove(&row.0);
-        for delta in [-1i32, 1] {
-            if let Some(n) = row.neighbor(delta, self.rows_per_bank) {
-                let d = map.entry(n.0).or_insert(0);
-                *d += 1;
-                if *d > self.max_damage {
-                    self.max_damage = *d;
-                    self.max_row = Some((bank, n));
-                }
-            }
-        }
+        self.on_act(bank, row);
     }
 
     /// Records a full refresh of the bank (REF restores every row it covers;
@@ -86,10 +72,7 @@ impl RowhammerAudit {
 
     /// Current damage of a row.
     pub fn damage_of(&self, bank: BankId, row: RowAddr) -> u64 {
-        self.damage[bank.0 as usize]
-            .get(&row.0)
-            .copied()
-            .unwrap_or(0)
+        self.damage[bank.0 as usize].get(row.0)
     }
 
     /// The maximum damage any row has ever accumulated (the attack's best
@@ -105,16 +88,7 @@ impl RowhammerAudit {
 
     /// Serializes the damage maps (sorted by row for stable bytes).
     pub fn save_state(&self, w: &mut Writer) {
-        w.put_usize(self.damage.len());
-        for map in &self.damage {
-            let mut keys: Vec<u32> = map.keys().copied().collect();
-            keys.sort_unstable();
-            w.put_usize(keys.len());
-            for k in keys {
-                w.put_u32(k);
-                w.put_u64(map[&k]);
-            }
-        }
+        self.damage.encode(w);
         w.put_u64(self.max_damage);
         self.max_row.encode(w);
     }
@@ -126,19 +100,11 @@ impl RowhammerAudit {
     /// Returns [`SnapError`] if the bank count differs from this audit's
     /// configuration or the input is malformed.
     pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        let banks = r.take_usize()?;
-        if banks != self.damage.len() {
+        let damage = Vec::<MapDamage>::decode(r)?;
+        if damage.len() != self.damage.len() {
             return Err(SnapError::corrupt("audit bank count mismatch"));
         }
-        for map in &mut self.damage {
-            let n = r.take_usize()?;
-            map.clear();
-            for _ in 0..n {
-                let k = r.take_u32()?;
-                let v = r.take_u64()?;
-                map.insert(k, v);
-            }
-        }
+        self.damage = damage;
         self.max_damage = r.take_u64()?;
         self.max_row = Option::decode(r)?;
         Ok(())
@@ -201,6 +167,37 @@ mod tests {
         assert_eq!(a.damage_of(BankId(0), RowAddr(1)), 1);
         a.on_act(BankId(0), RowAddr(15));
         assert_eq!(a.damage_of(BankId(0), RowAddr(14)), 1);
+    }
+
+    /// Pins the snapshot bytes of a fixed two-bank act/refresh sequence.
+    #[test]
+    fn save_state_format_is_pinned() {
+        let mut a = RowhammerAudit::new(2, 1024);
+        for i in 0..60u32 {
+            a.on_act(BankId((i % 2) as u16), RowAddr(100 + i % 5));
+            if i % 7 == 0 {
+                a.on_victim_refresh(BankId(1), RowAddr(101 + i % 3));
+            }
+        }
+        a.on_act(BankId(0), RowAddr(0));
+        a.on_act(BankId(1), RowAddr(1023));
+        let mut w = Writer::new();
+        a.save_state(&mut w);
+        assert_eq!(autorfm_snapshot::digest64(w.bytes()), 0xa214_6950_d111_068e);
+        let mut b = RowhammerAudit::new(2, 1024);
+        b.load_state(&mut Reader::new(w.bytes())).unwrap();
+        let mut again = Writer::new();
+        b.save_state(&mut again);
+        assert_eq!(again.bytes(), w.bytes());
+    }
+
+    #[test]
+    fn damage_map_count_beyond_data_is_rejected() {
+        let mut w = Writer::new();
+        w.put_usize(1 << 40);
+        w.put_u32(7);
+        w.put_u64(3);
+        assert!(MapDamage::decode(&mut Reader::new(w.bytes())).is_err());
     }
 
     #[test]

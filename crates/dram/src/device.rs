@@ -3,11 +3,10 @@
 use crate::audit::RowhammerAudit;
 use crate::bank::BankArray;
 use crate::config::{DeviceMitigation, DramConfig, RefreshPolicy};
-use crate::engine::MitigationEngine;
 use crate::prac::PracState;
 use crate::stats::DramStats;
 use crate::trace::{CommandKind, CommandTrace};
-use autorfm_mitigation::MitigationKind;
+use autorfm_mitigation::{ExecutedMitigation, MitigationEngine, MitigationKind};
 use autorfm_sim_core::{BankId, ConfigError, Cycle, DetRng, RowAddr, SubarrayId};
 use autorfm_snapshot::{Reader, SnapError, Snapshot, Writer};
 use autorfm_trackers::{build_bank_trackers, TrackerKind};
@@ -484,7 +483,7 @@ impl DramDevice {
         }
     }
 
-    fn record_mitigation(&mut self, bank: BankId, m: &crate::engine::ExecutedMitigation) {
+    fn record_mitigation(&mut self, bank: BankId, m: &ExecutedMitigation) {
         self.stats.mitigations.inc();
         self.stats.mitigation_levels.record(m.target.level as u64);
         self.stats.victim_refreshes.add(m.victims.len() as u64);

@@ -9,9 +9,11 @@
 //! (tRRD / tFAW), self-schedules REF every tREFI, and hosts the in-DRAM
 //! Rowhammer machinery:
 //!
-//! * [`engine::MitigationEngine`] — the per-bank tracker + victim-refresh
-//!   policy. In **AutoRFM** mode the engine transparently starts a mitigation on
-//!   the first precharge after every `AutoRFMTH` activations, marking one
+//! * [`MitigationEngine`](autorfm_mitigation::MitigationEngine) — the
+//!   per-bank tracker + victim-refresh policy, shared with the tracker-only
+//!   attack simulator in `autorfm-analysis`. In **AutoRFM** mode the device
+//!   transparently starts the engine's pending mitigation on the first
+//!   precharge after every `AutoRFMTH` activations, marking one
 //!   *Subarray Under Mitigation (SAUM)*; an ACT that maps to the SAUM is
 //!   declined with an ALERT and can be retried after `t_M` (Section IV). In
 //!   **RFM** mode the mitigation runs only when the controller issues an
@@ -21,7 +23,10 @@
 //! * [`audit::RowhammerAudit`] — an optional oracle that tracks the disturbance
 //!   ("damage") every row has accumulated since its last refresh, used by the
 //!   security test-suite to check that no row ever exceeds the tolerated
-//!   threshold under attack patterns.
+//!   threshold under attack patterns. It applies the attack simulator's
+//!   disturbance rule,
+//!   [`DamageModel::hammer`](autorfm_mitigation::DamageModel::hammer), on
+//!   one sparse [`MapDamage`](autorfm_mitigation::MapDamage) per bank.
 //!
 //! # Examples
 //!
@@ -48,7 +53,6 @@ pub mod audit;
 pub mod bank;
 pub mod config;
 pub mod device;
-pub mod engine;
 pub mod prac;
 pub mod stats;
 pub mod trace;

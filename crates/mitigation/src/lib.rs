@@ -22,6 +22,11 @@
 //!   neighbor refresh probability `2^(1-d)`. Exactly four victim refreshes per
 //!   mitigation, single round, deterministic 4·tRC latency.
 //!
+//! The DRAM device and the tracker-only attack simulator share the
+//! per-bank [`MitigationEngine`] (observe ACTs, select at every window end,
+//! refresh victims, feed recursion back) and the [`damage`] rule
+//! [`DamageModel::hammer`], so the paper's mechanism exists once.
+//!
 //! Policies are registered in the [`registry`] plugin table (mirroring the
 //! tracker registry in `autorfm_trackers`): [`MitigationKind`], [`names`],
 //! `FromStr`/`Display`, [`build_policy`], and the campaign service's
@@ -46,11 +51,15 @@
 #![forbid(unsafe_code)]
 
 pub mod blast;
+pub mod damage;
+pub mod engine;
 pub mod fractal;
 pub mod policy;
 pub mod registry;
 
 pub use blast::{BlastRadiusPolicy, RecursivePolicy};
+pub use damage::{DamageArena, DamageModel, MapDamage};
+pub use engine::{ExecutedMitigation, MitigationEngine, PendingMitigation};
 pub use fractal::FractalPolicy;
 pub use policy::{MitigationPolicy, VictimRefresh};
 pub use registry::{

@@ -73,6 +73,9 @@ pub mod tracker;
 pub mod trr;
 
 pub use abacus::Abacus;
+/// The snapshot codec [`Tracker::save_state`] speaks, re-exported so crates
+/// layered on the trackers persist their own state with the same types.
+pub use autorfm_snapshot::{Reader, SnapError, Snapshot, Writer};
 pub use dsac::Dsac;
 pub use graphene::Graphene;
 pub use hydra::HydraStyle;

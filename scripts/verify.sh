@@ -22,6 +22,12 @@ cargo build --release --workspace
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== perfbench builds against the workspace, lockfile untouched =="
+# perfbench (the repository benchmark) is a separate package with its own
+# committed Cargo.lock: a workspace change that breaks its imports, or that
+# would rewrite that lockfile, fails here.
+cargo test --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== snapshot golden digest gate =="
 # The pinned 64-bit digest of a mid-run system snapshot: catches both
 # behavioural drift and silent changes to the snapshot encoding.
@@ -75,8 +81,8 @@ echo "== attack fuzzer smoke (escape curves + OracleRH strictly-hardest gate) ==
 # the lowest watched threshold (nonzero curve coverage) AND the MINT/PrIDE
 # curves sit inside the closed-form run-of-successes expectation band.
 # Per-candidate seeds derive from genome digests, so the sweep is
-# bit-identical at any --jobs and any --lanes. Evaluations persist into a
-# scratch store for the resume smoke below.
+# bit-identical at any --jobs. Evaluations persist into a scratch store for
+# the resume smoke below.
 FUZZ_STORE="$(mktemp -d)"
 CAMPAIGND_PID=""
 # On any exit, stop the campaign daemon (if a failing step left it running)

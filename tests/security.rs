@@ -1,12 +1,14 @@
 //! Security integration tests: attack patterns driven through the *full*
 //! simulated machine (controller + device + audit oracle), not just the
-//! tracker harness.
+//! tracker harness — plus the cross-layer pin that the tracker harness is
+//! the device's mitigation machinery minus timing.
 
-use autorfm::analysis::AttackPattern;
-use autorfm::dram::{ActOutcome, DeviceMitigation, DramConfig, DramDevice};
-use autorfm::mitigation::MitigationKind;
-use autorfm::sim_core::{BankId, Cycle, Geometry, RowAddr};
+use autorfm::analysis::{AttackPattern, AttackSim, PatternCursor};
+use autorfm::dram::{ActOutcome, DeviceMitigation, DramConfig, DramDevice, RowhammerAudit};
+use autorfm::mitigation::{MitigationEngine, MitigationKind};
+use autorfm::sim_core::{BankId, Cycle, DetRng, Geometry, RowAddr};
 use autorfm::trackers::TrackerKind;
+use std::collections::BTreeSet;
 
 /// Hammers one bank of a full device with `pattern` for `acts` activations,
 /// returning the worst damage the audit observed.
@@ -173,4 +175,53 @@ fn attacker_cannot_stall_forever_on_alerts() {
         dev.stats().alerts.get() > 0,
         "the pattern should have conflicted at least once"
     );
+}
+
+/// The tracker-only `AttackSim` agrees with a hand-driven device bank — its
+/// `MitigationEngine` plus the `RowhammerAudit`, mitigating as soon as each
+/// window completes — for every registered tracker and shape: worst damage,
+/// mitigation and victim-refresh counts, and per-row damage where it reached.
+#[test]
+fn attack_sim_matches_device_engine_and_audit() {
+    const ROWS: u32 = 131_072;
+    const ACTS: u64 = 20_000;
+    let (fractal, bank) = (MitigationKind::Fractal, BankId(0));
+    let shapes = [
+        AttackPattern::circular(RowAddr(5000), 4),
+        AttackPattern::half_double(RowAddr(8000), 2),
+        AttackPattern::decoy(RowAddr(3000), 3),
+    ];
+    for kind in TrackerKind::ALL {
+        for (seed, shape) in (21u64..).zip(&shapes) {
+            let mut engine = MitigationEngine::new(kind, fractal, 4, DetRng::seeded(seed)).unwrap();
+            let mut audit = RowhammerAudit::new(1, ROWS);
+            let (mut mitigations, mut refreshes, mut touched) = (0, 0, BTreeSet::new());
+            for row in (0..ACTS).map(|step| shape.row_at(step)) {
+                touched.insert(row.0);
+                audit.on_act(bank, row);
+                let executed = engine.on_act(row).then(|| engine.execute_pending(ROWS));
+                if let Some(m) = executed.flatten() {
+                    mitigations += 1;
+                    for v in &m.victims {
+                        refreshes += 1;
+                        touched.insert(v.row.0);
+                        audit.on_victim_refresh(bank, v.row);
+                    }
+                }
+            }
+            let mut sim = AttackSim::new(kind, fractal, 4, ROWS, seed).unwrap();
+            let report = sim.run_pattern(&mut PatternCursor::new(shape.clone()), ACTS);
+            let ctx = format!("{kind} {shape:?}");
+            assert_eq!(report.max_damage, audit.max_damage(), "{ctx}: max damage");
+            assert_eq!(report.mitigations, mitigations, "{ctx}: mitigations");
+            assert_eq!(report.victim_refreshes, refreshes, "{ctx}: refreshes");
+            for r in touched
+                .iter()
+                .flat_map(|&r| [r.saturating_sub(1), r, r + 1])
+            {
+                let want = audit.damage_of(bank, RowAddr(r));
+                assert_eq!(sim.damage_of(RowAddr(r)), want, "{ctx}: row {r}");
+            }
+        }
+    }
 }
