@@ -40,7 +40,7 @@ fn main() {
         "Ablations: retry policy, tRFM, RAA credit, minimal-pair mitigation",
         &opts,
     );
-    let cache = ResultCache::new();
+    let cache = ResultCache::new(&opts);
     let baselines: Vec<SimJob> = opts.workloads.iter().map(|&s| (s, BASELINE_ZEN)).collect();
     cache.prefetch(&baselines, &opts);
     let instr = opts.instructions;

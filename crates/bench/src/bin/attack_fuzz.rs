@@ -40,8 +40,8 @@
 //! Usage: `attack_fuzz [--tracker NAME] [--jobs N] [--seed N]
 //! [--activations N] [--generations N] [--population N]
 //! [--store DIR] [--resume] [--full]`
-//! (unknown flags are rejected; harness env knobs like `AUTORFM_JOBS`
-//! still apply underneath).
+//! (unknown flags are rejected; `--jobs` defaults to the host's available
+//! parallelism).
 
 use autorfm::analysis::{
     AttackFuzzer, AttackPattern, CandidateResult, EvaluatorPool, FuzzConfig, FuzzStore, MintModel,
@@ -49,7 +49,7 @@ use autorfm::analysis::{
 use autorfm::snapshot::{digest64, Writer};
 use autorfm::telemetry::Json;
 use autorfm::trackers::TrackerKind;
-use autorfm_bench::{par_map, print_table, Harness, RunOpts};
+use autorfm_bench::{par_map, print_table, RunOpts};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -74,10 +74,9 @@ struct FuzzArgs {
 }
 
 fn parse_args() -> FuzzArgs {
-    let env = RunOpts::from_env();
     let mut out = FuzzArgs {
         tracker: None,
-        jobs: env.jobs,
+        jobs: RunOpts::default().jobs,
         seed: 9,
         activations: 30_000,
         generations: 6,
@@ -237,8 +236,6 @@ fn escape_band_violations(
 
 fn main() {
     let args = parse_args();
-    let opts = RunOpts::from_env();
-    let mut harness = Harness::new(&opts);
     println!("=== Attack fuzzer: min activations to escape, per registered tracker ===\n");
 
     let kinds: Vec<TrackerKind> = match args.tracker {
@@ -396,19 +393,6 @@ fn main() {
          ({strictly_better} strictly better)",
         outcomes.len()
     );
-
-    for (o, h) in outcomes.iter().zip(&hardness) {
-        let tracker = o.tracker.to_string();
-        harness.gauge("fuzz_hardness", &[("tracker", &tracker)], *h as f64);
-        harness.gauge(
-            "fuzz_best_damage",
-            &[("tracker", &tracker)],
-            o.best.score() as f64,
-        );
-    }
-    harness.gauge("fuzz_patterns_per_sec", &[], patterns_per_sec);
-    harness.gauge("fuzz_store_hits", &[], hits as f64);
-    harness.finish();
 
     let curves = Json::Obj(
         outcomes

@@ -22,12 +22,10 @@
 //!   `workloads` — the matching GET endpoints,
 //! * `shutdown` — stop the server.
 
-use autorfm::experiments::Scenario;
 use autorfm::snapshot::{digest64, Snapshot, Writer};
 use autorfm::telemetry::Json;
-use autorfm::workloads::WorkloadSpec;
-use autorfm::{KernelKind, SimConfig, System};
-use autorfm_campaign::http;
+use autorfm::System;
+use autorfm_campaign::{http, CellSpec};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: campaign (--addr HOST:PORT | --store DIR) \
@@ -102,7 +100,8 @@ fn submit_payload(args: &mut impl Iterator<Item = String>) -> Json {
 }
 
 /// `check ID`: re-runs every manifest cell standalone and diffs digests.
-/// Returns the number of bad (mismatched, failed, or unfinished) cells.
+/// Returns the number of bad (mismatched, failed, unfinished, or
+/// malformed) cells.
 fn check(addr: &str, id: &str) -> usize {
     let manifest = get(addr, &format!("/campaigns/{id}/manifest"));
     let cells = manifest
@@ -123,34 +122,27 @@ fn check(addr: &str, id: &str) -> usize {
             bad += 1;
             continue;
         }
-        let (Some(workload), Some(scenario), Some(digest)) = (
-            cell.get("workload").and_then(Json::as_str),
-            cell.get("scenario").and_then(Json::as_str),
-            cell.get("result_digest").and_then(Json::as_str),
-        ) else {
-            eprintln!("check: {label}: manifest row is missing fields");
+        let Some(digest) = cell.get("result_digest").and_then(Json::as_str) else {
+            eprintln!("check: {label}: manifest row has no result digest");
             bad += 1;
             continue;
         };
-        let spec = WorkloadSpec::by_name(workload)
-            .unwrap_or_else(|| panic!("unknown workload {workload}"));
-        let parsed: Scenario = scenario
-            .parse()
-            .unwrap_or_else(|e| panic!("bad scenario {scenario}: {e}"));
-        let cfg = SimConfig::builder(spec)
-            .scenario(parsed)
-            .cores(cell.get("cores").and_then(Json::as_u64).unwrap_or(8) as u8)
-            .instructions(
-                cell.get("instructions")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(100_000),
-            )
-            .seed(cell.get("seed").and_then(Json::as_u64).unwrap_or(42))
-            .build()
-            .unwrap_or_else(|e| panic!("bad cell config for {label}: {e}"));
+        let (key, cfg) = match CellSpec::from_json(cell).and_then(|s| Ok((s.key(), s.config()?))) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                eprintln!("check: {label}: bad manifest row: {e}");
+                bad += 1;
+                continue;
+            }
+        };
+        if cell.get("key").and_then(Json::as_str) != Some(format!("{key:016x}").as_str()) {
+            eprintln!("check: {label}: manifest key does not match the row's fields ({key:016x})");
+            bad += 1;
+            continue;
+        }
         let result = System::new(cfg)
             .unwrap_or_else(|e| panic!("build system for {label}: {e}"))
-            .run_with(KernelKind::from_env());
+            .run();
         let mut w = Writer::new();
         result.encode(&mut w);
         let local = format!("{:#018x}", digest64(w.bytes()));

@@ -11,7 +11,7 @@
 //! * `--port P` — bind port (default `0` = ephemeral),
 //! * `--workers N`, `--batch N` — worker threads and lockstep lanes per
 //!   work unit (defaults from `DaemonConfig::new`),
-//! * `--kernel stepped|event` — simulation kernel (default: environment).
+//! * `--kernel stepped|event` — simulation kernel (default: event).
 //!
 //! On startup the bound address is printed to stdout as
 //! `campaignd listening on ADDR` and written to `DIR/daemon.addr`, which is

@@ -31,7 +31,7 @@ fn main() {
 
     println!("\n(d) RFM slowdown as the tolerated threshold shrinks:");
     let ths = [32u32, 16, 8, 4];
-    let cache = ResultCache::new();
+    let cache = ResultCache::new(&opts);
     let mut matrix: Vec<SimJob> = Vec::new();
     for spec in &opts.workloads {
         matrix.push((spec, BASELINE_ZEN));

@@ -14,7 +14,7 @@ fn main() {
     let mut harness = Harness::new(&opts);
     banner("Figure 8: AutoRFM-4 under Zen vs Rubix mapping", &opts);
 
-    let cache = ResultCache::new();
+    let cache = ResultCache::new(&opts);
     let matrix: Vec<SimJob> = opts
         .workloads
         .iter()

@@ -18,7 +18,7 @@ fn main() {
         ("AutoRFM-4", Scenario::AutoRfm { th: 4 }),
         ("AutoRFM-8", Scenario::AutoRfm { th: 8 }),
     ];
-    let cache = ResultCache::new();
+    let cache = ResultCache::new(&opts);
     let mut matrix: Vec<SimJob> = Vec::new();
     for spec in &opts.workloads {
         matrix.push((spec, BASELINE_ZEN));

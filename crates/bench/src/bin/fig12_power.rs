@@ -20,7 +20,7 @@ fn main() {
         ("AutoRFM-8", Scenario::AutoRfm { th: 8 }),
         ("AutoRFM-4", Scenario::AutoRfm { th: 4 }),
     ];
-    let cache = ResultCache::new();
+    let cache = ResultCache::new(&opts);
     let matrix: Vec<SimJob> = configs
         .iter()
         .flat_map(|&(_, scen)| opts.workloads.iter().map(move |&spec| (spec, scen)))

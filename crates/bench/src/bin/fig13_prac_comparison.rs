@@ -11,7 +11,7 @@ use autorfm_bench::{
 };
 
 const RFM_THS: [u32; 4] = [4, 8, 16, 32];
-const AUTORFM_THS: [u32; 5] = [4, 6, 8, 12, 16];
+const AUTO_RFM_THS: [u32; 5] = [4, 6, 8, 12, 16];
 const PRAC_ABOS: [u32; 3] = [64, 128, 256];
 
 fn avg_slowdown(scen: Scenario, cache: &ResultCache, opts: &RunOpts) -> f64 {
@@ -28,13 +28,13 @@ fn main() {
     let mut harness = Harness::new(&opts);
     banner("Figure 13: PRAC vs RFM vs AutoRFM across thresholds", &opts);
 
-    let cache = ResultCache::new();
+    let cache = ResultCache::new(&opts);
     let mut matrix: Vec<SimJob> = Vec::new();
     for spec in &opts.workloads {
         matrix.push((spec, BASELINE_ZEN));
         matrix.extend(RFM_THS.iter().map(|&th| (*spec, Scenario::Rfm { th })));
         matrix.extend(
-            AUTORFM_THS
+            AUTO_RFM_THS
                 .iter()
                 .map(|&th| (*spec, Scenario::AutoRfm { th })),
         );
@@ -59,7 +59,7 @@ fn main() {
         ]);
     }
     // AutoRFM points (fractal model thresholds).
-    for th in AUTORFM_THS {
+    for th in AUTO_RFM_THS {
         let trhd = MintModel::auto_rfm(th, false).tolerated_trh_d();
         let s = avg_slowdown(Scenario::AutoRfm { th }, &cache, &opts);
         rows.push(vec![

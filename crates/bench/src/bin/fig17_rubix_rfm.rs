@@ -18,7 +18,7 @@ fn main() {
     );
 
     let ths = [4u32, 8, 16, 32];
-    let cache = ResultCache::new();
+    let cache = ResultCache::new(&opts);
     let mut matrix: Vec<SimJob> = Vec::new();
     for spec in &opts.workloads {
         matrix.push((spec, BASELINE_ZEN));

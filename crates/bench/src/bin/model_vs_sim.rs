@@ -18,7 +18,7 @@ fn main() {
         &opts,
     );
 
-    let cache = ResultCache::new();
+    let cache = ResultCache::new(&opts);
     let matrix: Vec<SimJob> = opts
         .workloads
         .iter()

@@ -7,11 +7,13 @@
 //! * `--list` — print the target names and exit,
 //! * `--only <substring>` — run only matching targets (repeatable),
 //! * `--resume` — skip targets whose manifest records a clean exit, and let
-//!   the rest reload completed simulations from the cell store.
+//!   the rest reload completed simulations from the cell store,
+//! * `--store DIR` — the cell store the children share (default
+//!   `results/store`).
 //!
-//! Every child runs with `AUTORFM_STORE` set: the user's store when the
-//! variable is already set, else `results/store`. Children route their
-//! completed simulations through that content-addressed cell store (see
+//! Every simulating child runs with `--store DIR --manifest
+//! results/<target>.json`: the user's store when `--store` is given, else
+//! `results/store`. Children route their completed simulations through that content-addressed cell store (see
 //! `autorfm_snapshot::store`) — one shared, restart-safe result per
 //! `(workload, scenario, cores, instructions, seed)` cell across all targets
 //! and any concurrently running `campaignd` — so a campaign killed mid-flight
@@ -20,21 +22,21 @@
 //! empties the default `results/store` first, so cells computed by an older
 //! build are never reused; a user-set store is never emptied.
 //!
-//! Experiments run as child processes with bounded concurrency: up to
-//! `AUTORFM_PROCS` targets at a time. The default pool size is the host's
-//! available parallelism divided by the per-child `--jobs` thread count
-//! (min 1, capped at 8) — each child already fans its simulations out over
-//! `--jobs` threads, so the pool fills the host without oversubscribing it.
+//! Experiments run as child processes with bounded concurrency. The pool
+//! size is the host's available parallelism divided by the per-child
+//! `--jobs` thread count (min 1, capped at 8) — each child already fans its
+//! simulations out over `--jobs` threads, so the pool fills the host without
+//! oversubscribing it.
 //! Failures still produce a `results/<target>.txt` capturing the partial
 //! stdout, the child's exit code, and a stderr tail.
 
 use autorfm::telemetry::{Json, RunManifest};
-use autorfm_bench::{default_jobs, par_map, RunOpts};
+use autorfm_bench::{par_map, RunOpts};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
-/// The cell store children share when `AUTORFM_STORE` is unset.
+/// The cell store children share when `--store` is not given.
 const DEFAULT_STORE: &str = "results/store";
 
 const TARGETS: &[&str] = &[
@@ -85,24 +87,19 @@ fn stderr_tail(stderr: &[u8], lines: usize) -> String {
 }
 
 /// The per-child worker-thread count the forwarded flags will produce:
-/// `--jobs N` if present, else the harness default (`AUTORFM_JOBS` / host
-/// parallelism).
+/// `--jobs N` if present, else the harness default (host parallelism).
 fn child_jobs(flags: &[String]) -> usize {
     flags
         .iter()
         .position(|f| f == "--jobs")
         .and_then(|i| flags.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
-        .map_or_else(default_jobs, |n| n.max(1))
+        .map_or_else(|| RunOpts::default().jobs, |n| n.max(1))
 }
 
-/// Process-pool size: [`RunOpts::from_env`]'s `AUTORFM_PROCS` if set, else
-/// available parallelism divided by the per-child thread count (min 1,
-/// capped at 8).
+/// Process-pool size: available parallelism divided by the per-child
+/// thread count (min 1, capped at 8).
 fn pool_size(flags: &[String]) -> usize {
-    if let Some(n) = RunOpts::from_env().procs {
-        return n;
-    }
     let host = std::thread::available_parallelism().map_or(1, usize::from);
     (host / child_jobs(flags)).clamp(1, 8)
 }
@@ -133,39 +130,50 @@ fn is_complete(target: &str) -> bool {
     RunManifest::load(&path).is_ok_and(|m| m.exit_code == Some(0))
 }
 
-/// Splits `run_all`'s own flags (`--list`, `--only X`, `--resume`) from the
-/// flags forwarded to each child. Returns `(list, resume, only, forwarded)`.
-fn parse_own_flags(args: Vec<String>) -> (bool, bool, Vec<String>, Vec<String>) {
-    let (mut list, mut resume) = (false, false);
-    let mut only = Vec::new();
+/// `run_all`'s own flags; everything else is forwarded to each child.
+#[derive(Default)]
+struct OwnFlags {
+    list: bool,
+    resume: bool,
+    only: Vec<String>,
+    store: Option<PathBuf>,
+}
+
+/// Splits `run_all`'s own flags (`--list`, `--only X`, `--resume`,
+/// `--store DIR`) from the flags forwarded to each child.
+fn parse_own_flags(args: Vec<String>) -> (OwnFlags, Vec<String>) {
+    let mut own = OwnFlags::default();
     let mut forwarded = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--list" => list = true,
-            "--resume" => resume = true,
-            "--only" => only.push(iter.next().expect("--only needs a substring")),
+            "--list" => own.list = true,
+            "--resume" => own.resume = true,
+            "--only" => own
+                .only
+                .push(iter.next().expect("--only needs a substring")),
+            "--store" => own.store = Some(iter.next().expect("--store needs a directory").into()),
             _ => forwarded.push(arg),
         }
     }
-    (list, resume, only, forwarded)
+    (own, forwarded)
 }
 
 fn main() {
-    let (list, resume, only, flags) = parse_own_flags(std::env::args().skip(1).collect());
+    let (own, flags) = parse_own_flags(std::env::args().skip(1).collect());
     let selected: Vec<&str> = TARGETS
         .iter()
         .copied()
-        .filter(|t| only.is_empty() || only.iter().any(|o| t.contains(o.as_str())))
+        .filter(|t| own.only.is_empty() || own.only.iter().any(|o| t.contains(o.as_str())))
         .collect();
-    if list {
+    if own.list {
         for target in &selected {
             println!("{target}");
         }
         return;
     }
     if selected.is_empty() {
-        eprintln!("no targets match --only {only:?}; try --list");
+        eprintln!("no targets match --only {:?}; try --list", own.only);
         std::process::exit(2);
     }
     std::fs::create_dir_all("results").expect("create results/");
@@ -175,11 +183,11 @@ fn main() {
         .expect("locate target dir");
     let procs = pool_size(&flags);
     let jobs = child_jobs(&flags);
-    let store = match RunOpts::from_env().store {
+    let store = match own.store {
         Some(dir) => dir,
         None => {
             let dir = PathBuf::from(DEFAULT_STORE);
-            if !resume {
+            if !own.resume {
                 // Cells an older build computed must not answer this run.
                 let _ = std::fs::remove_dir_all(&dir);
             }
@@ -190,7 +198,7 @@ fn main() {
     eprintln!("process pool: {procs} (child --jobs {jobs})");
 
     let failures: Vec<Option<String>> = par_map(&selected, procs, |&target| {
-        if resume && is_complete(target) {
+        if own.resume && is_complete(target) {
             eprintln!("=== {target}: already complete, skipping (--resume) ===");
             return None;
         }
@@ -201,10 +209,11 @@ fn main() {
         let _ = std::fs::remove_file(&manifest_path);
         let mut cmd = Command::new(exe_dir.join(target));
         if TAKES_FLAGS.contains(&target) {
-            cmd.args(&flags);
+            cmd.args(&flags)
+                .arg("--store")
+                .arg(&store)
+                .args(["--manifest", &manifest_path]);
         }
-        cmd.env("AUTORFM_MANIFEST", &manifest_path);
-        cmd.env("AUTORFM_STORE", &store);
         let path = format!("results/{target}.txt");
         let started = Instant::now();
         match cmd.output() {

@@ -4,37 +4,36 @@
 
 use autorfm::experiments::Scenario;
 use autorfm::telemetry::Json;
-use autorfm::{MappingKind, SimConfig, System};
-use autorfm_bench::{banner, par_map, print_table, Harness, RunOpts};
+use autorfm::{SimConfig, SimResult, System};
+use autorfm_bench::{banner, par_map, print_table, Harness, RunOpts, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
 
 const SEEDS: &[u64] = &[42, 1337, 2024, 7, 99];
-const SCENARIOS: [Scenario; 2] = [Scenario::Rfm { th: 4 }, Scenario::AutoRfm { th: 4 }];
+/// Per `(workload, seed)`: the same-seed baseline, then the two scenarios.
+const RUNS: [Scenario; 3] = [
+    BASELINE_ZEN,
+    Scenario::Rfm { th: 4 },
+    Scenario::AutoRfm { th: 4 },
+];
 
-/// One grid cell: a (workload, scenario, seed) triple simulated against its
-/// own same-seed baseline. Returns the slowdown and the worst read latency
-/// of the mitigated run (in ns).
-fn cell(spec: &'static WorkloadSpec, scenario: Scenario, seed: u64, opts: &RunOpts) -> (f64, u64) {
-    let mk = |s| {
-        SimConfig::builder(spec)
-            .scenario(s)
-            .cores(opts.cores)
-            .instructions(opts.instructions)
-            .seed(seed)
-            .build()
-            .expect("valid config")
-    };
-    let base = System::new(mk(Scenario::Baseline {
-        mapping: MappingKind::Zen,
-    }))
-    .expect("valid config")
-    .run();
-    let mut sys = System::new(mk(scenario)).expect("valid config");
+/// Simulates `scenario` on `spec` under `seed`. Returns the result and the
+/// run's worst read latency (in ns).
+fn run(
+    spec: &'static WorkloadSpec,
+    scenario: Scenario,
+    seed: u64,
+    opts: &RunOpts,
+) -> (SimResult, u64) {
+    let cfg = SimConfig::builder(spec)
+        .scenario(scenario)
+        .cores(opts.cores)
+        .instructions(opts.instructions)
+        .seed(seed)
+        .build()
+        .expect("valid config");
+    let mut sys = System::new(cfg).expect("valid config");
     let r = sys.run();
-    (
-        r.slowdown_vs(&base),
-        sys.mc().stats().max_read_latency.get() / 4,
-    )
+    (r, sys.mc().stats().max_read_latency.get() / 4)
 }
 
 /// Mean, population std-dev, and worst latency over the per-seed cells,
@@ -59,27 +58,37 @@ fn main() {
         Json::Arr(SEEDS.iter().map(|&s| Json::Num(s as f64)).collect()),
     );
 
-    // Every (workload, scenario, seed) cell is independent, so fan the whole
-    // grid out at once and re-assemble the per-workload statistics afterwards.
-    let grid: Vec<(&'static WorkloadSpec, Scenario, u64)> = opts
+    // Every (workload, seed, scenario) run is independent, so fan the whole
+    // grid out at once — each baseline once — and re-assemble the
+    // per-workload statistics afterwards.
+    let grid: Vec<(&'static WorkloadSpec, u64, Scenario)> = opts
         .workloads
         .iter()
         .flat_map(|&spec| {
-            SCENARIOS
+            SEEDS
                 .iter()
-                .flat_map(move |&sc| SEEDS.iter().map(move |&seed| (spec, sc, seed)))
+                .flat_map(move |&seed| RUNS.iter().map(move |&sc| (spec, seed, sc)))
         })
         .collect();
-    let results = par_map(&grid, opts.jobs, |&(spec, scenario, seed)| {
-        cell(spec, scenario, seed, &opts)
+    let results = par_map(&grid, opts.jobs, |&(spec, seed, scenario)| {
+        run(spec, scenario, seed, &opts)
     });
 
-    let per_scenario = SEEDS.len();
     let mut rows = Vec::new();
-    for (wi, spec) in opts.workloads.iter().enumerate() {
-        let at = wi * SCENARIOS.len() * per_scenario;
-        let (rfm_m, rfm_s, _) = stats(&results[at..at + per_scenario]);
-        let (auto_m, auto_s, worst) = stats(&results[at + per_scenario..at + 2 * per_scenario]);
+    for (per_workload, spec) in results
+        .chunks(SEEDS.len() * RUNS.len())
+        .zip(&opts.workloads)
+    {
+        // Per-seed (slowdown vs. the same-seed baseline, worst latency) of
+        // the scenario at `RUNS[k]`.
+        let cells = |k: usize| -> Vec<(f64, u64)> {
+            per_workload
+                .chunks(RUNS.len())
+                .map(|seed_runs| (seed_runs[k].0.slowdown_vs(&seed_runs[0].0), seed_runs[k].1))
+                .collect()
+        };
+        let (rfm_m, rfm_s, _) = stats(&cells(1));
+        let (auto_m, auto_s, worst) = stats(&cells(2));
         for (scenario, mean, std) in [("RFM-4", rfm_m, rfm_s), ("AutoRFM-4", auto_m, auto_s)] {
             let labels = [("workload", spec.name), ("scenario", scenario)];
             harness.gauge("slowdown_mean", &labels, mean);

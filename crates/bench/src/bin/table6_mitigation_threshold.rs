@@ -22,7 +22,7 @@ fn main() {
         (2.7, 139, 117),
         (2.3, 182, 161),
     ];
-    let cache = ResultCache::new();
+    let cache = ResultCache::new(&opts);
     let mut matrix: Vec<SimJob> = Vec::new();
     for spec in &opts.workloads {
         matrix.push((spec, BASELINE_ZEN));

@@ -32,7 +32,7 @@ fn main() {
 
     let th = 4u32;
     let kinds = TrackerKind::ALL;
-    let cache = ResultCache::new();
+    let cache = ResultCache::new(&opts);
     let mut matrix: Vec<SimJob> = Vec::new();
     for spec in &opts.workloads {
         matrix.push((spec, BASELINE_RUBIX));

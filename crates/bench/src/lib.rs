@@ -10,10 +10,14 @@
 //! * `--instructions N`, `--cores N`, `--workloads a,b,c` — manual control,
 //! * `--jobs N` — worker threads for the simulation fan-out (see below),
 //! * `--telemetry` — record epoch time series and full final-metric
-//!   registries, and write a `results/<target>.json` manifest
-//!   (env `AUTORFM_TELEMETRY=1`; see [`Harness`]),
+//!   registries, and write a `results/<target>.json` manifest (see
+//!   [`Harness`]),
 //! * `--epoch-ns N` — telemetry sampling window (default: one tREFI),
-//! * `--telemetry-csv DIR` — stream each run's epoch series as CSV.
+//! * `--telemetry-csv DIR` — stream each run's epoch series as CSV,
+//! * `--store DIR` — persist and reload every simulation through the
+//!   content-addressed cell store at `DIR` (see [`ResultCache::new`]),
+//! * `--manifest PATH` — write the run manifest to `PATH`,
+//! * `--tracker NAME` — tracker override for the tracker-sweep binaries.
 //!
 //! Defaults: 100K instructions/core, 8 cores, all 21 Table-V workloads.
 //!
@@ -36,8 +40,7 @@
 //!   custom [`SimConfig`]s (ablations, seed sweeps).
 //!
 //! `--jobs N` selects the worker count; the default is the machine's
-//! available parallelism, and the `AUTORFM_JOBS` environment variable
-//! overrides it (set `AUTORFM_JOBS=1` for strictly serial execution).
+//! available parallelism (`--jobs 1` runs strictly serially).
 //! **Determinism guarantee:** simulations share no mutable state, so every
 //! `SimResult` — and therefore every table and figure — is bitwise identical
 //! for any `--jobs` value; only wall-clock changes. Expected speedup on an
@@ -78,15 +81,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Common run options for every experiment binary.
-///
-/// Three layers, later layers overriding earlier ones (**CLI > env >
-/// default**):
-///
-/// 1. [`RunOpts::default`] — pure built-in defaults, no environment reads;
-/// 2. [`RunOpts::from_env`] — the defaults plus every `AUTORFM_*` environment
-///    knob, read in this one place;
-/// 3. [`RunOpts::from_args`] — the environment layer plus command-line flags.
+/// Common run options for every experiment binary: the built-in
+/// [`RunOpts::default`] overridden by command-line flags
+/// ([`RunOpts::from_args`]). Every field has a flag, so the command line
+/// describes the whole run.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Cores per simulation.
@@ -95,12 +93,12 @@ pub struct RunOpts {
     pub instructions: u64,
     /// Workloads to simulate.
     pub workloads: Vec<&'static WorkloadSpec>,
-    /// Worker threads for [`run_matrix`] / [`par_map`] (`--jobs N`,
-    /// env `AUTORFM_JOBS`; default: available parallelism).
+    /// Worker threads for [`run_matrix`] / [`par_map`] (`--jobs N`;
+    /// default: available parallelism).
     pub jobs: usize,
     /// Record epoch time series and final-metric registries
-    /// (`--telemetry`, env `AUTORFM_TELEMETRY=1`; default off — the default
-    /// path is bitwise identical to a build without telemetry).
+    /// (`--telemetry`; default off — the default path is bitwise identical
+    /// to a build without telemetry).
     pub telemetry: bool,
     /// Telemetry epoch length in nanoseconds (`--epoch-ns N`, implies
     /// `--telemetry`; default: one tREFI).
@@ -108,39 +106,22 @@ pub struct RunOpts {
     /// Stream each run's epoch series as CSV into this directory
     /// (`--telemetry-csv DIR`, implies `--telemetry`).
     pub telemetry_csv: Option<PathBuf>,
-    /// Child-process pool size for `run_all` (env `AUTORFM_PROCS`;
-    /// `None` = derive from host parallelism and the per-child `--jobs`).
-    pub procs: Option<usize>,
-    /// Root of the campaign service's content-addressed cell store (env
-    /// `AUTORFM_STORE`). When set, [`ResultCache::new`] reads and writes
+    /// Root of the campaign service's content-addressed cell store
+    /// (`--store DIR`). When set, [`ResultCache::new`] reads and writes
     /// per-cell records there — shared with `campaignd` and every other
     /// experiment — so completed simulations survive a killed run.
     pub store: Option<PathBuf>,
-    /// Simulation kernel (`--kernel stepped|event`, env
-    /// `AUTORFM_STEPPED_KERNEL=1`; default: the event kernel).
-    pub kernel: KernelKind,
+    /// Where [`Harness::finish`] writes the run manifest (`--manifest PATH`;
+    /// default: `results/<target>.json` under `--telemetry`, else nowhere).
+    pub manifest: Option<PathBuf>,
     /// Tracker override for tracker-sweep binaries (`--tracker NAME`; see
     /// `autorfm::trackers::names()`; default: each binary's own set).
     pub tracker: Option<TrackerKind>,
 }
 
-/// The default worker-thread count: `AUTORFM_JOBS` if set and valid,
-/// otherwise the machine's available parallelism (1 if unknown).
-pub fn default_jobs() -> usize {
-    RunOpts::from_env().jobs
-}
-
-/// `1`/`true` (case-insensitive) means on.
-fn env_flag(name: &str) -> bool {
-    std::env::var(name)
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false)
-}
-
 impl Default for RunOpts {
-    /// Pure built-in defaults; reads no environment. Use
-    /// [`RunOpts::from_env`] (or [`RunOpts::from_args`]) to honor the
-    /// `AUTORFM_*` knobs.
+    /// The built-in defaults: 100K instructions/core, 8 cores, every
+    /// workload, one worker per available core, everything else off.
     fn default() -> Self {
         RunOpts {
             cores: 8,
@@ -150,57 +131,21 @@ impl Default for RunOpts {
             telemetry: false,
             epoch_ns: None,
             telemetry_csv: None,
-            procs: None,
             store: None,
-            kernel: KernelKind::Event,
+            manifest: None,
             tracker: None,
         }
     }
 }
 
 impl RunOpts {
-    /// The defaults overridden by the `AUTORFM_*` environment knobs. This is
-    /// the single place the harness reads them:
-    ///
-    /// | variable                 | effect                                   |
-    /// |--------------------------|------------------------------------------|
-    /// | `AUTORFM_JOBS=N`         | worker threads ([`RunOpts::jobs`])       |
-    /// | `AUTORFM_PROCS=N`        | `run_all` process pool ([`RunOpts::procs`]) |
-    /// | `AUTORFM_TELEMETRY=1`    | epoch telemetry on ([`RunOpts::telemetry`]) |
-    /// | `AUTORFM_STORE=DIR`      | content-addressed cell store ([`RunOpts::store`]) |
-    /// | `AUTORFM_STEPPED_KERNEL=1` | stepped oracle kernel ([`RunOpts::kernel`]) |
-    ///
-    /// (`AUTORFM_STEPPED_KERNEL` is decoded by [`KernelKind::from_env`] so
-    /// the library default path and the harness agree on one reader.)
-    pub fn from_env() -> Self {
-        let mut opts = RunOpts::default();
-        if let Some(n) = std::env::var("AUTORFM_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            opts.jobs = n.max(1);
-        }
-        opts.procs = std::env::var("AUTORFM_PROCS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1);
-        opts.telemetry = env_flag("AUTORFM_TELEMETRY");
-        opts.store = std::env::var("AUTORFM_STORE")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .map(PathBuf::from);
-        opts.kernel = KernelKind::from_env();
-        opts
-    }
-
-    /// Parses `std::env::args()` on top of [`RunOpts::from_env`]
-    /// (CLI > env > default).
+    /// Parses `std::env::args()` on top of [`RunOpts::default`].
     ///
     /// # Panics
     ///
     /// Panics with a usage message on malformed arguments.
     pub fn from_args() -> Self {
-        let mut opts = RunOpts::from_env();
+        let mut opts = RunOpts::default();
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -248,10 +193,11 @@ impl RunOpts {
                     opts.telemetry_csv =
                         Some(args.next().expect("--telemetry-csv needs a directory").into());
                 }
-                "--kernel" => {
-                    let v = args.next().expect("--kernel needs stepped|event");
-                    opts.kernel = KernelKind::parse(&v)
-                        .unwrap_or_else(|| panic!("--kernel: unknown kernel {v} (stepped|event)"));
+                "--store" => {
+                    opts.store = Some(args.next().expect("--store needs a directory").into());
+                }
+                "--manifest" => {
+                    opts.manifest = Some(args.next().expect("--manifest needs a path").into());
                 }
                 "--tracker" => {
                     let v = args.next().expect("--tracker needs a tracker name");
@@ -261,7 +207,7 @@ impl RunOpts {
                     );
                 }
                 other => panic!(
-                    "unknown flag {other}; expected --quick|--full|--instructions N|--cores N|--jobs N|--workloads a,b|--telemetry|--epoch-ns N|--telemetry-csv DIR|--kernel K|--tracker T"
+                    "unknown flag {other}; expected --quick|--full|--instructions N|--cores N|--jobs N|--workloads a,b|--telemetry|--epoch-ns N|--telemetry-csv DIR|--store DIR|--manifest PATH|--tracker T"
                 ),
             }
         }
@@ -313,7 +259,7 @@ pub type SimJob = (&'static WorkloadSpec, Scenario);
 ///
 /// Work is distributed through an atomic index, so uneven item costs balance
 /// automatically. With `jobs <= 1` (or a single item) the map runs serially
-/// on the calling thread — the `AUTORFM_JOBS=1` reproduction path.
+/// on the calling thread — the `--jobs 1` reproduction path.
 ///
 /// # Panics
 ///
@@ -357,7 +303,7 @@ where
 /// them) and the duplicates receive clones. Use [`ResultCache::prefetch`]
 /// instead when the cache should outlive the call.
 pub fn run_matrix(jobs: &[SimJob], opts: &RunOpts) -> Vec<SimResult> {
-    run_matrix_cached(jobs, opts, &ResultCache::new())
+    run_matrix_cached(jobs, opts, &ResultCache::new(opts))
 }
 
 /// [`run_matrix`] against a caller-supplied cache (so the cache — and its
@@ -421,15 +367,16 @@ impl Drop for AbandonGuard<'_> {
 }
 
 impl ResultCache {
-    /// Creates an empty cache honoring `AUTORFM_STORE` (the content-addressed
-    /// cell store `run_all` and `campaignd` share): with a store, completed
-    /// results are reloaded and every fresh simulation is persisted — so a
-    /// killed experiment resumes instead of starting over. Without one the
-    /// cache lives in memory only. `ResultCache::default()` never touches a
-    /// store; [`ResultCache::with_store`] passes an explicit root.
-    pub fn new() -> Self {
-        RunOpts::from_env()
-            .store
+    /// Creates an empty cache backed by `opts.store` (`--store DIR`, the
+    /// content-addressed cell store `run_all` and `campaignd` share): with a
+    /// store, completed results are reloaded and every fresh simulation is
+    /// persisted — so a killed experiment resumes instead of starting over.
+    /// Without one the cache lives in memory only. `ResultCache::default()`
+    /// never touches a store; [`ResultCache::with_store`] passes an explicit
+    /// root.
+    pub fn new(opts: &RunOpts) -> Self {
+        opts.store
+            .clone()
             .map_or_else(Self::default, Self::with_store)
     }
 
@@ -586,7 +533,7 @@ impl ResultCache {
         let lanes = LANES.min(cells.len().div_ceil(opts.jobs.max(1)));
         par_map(&shape_units(cells, lanes), opts.jobs, |(_, unit)| {
             let cfgs: Vec<SimConfig> = unit.iter().map(|(_, cfg)| cfg.clone()).collect();
-            let outcome = run_batch_fallible(&cfgs, None, opts.kernel, false);
+            let outcome = run_batch_fallible(&cfgs, None, KernelKind::Event, false);
             for (&(i, _), result) in unit.iter().zip(outcome.results) {
                 let ((spec, scenario), slot) = &claimed[i];
                 let filled = match result {
@@ -672,14 +619,14 @@ pub fn job_digest(spec: &WorkloadSpec, scenario: Scenario, opts: &RunOpts) -> u6
 ///
 /// Where the manifest goes:
 ///
-/// * the `AUTORFM_MANIFEST` environment variable, when set (how `run_all`
+/// * `--manifest PATH` ([`RunOpts::manifest`]), when given (how `run_all`
 ///   directs each child's manifest next to its `.txt` report), else
 /// * `results/<target>.json` when telemetry is enabled, else
 /// * nowhere — [`Harness::finish`] is a no-op, so default runs leave the
 ///   filesystem untouched.
 pub struct Harness {
     manifest: RunManifest,
-    write_without_env: bool,
+    path: Option<PathBuf>,
     started: Instant,
 }
 
@@ -709,9 +656,13 @@ impl Harness {
         if let Some(ns) = opts.epoch_ns {
             manifest.set_config("epoch_ns", Json::Num(ns as f64));
         }
+        let path = opts.manifest.clone().or_else(|| {
+            opts.telemetry
+                .then(|| PathBuf::from("results").join(format!("{target}.json")))
+        });
         Harness {
             manifest,
-            write_without_env: opts.telemetry,
+            path,
             started: Instant::now(),
         }
     }
@@ -749,15 +700,9 @@ impl Harness {
     }
 
     /// Finalizes wall-clock and throughput figures and writes the manifest.
-    /// Does nothing unless telemetry is enabled or `AUTORFM_MANIFEST` is set.
+    /// Does nothing unless telemetry is enabled or `--manifest` is given.
     pub fn finish(mut self) {
-        let path = match std::env::var("AUTORFM_MANIFEST") {
-            Ok(p) if !p.is_empty() => PathBuf::from(p),
-            _ if self.write_without_env => {
-                PathBuf::from("results").join(format!("{}.json", self.manifest.target))
-            }
-            _ => return,
-        };
+        let Some(path) = self.path.take() else { return };
         self.manifest.wall_s = self.started.elapsed().as_secs_f64();
         self.manifest.sim_cycles = self
             .manifest
@@ -799,60 +744,8 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Writes a table as CSV to `path`.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the file cannot be written.
-pub fn write_csv(
-    path: &std::path::Path,
-    headers: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let mut f = std::fs::File::create(path)?;
-    let quote = |cell: &str| {
-        if cell.contains(',') || cell.contains('"') {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
-        }
-    };
-    writeln!(
-        f,
-        "{}",
-        headers
-            .iter()
-            .map(|h| quote(h))
-            .collect::<Vec<_>>()
-            .join(",")
-    )?;
-    for row in rows {
-        writeln!(
-            f,
-            "{}",
-            row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(",")
-        )?;
-    }
-    Ok(())
-}
-
 /// Prints a fixed-width table: a header row then data rows.
-///
-/// If the `AUTORFM_CSV_DIR` environment variable is set, the table is also
-/// written as `<dir>/<binary-name>.csv` for downstream plotting.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    if let Ok(dir) = std::env::var("AUTORFM_CSV_DIR") {
-        let name = std::env::current_exe()
-            .ok()
-            .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
-            .unwrap_or_else(|| "table".into());
-        let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-        if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| write_csv(&path, headers, rows))
-        {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
-    }
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -934,24 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_writer_quotes_and_formats() {
-        let dir = std::env::temp_dir().join("autorfm-csv-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        write_csv(
-            &path,
-            &["a", "b"],
-            &[
-                vec!["1,5".into(), "x\"y".into()],
-                vec!["2".into(), "z".into()],
-            ],
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "a,b\n\"1,5\",\"x\"\"y\"\n2,z\n");
-    }
-
-    #[test]
     fn cache_runs_once() {
         let spec = WorkloadSpec::by_name("wrf").unwrap();
         let opts = RunOpts {
@@ -961,7 +836,7 @@ mod tests {
             jobs: 1,
             ..RunOpts::default()
         };
-        let cache = ResultCache::new();
+        let cache = ResultCache::new(&opts);
         let a = cache.get(spec, BASELINE_ZEN, &opts).perf();
         let b = cache.get(spec, BASELINE_ZEN, &opts).perf();
         assert_eq!(a, b);

@@ -1,21 +1,17 @@
 //! End-to-end manifest flow: a [`Harness`] records simulations, writes the
-//! manifest where `AUTORFM_MANIFEST` points (how `run_all` directs children),
-//! and `RunManifest::load` round-trips everything `telemetry_report` needs.
-//!
-//! Kept in its own integration-test binary because it mutates the process
-//! environment.
+//! manifest where `--manifest` points (how `run_all` directs children), and
+//! `RunManifest::load` round-trips everything `telemetry_report` needs.
 
 use autorfm::telemetry::RunManifest;
 use autorfm_bench::{Harness, ResultCache, RunOpts, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
 
 #[test]
-fn harness_writes_manifest_where_env_points() {
+fn harness_writes_manifest_where_opts_point() {
     let dir = std::env::temp_dir().join("autorfm-manifest-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("roundtrip.json");
     let _ = std::fs::remove_file(&path);
-    std::env::set_var("AUTORFM_MANIFEST", &path);
 
     let spec = WorkloadSpec::by_name("mcf").unwrap();
     let opts = RunOpts {
@@ -24,6 +20,7 @@ fn harness_writes_manifest_where_env_points() {
         workloads: vec![spec],
         jobs: 1,
         telemetry: true,
+        manifest: Some(path.clone()),
         ..RunOpts::default()
     };
     let mut harness = Harness::new(&opts);

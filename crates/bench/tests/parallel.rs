@@ -84,7 +84,7 @@ fn shared_cache_simulates_each_key_exactly_once() {
         duplicated.extend_from_slice(&unique);
     }
 
-    let cache = ResultCache::new();
+    let cache = ResultCache::new(&opts);
     cache.prefetch(&duplicated, &opts);
 
     assert_eq!(cache.len(), unique.len(), "cache holds one entry per key");

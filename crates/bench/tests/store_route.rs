@@ -1,6 +1,7 @@
-//! The harness's one persistence path: [`ResultCache::with_store`] routes
-//! completed simulations through the content-addressed cell store
-//! (`AUTORFM_STORE`), so a second life reloads instead of re-simulating.
+//! The harness's one persistence path: [`ResultCache::with_store`] (and
+//! [`ResultCache::new`] under `--store DIR`) routes completed simulations
+//! through the content-addressed cell store, so a second life reloads
+//! instead of re-simulating.
 
 use autorfm::experiments::Scenario;
 use autorfm::snapshot::store::{CellRecord, CellStore};
@@ -60,6 +61,32 @@ fn store_backed_cache_survives_a_reload_without_resimulating() {
     let cache3 = ResultCache::with_store(dir.clone());
     let _ = cache3.get(spec, other, &opts);
     assert_eq!(cache3.simulations_run(), 1);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn opts_store_persists_and_reloads_like_with_store() {
+    let dir = std::env::temp_dir().join(format!("autorfm-opts-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = RunOpts {
+        store: Some(dir.clone()),
+        ..tiny_opts()
+    };
+    let spec = opts.workloads[0];
+
+    let cache = ResultCache::new(&opts);
+    let first = cache.get(spec, BASELINE_ZEN, &opts);
+    assert_eq!(cache.simulations_run(), 1);
+    let key = job_digest(spec, BASELINE_ZEN, &opts);
+    assert!(CellStore::open(&dir).unwrap().contains(key));
+
+    let reloaded = ResultCache::new(&opts);
+    assert_eq!(
+        reloaded.get(spec, BASELINE_ZEN, &opts).elapsed,
+        first.elapsed
+    );
+    assert_eq!(reloaded.simulations_run(), 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

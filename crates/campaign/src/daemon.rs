@@ -51,8 +51,7 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// A configuration with sensible defaults: workers = available
-    /// parallelism (capped at 8), batch [`LANES`], environment-selected
-    /// kernel.
+    /// parallelism (capped at 8), batch [`LANES`], the event kernel.
     pub fn new(store: impl Into<PathBuf>) -> Self {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get().min(8))
@@ -61,7 +60,7 @@ impl DaemonConfig {
             store: store.into(),
             workers,
             batch: LANES,
-            kernel: KernelKind::from_env(),
+            kernel: KernelKind::Event,
         }
     }
 }

@@ -33,22 +33,12 @@ pub enum KernelKind {
     #[default]
     Event,
     /// Uniform 1 ns stepping: executes every step. Kept as the differential-
-    /// testing oracle; select with `AUTORFM_STEPPED_KERNEL=1`.
+    /// testing oracle; select it explicitly through [`System::run_with`] /
+    /// [`System::run_steps_with`].
     Stepped,
 }
 
 impl KernelKind {
-    /// The kernel selected by the environment: `AUTORFM_STEPPED_KERNEL=1`
-    /// (or `true`) picks [`KernelKind::Stepped`], anything else the default
-    /// event kernel. This is the single place that knob is read; harness
-    /// surfaces (`RunOpts`) go through here so CLI > env > default holds.
-    pub fn from_env() -> Self {
-        match std::env::var("AUTORFM_STEPPED_KERNEL") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => KernelKind::Stepped,
-            _ => KernelKind::Event,
-        }
-    }
-
     /// Parses a kernel name (`"event"` / `"stepped"`), for CLI flags.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -243,10 +233,9 @@ impl System {
     }
 
     /// Runs until every core retires the configured instruction budget and
-    /// returns the collected metrics, using the kernel selected by the
-    /// environment ([`KernelKind::from_env`]).
+    /// returns the collected metrics, using the event kernel.
     pub fn run(&mut self) -> SimResult {
-        self.run_with(KernelKind::from_env())
+        self.run_with(KernelKind::Event)
     }
 
     /// Runs to completion under an explicitly chosen kernel (in-process A/B
@@ -272,10 +261,9 @@ impl System {
     /// collected metrics once every core has retired its instruction budget,
     /// or `None` if the budget of steps ran out first — at which point the
     /// machine sits at a clean step boundary, ready for [`System::snapshot`]
-    /// or further `run_steps` / [`System::run`] calls. Uses the kernel
-    /// selected by the environment ([`KernelKind::from_env`]).
+    /// or further `run_steps` / [`System::run`] calls. Uses the event kernel.
     pub fn run_steps(&mut self, max_steps: u64) -> Option<SimResult> {
-        self.run_steps_with(max_steps, KernelKind::from_env())
+        self.run_steps_with(max_steps, KernelKind::Event)
     }
 
     /// [`System::run_steps`] under an explicitly chosen kernel. Skipped steps

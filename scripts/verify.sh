@@ -8,6 +8,14 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+echo "== one configuration layer: no environment reads in library or binaries =="
+# Every harness knob is a command-line flag (RunOpts::from_args); a run's
+# command line must describe it completely.
+if grep -rn 'env::var(' crates/*/src src; then
+    echo "verify: env::var( found above; add a command-line flag instead" >&2
+    exit 1
+fi
+
 echo "== cargo fmt --all --check =="
 cargo fmt --all --check
 
@@ -29,17 +37,15 @@ echo "== perfbench builds against the workspace, lockfile untouched =="
 cargo test --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== snapshot golden digest gate =="
-# The pinned 64-bit digest of a mid-run system snapshot: catches both
-# behavioural drift and silent changes to the snapshot encoding.
+# The pinned 64-bit digest of a mid-run system snapshot, on both kernels:
+# catches both behavioural drift and silent changes to the snapshot encoding.
 cargo test --release -q --test golden golden_snapshot_digest
 
 echo "== stepped-vs-event kernel differential gate =="
 # The event-driven time-skip kernel must be bitwise identical to the stepped
 # oracle: the differential matrix compares SimResults and snapshot digests
-# across (workload x tracker) on both kernels, and the golden digest must
-# also hold under the stepped kernel (it runs on the event kernel above).
+# across (workload x tracker) on both kernels.
 cargo test --release -q --test kernel_differential
-AUTORFM_STEPPED_KERNEL=1 cargo test --release -q --test golden golden_snapshot_digest
 
 echo "== run_all --jobs ${JOBS} (default fidelity) + golden-table gate =="
 start=$(date +%s)

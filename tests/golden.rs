@@ -3,7 +3,7 @@
 //! simulation behaviour, update these values and say why in the commit.
 
 use autorfm::experiments::Scenario;
-use autorfm::{MappingKind, SimConfig, System};
+use autorfm::{KernelKind, MappingKind, SimConfig, System};
 use autorfm_mapping::{FeistelPrp, MemoryMap, ZenMap};
 use autorfm_sim_core::{DetRng, Geometry, LineAddr};
 use autorfm_workloads::WorkloadSpec;
@@ -119,15 +119,18 @@ fn golden_snapshot_digest() {
         .seed(42)
         .build()
         .unwrap();
-    let mut sys = System::new(cfg).unwrap();
-    assert!(
-        sys.run_steps(1_000).is_none(),
-        "digest must be of a mid-run state"
-    );
-    let snap = sys.snapshot().unwrap();
-    let container = autorfm::snapshot::open(&snap).unwrap();
-    assert_eq!(
-        container.digest, 0xa092_a6d2_ea5d_3675,
-        "snapshot digest drifted"
-    );
+    // Both kernels stop at the same step boundary with identical state.
+    for kernel in [KernelKind::Event, KernelKind::Stepped] {
+        let mut sys = System::new(cfg.clone()).unwrap();
+        assert!(
+            sys.run_steps_with(1_000, kernel).is_none(),
+            "digest must be of a mid-run state"
+        );
+        let snap = sys.snapshot().unwrap();
+        let container = autorfm::snapshot::open(&snap).unwrap();
+        assert_eq!(
+            container.digest, 0xa092_a6d2_ea5d_3675,
+            "snapshot digest drifted under {kernel:?}"
+        );
+    }
 }

@@ -141,9 +141,8 @@ fn restored_caches_rebuild_and_leap_identically() {
     );
 }
 
-/// The stepped kernel is reachable through the environment knob the harness
-/// uses (`AUTORFM_STEPPED_KERNEL=1`); the parser behind it must accept both
-/// spellings and reject everything else.
+/// `campaignd --kernel` selects a kernel by name; the parser behind it must
+/// accept both spellings and reject everything else.
 #[test]
 fn kernel_names_round_trip() {
     for kernel in [KernelKind::Event, KernelKind::Stepped] {
