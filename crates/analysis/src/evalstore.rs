@@ -21,7 +21,7 @@ use crate::fuzzer::{CandidateResult, FuzzConfig};
 use crate::montecarlo::AttackReport;
 use crate::pattern::AttackPattern;
 use autorfm_snapshot::store::{CellRecord, CellStore};
-use autorfm_snapshot::{digest64, Reader, SnapError, Snapshot, Writer};
+use autorfm_snapshot::{digest64, Reader, SnapError, Snapshot, Writer, MODEL_FINGERPRINT};
 use std::path::PathBuf;
 
 impl Snapshot for AttackReport {
@@ -72,9 +72,11 @@ impl Snapshot for CandidateResult {
 /// Content key of a fuzz *evaluation config*: every field that changes what
 /// [`AttackFuzzer::evaluate`](crate::AttackFuzzer::evaluate) returns for a
 /// genome, and nothing else. Search-budget fields (`generations`,
-/// `population`) are excluded on purpose — see the module docs.
+/// `population`) are excluded on purpose — see the module docs. Salted with
+/// [`MODEL_FINGERPRINT`], like sweep-cell keys.
 pub fn config_key(cfg: &FuzzConfig) -> u64 {
     let mut w = Writer::new();
+    w.put_u64(MODEL_FINGERPRINT);
     w.put_str(cfg.tracker.info().name);
     w.put_str(cfg.policy.info().name);
     w.put_u32(cfg.window);

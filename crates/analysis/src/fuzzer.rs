@@ -28,7 +28,7 @@
 //!
 //! Every evaluated candidate lands in an archive keyed by its pattern
 //! digest (`digest64` of the canonical encoding), the same way campaign
-//! cells are keyed by `cell_key`: resubmitting a genome — within a batch,
+//! cells are keyed by `SimConfig::key`: resubmitting a genome — within a batch,
 //! across generations, or across restarts fed from a serialized archive —
 //! is a dedup hit, never a re-evaluation. The archive is also what the
 //! escape curve is computed from: for each watched threshold, the minimum

@@ -8,7 +8,7 @@
 //! is encoded with the snapshot crate's [`Writer`]/[`Reader`] codec;
 //! [`AttackPattern::digest`] (the snapshot crate's `digest64` over the
 //! canonical encoding) keys the fuzzer's survivor archive the same way
-//! `cell_key` keys campaign cells. [`PatternCursor`] replays a genome as the
+//! `SimConfig::key` keys campaign cells. [`PatternCursor`] replays a genome as the
 //! activation stream [`crate::AttackSim::run_pattern`] drives.
 //!
 //! The paper's classic shapes are named constructors —

@@ -32,20 +32,21 @@ fn main() {
     println!("\n(d) RFM slowdown as the tolerated threshold shrinks:");
     let ths = [32u32, 16, 8, 4];
     let cache = ResultCache::new(&opts);
+    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
     let mut matrix: Vec<SimJob> = Vec::new();
-    for spec in &opts.workloads {
-        matrix.push((spec, BASELINE_ZEN));
-        matrix.extend(ths.iter().map(|&th| (*spec, Scenario::Rfm { th })));
+    for &spec in &opts.workloads {
+        matrix.push(job(spec, BASELINE_ZEN));
+        matrix.extend(ths.iter().map(|&th| job(spec, Scenario::Rfm { th })));
     }
     cache.prefetch(&matrix, &opts);
     let mut chart = Vec::new();
     for th in ths {
         let trhd = MintModel::rfm(th, true).tolerated_trh_d();
         let mut sum = 0.0;
-        for spec in &opts.workloads {
-            let base = cache.get(spec, BASELINE_ZEN, &opts);
+        for &spec in &opts.workloads {
+            let base = cache.get(&job(spec, BASELINE_ZEN));
             sum += cache
-                .get(spec, Scenario::Rfm { th }, &opts)
+                .get(&job(spec, Scenario::Rfm { th }))
                 .slowdown_vs(&base);
         }
         let s = sum / opts.workloads.len() as f64;

@@ -18,20 +18,21 @@ fn main() {
 
     let ths = [4u32, 8, 16, 32];
     let cache = ResultCache::new(&opts);
+    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
     let mut matrix: Vec<SimJob> = Vec::new();
-    for spec in &opts.workloads {
-        matrix.push((spec, BASELINE_ZEN));
-        matrix.extend(ths.iter().map(|&th| (*spec, Scenario::Rfm { th })));
+    for &spec in &opts.workloads {
+        matrix.push(job(spec, BASELINE_ZEN));
+        matrix.extend(ths.iter().map(|&th| job(spec, Scenario::Rfm { th })));
     }
     cache.prefetch(&matrix, &opts);
     let mut rows = Vec::new();
     let mut sums = vec![0.0f64; ths.len()];
 
-    for spec in &opts.workloads {
-        let base = cache.get(spec, BASELINE_ZEN, &opts);
+    for &spec in &opts.workloads {
+        let base = cache.get(&job(spec, BASELINE_ZEN));
         let mut row = vec![spec.name.to_string()];
         for (i, th) in ths.iter().enumerate() {
-            let r = cache.get(spec, Scenario::Rfm { th: *th }, &opts);
+            let r = cache.get(&job(spec, Scenario::Rfm { th: *th }));
             let s = r.slowdown_vs(&base);
             sums[i] += s;
             row.push(pct(s));

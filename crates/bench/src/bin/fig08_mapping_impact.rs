@@ -15,14 +15,15 @@ fn main() {
     banner("Figure 8: AutoRFM-4 under Zen vs Rubix mapping", &opts);
 
     let cache = ResultCache::new(&opts);
+    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
     let matrix: Vec<SimJob> = opts
         .workloads
         .iter()
         .flat_map(|&spec| {
             [
-                (spec, BASELINE_ZEN),
-                (spec, Scenario::AutoRfmZen { th: 4 }),
-                (spec, Scenario::AutoRfm { th: 4 }),
+                job(spec, BASELINE_ZEN),
+                job(spec, Scenario::AutoRfmZen { th: 4 }),
+                job(spec, Scenario::AutoRfm { th: 4 }),
             ]
         })
         .collect();
@@ -30,10 +31,10 @@ fn main() {
     let mut rows = Vec::new();
     let (mut s_zen, mut s_rbx, mut a_zen, mut a_rbx) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
 
-    for spec in &opts.workloads {
-        let base = cache.get(spec, BASELINE_ZEN, &opts);
-        let zen = cache.get(spec, Scenario::AutoRfmZen { th: 4 }, &opts);
-        let rbx = cache.get(spec, Scenario::AutoRfm { th: 4 }, &opts);
+    for &spec in &opts.workloads {
+        let base = cache.get(&job(spec, BASELINE_ZEN));
+        let zen = cache.get(&job(spec, Scenario::AutoRfmZen { th: 4 }));
+        let rbx = cache.get(&job(spec, Scenario::AutoRfm { th: 4 }));
         let (sz, sr) = (zen.slowdown_vs(&base), rbx.slowdown_vs(&base));
         s_zen += sz;
         s_rbx += sr;

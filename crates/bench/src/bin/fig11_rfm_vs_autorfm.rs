@@ -19,20 +19,21 @@ fn main() {
         ("AutoRFM-8", Scenario::AutoRfm { th: 8 }),
     ];
     let cache = ResultCache::new(&opts);
+    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
     let mut matrix: Vec<SimJob> = Vec::new();
-    for spec in &opts.workloads {
-        matrix.push((spec, BASELINE_ZEN));
-        matrix.extend(scenarios.iter().map(|&(_, scen)| (*spec, scen)));
+    for &spec in &opts.workloads {
+        matrix.push(job(spec, BASELINE_ZEN));
+        matrix.extend(scenarios.iter().map(|&(_, scen)| job(spec, scen)));
     }
     cache.prefetch(&matrix, &opts);
     let mut rows = Vec::new();
     let mut sums = vec![0.0f64; scenarios.len()];
 
-    for spec in &opts.workloads {
-        let base = cache.get(spec, BASELINE_ZEN, &opts);
+    for &spec in &opts.workloads {
+        let base = cache.get(&job(spec, BASELINE_ZEN));
         let mut row = vec![spec.name.to_string()];
         for (i, (_, scen)) in scenarios.iter().enumerate() {
-            let s = cache.get(spec, *scen, &opts).slowdown_vs(&base);
+            let s = cache.get(&job(spec, *scen)).slowdown_vs(&base);
             sums[i] += s;
             row.push(pct(s));
         }

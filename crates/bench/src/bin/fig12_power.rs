@@ -21,9 +21,10 @@ fn main() {
         ("AutoRFM-4", Scenario::AutoRfm { th: 4 }),
     ];
     let cache = ResultCache::new(&opts);
+    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
     let matrix: Vec<SimJob> = configs
         .iter()
-        .flat_map(|&(_, scen)| opts.workloads.iter().map(move |&spec| (spec, scen)))
+        .flat_map(|&(_, scen)| opts.workloads.iter().map(move |&spec| job(spec, scen)))
         .collect();
     cache.prefetch(&matrix, &opts);
     let model = PowerModel::ddr5();
@@ -33,8 +34,8 @@ fn main() {
     for (name, scen) in configs {
         // Average the breakdown across workloads.
         let mut acc = autorfm::power::PowerBreakdown::default();
-        for spec in &opts.workloads {
-            let r = cache.get(spec, scen, &opts);
+        for &spec in &opts.workloads {
+            let r = cache.get(&job(spec, scen));
             let p = model.breakdown(&r.power_counts, r.elapsed.as_secs_f64());
             acc.act_rw_mw += p.act_rw_mw;
             acc.background_mw += p.background_mw;

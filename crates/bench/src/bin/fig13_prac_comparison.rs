@@ -16,9 +16,9 @@ const PRAC_ABOS: [u32; 3] = [64, 128, 256];
 
 fn avg_slowdown(scen: Scenario, cache: &ResultCache, opts: &RunOpts) -> f64 {
     let mut sum = 0.0;
-    for spec in &opts.workloads {
-        let base = cache.get(spec, BASELINE_ZEN, opts);
-        sum += cache.get(spec, scen, opts).slowdown_vs(&base);
+    for &spec in &opts.workloads {
+        let base = cache.get(&SimJob::new(spec, BASELINE_ZEN, opts));
+        sum += cache.get(&SimJob::new(spec, scen, opts)).slowdown_vs(&base);
     }
     sum / opts.workloads.len() as f64
 }
@@ -29,19 +29,20 @@ fn main() {
     banner("Figure 13: PRAC vs RFM vs AutoRFM across thresholds", &opts);
 
     let cache = ResultCache::new(&opts);
+    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
     let mut matrix: Vec<SimJob> = Vec::new();
-    for spec in &opts.workloads {
-        matrix.push((spec, BASELINE_ZEN));
-        matrix.extend(RFM_THS.iter().map(|&th| (*spec, Scenario::Rfm { th })));
+    for &spec in &opts.workloads {
+        matrix.push(job(spec, BASELINE_ZEN));
+        matrix.extend(RFM_THS.iter().map(|&th| job(spec, Scenario::Rfm { th })));
         matrix.extend(
             AUTO_RFM_THS
                 .iter()
-                .map(|&th| (*spec, Scenario::AutoRfm { th })),
+                .map(|&th| job(spec, Scenario::AutoRfm { th })),
         );
         matrix.extend(
             PRAC_ABOS
                 .iter()
-                .map(|&abo_th| (*spec, Scenario::Prac { abo_th })),
+                .map(|&abo_th| job(spec, Scenario::Prac { abo_th })),
         );
     }
     cache.prefetch(&matrix, &opts);

@@ -19,27 +19,28 @@ fn main() {
 
     let ths = [4u32, 8, 16, 32];
     let cache = ResultCache::new(&opts);
+    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
     let mut matrix: Vec<SimJob> = Vec::new();
-    for spec in &opts.workloads {
-        matrix.push((spec, BASELINE_ZEN));
-        matrix.push((spec, BASELINE_RUBIX));
+    for &spec in &opts.workloads {
+        matrix.push(job(spec, BASELINE_ZEN));
+        matrix.push(job(spec, BASELINE_RUBIX));
         for &th in &ths {
-            matrix.push((spec, Scenario::Rfm { th }));
-            matrix.push((spec, Scenario::RfmOnRubix { th }));
+            matrix.push(job(spec, Scenario::Rfm { th }));
+            matrix.push(job(spec, Scenario::RfmOnRubix { th }));
         }
     }
     cache.prefetch(&matrix, &opts);
     let mut rows = Vec::new();
     for th in ths {
         let (mut s_zen, mut s_rbx) = (0.0f64, 0.0f64);
-        for spec in &opts.workloads {
-            let base_zen = cache.get(spec, BASELINE_ZEN, &opts);
-            let base_rbx = cache.get(spec, BASELINE_RUBIX, &opts);
+        for &spec in &opts.workloads {
+            let base_zen = cache.get(&job(spec, BASELINE_ZEN));
+            let base_rbx = cache.get(&job(spec, BASELINE_RUBIX));
             s_zen += cache
-                .get(spec, Scenario::Rfm { th }, &opts)
+                .get(&job(spec, Scenario::Rfm { th }))
                 .slowdown_vs(&base_zen);
             s_rbx += cache
-                .get(spec, Scenario::RfmOnRubix { th }, &opts)
+                .get(&job(spec, Scenario::RfmOnRubix { th }))
                 .slowdown_vs(&base_rbx);
         }
         let n = opts.workloads.len() as f64;

@@ -19,28 +19,29 @@ fn main() {
     );
 
     let cache = ResultCache::new(&opts);
+    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
     let matrix: Vec<SimJob> = opts
         .workloads
         .iter()
         .flat_map(|&spec| {
             [
-                (spec, BASELINE_ZEN),
-                (spec, Scenario::AutoRfm { th: 4 }),
-                (spec, Scenario::Rfm { th: 4 }),
+                job(spec, BASELINE_ZEN),
+                job(spec, Scenario::AutoRfm { th: 4 }),
+                job(spec, Scenario::Rfm { th: 4 }),
             ]
         })
         .collect();
     cache.prefetch(&matrix, &opts);
     let mut rows = Vec::new();
-    for spec in &opts.workloads {
-        let base = cache.get(spec, BASELINE_ZEN, &opts);
+    for &spec in &opts.workloads {
+        let base = cache.get(&job(spec, BASELINE_ZEN));
         // Per-bank activation rate measured on the baseline, in ACTs/ns.
         let acts_per_ns = base.act_per_trefi_per_bank / 3900.0;
 
-        let auto = cache.get(spec, Scenario::AutoRfm { th: 4 }, &opts);
+        let auto = cache.get(&job(spec, Scenario::AutoRfm { th: 4 }));
         let alert_model = AutoRfmConflictModel::paper_defaults(4).alert_probability(acts_per_ns);
 
-        let rfm = cache.get(spec, Scenario::Rfm { th: 4 }, &opts);
+        let rfm = cache.get(&job(spec, Scenario::Rfm { th: 4 }));
         let rfm_model = RfmPerfModel::paper_defaults(4).slowdown_estimate(acts_per_ns);
 
         rows.push(vec![

@@ -13,14 +13,16 @@
 //!
 //! Every simulating child runs with `--store DIR --manifest
 //! results/<target>.json`: the user's store when `--store` is given, else
-//! `results/store`. Children route their completed simulations through that content-addressed cell store (see
-//! `autorfm_snapshot::store`) — one shared, restart-safe result per
-//! `(workload, scenario, cores, instructions, seed)` cell across all targets
-//! and any concurrently running `campaignd` — so a campaign killed mid-flight
-//! resumes under `--resume` without re-running finished targets or finished
-//! simulations inside interrupted targets. A fresh (non-`--resume`) run
-//! empties the default `results/store` first, so cells computed by an older
-//! build are never reused; a user-set store is never emptied.
+//! `results/store`. Children route their completed simulations through that
+//! content-addressed cell store (see `autorfm_snapshot::store`) — one shared,
+//! restart-safe result per configuration (`SimConfig::key`) across all
+//! targets and any concurrently running `campaignd` — so a campaign killed
+//! mid-flight resumes under `--resume` without re-running finished targets or
+//! finished simulations inside interrupted targets. Keys are salted with the
+//! model fingerprint, so a kept store never serves cells an older model
+//! computed; a fresh (non-`--resume`) run still empties the default
+//! `results/store` first to keep it from growing, while a user-set store is
+//! never emptied.
 //!
 //! Experiments run as child processes with bounded concurrency. The pool
 //! size is the host's available parallelism divided by the per-child

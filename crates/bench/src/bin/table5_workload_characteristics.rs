@@ -1,7 +1,7 @@
 //! Table V: workload characteristics (ACT-PKI and ACT-per-tREFI per bank)
 //! measured on the baseline system, against the paper's reported values.
 
-use autorfm_bench::{banner, print_table, run_matrix, Harness, RunOpts, SimJob, BASELINE_ZEN};
+use autorfm_bench::{banner, print_table, Harness, ResultCache, RunOpts, SimJob, BASELINE_ZEN};
 
 fn main() {
     let opts = RunOpts::from_args();
@@ -11,10 +11,16 @@ fn main() {
         &opts,
     );
 
-    let matrix: Vec<SimJob> = opts.workloads.iter().map(|&s| (s, BASELINE_ZEN)).collect();
-    let results = run_matrix(&matrix, &opts);
+    let matrix: Vec<SimJob> = opts
+        .workloads
+        .iter()
+        .map(|&spec| SimJob::new(spec, BASELINE_ZEN, &opts))
+        .collect();
+    let cache = ResultCache::new(&opts);
+    cache.prefetch(&matrix, &opts);
     let mut rows = Vec::new();
-    for (spec, r) in opts.workloads.iter().zip(&results) {
+    for (spec, job) in opts.workloads.iter().zip(&matrix) {
+        let r = cache.get(job);
         rows.push(vec![
             spec.suite.to_string(),
             spec.name.to_string(),
@@ -40,8 +46,6 @@ fn main() {
     println!("\nNote: measured ACT-PKI includes writeback activations and reflects the");
     println!("ROB-model IPC; the paper's trend across workloads is what should match.");
 
-    for ((spec, scenario), r) in matrix.iter().zip(&results) {
-        harness.record(&format!("{}/{scenario}", spec.name), r);
-    }
+    harness.record_cache(&cache);
     harness.finish();
 }

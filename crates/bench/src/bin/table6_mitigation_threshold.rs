@@ -23,12 +23,13 @@ fn main() {
         (2.3, 182, 161),
     ];
     let cache = ResultCache::new(&opts);
+    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
     let mut matrix: Vec<SimJob> = Vec::new();
-    for spec in &opts.workloads {
-        matrix.push((spec, BASELINE_ZEN));
+    for &spec in &opts.workloads {
+        matrix.push(job(spec, BASELINE_ZEN));
         for &th in &ths {
-            matrix.push((spec, Scenario::AutoRfm { th }));
-            matrix.push((spec, Scenario::AutoRfmRecursive { th }));
+            matrix.push(job(spec, Scenario::AutoRfm { th }));
+            matrix.push(job(spec, Scenario::AutoRfmRecursive { th }));
         }
     }
     cache.prefetch(&matrix, &opts);
@@ -39,13 +40,13 @@ fn main() {
         // across workloads.
         let mut s_fm = 0.0f64;
         let mut s_rm = 0.0f64;
-        for spec in &opts.workloads {
-            let base = cache.get(spec, BASELINE_ZEN, &opts);
+        for &spec in &opts.workloads {
+            let base = cache.get(&job(spec, BASELINE_ZEN));
             s_fm += cache
-                .get(spec, Scenario::AutoRfm { th: *th }, &opts)
+                .get(&job(spec, Scenario::AutoRfm { th: *th }))
                 .slowdown_vs(&base);
             s_rm += cache
-                .get(spec, Scenario::AutoRfmRecursive { th: *th }, &opts)
+                .get(&job(spec, Scenario::AutoRfmRecursive { th: *th }))
                 .slowdown_vs(&base);
         }
         let n = opts.workloads.len() as f64;

@@ -33,13 +33,14 @@ fn main() {
     let th = 4u32;
     let kinds = TrackerKind::ALL;
     let cache = ResultCache::new(&opts);
+    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
     let mut matrix: Vec<SimJob> = Vec::new();
-    for spec in &opts.workloads {
-        matrix.push((spec, BASELINE_RUBIX));
+    for &spec in &opts.workloads {
+        matrix.push(job(spec, BASELINE_RUBIX));
         matrix.extend(
             kinds
                 .iter()
-                .map(|&tracker| (*spec, Scenario::AutoRfmWith { th, tracker })),
+                .map(|&tracker| job(spec, Scenario::AutoRfmWith { th, tracker })),
         );
     }
     cache.prefetch(&matrix, &opts);
@@ -47,11 +48,11 @@ fn main() {
     // Geomean slowdown factor (1 + slowdown) per tracker across workloads.
     let mut log_sums = vec![0.0f64; kinds.len()];
     let mut rows = Vec::new();
-    for spec in &opts.workloads {
-        let base = cache.get(spec, BASELINE_RUBIX, &opts);
+    for &spec in &opts.workloads {
+        let base = cache.get(&job(spec, BASELINE_RUBIX));
         let mut row = vec![spec.name.to_string()];
         for (i, &tracker) in kinds.iter().enumerate() {
-            let r = cache.get(spec, Scenario::AutoRfmWith { th, tracker }, &opts);
+            let r = cache.get(&job(spec, Scenario::AutoRfmWith { th, tracker }));
             let s = r.slowdown_vs(&base);
             log_sums[i] += (1.0 + s).ln();
             row.push(pct(s));

@@ -21,53 +21,30 @@
 //!
 //! Defaults: 100K instructions/core, 8 cores, all 21 Table-V workloads.
 //!
-//! ## Parallel execution
+//! ## Cells
 //!
-//! Each `(workload, scenario)` simulation is completely independent and
-//! deterministic given its seed, so the harness fans the experiment matrix out
-//! across threads:
+//! A **cell** is one [`SimJob`]: a labelled [`SimConfig`], keyed by
+//! [`SimConfig::key`] (the model fingerprint plus *every* configuration
+//! field). A figure's `(workload, scenario)` point, an ablation variant and a
+//! seed-sensitivity point are all cells, and equal configurations are one
+//! cell however they were built. Every simulation goes through one place,
+//! [`ResultCache::prefetch`], which simulates each distinct key **exactly
+//! once** (reloading it from the `--store` cell store when it can): it groups
+//! pending cells by shape (`autorfm::warm_digest`) into lockstep batches of
+//! `min(autorfm_campaign::LANES, ceil(pending / opts.jobs))` lanes — warmup
+//! simulated once per batch, the instruction trace generated once per core —
+//! and runs the batches on `opts.jobs` threads ([`par_map`]).
 //!
-//! * [`run_matrix`] runs a slice of `(workload, scenario)` jobs on
-//!   `opts.jobs` scoped worker threads (an atomic work index — no external
-//!   thread-pool dependency) and returns results **in input order**,
-//!   regardless of completion order.
-//! * [`ResultCache`] is shared and thread-safe: each distinct
-//!   `(workload, scenario)` key is simulated **exactly once** even when many
-//!   scenarios request it concurrently (e.g. the Zen/Rubix baselines every
-//!   figure normalizes against). The first request claims the key's
-//!   `OnceLock` slot; later requesters block on it.
-//! * [`par_map`] is the underlying generic fan-out for experiments that build
-//!   custom [`SimConfig`]s (ablations, seed sweeps).
-//!
-//! `--jobs N` selects the worker count; the default is the machine's
-//! available parallelism (`--jobs 1` runs strictly serially).
-//! **Determinism guarantee:** simulations share no mutable state, so every
-//! `SimResult` — and therefore every table and figure — is bitwise identical
-//! for any `--jobs` value; only wall-clock changes. Expected speedup on an
-//! N-thread host is close to N× for the big matrices (21 workloads × several
-//! scenarios), bounded by the longest single simulation.
-//!
-//! ## Batched lockstep execution
-//!
-//! Every simulation the harness runs goes through one place,
-//! [`ResultCache::prefetch`]: it groups the pending jobs by shape (equal
-//! `autorfm::warm_digest`, i.e. same workloads, core count, seed, and
-//! warmup), splits each group into lockstep batches and runs every batch
-//! through `autorfm_campaign::run_batch_fallible` — warmup simulated once per
-//! batch, the instruction trace generated once per core and replayed by all
-//! lanes, and the lanes advanced in cache-friendly chunks. The lane count is
-//! derived, not configured: `min(LANES, ceil(pending / opts.jobs))` with
-//! `autorfm_campaign::LANES` = 8, so a small matrix still spreads over every
-//! worker. Batching is a pure scheduling transform: every lane is bitwise
-//! identical to its standalone run (pinned by `tests/batch_differential.rs`),
-//! so — like `--jobs` — it changes wall-clock only, never results.
-//! Telemetry runs batch too; each lane keeps its own sink.
+//! **Determinism guarantee:** every lane is bitwise identical to its
+//! standalone run (pinned by `tests/batch_differential.rs`) and simulations
+//! share no mutable state, so every table is bitwise identical for any
+//! `--jobs` value; only wall-clock changes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use autorfm::experiments::Scenario;
-use autorfm::snapshot::store::{cell_key, CellRecord, CellStore};
+use autorfm::snapshot::store::{CellRecord, CellStore};
 use autorfm::snapshot::{Reader, Snapshot, Writer};
 use autorfm::telemetry::{Json, Labels, RunEntry, RunManifest};
 use autorfm::trackers::TrackerKind;
@@ -234,25 +211,58 @@ pub fn telemetry_config(opts: &RunOpts, tag: &str) -> Option<TelemetryConfig> {
     })
 }
 
-/// The [`SimConfig`] for one `(workload, scenario)` job under `opts`; an
-/// invalid cell becomes a [`CellFailure`] record instead of a panic.
-fn job_config(
-    spec: &'static WorkloadSpec,
-    scenario: Scenario,
-    opts: &RunOpts,
-) -> Result<SimConfig, autorfm_sim_core::ConfigError> {
-    let mut builder = SimConfig::builder(spec)
-        .scenario(scenario)
-        .cores(opts.cores)
-        .instructions(opts.instructions);
-    if let Some(t) = telemetry_config(opts, &format!("{}__{scenario}", spec.name)) {
-        builder = builder.telemetry(t);
-    }
-    builder.build()
+/// One cell of an experiment matrix: a labelled [`SimConfig`].
+///
+/// The configuration *is* the cell: [`ResultCache`] keys results by
+/// [`SimConfig::key`], so two jobs with equal configurations are one
+/// simulation whatever their labels say. The label (`"workload/scenario"`,
+/// plus one `/tag` per [`SimJob::variant`]) only names the cell — in
+/// manifests, in [`CellFailure`] records and in telemetry CSV file names.
+#[derive(Debug, Clone)]
+pub struct SimJob {
+    /// Human-readable name of the cell.
+    pub label: String,
+    /// What the cell simulates; assembled, not yet validated (an invalid
+    /// configuration becomes a [`CellFailure`] when the job runs).
+    pub cfg: SimConfig,
 }
 
-/// One entry of an experiment matrix: a workload under a scenario.
-pub type SimJob = (&'static WorkloadSpec, Scenario);
+impl SimJob {
+    /// The cell for `scenario` on `spec` at `opts`' core count and
+    /// instruction budget (seed 42), labelled `"workload/scenario"`.
+    pub fn new(spec: &'static WorkloadSpec, scenario: Scenario, opts: &RunOpts) -> Self {
+        let label = format!("{}/{scenario}", spec.name);
+        let mut cfg = SimConfig::scenario(spec, scenario);
+        cfg.num_cores = opts.cores;
+        cfg.instructions_per_core = opts.instructions;
+        cfg.telemetry = telemetry_config(opts, &csv_tag(&label));
+        SimJob { label, cfg }
+    }
+
+    /// This cell with `tweak` applied to its configuration, labelled
+    /// `"{label}/{tag}"`. A tweak that restates a value the configuration
+    /// already has leaves the cell — and its key — unchanged (unless a
+    /// telemetry CSV file, named after the label, is streamed).
+    #[must_use]
+    pub fn variant(mut self, tag: &str, tweak: impl FnOnce(&mut SimConfig)) -> Self {
+        self.label = format!("{}/{tag}", self.label);
+        tweak(&mut self.cfg);
+        if let Some(path) = self
+            .cfg
+            .telemetry
+            .as_mut()
+            .and_then(|t| t.csv_path.as_mut())
+        {
+            path.set_file_name(format!("{}.csv", csv_tag(&self.label)));
+        }
+        self
+    }
+}
+
+/// The telemetry CSV file stem of a job label: `workload__scenario[__tag]`.
+fn csv_tag(label: &str) -> String {
+    label.replace('/', "__")
+}
 
 /// Applies `f` to every item on `jobs` scoped worker threads, returning
 /// results in input order regardless of completion order.
@@ -296,42 +306,30 @@ where
         .collect()
 }
 
-/// Runs a `(workload, scenario)` matrix in parallel, returning results in
+/// Runs a matrix of jobs in parallel (duplicates once), returning results in
 /// input order.
-///
-/// Duplicate jobs are simulated once (a fresh shared [`ResultCache`] dedups
-/// them) and the duplicates receive clones. Use [`ResultCache::prefetch`]
-/// instead when the cache should outlive the call.
 pub fn run_matrix(jobs: &[SimJob], opts: &RunOpts) -> Vec<SimResult> {
-    run_matrix_cached(jobs, opts, &ResultCache::new(opts))
-}
-
-/// [`run_matrix`] against a caller-supplied cache (so the cache — and its
-/// store wiring, or deliberate lack of it — can outlive the call).
-pub fn run_matrix_cached(jobs: &[SimJob], opts: &RunOpts, cache: &ResultCache) -> Vec<SimResult> {
+    let cache = ResultCache::new(opts);
     cache.prefetch(jobs, opts);
-    jobs.iter()
-        .map(|&(spec, scenario)| (*cache.get(spec, scenario, opts)).clone())
-        .collect()
+    jobs.iter().map(|job| (*cache.get(job)).clone()).collect()
 }
-
-/// Cache key: (scenario display name, workload name).
-type CacheKey = (String, &'static str);
 
 /// One cached cell: filled exactly once, by the prefetch that claimed it,
 /// with the result or the failed cell's error text; concurrent requesters
 /// block on it.
 type CacheSlot = Arc<OnceLock<Result<Arc<SimResult>, String>>>;
 
-/// A thread-safe cache of per-`(workload, scenario)` results so shared
-/// scenarios (the normalization baselines above all) are simulated only once.
+/// A thread-safe cache of cell results keyed by [`SimConfig::key`], so a
+/// configuration many experiments share (the normalization baselines above
+/// all, or an ablation variant equal to a scenario) is simulated only once.
 ///
 /// The first [`ResultCache::prefetch`] (or [`ResultCache::get`]) to request
 /// a key claims its [`OnceLock`] slot and fills it; concurrent requesters
 /// block until the result is ready — never re-running the simulation.
 #[derive(Default)]
 pub struct ResultCache {
-    results: Mutex<HashMap<CacheKey, CacheSlot>>,
+    /// Per key: the label of the job that claimed it, and its slot.
+    results: Mutex<HashMap<u64, (String, CacheSlot)>>,
     runs: AtomicUsize,
     store: Option<CellStore>,
     failures: Mutex<Vec<CellFailure>>,
@@ -343,11 +341,9 @@ pub struct ResultCache {
 /// [`ResultCache::failures`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
-    /// Workload name of the failed job.
-    pub workload: &'static str,
-    /// Scenario display name of the failed job.
-    pub scenario: String,
-    /// The job's [`job_digest`] / store cell key.
+    /// Label of the failed job.
+    pub label: String,
+    /// The job's configuration key ([`SimConfig::key`]; also its store key).
     pub key: u64,
     /// Why it failed (panic message or configuration error).
     pub error: String,
@@ -356,11 +352,14 @@ pub struct CellFailure {
 /// Fills every claimed slot a prefetch leaves empty when it ends. Normally
 /// there are none; if the prefetch panicked, its waiters get an error
 /// instead of blocking forever.
-struct AbandonGuard<'a>(&'a [(SimJob, CacheSlot)]);
+struct AbandonGuard<'a>(&'a [Claim<'a>]);
+
+/// A job a prefetch claimed: its key, the job, and the slot to fill.
+type Claim<'a> = (u64, &'a SimJob, CacheSlot);
 
 impl Drop for AbandonGuard<'_> {
     fn drop(&mut self) {
-        for (_, slot) in self.0 {
+        for (_, _, slot) in self.0 {
             let _ = slot.set(Err("abandoned: the prefetch running it panicked".into()));
         }
     }
@@ -371,50 +370,37 @@ impl ResultCache {
     /// content-addressed cell store `run_all` and `campaignd` share): with a
     /// store, completed results are reloaded and every fresh simulation is
     /// persisted — so a killed experiment resumes instead of starting over.
-    /// Without one the cache lives in memory only. `ResultCache::default()`
-    /// never touches a store; [`ResultCache::with_store`] passes an explicit
-    /// root.
+    /// Without one (or if it cannot be opened, with a warning) the cache
+    /// lives in memory only, like `ResultCache::default()`.
     pub fn new(opts: &RunOpts) -> Self {
-        opts.store
-            .clone()
-            .map_or_else(Self::default, Self::with_store)
-    }
-
-    /// Creates an empty cache backed by the content-addressed cell store at
-    /// `root` — the same store `campaignd` serves, so harness runs and
-    /// campaign cells share one result per sweep point. An unopenable store
-    /// degrades (with a warning) to a plain in-memory cache.
-    pub fn with_store(root: PathBuf) -> Self {
-        let store = match CellStore::open(&root) {
-            Ok(store) => Some(store),
-            Err(e) => {
-                eprintln!("warning: could not open store {}: {e}", root.display());
-                None
-            }
-        };
+        let store = opts.store.as_ref().and_then(|root| {
+            CellStore::open(root)
+                .map_err(|e| eprintln!("warning: could not open store {}: {e}", root.display()))
+                .ok()
+        });
         ResultCache {
             store,
             ..Self::default()
         }
     }
 
-    /// Runs (or returns the cached result of) `scenario` on `spec`: a miss
-    /// is a one-job [`ResultCache::prefetch`].
+    /// Runs (or returns the cached result of) `job`: a miss is a one-job
+    /// [`ResultCache::prefetch`].
     ///
     /// # Panics
     ///
     /// Panics with the cell's error text if it failed (see
     /// [`ResultCache::failures`]), or if an internal lock is poisoned.
-    pub fn get(
-        &self,
-        spec: &'static WorkloadSpec,
-        scenario: Scenario,
-        opts: &RunOpts,
-    ) -> Arc<SimResult> {
-        self.prefetch(&[(spec, scenario)], opts);
-        match self.slot((scenario.to_string(), spec.name)).wait() {
+    pub fn get(&self, job: &SimJob) -> Arc<SimResult> {
+        self.run_jobs(std::slice::from_ref(job), 1);
+        let slot = {
+            let map = self.results.lock().expect("cache lock poisoned");
+            let (_, slot) = map.get(&job.cfg.key()).expect("run_jobs claimed the key");
+            slot.clone()
+        };
+        match slot.wait() {
             Ok(result) => Arc::clone(result),
-            Err(error) => panic!("{}/{scenario} failed: {error}", spec.name),
+            Err(error) => panic!("{} failed: {error}", job.label),
         }
     }
 
@@ -453,8 +439,7 @@ impl ResultCache {
 
     /// Records one failed cell: a structured [`CellFailure`] in memory and,
     /// with a store configured, a persisted failed-cell record.
-    fn record_failure(&self, (spec, scenario): SimJob, opts: &RunOpts, error: String) {
-        let key = job_digest(spec, scenario, opts);
+    fn record_failure(&self, key: u64, job: &SimJob, error: String) {
         if let Some(store) = &self.store {
             let _ = store.put(key, &CellRecord::failed(key, error.clone()));
         }
@@ -462,25 +447,18 @@ impl ResultCache {
             .lock()
             .expect("failures lock poisoned")
             .push(CellFailure {
-                workload: spec.name,
-                scenario: scenario.to_string(),
+                label: job.label.clone(),
                 key,
                 error,
             });
-    }
-
-    /// The rendezvous slot for `key`, creating it if absent.
-    fn slot(&self, key: CacheKey) -> CacheSlot {
-        let mut map = self.results.lock().expect("cache lock poisoned");
-        map.entry(key).or_default().clone()
     }
 
     /// Simulates every job in the matrix that no earlier request claimed, so
     /// later `get`s are instant hits. This is the harness's one simulation
     /// path:
     ///
-    /// 1. claim the keys no one has requested yet (duplicates and keys
-    ///    already cached or in flight are left to their owner);
+    /// 1. claim the configuration keys no one has requested yet (duplicates
+    ///    and keys already cached or in flight are left to their owner);
     /// 2. answer claimed keys the cell store already holds;
     /// 3. group the rest by shape into lockstep batches of
     ///    `min(LANES, ceil(pending / opts.jobs))` lanes
@@ -492,22 +470,30 @@ impl ResultCache {
     /// cell whose configuration is invalid) does not poison its batchmates:
     /// the bad cell becomes a structured [`CellFailure`] record — cell key
     /// plus error text — readable via [`ResultCache::failures`] (and, with a
-    /// store configured, a persisted failed-cell record). Telemetry runs
-    /// neither read nor write the store: their epoch series cannot be
-    /// persisted (see `SimResult`'s snapshot docs).
+    /// store configured, a persisted failed-cell record). Cells with
+    /// telemetry enabled neither read nor write the store: their epoch series
+    /// and metric registries cannot be persisted (see `SimResult`'s snapshot
+    /// docs).
     ///
     /// # Panics
     ///
     /// Panics if a lock is poisoned.
     pub fn prefetch(&self, jobs: &[SimJob], opts: &RunOpts) {
-        let claimed: Vec<(SimJob, CacheSlot)> = {
+        self.run_jobs(jobs, opts.jobs);
+    }
+
+    /// [`ResultCache::prefetch`] on `threads` worker threads.
+    fn run_jobs(&self, jobs: &[SimJob], threads: usize) {
+        let claimed: Vec<Claim<'_>> = {
             let mut map = self.results.lock().expect("cache lock poisoned");
             jobs.iter()
-                .filter_map(|&(spec, scenario)| {
-                    match map.entry((scenario.to_string(), spec.name)) {
+                .filter_map(|job| {
+                    let key = job.cfg.key();
+                    match map.entry(key) {
                         Entry::Occupied(_) => None,
                         Entry::Vacant(v) => {
-                            Some(((spec, scenario), v.insert(CacheSlot::default()).clone()))
+                            let (_, slot) = v.insert((job.label.clone(), CacheSlot::default()));
+                            Some((key, job, slot.clone()))
                         }
                     }
                 })
@@ -515,37 +501,37 @@ impl ResultCache {
         };
         let _guard = AbandonGuard(&claimed);
         let mut cells: Vec<(usize, SimConfig)> = Vec::new();
-        for (i, &((spec, scenario), ref slot)) in claimed.iter().enumerate() {
-            if !opts.telemetry {
-                if let Some(prior) = self.persisted(job_digest(spec, scenario, opts)) {
+        for (i, (key, job, slot)) in claimed.iter().enumerate() {
+            if job.cfg.telemetry.is_none() {
+                if let Some(prior) = self.persisted(*key) {
                     let _ = slot.set(Ok(Arc::new(prior)));
                     continue;
                 }
             }
-            match job_config(spec, scenario, opts) {
-                Ok(cfg) => cells.push((i, cfg)),
+            match job.cfg.validate() {
+                Ok(()) => cells.push((i, job.cfg.clone())),
                 Err(e) => {
-                    self.record_failure((spec, scenario), opts, e.to_string());
+                    self.record_failure(*key, job, e.to_string());
                     let _ = slot.set(Err(e.to_string()));
                 }
             }
         }
-        let lanes = LANES.min(cells.len().div_ceil(opts.jobs.max(1)));
-        par_map(&shape_units(cells, lanes), opts.jobs, |(_, unit)| {
+        let lanes = LANES.min(cells.len().div_ceil(threads.max(1)));
+        par_map(&shape_units(cells, lanes), threads, |(_, unit)| {
             let cfgs: Vec<SimConfig> = unit.iter().map(|(_, cfg)| cfg.clone()).collect();
             let outcome = run_batch_fallible(&cfgs, None, KernelKind::Event, false);
             for (&(i, _), result) in unit.iter().zip(outcome.results) {
-                let ((spec, scenario), slot) = &claimed[i];
+                let (key, job, slot) = &claimed[i];
                 let filled = match result {
                     Ok(result) => {
                         self.runs.fetch_add(1, Ordering::Relaxed);
-                        if !opts.telemetry {
-                            self.persist(job_digest(spec, *scenario, opts), &result);
+                        if job.cfg.telemetry.is_none() {
+                            self.persist(*key, &result);
                         }
                         Ok(Arc::new(result))
                     }
                     Err(error) => {
-                        self.record_failure((spec, *scenario), opts, error.clone());
+                        self.record_failure(*key, job, error.clone());
                         Err(error)
                     }
                 };
@@ -554,8 +540,8 @@ impl ResultCache {
         });
     }
 
-    /// Number of distinct `(workload, scenario)` keys requested so far
-    /// (completed, failed, or in flight).
+    /// Number of distinct configuration keys requested so far (completed,
+    /// failed, or in flight).
     ///
     /// # Panics
     ///
@@ -575,42 +561,25 @@ impl ResultCache {
         self.runs.load(Ordering::Relaxed)
     }
 
-    /// Every completed result as `(workload, scenario, result)`, sorted by
-    /// key for deterministic iteration. Slots still being simulated by
-    /// another thread, and failed cells, are skipped.
+    /// Every completed result with the label of the job that claimed it,
+    /// sorted by label for deterministic iteration. Slots still being
+    /// simulated by another thread, and failed cells, are skipped.
     ///
     /// # Panics
     ///
     /// Panics if the internal lock is poisoned.
-    pub fn results(&self) -> Vec<(&'static str, String, Arc<SimResult>)> {
+    pub fn results(&self) -> Vec<(String, Arc<SimResult>)> {
         let map = self.results.lock().expect("cache lock poisoned");
         let mut out: Vec<_> = map
-            .iter()
-            .filter_map(|((scenario, workload), slot)| match slot.get() {
-                Some(Ok(r)) => Some((*workload, scenario.clone(), r.clone())),
+            .values()
+            .filter_map(|(label, slot)| match slot.get() {
+                Some(Ok(r)) => Some((label.clone(), r.clone())),
                 _ => None,
             })
             .collect();
-        out.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
-}
-
-/// Stable identity of one simulation job: scenario, workload, and the run
-/// shape (cores, instructions, the harness's fixed seed 42). Everything else
-/// that could change the result (geometry, timings) is fixed by the scenario
-/// constructors. Delegates to [`cell_key`], so a harness job and the campaign
-/// daemon's cell for the same sweep point share one key — which is what lets
-/// [`ResultCache`] and the service route through the same content-addressed
-/// store.
-pub fn job_digest(spec: &WorkloadSpec, scenario: Scenario, opts: &RunOpts) -> u64 {
-    cell_key(
-        spec.name,
-        &scenario.to_string(),
-        opts.cores,
-        opts.instructions,
-        42,
-    )
 }
 
 /// Records a machine-readable manifest of one experiment binary's runs and
@@ -667,8 +636,9 @@ impl Harness {
         }
     }
 
-    /// Records one simulation under `key` (convention: `workload/scenario`).
-    /// Duplicate keys are kept once — the first recording wins.
+    /// Records one simulation under `key` (convention: the job label,
+    /// `workload/scenario[/tag]`). Duplicate keys are kept once — the first
+    /// recording wins.
     pub fn record(&mut self, key: &str, result: &SimResult) {
         if self.manifest.run(key).is_some() {
             return;
@@ -681,11 +651,16 @@ impl Harness {
     }
 
     /// Records every completed simulation in `cache` (the usual one-liner for
-    /// cache-driven experiments).
+    /// cache-driven experiments), plus the `simulations_run` counter: how
+    /// many of them this process simulated rather than reloaded from the
+    /// cell store.
     pub fn record_cache(&mut self, cache: &ResultCache) {
-        for (workload, scenario, result) in cache.results() {
-            self.record(&format!("{workload}/{scenario}"), &result);
+        for (label, result) in cache.results() {
+            self.record(&label, &result);
         }
+        self.manifest
+            .metrics
+            .counter("simulations_run", &[], cache.simulations_run() as u64);
     }
 
     /// Adds a free-form config entry (experiment-specific knobs).
@@ -837,8 +812,9 @@ mod tests {
             ..RunOpts::default()
         };
         let cache = ResultCache::new(&opts);
-        let a = cache.get(spec, BASELINE_ZEN, &opts).perf();
-        let b = cache.get(spec, BASELINE_ZEN, &opts).perf();
+        let job = SimJob::new(spec, BASELINE_ZEN, &opts);
+        let a = cache.get(&job).perf();
+        let b = cache.get(&job).perf();
         assert_eq!(a, b);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.simulations_run(), 1);
@@ -855,19 +831,19 @@ mod tests {
             ..RunOpts::default()
         };
         // 11 same-shape cells: more than one LANES-wide batch.
-        let mut matrix: Vec<SimJob> = vec![(spec, BASELINE_ZEN)];
+        let job = |scenario| SimJob::new(spec, scenario, &opts);
+        let mut matrix: Vec<SimJob> = vec![job(BASELINE_ZEN)];
         for th in [4, 8, 16, 32, 64] {
-            matrix.push((spec, Scenario::Rfm { th }));
-            matrix.push((spec, Scenario::AutoRfm { th }));
+            matrix.push(job(Scenario::Rfm { th }));
+            matrix.push(job(Scenario::AutoRfm { th }));
         }
         let distinct = matrix.len();
         assert!(distinct > LANES);
-        matrix.push((spec, BASELINE_ZEN)); // duplicate: must dedup, not double-run
+        matrix.push(job(BASELINE_ZEN)); // duplicate: must dedup, not double-run
         let standalone: Vec<SimResult> = matrix
             .iter()
-            .map(|&(spec, scenario)| {
-                let cfg = job_config(spec, scenario, &opts).unwrap();
-                autorfm::System::new(cfg)
+            .map(|job| {
+                autorfm::System::new(job.cfg.clone())
                     .unwrap()
                     .run_with(KernelKind::Event)
             })
@@ -877,7 +853,8 @@ mod tests {
         for jobs in [1, 2 * distinct] {
             opts.jobs = jobs;
             let cache = ResultCache::default();
-            let batched = run_matrix_cached(&matrix, &opts, &cache);
+            cache.prefetch(&matrix, &opts);
+            let batched: Vec<SimResult> = matrix.iter().map(|j| (*cache.get(j)).clone()).collect();
             assert_eq!(
                 format!("{standalone:?}"),
                 format!("{batched:?}"),

@@ -3,7 +3,7 @@
 //! `RunManifest::load` round-trips everything `telemetry_report` needs.
 
 use autorfm::telemetry::RunManifest;
-use autorfm_bench::{Harness, ResultCache, RunOpts, BASELINE_ZEN};
+use autorfm_bench::{Harness, ResultCache, RunOpts, SimJob, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
 
 #[test]
@@ -24,7 +24,7 @@ fn harness_writes_manifest_where_opts_point() {
         ..RunOpts::default()
     };
     let mut harness = Harness::new(&opts);
-    let result = ResultCache::default().get(spec, BASELINE_ZEN, &opts);
+    let result = ResultCache::default().get(&SimJob::new(spec, BASELINE_ZEN, &opts));
     harness.record(&format!("{}/{BASELINE_ZEN}", spec.name), &result);
     harness.record(&format!("{}/{BASELINE_ZEN}", spec.name), &result); // dup: kept once
     harness.finish();

@@ -21,9 +21,9 @@ fn quick_opts(jobs: usize) -> RunOpts {
 
 fn matrix(opts: &RunOpts) -> Vec<SimJob> {
     let mut jobs = Vec::new();
-    for spec in &opts.workloads {
+    for &spec in &opts.workloads {
         for scenario in [BASELINE_ZEN, Scenario::AutoRfm { th: 4 }] {
-            jobs.push((*spec, scenario));
+            jobs.push(SimJob::new(spec, scenario, opts));
         }
     }
     jobs
@@ -42,37 +42,33 @@ fn run_matrix_parallel_matches_serial() {
 
     assert_eq!(serial.len(), jobs.len());
     assert_eq!(parallel.len(), jobs.len());
-    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        let (spec, scenario) = jobs[i];
-        assert_eq!(s.workload, spec.name, "serial results out of input order");
-        assert_eq!(p.workload, spec.name, "parallel results out of input order");
-        assert_eq!(
-            s.elapsed, p.elapsed,
-            "elapsed differs for {} / {scenario}",
-            spec.name
-        );
+    for ((s, p), job) in serial.iter().zip(&parallel).zip(&jobs) {
+        let name = job.cfg.workload.name;
+        assert_eq!(s.workload, name, "serial results out of input order");
+        assert_eq!(p.workload, name, "parallel results out of input order");
+        assert_eq!(s.elapsed, p.elapsed, "elapsed differs for {}", job.label);
         assert_eq!(
             s.dram.acts.get(),
             p.dram.acts.get(),
-            "acts differ for {} / {scenario}",
-            spec.name
+            "acts differ for {}",
+            job.label
         );
         assert_eq!(
             s.dram.alerts.get(),
             p.dram.alerts.get(),
-            "alerts differ for {} / {scenario}",
-            spec.name
+            "alerts differ for {}",
+            job.label
         );
         assert_eq!(
             s.per_core_ipc, p.per_core_ipc,
-            "IPC differs for {} / {scenario}",
-            spec.name
+            "IPC differs for {}",
+            job.label
         );
     }
 }
 
 /// Many concurrent requests for overlapping keys: each distinct
-/// `(workload, scenario)` is simulated exactly once.
+/// configuration is simulated exactly once.
 #[test]
 fn shared_cache_simulates_each_key_exactly_once() {
     let opts = quick_opts(8);
@@ -95,9 +91,9 @@ fn shared_cache_simulates_each_key_exactly_once() {
     );
 
     // And the cached results are the exact objects later `get`s observe.
-    for &(spec, scenario) in &unique {
-        let again = cache.get(spec, scenario, &opts);
-        assert_eq!(again.workload, spec.name);
+    for job in &unique {
+        let again = cache.get(job);
+        assert_eq!(again.workload, job.cfg.workload.name);
     }
     assert_eq!(cache.simulations_run(), unique.len());
 }
@@ -111,11 +107,12 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
     let spec = opts.workloads[0];
     // AutoRFM with window 0 is rejected by every tracker; its cell must not
     // poison the two valid cells batched alongside it.
-    let bad = Scenario::AutoRfm { th: 0 };
+    let job = |scenario| SimJob::new(spec, scenario, &opts);
+    let bad = job(Scenario::AutoRfm { th: 0 });
     let jobs: Vec<SimJob> = vec![
-        (spec, BASELINE_ZEN),
-        (spec, bad),
-        (spec, Scenario::AutoRfm { th: 4 }),
+        job(BASELINE_ZEN),
+        bad.clone(),
+        job(Scenario::AutoRfm { th: 4 }),
     ];
 
     let cache = ResultCache::default();
@@ -127,20 +124,20 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
         1,
         "exactly the bad cell failed: {failures:?}"
     );
-    assert_eq!(failures[0].workload, spec.name);
-    assert_eq!(failures[0].scenario, bad.to_string());
+    assert_eq!(failures[0].label, format!("{}/AutoRFM-0", spec.name));
+    assert_eq!(failures[0].key, bad.cfg.key());
     assert!(!failures[0].error.is_empty());
 
     // Both healthy cells are cached and never re-simulated by later gets.
-    let a = cache.get(spec, BASELINE_ZEN, &opts);
-    let b = cache.get(spec, Scenario::AutoRfm { th: 4 }, &opts);
+    let a = cache.get(&job(BASELINE_ZEN));
+    let b = cache.get(&job(Scenario::AutoRfm { th: 4 }));
     assert_eq!(a.workload, spec.name);
     assert_eq!(b.workload, spec.name);
     assert_eq!(cache.simulations_run(), 2);
 
     // The bad cell fails loudly, with its recorded error, and only once.
     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cache.get(spec, bad, &opts);
+        cache.get(&bad);
     }))
     .expect_err("a get of the failed cell must panic");
     let message = panic

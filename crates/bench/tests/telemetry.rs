@@ -3,7 +3,7 @@
 //! epoch series and full metric registries without perturbing results.
 
 use autorfm::experiments::Scenario;
-use autorfm::{KernelKind, SimConfig, System};
+use autorfm::{KernelKind, System};
 use autorfm_bench::{run_matrix, telemetry_config, RunOpts, SimJob, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
 
@@ -24,7 +24,9 @@ fn quick_opts(telemetry: bool) -> RunOpts {
 fn matrix(opts: &RunOpts) -> Vec<SimJob> {
     opts.workloads
         .iter()
-        .flat_map(|&spec| [(spec, BASELINE_ZEN), (spec, Scenario::AutoRfm { th: 4 })])
+        .flat_map(|&spec| {
+            [BASELINE_ZEN, Scenario::AutoRfm { th: 4 }].map(|sc| SimJob::new(spec, sc, opts))
+        })
         .collect()
 }
 
@@ -38,16 +40,11 @@ fn disabled_path_is_bitwise_identical_to_enabled() {
     let jobs = matrix(&off_opts);
 
     let off = run_matrix(&jobs, &off_opts);
-    let on = run_matrix(&jobs, &on_opts);
+    let on = run_matrix(&matrix(&on_opts), &on_opts);
 
     assert_eq!(off.len(), on.len());
-    for (i, (a, b)) in off.iter().zip(&on).enumerate() {
-        let (spec, scenario) = jobs[i];
-        assert_eq!(
-            a.elapsed, b.elapsed,
-            "elapsed differs for {} / {scenario}",
-            spec.name
-        );
+    for ((a, b), job) in off.iter().zip(&on).zip(&jobs) {
+        assert_eq!(a.elapsed, b.elapsed, "elapsed differs for {}", job.label);
         assert_eq!(a.dram.acts.get(), b.dram.acts.get());
         assert_eq!(a.dram.alerts.get(), b.dram.alerts.get());
         assert_eq!(a.dram.victim_refreshes.get(), b.dram.victim_refreshes.get());
@@ -92,10 +89,11 @@ fn epoch_length_controls_resolution_only() {
     let mut fine_opts = quick_opts(true);
     fine_opts.epoch_ns = Some(100);
     let spec = WorkloadSpec::by_name("mcf").unwrap();
-    let jobs = [(spec, BASELINE_ZEN)];
+    let coarse_jobs = [SimJob::new(spec, BASELINE_ZEN, &coarse_opts)];
+    let fine_jobs = [SimJob::new(spec, BASELINE_ZEN, &fine_opts)];
 
-    let coarse = &run_matrix(&jobs, &coarse_opts)[0];
-    let fine = &run_matrix(&jobs, &fine_opts)[0];
+    let coarse = &run_matrix(&coarse_jobs, &coarse_opts)[0];
+    let fine = &run_matrix(&fine_jobs, &fine_opts)[0];
 
     assert_eq!(coarse.elapsed, fine.elapsed);
     assert_eq!(coarse.dram.acts.get(), fine.dram.acts.get());
@@ -120,14 +118,10 @@ fn batched_lanes_record_the_standalone_series() {
     let opts = quick_opts(true);
     let jobs = matrix(&opts);
     let batched = run_matrix(&jobs, &opts);
-    for (&(spec, scenario), lane) in jobs.iter().zip(&batched) {
-        let cfg = SimConfig::builder(spec)
-            .scenario(scenario)
-            .cores(opts.cores)
-            .instructions(opts.instructions)
-            .telemetry(telemetry_config(&opts, "standalone").expect("telemetry on"))
-            .build()
-            .unwrap();
+    for (job, lane) in jobs.iter().zip(&batched) {
+        let mut cfg = job.cfg.clone();
+        cfg.telemetry = telemetry_config(&opts, "standalone");
+        assert!(cfg.telemetry.is_some(), "telemetry on");
         let standalone = System::new(cfg).unwrap().run_with(KernelKind::Event);
         let want = &standalone
             .series
@@ -135,14 +129,9 @@ fn batched_lanes_record_the_standalone_series() {
             .expect("standalone series")
             .samples;
         let got = &lane.series.as_ref().expect("lane series").samples;
-        assert_eq!(
-            want.len(),
-            got.len(),
-            "sample count for {} / {scenario}",
-            spec.name
-        );
+        assert_eq!(want.len(), got.len(), "sample count for {}", job.label);
         for (i, (a, b)) in want.iter().zip(got).enumerate() {
-            assert_eq!(a, b, "sample {i} diverged for {} / {scenario}", spec.name);
+            assert_eq!(a, b, "sample {i} diverged for {}", job.label);
         }
         assert_eq!(format!("{standalone:?}"), format!("{lane:?}"));
     }

@@ -1,11 +1,12 @@
 //! Sweep cells and sweep requests.
 //!
 //! A **cell** is one point of a sweep: a workload under a scenario at a core
-//! count, instruction budget, and seed. Its identity is
-//! [`cell_key`](autorfm::snapshot::store::cell_key) over exactly those five
-//! axes, which is also the file name in the content-addressed store — so two
-//! campaigns (or a campaign and a `run_all` batch) asking for the same cell
-//! land on the same record.
+//! count, instruction budget, and seed. Its identity is the key of the
+//! configuration it runs ([`SimConfig::key`]: the model fingerprint plus
+//! every configuration field), which is also the file name in the
+//! content-addressed store — so two campaigns (or a campaign and a `run_all`
+//! batch) asking for the same simulation land on the same record, and a
+//! record written by another model is never served.
 //!
 //! A **sweep request** is the client-facing description: lists of workloads,
 //! scenario names, tracker names, and thresholds that expand into the cross
@@ -16,7 +17,6 @@
 use autorfm::experiments::Scenario;
 use autorfm::sim_core::ConfigError;
 use autorfm::snapshot::digest64;
-use autorfm::snapshot::store::cell_key;
 use autorfm::telemetry::Json;
 use autorfm::trackers::TrackerKind;
 use autorfm::workloads::WorkloadSpec;
@@ -39,36 +39,44 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    /// The cell's content-address in the store.
+    /// The cell's content-address in the store: the [`SimConfig::key`] of
+    /// the configuration [`CellSpec::config`] builds. Computed before
+    /// validation, so an invalid cell still has a key for its failure record.
     pub fn key(&self) -> u64 {
-        cell_key(
-            self.workload.name,
-            &self.scenario.to_string(),
-            self.cores,
-            self.instructions,
-            self.seed,
-        )
+        self.assemble().key()
     }
 
     /// Builds the runnable configuration for this cell.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if the combination is invalid (e.g. a tracker
-    /// rejecting the threshold).
+    /// Returns [`ConfigError`] if the combination is invalid (e.g. a zero
+    /// core count).
     pub fn config(&self) -> Result<SimConfig, ConfigError> {
-        SimConfig::builder(self.workload)
-            .scenario(self.scenario)
-            .cores(self.cores)
-            .instructions(self.instructions)
-            .seed(self.seed)
-            .build()
+        let cfg = self.assemble();
+        cfg.validate()?;
+        Ok(cfg)
+    }
+
+    /// The cell's configuration, not yet validated.
+    fn assemble(&self) -> SimConfig {
+        let mut cfg = SimConfig::scenario(self.workload, self.scenario);
+        cfg.num_cores = self.cores;
+        cfg.instructions_per_core = self.instructions;
+        cfg.seed = self.seed;
+        cfg
     }
 
     /// The cell as a JSON object (the manifest row shape).
     pub fn to_json(&self) -> Json {
+        self.json_row(self.key())
+    }
+
+    /// [`CellSpec::to_json`] with the key already at hand (computing it
+    /// renders the whole configuration).
+    pub(crate) fn json_row(&self, key: u64) -> Json {
         Json::obj(vec![
-            ("key", Json::Str(format!("{:016x}", self.key()))),
+            ("key", Json::Str(format!("{key:016x}"))),
             ("workload", Json::Str(self.workload.name.to_string())),
             ("scenario", Json::Str(self.scenario.to_string())),
             ("cores", Json::Num(f64::from(self.cores))),
@@ -81,8 +89,8 @@ impl CellSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] on a missing field, an unknown workload, or an
-    /// unparsable scenario name.
+    /// Returns [`ConfigError`] on a missing field, an unknown workload, an
+    /// unparsable scenario name, or a number out of its field's range.
     pub fn from_json(json: &Json) -> Result<Self, ConfigError> {
         let workload_name = json
             .get("workload")
@@ -98,14 +106,22 @@ impl CellSpec {
         Ok(CellSpec {
             workload,
             scenario,
-            cores: json.get("cores").and_then(Json::as_u64).unwrap_or(8) as u8,
-            instructions: json
-                .get("instructions")
-                .and_then(Json::as_u64)
-                .unwrap_or(100_000),
-            seed: json.get("seed").and_then(Json::as_u64).unwrap_or(42),
+            cores: number(json.get("cores"), "cores", 8)?,
+            instructions: number(json.get("instructions"), "instructions", 100_000)?,
+            seed: number(json.get("seed"), "seed", 42)?,
         })
     }
+}
+
+/// `value` (the field `key`; `default` when absent) as a `T`: a value that
+/// is not a non-negative integer or does not fit `T` is a [`ConfigError`],
+/// never a silently truncated cast.
+fn number<T: TryFrom<u64>>(value: Option<&Json>, key: &str, default: T) -> Result<T, ConfigError> {
+    let Some(value) = value else {
+        return Ok(default);
+    };
+    let n = value.as_u64().and_then(|n| T::try_from(n).ok());
+    n.ok_or_else(|| ConfigError::new(format!("'{key}' out of range: {}", value.to_compact())))
 }
 
 /// A client-submitted sweep: the cross product of workloads and scenarios.
@@ -243,8 +259,9 @@ impl SweepRequest {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if `json` is not an object. (Name resolution
-    /// errors surface later, from [`SweepRequest::expand`].)
+    /// Returns [`ConfigError`] if `json` is not an object or a number is out
+    /// of its field's range. (Name resolution errors surface later, from
+    /// [`SweepRequest::expand`].)
     pub fn from_json(json: &Json) -> Result<Self, ConfigError> {
         if !matches!(json, Json::Obj(_)) {
             return Err(ConfigError::new("sweep request must be a JSON object"));
@@ -275,23 +292,18 @@ impl SweepRequest {
                 .and_then(Json::as_arr)
                 .map(|xs| {
                     xs.iter()
-                        .filter_map(Json::as_u64)
-                        .map(|t| t as u32)
+                        .map(|t| number(Some(t), "thresholds", 0))
                         .collect()
                 })
+                .transpose()?
                 .unwrap_or_default(),
-            cores: json
-                .get("cores")
-                .and_then(Json::as_u64)
-                .unwrap_or(u64::from(defaults.cores)) as u8,
-            instructions: json
-                .get("instructions")
-                .and_then(Json::as_u64)
-                .unwrap_or(defaults.instructions),
-            seed: json
-                .get("seed")
-                .and_then(Json::as_u64)
-                .unwrap_or(defaults.seed),
+            cores: number(json.get("cores"), "cores", defaults.cores)?,
+            instructions: number(
+                json.get("instructions"),
+                "instructions",
+                defaults.instructions,
+            )?,
+            seed: number(json.get("seed"), "seed", defaults.seed)?,
         })
     }
 }
@@ -400,16 +412,64 @@ mod tests {
 
     #[test]
     fn cell_key_matches_store_keying() {
+        // A cell's key is the key of the configuration it runs — the same
+        // key the experiment harness files that configuration under.
         let cell = request().expand().unwrap()[0];
-        assert_eq!(
-            cell.key(),
-            cell_key(
-                cell.workload.name,
-                &cell.scenario.to_string(),
-                cell.cores,
-                cell.instructions,
-                cell.seed
-            )
+        let built = SimConfig::builder(cell.workload)
+            .scenario(cell.scenario)
+            .cores(cell.cores)
+            .instructions(cell.instructions)
+            .seed(cell.seed)
+            .build()
+            .unwrap();
+        assert_eq!(cell.key(), built.key());
+        assert_eq!(cell.key(), cell.config().unwrap().key());
+        // An invalid cell still has a key (for its failure record).
+        let invalid = CellSpec { cores: 0, ..cell };
+        assert!(invalid.config().is_err());
+        assert_ne!(invalid.key(), cell.key());
+    }
+
+    /// `json` with the value of `field` replaced by `value`.
+    fn with_field(mut json: Json, field: &str, value: Json) -> Json {
+        if let Json::Obj(pairs) = &mut json {
+            for (key, v) in pairs.iter_mut() {
+                if key == field {
+                    *v = value.clone();
+                }
+            }
+        }
+        json
+    }
+
+    #[test]
+    fn out_of_range_request_numbers_are_rejected() {
+        let with =
+            |field, value| SweepRequest::from_json(&with_field(request().to_json(), field, value));
+        let over_u32 = Json::Num((u64::from(u32::MAX) + 5) as f64);
+        assert!(
+            with("cores", Json::Num(264.0)).is_err(),
+            "264 cores is not 8"
         );
+        assert!(with("cores", Json::Num(-1.0)).is_err());
+        assert!(with("thresholds", Json::Arr(vec![over_u32])).is_err());
+        assert!(with("thresholds", Json::Arr(vec![Json::Num(4.5)])).is_err());
+        assert!(with("instructions", Json::Num(-5.0)).is_err());
+        assert!(with("instructions", Json::Num(2f64.powi(60))).is_err());
+        assert!(with("seed", Json::Num(0.5)).is_err());
+        assert!(with("seed", Json::Str("42".into())).is_err());
+        // In-range values still parse to themselves.
+        let ok = with("cores", Json::Num(255.0)).unwrap();
+        assert_eq!(ok.cores, 255);
+    }
+
+    #[test]
+    fn out_of_range_cell_numbers_are_rejected() {
+        let cell = request().expand().unwrap()[0];
+        let with = |field, value| CellSpec::from_json(&with_field(cell.to_json(), field, value));
+        assert!(with("cores", Json::Num(264.0)).is_err());
+        assert!(with("instructions", Json::Num(-1.0)).is_err());
+        assert!(with("seed", Json::Num(1.5)).is_err());
+        assert_eq!(with("cores", Json::Num(2.0)).unwrap(), cell);
     }
 }

@@ -242,13 +242,13 @@ impl Daemon {
             eprintln!("campaignd: cannot persist {}: {e}", spec_path.display());
         }
 
-        let mut scheduled: Vec<CellSpec> = Vec::new();
+        let keys: Vec<u64> = cells.iter().map(CellSpec::key).collect();
+        let mut scheduled: Vec<(u64, CellSpec)> = Vec::new();
         let mut deduped = 0usize;
         let mut failed_now: Vec<(u64, String)> = Vec::new();
         {
             let mut st = self.inner.state.lock().expect("state lock");
-            for cell in &cells {
-                let key = cell.key();
+            for (&key, cell) in keys.iter().zip(&cells) {
                 st.index.entry(key).or_insert(*cell);
                 if st.done.contains(&key)
                     || st.errors.contains_key(&key)
@@ -271,17 +271,17 @@ impl Daemon {
                     continue;
                 }
                 st.pending.insert(key);
-                scheduled.push(*cell);
+                scheduled.push((key, *cell));
             }
             // Group schedulable cells by shape so they batch into lockstep
             // lanes, chunked to the configured lane limit. A cell that
             // cannot even build a config fails right here, deterministically,
             // without a worker.
             let mut buildable: Vec<(u64, SimConfig)> = Vec::new();
-            for cell in &scheduled {
+            for (key, cell) in &scheduled {
                 match cell.config() {
-                    Ok(cfg) => buildable.push((cell.key(), cfg)),
-                    Err(e) => failed_now.push((cell.key(), e.to_string())),
+                    Ok(cfg) => buildable.push((*key, cfg)),
+                    Err(e) => failed_now.push((*key, e.to_string())),
                 }
             }
             for (key, msg) in &failed_now {
@@ -295,7 +295,7 @@ impl Daemon {
                 id.clone(),
                 CampaignState {
                     name: req.name.clone(),
-                    cells: cells.iter().map(CellSpec::key).collect(),
+                    cells: keys,
                 },
             );
         }
@@ -424,24 +424,10 @@ impl Daemon {
     }
 
     fn cell_json_locked(&self, key: u64, st: &State) -> Json {
-        let mut pairs: Vec<(&str, Json)> = Vec::new();
-        let spec_json = st.index.get(&key).map(CellSpec::to_json);
-        match spec_json {
-            Some(Json::Obj(fields)) => {
-                for (k, v) in fields {
-                    match k.as_str() {
-                        "key" => pairs.push(("key", v)),
-                        "workload" => pairs.push(("workload", v)),
-                        "scenario" => pairs.push(("scenario", v)),
-                        "cores" => pairs.push(("cores", v)),
-                        "instructions" => pairs.push(("instructions", v)),
-                        "seed" => pairs.push(("seed", v)),
-                        _ => {}
-                    }
-                }
-            }
-            _ => pairs.push(("key", Json::Str(format!("{key:016x}")))),
-        }
+        let mut pairs: Vec<(String, Json)> = match st.index.get(&key).map(|c| c.json_row(key)) {
+            Some(Json::Obj(fields)) => fields,
+            _ => vec![("key".into(), Json::Str(format!("{key:016x}")))],
+        };
         let status = if st.done.contains(&key) {
             "done"
         } else if st.errors.contains_key(&key) {
@@ -451,28 +437,31 @@ impl Daemon {
         } else {
             "queued"
         };
-        pairs.push(("status", Json::Str(status.to_string())));
+        pairs.push(("status".into(), Json::Str(status.to_string())));
         if let Some(msg) = st.errors.get(&key) {
-            pairs.push(("error", Json::Str(msg.clone())));
+            pairs.push(("error".into(), Json::Str(msg.clone())));
         }
         if let Some(ns) = st.elapsed_ns.get(&key) {
-            pairs.push(("elapsed_ns", Json::Num(*ns as f64)));
+            pairs.push(("elapsed_ns".into(), Json::Num(*ns as f64)));
         }
         if status == "done" {
             if let Some(record) = self.inner.store.get(key) {
                 if let Some(digest) = record.result_digest() {
-                    pairs.push(("result_digest", Json::Str(format!("{digest:#018x}"))));
+                    pairs.push(("result_digest".into(), Json::Str(format!("{digest:#018x}"))));
                 }
                 if let Ok(bytes) = &record.outcome {
                     let mut r = Reader::new(bytes);
                     if let Ok(result) = SimResult::decode(&mut r) {
-                        pairs.push(("perf", Json::Num(result.perf())));
-                        pairs.push(("elapsed_sim_ns", Json::Num(result.elapsed.as_ns() as f64)));
+                        pairs.push(("perf".into(), Json::Num(result.perf())));
+                        pairs.push((
+                            "elapsed_sim_ns".into(),
+                            Json::Num(result.elapsed.as_ns() as f64),
+                        ));
                     }
                 }
             }
         }
-        Json::obj(pairs)
+        Json::Obj(pairs)
     }
 
     /// Global service statistics (the `/stats` payload and the source of

@@ -52,14 +52,15 @@ fn bad_input(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Reads and parses one HTTP request from `stream`.
+/// Reads and parses one HTTP request from `stream` (a `&mut TcpStream` in
+/// the server; any byte source in tests).
 ///
 /// # Errors
 ///
 /// Returns an [`std::io::ErrorKind::InvalidData`] error for malformed or
 /// oversized requests, or the underlying I/O error.
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
-    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_REQUEST_BYTES));
+pub fn read_request(stream: impl Read) -> std::io::Result<Request> {
+    let mut reader = BufReader::new(stream.take(MAX_REQUEST_BYTES));
     let mut line = String::new();
     reader.read_line(&mut line)?;
     let mut parts = line.split_whitespace();

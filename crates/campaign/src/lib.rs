@@ -10,8 +10,9 @@
 //!
 //! The moving parts:
 //!
-//! * [`cell`] — [`CellSpec`] (one simulation point, keyed by
-//!   [`autorfm::snapshot::store::cell_key`]) and [`SweepRequest`] (the
+//! * [`cell`] — [`CellSpec`] (one simulation point, keyed by the
+//!   [`autorfm::SimConfig::key`] of the configuration it runs) and
+//!   [`SweepRequest`] (the
 //!   JSON-shaped request a client submits; expansion and canonical identity
 //!   live here).
 //! * [`runner`] — [`run_batch_fallible`], the worker entry point: runs a

@@ -50,7 +50,7 @@ pub fn serve(daemon: &Daemon, listener: TcpListener) -> std::io::Result<()> {
 }
 
 fn handle(daemon: &Daemon, stream: &mut TcpStream, addr: SocketAddr) -> std::io::Result<()> {
-    let req = match read_request(stream) {
+    let req = match read_request(&mut *stream) {
         Ok(req) => req,
         Err(e) => return respond_error(stream, 400, "Bad Request", &e.to_string()),
     };

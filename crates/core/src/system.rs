@@ -9,6 +9,7 @@ use autorfm_memctrl::MemController;
 use autorfm_sim_core::{ConfigError, Cycle, LineAddr};
 use autorfm_snapshot::{
     digest64, open, seal, Reader, SnapError, Snapshot, Writer, KIND_SYSTEM, KIND_WARM,
+    MODEL_FINGERPRINT,
 };
 use autorfm_telemetry::{CsvSink, EpochSampler, NullSink, Observation, Sink, DEFAULT_MAX_SAMPLES};
 use autorfm_workloads::{MemoCursor, TraceMemo, WorkloadGen};
@@ -737,6 +738,19 @@ fn config_digest(cfg: &SimConfig) -> u64 {
     digest64(format!("{cfg:?}").as_bytes())
 }
 
+impl SimConfig {
+    /// The cell identity of this configuration: `digest64` of
+    /// [`MODEL_FINGERPRINT`] and the digest of every field (the rendering
+    /// [`System::restore`] checks). Equal configurations share a key however
+    /// they were built; any changed field, or a changed model, is a new key.
+    pub fn key(&self) -> u64 {
+        let mut w = Writer::new();
+        w.put_u64(MODEL_FINGERPRINT);
+        w.put_u64(config_digest(self));
+        digest64(w.bytes())
+    }
+}
+
 /// Digest of the configuration fields that determine the post-warmup state
 /// (workload streams + warmed LLC): per-core workloads, core count, seed,
 /// warmup length, LLC/MSHR shape, and the geometry's line-address fold. Two
@@ -848,6 +862,51 @@ mod tests {
         cfg.geometry = Geometry::small();
         let r = System::new(cfg).unwrap().run();
         assert!(r.dram.acts.get() > 0);
+    }
+
+    #[test]
+    fn config_key_is_the_whole_config_under_the_model_fingerprint() {
+        use autorfm_memctrl::{RaaRefCredit, RetryPolicy};
+        use autorfm_sim_core::TimingOverride;
+        let spec = WorkloadSpec::by_name("mcf").unwrap();
+        let cell = |scenario| {
+            SimConfig::builder(spec)
+                .scenario(scenario)
+                .cores(2)
+                .instructions(5_000)
+                .build()
+                .unwrap()
+        };
+        let rfm8 = cell(Scenario::Rfm { th: 8 });
+        let with_t_rfm = |ns| {
+            let mut cfg = rfm8.clone();
+            cfg.timings = cfg.timings.with_override(TimingOverride {
+                t_rfm: Some(Cycle::from_ns(ns)),
+                ..TimingOverride::default()
+            });
+            cfg
+        };
+        // One flipped timing default or controller knob is another cell.
+        assert_ne!(with_t_rfm(410).key(), rfm8.key());
+        let mut half_credit = rfm8.clone();
+        half_credit.mc.raa_ref_credit = RaaRefCredit::Half;
+        assert_ne!(half_credit.key(), rfm8.key());
+        // Variants that restate a scenario's own values are that scenario.
+        assert_eq!(with_t_rfm(205).key(), rfm8.key());
+        let zen = cell(Scenario::AutoRfmZen { th: 4 });
+        let mut whole_bank = zen.clone();
+        whole_bank.mc.retry = RetryPolicy::WholeBank;
+        assert_eq!(whole_bank.key(), zen.key());
+        // The key is salted with the model fingerprint: the same
+        // configuration under another model is another key.
+        let salted = |fingerprint: u64| {
+            let mut w = Writer::new();
+            w.put_u64(fingerprint);
+            w.put_u64(config_digest(&rfm8));
+            digest64(w.bytes())
+        };
+        assert_eq!(salted(MODEL_FINGERPRINT), rfm8.key());
+        assert_ne!(salted(MODEL_FINGERPRINT ^ 1), rfm8.key());
     }
 
     #[test]

@@ -70,6 +70,11 @@ pub const KIND_CELL: u8 = 3;
 /// `CandidateResult` keyed by `(fuzz config, genome)`; see [`store`]).
 pub const KIND_FUZZ: u8 = 4;
 
+/// Fingerprint of the simulator model: the golden snapshot digest
+/// `tests/golden.rs` pins. Every stored-result key is salted with it, so the
+/// change that must update it turns every older record into a miss.
+pub const MODEL_FINGERPRINT: u64 = 0xa092_a6d2_ea5d_3675;
+
 /// Human-readable name of a container payload kind.
 pub fn kind_name(kind: u8) -> &'static str {
     match kind {
@@ -516,12 +521,11 @@ pub fn open(bytes: &[u8]) -> Result<Container, SnapError> {
         )));
     }
     let kind = bytes[6];
-    let len = u64::from_le_bytes(bytes[7..15].try_into().unwrap()) as usize;
-    let expected_total = 15 + len + 8;
-    if bytes.len() != expected_total {
+    let declared = u64::from_le_bytes(bytes[7..15].try_into().unwrap());
+    let len = bytes.len() - 23; // no `15 + declared + 8`: it could overflow
+    if declared != len as u64 {
         return Err(SnapError::BadContainer(format!(
-            "truncated: {} bytes on disk, header declares {expected_total}",
-            bytes.len()
+            "truncated: {len}-byte payload on disk, header declares {declared}"
         )));
     }
     let stored = u64::from_le_bytes(bytes[15 + len..].try_into().unwrap());

@@ -1,12 +1,18 @@
 //! Content-addressed cell-result store.
 //!
 //! The campaign service and the batch harness both persist completed
-//! simulation cells — one `(workload × scenario × cores × instructions ×
-//! seed)` point of a sweep — into a shared on-disk store so identical cells
-//! are computed exactly once, no matter how many concurrent campaigns (or
+//! simulation cells into a shared on-disk store so identical cells are
+//! computed exactly once, no matter how many concurrent campaigns (or
 //! `run_all` children) ask for them. The store is *content-addressed*: a
-//! cell's file name is the hex form of its [`cell_key`] digest, so equal
-//! specifications collide onto one file and lookups are a single `stat`.
+//! cell's file name is the hex form of its key, so equal configurations
+//! collide onto one file and lookups are a single `stat`.
+//!
+//! A cell's key is `SimConfig::key` (in the `autorfm` crate): a digest of
+//! [`MODEL_FINGERPRINT`](crate::MODEL_FINGERPRINT) and of *every* field of
+//! the configuration the cell runs — timings, controller knobs, tracker,
+//! seed, everything. A changed default or a changed model therefore lands on
+//! a different file, never on a stale record. This module only files records
+//! under the keys it is given.
 //!
 //! Layout under the store root:
 //!
@@ -26,15 +32,16 @@
 //! and decode the result payload themselves (the snapshot crate sits below
 //! the simulator crates), which is also what keeps the batch harness and the
 //! campaign daemon byte-compatible — both store the same `SimResult`
-//! encoding under the same [`cell_key`].
+//! encoding under the same `SimConfig::key`.
 
 use crate::{digest64, open, write_file, Reader, SnapError, Writer, KIND_CELL, KIND_FUZZ};
 use std::path::{Path, PathBuf};
 
-/// The stable identity of one sweep cell. Scenario and workload are keyed by
-/// their canonical display names (the same strings the harness prints), so
-/// every producer — `run_all` children, the campaign daemon, ad-hoc clients —
-/// derives the same key for the same simulation.
+/// A digest of five sweep axes (workload, scenario name, cores,
+/// instructions, seed). **Not a cell identity**: it leaves out every other
+/// configuration field and the model fingerprint, so stores are keyed by
+/// `SimConfig::key` instead. Kept only for external benchmark code that
+/// still imports it.
 pub fn cell_key(workload: &str, scenario: &str, cores: u8, instructions: u64, seed: u64) -> u64 {
     let mut w = Writer::new();
     w.put_str(scenario);
@@ -51,8 +58,7 @@ pub fn cell_key(workload: &str, scenario: &str, cores: u8, instructions: u64, se
 /// again, and a restarted daemon must not loop on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellRecord {
-    /// The [`cell_key`] this record answers (self-check against the file
-    /// name).
+    /// The key this record answers (self-check against the file name).
     pub key: u64,
     /// Encoded result bytes on success, the failure message otherwise.
     pub outcome: Result<Vec<u8>, String>,
@@ -120,7 +126,7 @@ impl CellRecord {
 }
 
 /// A content-addressed directory of sealed [`CellRecord`]s keyed by
-/// [`cell_key`]. Cheap to clone conceptually (it holds only the root path);
+/// configuration key (`SimConfig::key`). Cheap to clone conceptually (it holds only the root path);
 /// all operations go straight to the filesystem, so many processes can share
 /// one store — atomic per-cell writes are the only coordination needed.
 #[derive(Debug, Clone)]
@@ -288,7 +294,7 @@ mod tests {
     fn store_put_get_contains() {
         let dir = scratch("basic");
         let store = CellStore::open(&dir).unwrap();
-        let key = cell_key("mcf", "AutoRFM-4", 2, 1000, 42);
+        let key = 0x0123_4567_89ab_cdef;
         assert!(!store.contains(key));
         assert!(store.get(key).is_none());
         store
@@ -367,7 +373,7 @@ mod tests {
     fn concurrent_puts_of_one_key_all_land_whole() {
         let dir = scratch("race");
         let store = CellStore::open(&dir).unwrap();
-        let key = cell_key("mcf", "baseline-zen", 2, 1000, 42);
+        let key = 0xfedc_ba98_7654_3210;
         let record = CellRecord::ok(key, vec![7u8; 64 * 1024]);
         let start = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {

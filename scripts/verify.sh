@@ -59,6 +59,34 @@ for golden in results/golden/*.txt; do
 done
 echo "golden tables: every results/golden/*.txt reproduced byte for byte"
 
+echo "== ablations + seed_sensitivity rerun over the populated store =="
+# Every ablation variant and seed-sensitivity point is a cell keyed by the
+# full configuration it runs, so after run_all the store answers all of them:
+# a rerun simulates nothing and reproduces the golden tables. The one
+# exception is seed_sensitivity's 30 AutoRFM-4 latency probes (6 workloads x
+# 5 seeds): they read the controller's worst read latency from a telemetry
+# registry, and telemetry cells are never stored.
+RERUN_DIR="$(mktemp -d)"
+for target in ablations seed_sensitivity; do
+    ./target/release/"${target}" --jobs "${JOBS}" --store results/store \
+        --manifest "${RERUN_DIR}/${target}.json" > "${RERUN_DIR}/${target}.txt"
+    cmp "results/golden/${target}.txt" "${RERUN_DIR}/${target}.txt"
+done
+python3 - "${RERUN_DIR}" <<'EOF'
+import json
+import sys
+
+expected = {"ablations": 0, "seed_sensitivity": 30}
+for target, want in expected.items():
+    with open(f"{sys.argv[1]}/{target}.json") as f:
+        manifest = json.load(f)
+    ran = next(m["value"] for m in manifest["metrics"] if m["name"] == "simulations_run")
+    assert ran == want, \
+        f"{target} simulated {ran} cells over the populated store (expected {want})"
+    print(f"{target}: {ran} fresh simulations, {len(manifest['runs'])} cells in its manifest")
+EOF
+rm -rf "${RERUN_DIR}"
+
 echo "== run_all --resume smoke (table2_trh_history should be skipped) =="
 resume_out="$(cargo run --release -p autorfm-bench --bin run_all -- \
     --only table2_trh_history --resume --jobs "${JOBS}" 2>&1)"

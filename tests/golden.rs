@@ -3,6 +3,7 @@
 //! simulation behaviour, update these values and say why in the commit.
 
 use autorfm::experiments::Scenario;
+use autorfm::snapshot::MODEL_FINGERPRINT;
 use autorfm::{KernelKind, MappingKind, SimConfig, System};
 use autorfm_mapping::{FeistelPrp, MemoryMap, ZenMap};
 use autorfm_sim_core::{DetRng, Geometry, LineAddr};
@@ -110,7 +111,9 @@ fn golden_snapshot_digest() {
     // seed fingerprints the *entire* machine state — clocks, RNG streams,
     // tracker tables, queues, caches. Any behavioural drift anywhere in the
     // simulator shows up here. If a change is intentional, re-run with
-    // `snapshot_tool digest` and update the constant, saying why.
+    // `snapshot_tool digest` and update `MODEL_FINGERPRINT`, saying why:
+    // every cell and fuzz key is salted with it, so stored results of the
+    // old model become misses.
     let spec = WorkloadSpec::by_name("mcf").unwrap();
     let cfg = SimConfig::builder(spec)
         .scenario(Scenario::AutoRfm { th: 4 })
@@ -129,7 +132,7 @@ fn golden_snapshot_digest() {
         let snap = sys.snapshot().unwrap();
         let container = autorfm::snapshot::open(&snap).unwrap();
         assert_eq!(
-            container.digest, 0xa092_a6d2_ea5d_3675,
+            container.digest, MODEL_FINGERPRINT,
             "snapshot digest drifted under {kernel:?}"
         );
     }
