@@ -60,6 +60,6 @@ pub use fuzzer::{
 };
 pub use history::{TrhEntry, TRH_HISTORY};
 pub use mint_model::MintModel;
-pub use montecarlo::{AttackReport, AttackSim};
+pub use montecarlo::{worst_damage, AttackReport, AttackSim};
 pub use pattern::{AttackPattern, PatternCursor};
 pub use perf_model::{AutoRfmConflictModel, RfmPerfModel};

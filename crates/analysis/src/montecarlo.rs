@@ -203,6 +203,33 @@ impl AttackSim {
     }
 }
 
+/// The worst damage any of `patterns` reaches on a fresh single-bank
+/// [`AttackSim`] (131,072 rows) in `acts` activations each, and the name of
+/// the first pattern that reached it (`"none"` if no row took damage).
+/// Pattern `i` runs with seed `seed_base + i`.
+///
+/// # Errors
+///
+/// Returns [`ConfigError`] for invalid tracker/policy parameters.
+pub fn worst_damage<'a>(
+    tracker: TrackerKind,
+    policy: MitigationKind,
+    window: u32,
+    patterns: &[(&'a str, crate::AttackPattern)],
+    seed_base: u64,
+    acts: u64,
+) -> Result<(u64, &'a str), ConfigError> {
+    let mut worst = (0, "none");
+    for (seed, (name, pattern)) in (seed_base..).zip(patterns) {
+        let mut sim = AttackSim::new(tracker, policy, window, 131_072, seed)?;
+        let report = sim.run_pattern(&mut PatternCursor::new(pattern.clone()), acts);
+        if report.max_damage > worst.0 {
+            worst = (report.max_damage, *name);
+        }
+    }
+    Ok(worst)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,7 +49,7 @@ use autorfm::analysis::{
 use autorfm::snapshot::{digest64, Writer};
 use autorfm::telemetry::Json;
 use autorfm::trackers::TrackerKind;
-use autorfm_bench::{par_map, print_table, RunOpts};
+use autorfm_bench::{par_map, render_table, RunOpts};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -316,7 +316,7 @@ fn main() {
         row.push(format!("{}/{}", o.best.score(), o.best_fixed.score()));
         rows.push(row);
     }
-    print_table(&header_refs, &rows);
+    print!("{}", render_table(&header_refs, &rows));
     let hits = store_hits.load(Ordering::Relaxed);
     let simulated = sim_evaluated.load(Ordering::Relaxed);
     println!(

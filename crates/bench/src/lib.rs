@@ -1,23 +1,24 @@
 //! # autorfm-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md for the index), plus Criterion micro-benchmarks (`benches/`).
+//! The experiment harness: every table/figure of the paper is a registered
+//! function in [`experiments::ALL`] (see DESIGN.md for the index), run in
+//! one process over one shared [`ResultCache`] by the `run_all` binary
+//! (`run_all --only <target>` runs one), plus Criterion micro-benchmarks
+//! (`benches/`).
 //!
-//! Every binary accepts the same flags:
+//! Every run accepts the same flags ([`RunOpts::from_args`]):
 //!
 //! * `--quick` — 25K instructions/core (smoke-test fidelity),
 //! * `--full` — 400K instructions/core (report fidelity),
 //! * `--instructions N`, `--cores N`, `--workloads a,b,c` — manual control,
 //! * `--jobs N` — worker threads for the simulation fan-out (see below),
 //! * `--telemetry` — record epoch time series and full final-metric
-//!   registries, and write a `results/<target>.json` manifest (see
-//!   [`Harness`]),
+//!   registries in each target's manifest (see [`experiments::Ctx`]),
 //! * `--epoch-ns N` — telemetry sampling window (default: one tREFI),
 //! * `--telemetry-csv DIR` — stream each run's epoch series as CSV,
 //! * `--store DIR` — persist and reload every simulation through the
 //!   content-addressed cell store at `DIR` (see [`ResultCache::new`]),
-//! * `--manifest PATH` — write the run manifest to `PATH`,
-//! * `--tracker NAME` — tracker override for the tracker-sweep binaries.
+//! * `--tracker NAME` — tracker override for the tracker-sweep targets.
 //!
 //! Defaults: 100K instructions/core, 8 cores, all 21 Table-V workloads.
 //!
@@ -43,10 +44,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod experiments;
+
 use autorfm::experiments::Scenario;
 use autorfm::snapshot::store::{CellRecord, CellStore};
 use autorfm::snapshot::{Reader, Snapshot, Writer};
-use autorfm::telemetry::{Json, Labels, RunEntry, RunManifest};
 use autorfm::trackers::TrackerKind;
 use autorfm::{KernelKind, MappingKind, SimConfig, SimResult, TelemetryConfig};
 use autorfm_campaign::{run_batch_fallible, shape_units, LANES};
@@ -56,9 +58,8 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
-/// Common run options for every experiment binary: the built-in
+/// Common run options for every experiment: the built-in
 /// [`RunOpts::default`] overridden by command-line flags
 /// ([`RunOpts::from_args`]). Every field has a flag, so the command line
 /// describes the whole run.
@@ -88,11 +89,8 @@ pub struct RunOpts {
     /// per-cell records there — shared with `campaignd` and every other
     /// experiment — so completed simulations survive a killed run.
     pub store: Option<PathBuf>,
-    /// Where [`Harness::finish`] writes the run manifest (`--manifest PATH`;
-    /// default: `results/<target>.json` under `--telemetry`, else nowhere).
-    pub manifest: Option<PathBuf>,
-    /// Tracker override for tracker-sweep binaries (`--tracker NAME`; see
-    /// `autorfm::trackers::names()`; default: each binary's own set).
+    /// Tracker override for tracker-sweep targets (`--tracker NAME`; see
+    /// `autorfm::trackers::names()`; default: each target's own set).
     pub tracker: Option<TrackerKind>,
 }
 
@@ -109,21 +107,21 @@ impl Default for RunOpts {
             epoch_ns: None,
             telemetry_csv: None,
             store: None,
-            manifest: None,
             tracker: None,
         }
     }
 }
 
 impl RunOpts {
-    /// Parses `std::env::args()` on top of [`RunOpts::default`].
+    /// Parses command-line `args` (without the program name) on top of
+    /// [`RunOpts::default`].
     ///
     /// # Panics
     ///
     /// Panics with a usage message on malformed arguments.
-    pub fn from_args() -> Self {
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut opts = RunOpts::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => opts.instructions = 25_000,
@@ -173,9 +171,6 @@ impl RunOpts {
                 "--store" => {
                     opts.store = Some(args.next().expect("--store needs a directory").into());
                 }
-                "--manifest" => {
-                    opts.manifest = Some(args.next().expect("--manifest needs a path").into());
-                }
                 "--tracker" => {
                     let v = args.next().expect("--tracker needs a tracker name");
                     opts.tracker = Some(
@@ -184,7 +179,7 @@ impl RunOpts {
                     );
                 }
                 other => panic!(
-                    "unknown flag {other}; expected --quick|--full|--instructions N|--cores N|--jobs N|--workloads a,b|--telemetry|--epoch-ns N|--telemetry-csv DIR|--store DIR|--manifest PATH|--tracker T"
+                    "unknown flag {other}; expected --quick|--full|--instructions N|--cores N|--jobs N|--workloads a,b|--telemetry|--epoch-ns N|--telemetry-csv DIR|--store DIR|--tracker T"
                 ),
             }
         }
@@ -328,8 +323,7 @@ type CacheSlot = Arc<OnceLock<Result<Arc<SimResult>, String>>>;
 /// block until the result is ready — never re-running the simulation.
 #[derive(Default)]
 pub struct ResultCache {
-    /// Per key: the label of the job that claimed it, and its slot.
-    results: Mutex<HashMap<u64, (String, CacheSlot)>>,
+    results: Mutex<HashMap<u64, CacheSlot>>,
     runs: AtomicUsize,
     store: Option<CellStore>,
     failures: Mutex<Vec<CellFailure>>,
@@ -395,8 +389,9 @@ impl ResultCache {
         self.run_jobs(std::slice::from_ref(job), 1);
         let slot = {
             let map = self.results.lock().expect("cache lock poisoned");
-            let (_, slot) = map.get(&job.cfg.key()).expect("run_jobs claimed the key");
-            slot.clone()
+            map.get(&job.cfg.key())
+                .expect("run_jobs claimed the key")
+                .clone()
         };
         match slot.wait() {
             Ok(result) => Arc::clone(result),
@@ -492,8 +487,7 @@ impl ResultCache {
                     match map.entry(key) {
                         Entry::Occupied(_) => None,
                         Entry::Vacant(v) => {
-                            let (_, slot) = v.insert((job.label.clone(), CacheSlot::default()));
-                            Some((key, job, slot.clone()))
+                            Some((key, job, v.insert(CacheSlot::default()).clone()))
                         }
                     }
                 })
@@ -561,145 +555,18 @@ impl ResultCache {
         self.runs.load(Ordering::Relaxed)
     }
 
-    /// Every completed result with the label of the job that claimed it,
-    /// sorted by label for deterministic iteration. Slots still being
-    /// simulated by another thread, and failed cells, are skipped.
+    /// The completed result cached under `key`, if any: keys never
+    /// requested, still being simulated by another thread, or failed read as
+    /// `None`.
     ///
     /// # Panics
     ///
     /// Panics if the internal lock is poisoned.
-    pub fn results(&self) -> Vec<(String, Arc<SimResult>)> {
+    pub(crate) fn result(&self, key: u64) -> Option<Arc<SimResult>> {
         let map = self.results.lock().expect("cache lock poisoned");
-        let mut out: Vec<_> = map
-            .values()
-            .filter_map(|(label, slot)| match slot.get() {
-                Some(Ok(r)) => Some((label.clone(), r.clone())),
-                _ => None,
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-}
-
-/// Records a machine-readable manifest of one experiment binary's runs and
-/// writes it to `results/<target>.json` (see `autorfm_telemetry::RunManifest`
-/// for the schema).
-///
-/// Where the manifest goes:
-///
-/// * `--manifest PATH` ([`RunOpts::manifest`]), when given (how `run_all`
-///   directs each child's manifest next to its `.txt` report), else
-/// * `results/<target>.json` when telemetry is enabled, else
-/// * nowhere — [`Harness::finish`] is a no-op, so default runs leave the
-///   filesystem untouched.
-pub struct Harness {
-    manifest: RunManifest,
-    path: Option<PathBuf>,
-    started: Instant,
-}
-
-impl Harness {
-    /// Starts recording for the current binary (`target` is the executable
-    /// name) and snapshots `opts` into the manifest's config block.
-    pub fn new(opts: &RunOpts) -> Self {
-        let target = std::env::current_exe()
-            .ok()
-            .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
-            .unwrap_or_else(|| "experiment".into());
-        let mut manifest = RunManifest::new(&target);
-        manifest.jobs = opts.jobs as u64;
-        manifest.set_config("cores", Json::Num(f64::from(opts.cores)));
-        manifest.set_config("instructions_per_core", Json::Num(opts.instructions as f64));
-        manifest.set_config(
-            "workloads",
-            Json::Arr(
-                opts.workloads
-                    .iter()
-                    .map(|w| Json::Str(w.name.to_string()))
-                    .collect(),
-            ),
-        );
-        manifest.set_config("seed", Json::Num(42.0));
-        manifest.set_config("telemetry", Json::Bool(opts.telemetry));
-        if let Some(ns) = opts.epoch_ns {
-            manifest.set_config("epoch_ns", Json::Num(ns as f64));
-        }
-        let path = opts.manifest.clone().or_else(|| {
-            opts.telemetry
-                .then(|| PathBuf::from("results").join(format!("{target}.json")))
-        });
-        Harness {
-            manifest,
-            path,
-            started: Instant::now(),
-        }
-    }
-
-    /// Records one simulation under `key` (convention: the job label,
-    /// `workload/scenario[/tag]`). Duplicate keys are kept once — the first
-    /// recording wins.
-    pub fn record(&mut self, key: &str, result: &SimResult) {
-        if self.manifest.run(key).is_some() {
-            return;
-        }
-        self.manifest.runs.push(RunEntry {
-            key: key.to_string(),
-            metrics: result.to_registry(),
-            series: result.series.clone(),
-        });
-    }
-
-    /// Records every completed simulation in `cache` (the usual one-liner for
-    /// cache-driven experiments), plus the `simulations_run` counter: how
-    /// many of them this process simulated rather than reloaded from the
-    /// cell store.
-    pub fn record_cache(&mut self, cache: &ResultCache) {
-        for (label, result) in cache.results() {
-            self.record(&label, &result);
-        }
-        self.manifest
-            .metrics
-            .counter("simulations_run", &[], cache.simulations_run() as u64);
-    }
-
-    /// Adds a free-form config entry (experiment-specific knobs).
-    pub fn set_config(&mut self, key: &str, value: Json) {
-        self.manifest.set_config(key, value);
-    }
-
-    /// Records a top-level scalar metric — for analytic experiments whose
-    /// outputs aren't full simulation results.
-    pub fn gauge(&mut self, name: &str, labels: Labels<'_>, value: f64) {
-        self.manifest.metrics.gauge(name, labels, value);
-    }
-
-    /// Finalizes wall-clock and throughput figures and writes the manifest.
-    /// Does nothing unless telemetry is enabled or `--manifest` is given.
-    pub fn finish(mut self) {
-        let Some(path) = self.path.take() else { return };
-        self.manifest.wall_s = self.started.elapsed().as_secs_f64();
-        self.manifest.sim_cycles = self
-            .manifest
-            .runs
-            .iter()
-            .filter_map(|r| r.metrics.get("elapsed_cycles", &[]))
-            .map(|v| v.scalar() as u64)
-            .sum();
-        self.manifest.cycles_per_sec = if self.manifest.wall_s > 0.0 {
-            self.manifest.sim_cycles as f64 / self.manifest.wall_s
-        } else {
-            0.0
-        };
-        let simulations = self.manifest.runs.len() as u64;
-        self.manifest
-            .metrics
-            .counter("simulations", &[], simulations);
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(e) = self.manifest.save(&path) {
-            eprintln!("warning: could not write {}: {e}", path.display());
+        match map.get(&key)?.get() {
+            Some(Ok(r)) => Some(Arc::clone(r)),
+            _ => None,
         }
     }
 }
@@ -719,8 +586,9 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Prints a fixed-width table: a header row then data rows.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// Renders a fixed-width table: a header row, a rule, then data rows, one
+/// line each.
+pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -730,33 +598,38 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
         }
     }
     let fmt_row = |cells: &[String]| {
-        cells
+        let line = cells
             .iter()
             .enumerate()
             .map(|(i, c)| format!("{c:>w$}", w = widths.get(i).copied().unwrap_or(8)))
             .collect::<Vec<_>>()
-            .join("  ")
+            .join("  ");
+        line + "\n"
     };
     let head: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&head));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-    );
+    let mut out = fmt_row(&head);
+    out += &"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len());
+    out.push('\n');
     for row in rows {
-        println!("{}", fmt_row(row));
+        out += &fmt_row(row);
     }
+    out
 }
 
-/// Renders a horizontal ASCII bar chart (for the figure targets).
+/// Renders a horizontal ASCII bar chart (for the figure targets), preceded
+/// by a blank line and the title; empty for no entries.
 ///
 /// Bars are scaled to the largest absolute value; negative values (speedups)
 /// render with `<` markers instead of `#`.
-pub fn bar_chart(title: &str, entries: &[(String, f64)], fmt_value: impl Fn(f64) -> String) {
+pub fn bar_chart(
+    title: &str,
+    entries: &[(String, f64)],
+    fmt_value: impl Fn(f64) -> String,
+) -> String {
     if entries.is_empty() {
-        return;
+        return String::new();
     }
-    println!("\n{title}");
+    let mut out = format!("\n{title}\n");
     let max = entries
         .iter()
         .map(|(_, v)| v.abs())
@@ -768,19 +641,9 @@ pub fn bar_chart(title: &str, entries: &[(String, f64)], fmt_value: impl Fn(f64)
         let filled = ((value.abs() / max) * WIDTH as f64).round() as usize;
         let ch = if *value < 0.0 { '<' } else { '#' };
         let bar: String = std::iter::repeat_n(ch, filled.min(WIDTH)).collect();
-        println!("{label:<label_w$} |{bar:<WIDTH$}| {}", fmt_value(*value));
+        out += &format!("{label:<label_w$} |{bar:<WIDTH$}| {}\n", fmt_value(*value));
     }
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(title: &str, opts: &RunOpts) {
-    println!("=== {title} ===");
-    println!(
-        "({} workloads, {} cores, {} instructions/core)\n",
-        opts.workloads.len(),
-        opts.cores,
-        opts.instructions
-    );
+    out
 }
 
 #[cfg(test)]

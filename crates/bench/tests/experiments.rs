@@ -1,0 +1,102 @@
+//! The experiment registry and its runner: one entry per pinned table, a
+//! panicking target fails alone, and `--resume` reruns a target whose
+//! options changed.
+
+use autorfm::telemetry::RunManifest;
+use autorfm_bench::experiments::{self, Ctx, Experiment, ALL};
+use autorfm_bench::{ResultCache, RunOpts};
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// An empty scratch directory unique to this process and `name`.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("autorfm-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn registry_names_are_unique_and_match_the_golden_tables() {
+    let names: BTreeSet<&str> = ALL.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names.len(), ALL.len(), "duplicate registry name");
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden");
+    let stems: BTreeSet<String> = std::fs::read_dir(&golden)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(
+        names,
+        stems.iter().map(String::as_str).collect(),
+        "every target has exactly one results/golden table"
+    );
+}
+
+fn ok(ctx: &mut Ctx) {
+    ctx.println("fine");
+}
+
+fn panics(ctx: &mut Ctx) {
+    ctx.println("partial");
+    panic!("boom");
+}
+
+#[test]
+fn a_panicking_target_fails_alone() {
+    let dir = scratch("runner-panic");
+    let entries: [(&str, Experiment); 3] = [("a", ok), ("b", panics), ("c", ok)];
+    let failures = experiments::run(
+        &entries,
+        &RunOpts::default(),
+        &ResultCache::default(),
+        &dir,
+        false,
+    );
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(failures[0].starts_with("b: ") && failures[0].contains("boom"));
+
+    let report = |t: &str| std::fs::read_to_string(dir.join(format!("{t}.txt"))).unwrap();
+    let exit_code = |t: &str| {
+        RunManifest::load(&dir.join(format!("{t}.json")))
+            .unwrap()
+            .exit_code
+    };
+    let failed = report("b");
+    assert!(failed.starts_with("partial\n"), "{failed}");
+    assert!(
+        failed.contains("=== FAILED") && failed.contains("boom"),
+        "{failed}"
+    );
+    assert!(exit_code("b").is_some_and(|c| c != 0));
+    for t in ["a", "c"] {
+        assert_eq!(report(t), "fine\n");
+        assert_eq!(exit_code(t), Some(0));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_reruns_a_target_whose_options_changed() {
+    let dir = scratch("runner-resume");
+    let run_all = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+            .args(["--only", "table2"])
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "run_all {args:?} failed");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    const SKIPPED: &str = "already complete, skipping";
+    assert!(!run_all(&["--quick"]).contains(SKIPPED));
+    // A quick-fidelity manifest does not complete a default-fidelity run.
+    let rerun = run_all(&["--resume"]);
+    assert!(rerun.contains("=== running table2_trh_history"), "{rerun}");
+    // The same options (whatever `--jobs`) now do.
+    assert!(run_all(&["--resume", "--jobs", "1"]).contains(SKIPPED));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,17 +1,39 @@
-//! End-to-end manifest flow: a [`Harness`] records simulations, writes the
-//! manifest where `--manifest` points (how `run_all` directs children), and
-//! `RunManifest::load` round-trips everything `telemetry_report` needs.
+//! End-to-end manifest flow through the experiment runner: each target's
+//! manifest lists every cell it used — cache hits included — counts only
+//! the cells it simulated itself, and `RunManifest::load` round-trips
+//! everything `telemetry_report` needs.
 
 use autorfm::telemetry::RunManifest;
-use autorfm_bench::{Harness, ResultCache, RunOpts, SimJob, BASELINE_ZEN};
+use autorfm_bench::experiments::{self, Ctx, Experiment};
+use autorfm_bench::{ResultCache, RunOpts, SimJob, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
 
+fn mcf_baseline(ctx: &Ctx) -> SimJob {
+    SimJob::new(
+        WorkloadSpec::by_name("mcf").unwrap(),
+        BASELINE_ZEN,
+        &ctx.opts,
+    )
+}
+
+/// Simulates the cell, then reads it twice more.
+fn first(ctx: &mut Ctx) {
+    let job = mcf_baseline(ctx);
+    ctx.prefetch(std::slice::from_ref(&job));
+    ctx.get(&job);
+    ctx.get(&job);
+}
+
+/// Reuses the cell `first` simulated.
+fn second(ctx: &mut Ctx) {
+    let job = mcf_baseline(ctx);
+    ctx.get(&job);
+}
+
 #[test]
-fn harness_writes_manifest_where_opts_point() {
-    let dir = std::env::temp_dir().join("autorfm-manifest-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("roundtrip.json");
-    let _ = std::fs::remove_file(&path);
+fn runner_manifests_list_every_cell_a_target_used() {
+    let dir = std::env::temp_dir().join(format!("autorfm-manifest-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
 
     let spec = WorkloadSpec::by_name("mcf").unwrap();
     let opts = RunOpts {
@@ -20,34 +42,47 @@ fn harness_writes_manifest_where_opts_point() {
         workloads: vec![spec],
         jobs: 1,
         telemetry: true,
-        manifest: Some(path.clone()),
         ..RunOpts::default()
     };
-    let mut harness = Harness::new(&opts);
-    let result = ResultCache::default().get(&SimJob::new(spec, BASELINE_ZEN, &opts));
-    harness.record(&format!("{}/{BASELINE_ZEN}", spec.name), &result);
-    harness.record(&format!("{}/{BASELINE_ZEN}", spec.name), &result); // dup: kept once
-    harness.finish();
+    let cache = ResultCache::default();
+    let entries: [(&str, Experiment); 2] = [("first", first), ("second", second)];
+    assert!(experiments::run(&entries, &opts, &cache, &dir, false).is_empty());
+    let result = cache.get(&SimJob::new(spec, BASELINE_ZEN, &opts));
 
-    let manifest = RunManifest::load(&path).expect("manifest written and parseable");
-    assert_eq!(manifest.jobs, 1);
-    assert_eq!(manifest.runs.len(), 1, "duplicate keys are kept once");
-    assert!(manifest.wall_s > 0.0);
-    assert_eq!(manifest.sim_cycles, result.elapsed.raw());
-    assert!(manifest.cycles_per_sec > 0.0);
+    let mut simulated = 0;
+    for (target, ran) in [("first", 1), ("second", 0)] {
+        let manifest = RunManifest::load(&dir.join(format!("{target}.json")))
+            .expect("manifest written and parseable");
+        assert_eq!(manifest.target, target);
+        assert_eq!(manifest.exit_code, Some(0));
+        assert_eq!(manifest.jobs, 1);
+        assert_eq!(manifest.runs.len(), 1, "{target}: one cell, kept once");
+        let counter = |name| manifest.metrics.get(name, &[]).map(|v| v.scalar() as u64);
+        assert_eq!(counter("simulations_run"), Some(ran), "{target}");
+        assert_eq!(counter("simulations"), Some(1), "{target}");
+        simulated += ran;
+        assert_eq!(manifest.sim_cycles, result.elapsed.raw());
+        assert!(manifest.wall_s > 0.0 && manifest.cycles_per_sec > 0.0);
 
-    let entry = &manifest.runs[0];
-    assert_eq!(entry.key, format!("mcf/{BASELINE_ZEN}"));
-    assert!(entry.series.is_some(), "telemetry on records the series");
-    let acts = entry.metrics.get("dram_acts", &[]).expect("dram export");
-    assert_eq!(acts.scalar() as u64, result.dram.acts.get());
-    assert!(entry.metrics.get("mc_row_hits", &[]).is_some());
-    assert!(entry.metrics.get("llc_load_misses", &[]).is_some());
+        let entry = &manifest.runs[0];
+        assert_eq!(entry.key, format!("mcf/{BASELINE_ZEN}"));
+        assert!(entry.series.is_some(), "telemetry on records the series");
+        let acts = entry.metrics.get("dram_acts", &[]).expect("dram export");
+        assert_eq!(acts.scalar() as u64, result.dram.acts.get());
+        assert!(entry.metrics.get("mc_row_hits", &[]).is_some());
+        assert!(entry.metrics.get("llc_load_misses", &[]).is_some());
 
-    // What telemetry_report renders must not panic and must name the run.
-    assert!(manifest.summary().contains("mcf/baseline-zen"));
-    assert!(manifest
-        .diff(&manifest)
-        .iter()
-        .all(|d| d.delta() == Some(0.0)));
+        // What telemetry_report renders must not panic and must name the run.
+        assert!(manifest.summary().contains("mcf/baseline-zen"));
+        assert!(manifest
+            .diff(&manifest)
+            .iter()
+            .all(|d| d.delta() == Some(0.0)));
+    }
+    assert_eq!(
+        simulated,
+        cache.len() as u64,
+        "every distinct cell ran once"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -61,7 +61,7 @@ pub struct BatchOutcome {
 }
 
 /// Renders a panic payload as the error string stored with the cell.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("panicked: {s}")
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -23,8 +23,6 @@ echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release --workspace =="
-# --workspace matters: without it the root package alone is built and the
-# experiment child binaries run_all launches can go stale.
 cargo build --release --workspace
 
 echo "== cargo test -q =="
@@ -52,8 +50,13 @@ start=$(date +%s)
 cargo run --release -p autorfm-bench --bin run_all -- --jobs "${JOBS}"
 end=$(date +%s)
 echo "run_all --jobs ${JOBS}: $((end - start))s"
-# results/golden/ pins every table at default fidelity (100K
-# instructions/core): any drift in a regenerated table fails here (set -e).
+# run_all exits nonzero if any target panics — among them tracker_zoo's
+# OracleRH lower-bound gate: one column per *registered* tracker (so a
+# tracker registered but not wired everywhere shows here and in the kernel
+# differential above), and the idealized oracle must be strictly cheaper than
+# every real tracker. results/golden/ pins every table at default fidelity
+# (100K instructions/core): any drift in a regenerated table fails here
+# (set -e).
 for golden in results/golden/*.txt; do
     cmp "${golden}" "results/$(basename "${golden}")"
 done
@@ -66,26 +69,23 @@ echo "== ablations + seed_sensitivity rerun over the populated store =="
 # exception is seed_sensitivity's 30 AutoRFM-4 latency probes (6 workloads x
 # 5 seeds): they read the controller's worst read latency from a telemetry
 # registry, and telemetry cells are never stored.
-RERUN_DIR="$(mktemp -d)"
+./target/release/run_all --only ablations --only seed_sensitivity \
+    --store results/store --jobs "${JOBS}"
 for target in ablations seed_sensitivity; do
-    ./target/release/"${target}" --jobs "${JOBS}" --store results/store \
-        --manifest "${RERUN_DIR}/${target}.json" > "${RERUN_DIR}/${target}.txt"
-    cmp "results/golden/${target}.txt" "${RERUN_DIR}/${target}.txt"
+    cmp "results/golden/${target}.txt" "results/${target}.txt"
 done
-python3 - "${RERUN_DIR}" <<'EOF'
+python3 - <<'EOF'
 import json
-import sys
 
 expected = {"ablations": 0, "seed_sensitivity": 30}
 for target, want in expected.items():
-    with open(f"{sys.argv[1]}/{target}.json") as f:
+    with open(f"results/{target}.json") as f:
         manifest = json.load(f)
     ran = next(m["value"] for m in manifest["metrics"] if m["name"] == "simulations_run")
     assert ran == want, \
         f"{target} simulated {ran} cells over the populated store (expected {want})"
     print(f"{target}: {ran} fresh simulations, {len(manifest['runs'])} cells in its manifest")
 EOF
-rm -rf "${RERUN_DIR}"
 
 echo "== run_all --resume smoke (table2_trh_history should be skipped) =="
 resume_out="$(cargo run --release -p autorfm-bench --bin run_all -- \
@@ -95,17 +95,6 @@ if ! grep -q "already complete, skipping" <<<"${resume_out}"; then
     echo "verify: --resume did not skip a completed target" >&2
     exit 1
 fi
-
-echo "== tracker zoo (registry sweep + OracleRH lower-bound gate) =="
-# One quick-sweep column per *registered* tracker — the binary enumerates the
-# plugin registry, so adding a tracker without registering it everywhere is
-# caught here and by the kernel differential above (which also iterates
-# trackers::names()). The idealized OracleRH must show strictly lower
-# slowdown than every real tracker; tracker_zoo exits nonzero otherwise.
-# Memory-heavy workloads + 200k instructions: enough pressure that every
-# real tracker pays for at least one mitigation (shorter runs tie at 0%).
-cargo run --release -p autorfm-bench --bin tracker_zoo -- \
-    --workloads mcf,bwaves,triad --cores 4 --instructions 200000 --jobs "${JOBS}"
 
 echo "== attack fuzzer smoke (escape curves + OracleRH strictly-hardest gate) =="
 # One bounded fuzz campaign per *registered* tracker: mutation + annealing
