@@ -138,7 +138,8 @@ fn bench_controller(c: &mut Criterion) {
 /// event kernel's query cost: idle-bank-heavy (every bank clean and empty —
 /// the floor the dirty-tracked cache must hit so low-traffic leaps stay
 /// cheap) and hot-bank-heavy (every bank holding queued work, cached vs.
-/// re-derived from a full queue scan).
+/// re-derived from a full queue scan). Next to them, `tick_event` over a
+/// loaded controller with no bank due.
 fn bench_wake(c: &mut Criterion) {
     let g = Geometry::paper_baseline();
     let new_mc = || {
@@ -210,6 +211,20 @@ fn bench_wake(c: &mut Criterion) {
             mc.take_responses();
             black_box(mc.next_event_at(now))
         })
+    });
+
+    // The tick layer alone: all 64 banks queued but none due, every one
+    // held by the all-bank REF's blocking window (`now` stays inside it).
+    // Each call walks the active banks and finds nothing to service, so
+    // it times the tick's per-bank cost without any command issue.
+    c.bench_function("memctrl/tick_event_loaded", |b| {
+        let mut mc = new_mc();
+        let now = mc.device().next_ref_at();
+        mc.tick_event(now);
+        fill(&mut mc, now, 0, 256);
+        mc.tick_event(now);
+        assert!(!mc.has_responses() && mc.pending_requests() == 256);
+        b.iter(|| mc.tick_event(black_box(now)))
     });
 
     // The same hot wake re-derived from a full scan of every bank queue:

@@ -401,8 +401,8 @@ impl System {
         }
         self.uncore.tick(&mut self.mc, now);
         // The stepped oracle ticks unconditionally; the event kernel lets the
-        // controller prove this step is a no-op for it (cached wakes all
-        // empty, device wake beyond `now`) and compensate the round-robin
+        // controller prove this step is a no-op for it (no bank dirty or
+        // due, device wake beyond `now`) and compensate the round-robin
         // rotation instead — the same contract leaps rely on, applied to the
         // executed steps where a core is hot but the memory system is quiet.
         // When the controller does have work, `tick_event` services only the

@@ -192,9 +192,10 @@ pub struct MemController<M: MemoryMap> {
     t_m: Cycle,
     /// Cached bank-local wake candidates (see [`WakeCand`]), stored as four
     /// parallel per-field arrays indexed by bank rather than an array of
-    /// structs: the wake query sweeps one field class across many banks (the
-    /// early-skip below touches only the three candidate bases), so the SoA
-    /// split keeps the hot sweep on contiguous memory. Redundant state:
+    /// structs: the wake query and the tick's due filter sweep one field
+    /// class across many banks (their early skips touch only the three
+    /// candidate bases), so the SoA split keeps the hot sweep on contiguous
+    /// memory. Redundant state:
     /// rebuilt on restore, never serialized — as are the bank bitmasks below
     /// (one bit per bank, 64 banks per word).
     wake_fixed: Vec<Cycle>,
@@ -213,6 +214,11 @@ pub struct MemController<M: MemoryMap> {
     /// (a clean idle bank) contributes nothing to the wake and is skipped
     /// without so much as a load of its candidates.
     active_mask: Vec<u64>,
+    /// Lower bound on the earliest local wake base of any clean active bank:
+    /// no such bank can act before it. Set exactly by every `tick_event`
+    /// pass, lowered by every `refresh_wake`; a dirty bank is not covered,
+    /// which is why `tick_or_skip` also requires `dirty_mask` to be clear.
+    due_floor: Cycle,
     /// Valid bit positions in the final mask word (banks beyond `num_banks`
     /// must never be set).
     tail_mask: u64,
@@ -305,6 +311,7 @@ impl<M: MemoryMap> MemController<M> {
             wake_act_local: vec![Cycle::MAX; n],
             dirty_mask: vec![0; n.div_ceil(64)],
             active_mask: vec![0; n.div_ceil(64)],
+            due_floor: Cycle::MAX,
             tail_mask: if n.is_multiple_of(64) {
                 !0
             } else {
@@ -452,28 +459,72 @@ impl<M: MemoryMap> MemController<M> {
     }
 
     /// [`MemController::tick`] for time-skipping callers: identical
-    /// refresh processing, but the service loop visits only banks whose
-    /// cached wake candidates are non-empty (`active_mask`) or possibly
-    /// stale (`dirty_mask`). A clean inactive bank has no candidate of any
-    /// kind, so `service_bank` on it provably returns `false` without
-    /// touching state — the same property that lets the event kernel leap
-    /// over whole steps, applied bank-by-bank inside an executed step.
-    /// Buffered-write configurations never clear their dirty bits (the
-    /// cache is bypassed — see [`MemController::next_event_at`]), so the
-    /// mask walk degenerates to the full loop and stays correct.
+    /// refresh processing, but the service loop visits only the banks that
+    /// could act at `now`. It walks the set bits of `active_mask |
+    /// dirty_mask` in round-robin order from `rr_start` (a clean inactive
+    /// bank has no candidate of any kind), refreshes each dirty bank's
+    /// cached candidates on the spot, and skips every bank whose local base
+    /// `min(fixed, hit_local, act_local)` lies beyond `now`: the shared terms
+    /// (bus, tRRD/tFAW, next REF) only push candidates later, so
+    /// `service_bank` would provably return `false` there without touching
+    /// state. A serviced bank is refreshed straight away, so the pass leaves
+    /// every bank clean and recomputes `due_floor` — the earliest local base
+    /// left — for [`MemController::tick_or_skip`].
+    ///
+    /// Buffered-write configurations keep the unfiltered loop of
+    /// [`MemController::tick`]: their cached candidates ignore the write
+    /// queues (see [`MemController::next_event_at`]), so no bank may be
+    /// skipped on their account.
     pub fn tick_event(&mut self, now: Cycle) {
+        if matches!(self.cfg.write_policy, WritePolicy::Buffered { .. }) {
+            self.tick(now);
+            return;
+        }
         self.tick_refresh(now);
         let n = self.queues.len();
-        for i in 0..n {
-            let b = (self.rr_start + i) % n;
-            if (self.active_mask[b >> 6] | self.dirty_mask[b >> 6]) & (1u64 << (b & 63)) == 0 {
-                continue;
-            }
-            if self.service_bank(BankId(b as u16), now) {
-                self.mark_dirty(b);
+        let start = self.rr_start;
+        let tail = self.tick_due_banks(start, n, now);
+        let head = self.tick_due_banks(0, start, now);
+        self.due_floor = tail.min(head);
+        self.rr_start = (self.rr_start + 1) % n;
+    }
+
+    /// The [`MemController::tick_event`] pass over banks `lo..hi`, in order:
+    /// refreshes dirty banks and services the due ones. Returns the earliest
+    /// local base the walked banks hold afterwards.
+    fn tick_due_banks(&mut self, lo: usize, hi: usize, now: Cycle) -> Cycle {
+        let mut floor = Cycle::MAX;
+        for w in lo >> 6..hi.div_ceil(64) {
+            let base = w << 6;
+            let from = lo.saturating_sub(base);
+            let to = (hi - base).min(64);
+            let range = (!0u64 >> (64 - to)) & (!0u64 << from);
+            // Servicing a bank changes only that bank's own bits, so a
+            // snapshot of the word covers every later bank in it.
+            let mut m = (self.active_mask[w] | self.dirty_mask[w]) & range;
+            while m != 0 {
+                let bi = base + m.trailing_zeros() as usize;
+                m &= m - 1;
+                if (self.dirty_mask[w] >> (bi & 63)) & 1 != 0 {
+                    self.refresh_wake(bi);
+                }
+                let mut local = self.local_wake(bi);
+                if local <= now && self.service_bank(BankId(bi as u16), now) {
+                    self.refresh_wake(bi);
+                    local = self.local_wake(bi);
+                }
+                floor = floor.min(local);
             }
         }
-        self.rr_start = (self.rr_start + 1) % n;
+        floor
+    }
+
+    /// Bank `bi`'s cached local base: no shared term can make it act earlier.
+    #[inline]
+    fn local_wake(&self, bi: usize) -> Cycle {
+        self.wake_fixed[bi]
+            .min(self.wake_hit_local[bi])
+            .min(self.wake_act_local[bi])
     }
 
     /// Shared tick prologue: advances the device (REF / refresh-window
@@ -521,29 +572,27 @@ impl<M: MemoryMap> MemController<M> {
     /// Single-step fast path for time-skipping callers: when the controller
     /// is provably quiet at `now`, compensates the round-robin rotation
     /// ([`MemController::skip_ticks`]) instead of ticking and returns `true`;
-    /// otherwise returns `false` and the caller must [`MemController::tick`].
+    /// otherwise returns `false` and the caller must
+    /// [`MemController::tick_event`].
     ///
-    /// Quiet means every cached wake candidate is empty (`active_mask` zero),
-    /// no candidate is stale (`dirty_mask` zero — a dirty bank *might* have
-    /// work, so it forces a real tick rather than a recompute here), and the
-    /// device's next self-scheduled REF/refresh-window event lies beyond
-    /// `now`. Under those conditions a tick could issue no command, produce
-    /// no response, and move no device state — the same contract that lets
-    /// the event kernel leap over such steps wholesale — so skipping is
-    /// bitwise identical to ticking. Buffered-write configurations bypass
-    /// the cache entirely (see [`MemController::next_event_at`]) and always
-    /// tick.
+    /// Quiet means no cached candidate is stale (`dirty_mask` zero — a dirty
+    /// bank *might* have work, so it forces a real tick rather than a
+    /// recompute here), no clean bank is due (`now < due_floor`: every
+    /// active bank's local base lies beyond `now`, so the tick's due filter
+    /// would skip them all), and the device's next self-scheduled
+    /// REF/refresh-window event lies beyond `now`. Under those conditions a
+    /// tick could issue no command, produce no response, and move no device
+    /// state — the same contract that lets the event kernel leap over such
+    /// steps wholesale — so skipping is bitwise identical to ticking.
+    /// Buffered-write configurations bypass the cache entirely (see
+    /// [`MemController::next_event_at`]) and always tick.
     #[inline]
     pub fn tick_or_skip(&mut self, now: Cycle) -> bool {
-        if matches!(self.cfg.write_policy, WritePolicy::Buffered { .. }) {
-            return false;
-        }
-        let busy = self
-            .dirty_mask
-            .iter()
-            .zip(&self.active_mask)
-            .any(|(d, a)| d | a != 0);
-        if busy || self.device.next_event_at(now).is_none_or(|w| w <= now) {
+        if matches!(self.cfg.write_policy, WritePolicy::Buffered { .. })
+            || now >= self.due_floor
+            || self.dirty_mask.iter().any(|&d| d != 0)
+            || self.device.next_event_at(now).is_none_or(|w| w <= now)
+        {
             return false;
         }
         self.skip_ticks(1);
@@ -551,7 +600,8 @@ impl<M: MemoryMap> MemController<M> {
     }
 
     /// Recomputes and caches bank `bi`'s local wake candidates, clearing its
-    /// dirty bit and maintaining its active bit.
+    /// dirty bit, maintaining its active bit and folding its local base into
+    /// `due_floor`.
     fn refresh_wake(&mut self, bi: usize) {
         let cand = self.bank_wake_cand(BankId(bi as u16));
         let active = cand.fixed != Cycle::MAX
@@ -565,6 +615,7 @@ impl<M: MemoryMap> MemController<M> {
         self.dirty_mask[w] &= !bit;
         if active {
             self.active_mask[w] |= bit;
+            self.due_floor = self.due_floor.min(self.local_wake(bi));
         } else {
             self.active_mask[w] &= !bit;
         }
@@ -683,8 +734,9 @@ impl<M: MemoryMap> MemController<M> {
     ///
     /// The wake is *cached*, not recomputed: every bank keeps its last
     /// derived bank-local candidates in the `wake_*` SoA columns, and only banks whose
-    /// own state changed since (tracked in `wake_dirty` — see DESIGN.md "The
-    /// clocking contract" for the invalidation rules) are recomputed here.
+    /// own state changed since (tracked in `dirty_mask` — see DESIGN.md "The
+    /// clocking contract" for the invalidation rules) are recomputed here;
+    /// [`MemController::tick_event`] refreshes them too, so few are left.
     /// The shared couplings — data-bus availability, rank tRRD/tFAW spacing,
     /// the rotating next-REF bound — never dirty anything: they are read
     /// live and folded into each bank's candidates with O(1) arithmetic by
@@ -743,10 +795,7 @@ impl<M: MemoryMap> MemController<M> {
                 // bare minimum of the local bases: banks that cannot improve
                 // the running minimum are skipped before any shared-term
                 // arithmetic, touching only the three SoA base columns.
-                let local_min = self.wake_fixed[bi]
-                    .min(self.wake_hit_local[bi])
-                    .min(self.wake_act_local[bi]);
-                if local_min >= wake {
+                if self.local_wake(bi) >= wake {
                     continue;
                 }
                 if bi >= seg_end {
@@ -1297,6 +1346,7 @@ impl<M: MemoryMap> MemController<M> {
     fn rebuild_caches(&mut self) {
         self.mark_all_dirty();
         self.active_mask.fill(0);
+        self.due_floor = Cycle::MAX;
         for bi in 0..self.queues.len() {
             self.deferred[bi] = self.queues[bi]
                 .iter()

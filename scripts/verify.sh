@@ -41,8 +41,10 @@ cargo test --release -q --test golden golden_snapshot_digest
 
 echo "== stepped-vs-event kernel differential gate =="
 # The event-driven time-skip kernel must be bitwise identical to the stepped
-# oracle: the differential matrix compares SimResults and snapshot digests
-# across (workload x tracker) on both kernels.
+# oracle: the differential tests compare SimResults and snapshot digests on
+# both kernels across (workload x tracker) and across the controller policies
+# the event tick treats differently (per-request retry, open page, per-bank
+# refresh, buffered writes, half RAA credit).
 cargo test --release -q --test kernel_differential
 
 echo "== run_all --jobs ${JOBS} (default fidelity) + golden-table gate =="

@@ -10,8 +10,10 @@
 //! kernel wrongly skipped (or wrongly executed) shows up here.
 
 use autorfm::experiments::Scenario;
+use autorfm::memctrl::{PagePolicy, RaaRefCredit, RetryPolicy, WritePolicy};
 use autorfm::trackers::{self, TrackerKind};
 use autorfm::{KernelKind, SimConfig, SimResult, System};
+use autorfm_dram::RefreshPolicy;
 use autorfm_workloads::WorkloadSpec;
 
 /// A small but full-stack configuration: enough instructions for the caches,
@@ -74,6 +76,81 @@ fn kernels_agree_on_workload_tracker_matrix() {
                 skipped > 0,
                 "event kernel never skipped on {workload} × {name} \
                  ({executed} steps executed)"
+            );
+        }
+    }
+}
+
+/// Every controller policy the event kernel's tick fast paths treat
+/// differently, one at a time against the default `McConfig`: per-request
+/// retry holds, open-page precharge, per-bank REF rotation, buffered writes
+/// (which keep the unfiltered tick) and the half RAA credit (under RFM, the
+/// only scenario that keeps RAA counters). Each must stay bitwise identical
+/// to the stepped oracle, result and final snapshot digest alike.
+///
+/// The runs are longer than the smoke matrix's so that every policy acts:
+/// each crosses several tREFI (REFs and RAA credits), and mcf's warmed LLC
+/// evicts dirty lines (writes reach the controller), while wrf's cold one
+/// keeps it activating.
+#[test]
+fn kernels_agree_across_controller_policies() {
+    let autorfm = Scenario::AutoRfmWith {
+        th: 4,
+        tracker: TrackerKind::Mint,
+    };
+    type Variant = (&'static str, Scenario, fn(&mut SimConfig));
+    let variants: [Variant; 5] = [
+        ("per-request retry", autorfm, |c| {
+            c.mc.retry = RetryPolicy::PerRequest
+        }),
+        ("open page", autorfm, |c| {
+            c.mc.page_policy = PagePolicy::Open
+        }),
+        ("per-bank refresh", autorfm, |c| {
+            c.refresh = RefreshPolicy::PerBank
+        }),
+        ("buffered writes", autorfm, |c| {
+            c.mc.write_policy = WritePolicy::Buffered {
+                capacity: 32,
+                high: 24,
+                low: 8,
+            }
+        }),
+        ("half RAA credit", Scenario::Rfm { th: 4 }, |c| {
+            c.mc.raa_ref_credit = RaaRefCredit::Half
+        }),
+    ];
+    for (workload, warmup) in [("mcf", 100_000), ("wrf", 2_000)] {
+        for (name, scenario, set) in variants {
+            let spec = WorkloadSpec::by_name(workload).expect("known workload");
+            let mut cfg = SimConfig::builder(spec)
+                .scenario(scenario)
+                .cores(2)
+                .instructions(100_000)
+                .seed(42)
+                .warmup_mem_ops(warmup)
+                .build()
+                .expect("valid policy config");
+            set(&mut cfg);
+            let mut stepped = System::new(cfg.clone()).unwrap();
+            let mut event = System::new(cfg).unwrap();
+            let r_stepped = stepped.run_with(KernelKind::Stepped);
+            let r_event = event.run_with(KernelKind::Event);
+            assert_eq!(
+                fingerprint(&r_stepped),
+                fingerprint(&r_event),
+                "SimResult diverged on {workload} × {name}"
+            );
+            assert_eq!(
+                snapshot_digest(&stepped),
+                snapshot_digest(&event),
+                "final snapshot digest diverged on {workload} × {name}"
+            );
+            let dram = &r_event.dram;
+            assert!(dram.refs.get() > 0, "{workload} × {name} crossed no REF");
+            assert!(
+                workload != "mcf" || dram.writes.get() > 0,
+                "{workload} × {name} wrote nothing back"
             );
         }
     }
