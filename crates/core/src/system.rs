@@ -242,20 +242,8 @@ impl System {
     /// Runs to completion under an explicitly chosen kernel (in-process A/B
     /// comparisons; both kernels produce bitwise-identical results).
     pub fn run_with(&mut self, kernel: KernelKind) -> SimResult {
-        loop {
-            let done = self.step_once(kernel);
-            self.steps_executed += 1;
-            if done {
-                break;
-            }
-            if kernel == KernelKind::Event {
-                let skip = self.skippable_steps(u64::MAX);
-                if skip > 0 {
-                    self.leap(skip);
-                }
-            }
-        }
-        self.finalize()
+        self.run_steps_with(u64::MAX, kernel)
+            .expect("every core retires its budget long before 2^64 steps")
     }
 
     /// Runs for at most `max_steps` simulation steps (1 ns each). Returns the

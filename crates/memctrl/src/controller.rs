@@ -177,7 +177,7 @@ pub struct MemController<M: MemoryMap> {
     bus_free: Vec<Cycle>,
     /// Whether the open row has serviced its activating (miss) access yet.
     miss_serviced: Vec<bool>,
-    /// Per-bank write queues (WritePolicy::Buffered only).
+    /// Per-bank write queues: empty unless writes are buffered.
     wqueues: Vec<VecDeque<QueuedReq>>,
     /// Total buffered writes across banks.
     write_count: usize,
@@ -342,16 +342,6 @@ impl<M: MemoryMap> MemController<M> {
         }
     }
 
-    #[inline]
-    fn inc_deferred(&mut self, bi: usize) {
-        self.deferred[bi] += 1;
-    }
-
-    #[inline]
-    fn dec_deferred(&mut self, bi: usize) {
-        self.deferred[bi] -= 1;
-    }
-
     /// The owned DRAM device (for statistics inspection).
     pub fn device(&self) -> &DramDevice {
         &self.device
@@ -418,7 +408,7 @@ impl<M: MemoryMap> MemController<M> {
     }
 
     /// Flips the write-drain watermark state. Draining changes which queue
-    /// `service_closed`/`bank_next_event` read for *every* bank, so a toggle
+    /// `service_closed`/`bank_wake_cand` read for *every* bank, so a toggle
     /// invalidates all cached wakes.
     fn set_draining(&mut self, draining: bool) {
         if self.draining != draining {
@@ -470,16 +460,7 @@ impl<M: MemoryMap> MemController<M> {
     /// state. A serviced bank is refreshed straight away, so the pass leaves
     /// every bank clean and recomputes `due_floor` — the earliest local base
     /// left — for [`MemController::tick_or_skip`].
-    ///
-    /// Buffered-write configurations keep the unfiltered loop of
-    /// [`MemController::tick`]: their cached candidates ignore the write
-    /// queues (see [`MemController::next_event_at`]), so no bank may be
-    /// skipped on their account.
     pub fn tick_event(&mut self, now: Cycle) {
-        if matches!(self.cfg.write_policy, WritePolicy::Buffered { .. }) {
-            self.tick(now);
-            return;
-        }
         self.tick_refresh(now);
         let n = self.queues.len();
         let start = self.rr_start;
@@ -499,8 +480,11 @@ impl<M: MemoryMap> MemController<M> {
             let from = lo.saturating_sub(base);
             let to = (hi - base).min(64);
             let range = (!0u64 >> (64 - to)) & (!0u64 << from);
-            // Servicing a bank changes only that bank's own bits, so a
-            // snapshot of the word covers every later bank in it.
+            // Servicing a bank sets only that bank's own bits, except that
+            // ending a write-drain burst dirties every bank. Dirty bits are
+            // reread live below, and the drain state gives no work to a bank
+            // with none queued, so a snapshot of the word covers every later
+            // bank in it.
             let mut m = (self.active_mask[w] | self.dirty_mask[w]) & range;
             while m != 0 {
                 let bi = base + m.trailing_zeros() as usize;
@@ -584,12 +568,9 @@ impl<M: MemoryMap> MemController<M> {
     /// tick could issue no command, produce no response, and move no device
     /// state — the same contract that lets the event kernel leap over such
     /// steps wholesale — so skipping is bitwise identical to ticking.
-    /// Buffered-write configurations bypass the cache entirely (see
-    /// [`MemController::next_event_at`]) and always tick.
     #[inline]
     pub fn tick_or_skip(&mut self, now: Cycle) -> bool {
-        if matches!(self.cfg.write_policy, WritePolicy::Buffered { .. })
-            || now >= self.due_floor
+        if now >= self.due_floor
             || self.dirty_mask.iter().any(|&d| d != 0)
             || self.device.next_event_at(now).is_none_or(|w| w <= now)
         {
@@ -622,8 +603,11 @@ impl<M: MemoryMap> MemController<M> {
     }
 
     /// Derives bank `bank`'s [`WakeCand`] from current state. Mirrors the
-    /// candidate derivation of [`MemController::bank_next_event_impl`] with
+    /// candidate derivation of [`MemController::fresh_bank_next_event`] with
     /// the shared terms (bus, rank ACT spacing, next-REF bound) left out.
+    /// The bank's buffered writes are candidates like its reads: write hits
+    /// join the row-hit base, open-page write conflicts the precharge term,
+    /// and a closed row's write drain is ready at once.
     ///
     /// Per-request holds fold into the bases exactly: a candidate of the form
     /// `min over requests r of max(base, r.blocked_until)` equals
@@ -632,8 +616,8 @@ impl<M: MemoryMap> MemController<M> {
     /// *later* times, so if the minimum fails them every hold does. Holds are
     /// timestamps set while servicing the bank (a dirtying event), so the
     /// aggregated minimum is as cacheable as any other base. The common
-    /// no-holds case (`deferred == 0`) needs no scan at all: every queued
-    /// request's `blocked_until` is `Cycle::ZERO`.
+    /// no-holds case (`deferred == 0`) needs no scan of the reads: every
+    /// queued read's `blocked_until` is `Cycle::ZERO`.
     fn bank_wake_cand(&self, bank: BankId) -> WakeCand {
         let bi = bank.0 as usize;
         let gate = self.bank_hold_until[bi].max(self.device.blocked_until(bank));
@@ -656,7 +640,7 @@ impl<M: MemoryMap> MemController<M> {
             Some(row) => {
                 self.check_index(bi, row);
                 // Earliest unblocked row hit (`None`: no hit queued).
-                let hit_ready = if held {
+                let read_hit = if held {
                     self.queues[bi]
                         .iter()
                         .filter(|r| r.row == row)
@@ -665,6 +649,10 @@ impl<M: MemoryMap> MemController<M> {
                 } else {
                     (self.open_hits[bi] > 0).then_some(Cycle::ZERO)
                 };
+                let hit_ready = read_hit
+                    .into_iter()
+                    .chain(self.write_ready(bi, |r| r.row == row))
+                    .min();
                 let hit_local = match hit_ready {
                     Some(b) => gate.max(self.device.earliest_col(bank)).max(b),
                     None => Cycle::MAX,
@@ -677,7 +665,7 @@ impl<M: MemoryMap> MemController<M> {
                     PagePolicy::Open => {
                         // Precharge is a candidate only once a conflicting
                         // request waits — and no earlier than its hold.
-                        let conflict_ready = if held {
+                        let read_conflict = if held {
                             self.queues[bi]
                                 .iter()
                                 .filter(|r| r.row != row)
@@ -687,6 +675,10 @@ impl<M: MemoryMap> MemController<M> {
                             (self.queues[bi].len() as u32 > self.open_hits[bi])
                                 .then_some(Cycle::ZERO)
                         };
+                        let conflict_ready = read_conflict
+                            .into_iter()
+                            .chain(self.write_ready(bi, |r| r.row != row))
+                            .min();
                         let fixed = match conflict_ready {
                             Some(b) => gate.max(self.device.earliest_pre(bank)).max(b),
                             None => Cycle::MAX,
@@ -702,7 +694,11 @@ impl<M: MemoryMap> MemController<M> {
                 }
             }
             None => {
-                let ready = if held {
+                // Write drain ignores per-request holds, as `service_closed`
+                // does.
+                let ready = if self.drains_writes(bi) {
+                    Some(Cycle::ZERO)
+                } else if held {
                     self.queues[bi].iter().map(|r| r.blocked_until).min()
                 } else {
                     (!self.queues[bi].is_empty()).then_some(Cycle::ZERO)
@@ -716,6 +712,28 @@ impl<M: MemoryMap> MemController<M> {
                 }
             }
         }
+    }
+
+    /// Earliest `blocked_until` among bank `bi`'s buffered writes that match
+    /// `pred` (`None` when none does, as always when writes are inline).
+    #[inline]
+    fn write_ready(&self, bi: usize, pred: impl Fn(&QueuedReq) -> bool) -> Option<Cycle> {
+        let writes = &self.wqueues[bi];
+        if writes.is_empty() {
+            return None;
+        }
+        writes
+            .iter()
+            .filter(|r| pred(r))
+            .map(|r| r.blocked_until)
+            .min()
+    }
+
+    /// Whether a closed bank `bi` serves its write queue next: while
+    /// draining, or when it has no reads to do. Reads win otherwise.
+    #[inline]
+    fn drains_writes(&self, bi: usize) -> bool {
+        !self.wqueues[bi].is_empty() && (self.draining || self.queues[bi].is_empty())
     }
 
     /// Clocking contract: a conservative lower bound on the next cycle at
@@ -750,16 +768,6 @@ impl<M: MemoryMap> MemController<M> {
         // O(1) state reads on the device, so they are not cached here.
         let mut wake = self.device.next_event_at(now).unwrap_or(Cycle::MAX);
         let n = self.queues.len();
-        if matches!(self.cfg.write_policy, WritePolicy::Buffered { .. }) {
-            // Buffered writes (ablation) couple every bank to the global
-            // drain state: recompute from scratch, no caching.
-            for bi in 0..n {
-                if let Some(w) = self.bank_next_event(BankId(bi as u16), now) {
-                    wake = wake.min(w);
-                }
-            }
-            return wake;
-        }
         // Next-REF bound, precomputed to match `DramDevice::bank_next_ref`
         // bank-by-bank without per-bank divisions.
         let next_ref = self.device.next_ref_at();
@@ -823,7 +831,7 @@ impl<M: MemoryMap> MemController<M> {
     /// the data-bus free time and rank ACT spacing push candidate bases
     /// later; the bank's next-REF bound disqualifies candidates whose data
     /// phase would collide with it. Exactly mirrors the eligibility checks
-    /// of [`MemController::bank_next_event_impl`].
+    /// of [`MemController::fresh_bank_next_event`].
     #[inline]
     fn combine_cand(&self, bi: usize, rank_act: Cycle, bus_free: Cycle, bank_ref: Cycle) -> Cycle {
         let mut wake = self.wake_fixed[bi];
@@ -851,7 +859,7 @@ impl<M: MemoryMap> MemController<M> {
     pub fn fresh_next_event_at(&self, now: Cycle) -> Cycle {
         let mut wake = self.device.next_event_at(now).unwrap_or(Cycle::MAX);
         for b in 0..self.queues.len() {
-            if let Some(w) = self.bank_next_event_impl(BankId(b as u16), now, false) {
+            if let Some(w) = self.fresh_bank_next_event(BankId(b as u16)) {
                 wake = wake.min(w);
             }
         }
@@ -859,20 +867,16 @@ impl<M: MemoryMap> MemController<M> {
     }
 
     /// The earliest cycle at which [`MemController::service_bank`] could act
-    /// on `bank` (mirrors its decision order over state frozen at `now`), or
-    /// `None` if the bank has no work that time alone can unblock before the
-    /// next REF (the device wake covers the post-REF recomputation).
+    /// on `bank` (mirrors its decision order over current state), or `None`
+    /// if the bank has no work that time alone can unblock before the next
+    /// REF (the device wake covers the post-REF recomputation). Scans every
+    /// queued request: the oracle behind
+    /// [`MemController::fresh_next_event_at`].
     ///
     /// The result depends only on controller and device state — never on
-    /// `now` — which is what makes caching it in the `wake_*` columns sound.
-    fn bank_next_event(&self, bank: BankId, now: Cycle) -> Option<Cycle> {
-        self.bank_next_event_impl(bank, now, true)
-    }
-
-    /// `use_index`: take the indexed-queue fast paths (`deferred` /
-    /// `open_hits`). `false` forces the full scans — the oracle the fast
-    /// paths and the wake-coherence proptest are checked against.
-    fn bank_next_event_impl(&self, bank: BankId, _now: Cycle, use_index: bool) -> Option<Cycle> {
+    /// the current cycle — which is what makes caching it in the `wake_*`
+    /// columns sound.
+    fn fresh_bank_next_event(&self, bank: BankId) -> Option<Cycle> {
         let bi = bank.0 as usize;
         // Nothing happens before both the whole-bank retry hold (Fig 7) and
         // the device-level blocking window have passed.
@@ -890,19 +894,19 @@ impl<M: MemoryMap> MemController<M> {
                 None => gate,
             });
         }
-        let buffered = matches!(self.cfg.write_policy, WritePolicy::Buffered { .. });
+        let requests = || self.queues[bi].iter().chain(self.wqueues[bi].iter());
         match open {
             Some(row) => {
                 let mut wake: Option<Cycle> = None;
                 let mut consider = |c: Cycle| {
                     wake = Some(wake.map_or(c, |w| w.min(c)));
                 };
-                // Earliest serviceable row-buffer hit: any matching request,
-                // once unblocked, the column timing allows, and the bus is
-                // free — provided the hit lands inside the tRAS hit window
-                // and its data phase clears the bank's next REF. (The actual
-                // tick still picks by queue position; an early wake at worst
-                // executes a no-op step.)
+                // Earliest serviceable row-buffer hit: any matching read or
+                // write, once unblocked, the column timing allows, and the
+                // bus is free — provided the hit lands inside the tRAS hit
+                // window and its data phase clears the bank's next REF. (The
+                // actual tick still picks by queue position; an early wake at
+                // worst executes a no-op step.)
                 let hit_base = gate
                     .max(self.device.earliest_col(bank))
                     .max(self.bus_free[self.subch_of(bank)]);
@@ -912,57 +916,24 @@ impl<M: MemoryMap> MemController<M> {
                     }
                     PagePolicy::Open => None,
                 };
-                let data = self.timings.t_cl + self.timings.t_burst;
                 let next_ref = self.device.bank_next_ref(bank);
-                let mut scan_hits = |q: &VecDeque<QueuedReq>| {
-                    for r in q.iter().filter(|r| r.row == row) {
-                        let t = hit_base.max(r.blocked_until);
-                        if window_end.is_none_or(|end| t <= end) && t + data <= next_ref {
-                            consider(t);
-                        }
-                    }
-                };
-                if use_index && !buffered && self.deferred[bi] == 0 {
-                    // Fast path: no per-request holds, so every queued hit
-                    // becomes serviceable at the same `hit_base`; the row-hit
-                    // count tells us whether one exists without scanning.
-                    self.check_index(bi, row);
-                    if self.open_hits[bi] > 0
-                        && window_end.is_none_or(|end| hit_base <= end)
-                        && hit_base + data <= next_ref
-                    {
-                        consider(hit_base);
-                    }
-                } else {
-                    scan_hits(&self.queues[bi]);
-                    if buffered {
-                        scan_hits(&self.wqueues[bi]);
+                for r in requests().filter(|r| r.row == row) {
+                    let t = hit_base.max(r.blocked_until);
+                    if window_end.is_none_or(|end| t <= end) && t + self.t_data <= next_ref {
+                        consider(t);
                     }
                 }
                 // Precharge: unconditional under closed-page once tRAS
                 // allows; open-page only once a conflicting request waits.
-                match self.cfg.page_policy {
-                    PagePolicy::ClosedWithinTras => {
-                        consider(gate.max(self.device.earliest_pre(bank)));
-                    }
-                    PagePolicy::Open => {
-                        let conflict = if use_index && !buffered && self.deferred[bi] == 0 {
-                            // Conflicts = queued reads not hitting the open
-                            // row, all unblocked (no holds outstanding).
-                            (self.queues[bi].len() as u32 > self.open_hits[bi])
-                                .then_some(Cycle::ZERO)
-                        } else {
-                            self.queues[bi]
-                                .iter()
-                                .chain(self.wqueues[bi].iter())
-                                .filter(|r| r.row != row)
-                                .map(|r| r.blocked_until)
-                                .min()
-                        };
-                        if let Some(b) = conflict {
-                            consider(gate.max(self.device.earliest_pre(bank)).max(b));
-                        }
-                    }
+                let pre_ready = match self.cfg.page_policy {
+                    PagePolicy::ClosedWithinTras => Some(Cycle::ZERO),
+                    PagePolicy::Open => requests()
+                        .filter(|r| r.row != row)
+                        .map(|r| r.blocked_until)
+                        .min(),
+                };
+                if let Some(b) = pre_ready {
+                    consider(gate.max(self.device.earliest_pre(bank)).max(b));
                 }
                 wake
             }
@@ -970,24 +941,15 @@ impl<M: MemoryMap> MemController<M> {
                 // The next ACT: earliest eligible request once ACT timing
                 // (tRC/tRP, tRRD, tFAW) allows. Write drain ignores
                 // per-request holds, matching service_closed.
-                let from_writes = buffered
-                    && !self.wqueues[bi].is_empty()
-                    && (self.draining || self.queues[bi].is_empty());
-                let earliest_req = if from_writes {
+                let earliest_req = if self.drains_writes(bi) {
                     Some(Cycle::ZERO)
-                } else if use_index && self.deferred[bi] == 0 {
-                    // Fast path: no holds outstanding, so the minimum
-                    // `blocked_until` is ZERO exactly when the queue is
-                    // non-empty.
-                    (!self.queues[bi].is_empty()).then_some(Cycle::ZERO)
                 } else {
                     self.queues[bi].iter().map(|r| r.blocked_until).min()
                 };
                 let t = gate.max(self.device.earliest_act(bank)).max(earliest_req?);
                 // A service whose data phase would collide with REF is
                 // refused until after the REF; the device wake covers that.
-                let service_end = t + self.timings.t_rcd + self.timings.t_cl + self.timings.t_burst;
-                (service_end <= self.device.bank_next_ref(bank)).then_some(t)
+                (t + self.t_act_data <= self.device.bank_next_ref(bank)).then_some(t)
             }
         }
     }
@@ -1080,7 +1042,6 @@ impl<M: MemoryMap> MemController<M> {
 
     fn service_open(&mut self, bank: BankId, row: RowAddr, now: Cycle) -> bool {
         let bi = bank.0 as usize;
-        let buffered = matches!(self.cfg.write_policy, WritePolicy::Buffered { .. });
         // Row-buffer hits are permitted only while within tRAS of the ACT
         // under the paper's closed-page variant (Section III); the open-page
         // ablation keeps the hit window open indefinitely.
@@ -1095,7 +1056,7 @@ impl<M: MemoryMap> MemController<M> {
             // vacuous, and the row-hit count skips the scan entirely when no
             // queued read targets the open row (the common case).
             let mut from_writes = false;
-            let mut pos = if !buffered && self.deferred[bi] == 0 {
+            let mut pos = if self.deferred[bi] == 0 {
                 self.check_index(bi, row);
                 if self.open_hits[bi] == 0 {
                     None
@@ -1107,7 +1068,7 @@ impl<M: MemoryMap> MemController<M> {
                     .iter()
                     .position(|r| r.row == row && now >= r.blocked_until)
             };
-            if pos.is_none() && buffered {
+            if pos.is_none() && !self.wqueues[bi].is_empty() {
                 pos = self.wqueues[bi]
                     .iter()
                     .position(|r| r.row == row && now >= r.blocked_until);
@@ -1125,7 +1086,7 @@ impl<M: MemoryMap> MemController<M> {
                         let req = self.queues[bi].remove(pos).expect("position valid");
                         self.open_hits[bi] -= 1;
                         if req.blocked_until != Cycle::ZERO {
-                            self.dec_deferred(bi);
+                            self.deferred[bi] -= 1;
                         }
                         req
                     };
@@ -1162,15 +1123,15 @@ impl<M: MemoryMap> MemController<M> {
             }
             // Open-page: precharge only when a conflicting request waits.
             PagePolicy::Open => {
-                let conflict_waiting = if !buffered && self.deferred[bi] == 0 {
+                let waits = |r: &QueuedReq| r.row != row && now >= r.blocked_until;
+                let read_conflict = if self.deferred[bi] == 0 {
                     self.check_index(bi, row);
                     self.queues[bi].len() as u32 > self.open_hits[bi]
                 } else {
-                    self.queues[bi]
-                        .iter()
-                        .chain(self.wqueues[bi].iter())
-                        .any(|r| r.row != row && now >= r.blocked_until)
+                    self.queues[bi].iter().any(waits)
                 };
+                let conflict_waiting = read_conflict
+                    || (!self.wqueues[bi].is_empty() && self.wqueues[bi].iter().any(waits));
                 if conflict_waiting && now >= self.device.earliest_pre(bank) {
                     self.device.precharge(bank, now);
                     return true;
@@ -1182,11 +1143,7 @@ impl<M: MemoryMap> MemController<M> {
 
     fn service_closed(&mut self, bank: BankId, now: Cycle) -> bool {
         let bi = bank.0 as usize;
-        // Under buffered writes, serve the write queue when draining or when
-        // the bank has no reads to do; otherwise reads win.
-        let from_writes = matches!(self.cfg.write_policy, WritePolicy::Buffered { .. })
-            && !self.wqueues[bi].is_empty()
-            && (self.draining || self.queues[bi].is_empty());
+        let from_writes = self.drains_writes(bi);
         let pos = if from_writes {
             Some(0)
         } else if self.deferred[bi] == 0 {
@@ -1235,7 +1192,7 @@ impl<M: MemoryMap> MemController<M> {
                             self.wqueues[bi][pos].blocked_until = retry_at;
                         } else {
                             if self.queues[bi][pos].blocked_until == Cycle::ZERO {
-                                self.inc_deferred(bi);
+                                self.deferred[bi] += 1;
                             }
                             self.queues[bi][pos].blocked_until = retry_at;
                         }
@@ -1796,6 +1753,61 @@ mod tests {
         assert!(m.enqueue(mk(0), Cycle::ZERO));
         assert!(m.enqueue(mk(1), Cycle::ZERO));
         assert!(!m.enqueue(mk(2), Cycle::ZERO), "capacity must block");
+    }
+
+    /// Buffered writes are part of each bank's cached candidates, so once
+    /// the only write is serviced and its row closed, the event tick elides
+    /// the quiet steps before the next REF as it does for inline writes.
+    #[test]
+    fn buffered_controller_skips_quiet_ticks() {
+        let geometry = Geometry::small();
+        let device = DramDevice::new(
+            DramConfig {
+                geometry,
+                ..DramConfig::default()
+            },
+            23,
+        )
+        .unwrap();
+        let mut m = MemController::new(
+            ZenMap::new(geometry).unwrap(),
+            device,
+            McConfig {
+                write_policy: WritePolicy::Buffered {
+                    capacity: 8,
+                    high: 6,
+                    low: 2,
+                },
+                ..McConfig::default()
+            },
+        );
+        let line = LineAddr(77);
+        let bank = m.map().locate(line).bank;
+        let mut now = Cycle::ZERO;
+        assert!(m.enqueue(
+            MemRequest {
+                id: 1,
+                core: 0,
+                line,
+                is_write: true,
+            },
+            now
+        ));
+        let mut responses = Vec::new();
+        while responses.is_empty() || m.device().open_row(bank).is_some() {
+            now += STEP;
+            if !m.tick_or_skip(now) {
+                m.tick_event(now);
+            }
+            responses.extend(m.take_responses());
+            assert!(now < Cycle::from_ns(500), "the write never completed");
+        }
+        assert!(responses[0].is_write && m.is_idle());
+        let wake = m.next_event_at(now);
+        assert_eq!(wake, m.fresh_next_event_at(now));
+        assert_eq!(Some(wake), m.device().next_event_at(now), "a bank is due");
+        assert!(wake > now + STEP, "the next REF is due next step");
+        assert!(m.tick_or_skip(now + STEP), "a quiet tick was not elided");
     }
 
     #[test]

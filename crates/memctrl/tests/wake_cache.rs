@@ -3,7 +3,8 @@
 //! [`MemController::next_event_at`] must equal the full-scan oracle
 //! (`fresh_next_event_at`), and the event-kernel tick variants
 //! (`tick_or_skip` + `tick_event`) must leave the controller bitwise
-//! identical to unconditional ticking.
+//! identical to unconditional ticking. Buffered writes take the same
+//! cached path as inline ones, so the sweep covers both write policies.
 //!
 //! Op sequences are generated from a proptest-drawn seed via the repo's own
 //! [`DetRng`] (the vendored proptest shim has no collection strategies), so
@@ -56,7 +57,8 @@ fn next_op(rng: &mut DetRng) -> McOp {
 /// Decodes 5 sweep bits into a controller/device configuration: both page
 /// policies, both retry policies, both refresh policies, both mitigation
 /// flavors that add asynchronous per-bank wakes (RAA/RFM and PRAC/ABO), and
-/// both write policies (buffered writes bypass the wake cache).
+/// both write policies (buffered writes join each bank's cached candidates,
+/// and a drain-burst toggle dirties every bank).
 fn decode_config(bits: u8) -> (McConfig, DramConfig) {
     let (open_page, per_request, per_bank_ref, prac, buffered) = (
         bits & 1 != 0,

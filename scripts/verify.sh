@@ -43,9 +43,10 @@ echo "== stepped-vs-event kernel differential gate =="
 # The event-driven time-skip kernel must be bitwise identical to the stepped
 # oracle: the differential tests compare SimResults and snapshot digests on
 # both kernels across (workload x tracker) and across the controller policies
-# the event tick treats differently (per-request retry, open page, per-bank
-# refresh, buffered writes, half RAA credit).
-cargo test --release -q --test kernel_differential
+# that change which banks have work (per-request retry, open page, per-bank
+# refresh, buffered writes, half RAA credit), one at a time; random_configs
+# compares SimResults on random combinations of them.
+cargo test --release -q --test kernel_differential --test random_configs
 
 echo "== run_all --jobs ${JOBS} (default fidelity) + golden-table gate =="
 start=$(date +%s)

@@ -81,11 +81,11 @@ fn kernels_agree_on_workload_tracker_matrix() {
     }
 }
 
-/// Every controller policy the event kernel's tick fast paths treat
-/// differently, one at a time against the default `McConfig`: per-request
+/// Every controller policy that changes which banks the event kernel's tick
+/// finds due, one at a time against the default `McConfig`: per-request
 /// retry holds, open-page precharge, per-bank REF rotation, buffered writes
-/// (which keep the unfiltered tick) and the half RAA credit (under RFM, the
-/// only scenario that keeps RAA counters). Each must stay bitwise identical
+/// (their write queues are part of each bank's cached candidates) and the
+/// half RAA credit (under RFM, the only scenario that keeps RAA counters). Each must stay bitwise identical
 /// to the stepped oracle, result and final snapshot digest alike.
 ///
 /// The runs are longer than the smoke matrix's so that every policy acts:

@@ -1,10 +1,15 @@
-//! Robustness: random (but valid) configurations must simulate to completion
-//! without panics, across scenarios, mappings, knobs, and workloads.
+//! Robustness and kernel agreement: random (but valid) configurations must
+//! simulate to completion without panics, across scenarios, mappings, knobs,
+//! and workloads, and the event kernel must reproduce the stepped oracle's
+//! result bit for bit on every one of them. The controller knobs are drawn
+//! together, so this covers policy *combinations* (buffered writes × open
+//! page × per-request retry × per-bank REF × half RAA credit), where
+//! `tests/kernel_differential.rs` sets one policy at a time.
 
 use autorfm::experiments::Scenario;
 use autorfm::memctrl::{PagePolicy, RaaRefCredit, RetryPolicy, WritePolicy};
 use autorfm::trackers::TrackerKind;
-use autorfm::{MappingKind, SimConfig, System};
+use autorfm::{KernelKind, MappingKind, SimConfig, System};
 use autorfm_dram::RefreshPolicy;
 use autorfm_workloads::ALL_WORKLOADS;
 use proptest::prelude::*;
@@ -39,7 +44,7 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn any_valid_config_completes(
@@ -77,7 +82,17 @@ proptest! {
         if half_credit {
             cfg.mc.raa_ref_credit = RaaRefCredit::Half;
         }
+        let stepped = System::new(cfg.clone())
+            .expect("valid config")
+            .run_with(KernelKind::Stepped);
         let result = System::new(cfg).expect("valid config").run();
+        // `SimResult`'s `Debug` rendering covers every field: equal strings
+        // mean bitwise-equal results.
+        prop_assert_eq!(
+            format!("{result:?}"),
+            format!("{stepped:?}"),
+            "event kernel diverged from the stepped oracle"
+        );
         prop_assert!(result.perf() > 0.0, "simulation produced no progress");
         prop_assert_eq!(
             result.total_instructions,
