@@ -276,62 +276,6 @@ fn bench_llc(c: &mut Criterion) {
     });
 }
 
-/// The SoA bank-state access pattern batched lockstep leans on: a full
-/// act/pre sweep over every bank of one device, repeated 8× back to back
-/// (the timing columns stay cache-hot across sweeps — the lockstep-chunk
-/// pattern), against the same 8 sweeps spread across 8 devices (the
-/// lane-switch pattern: every sweep starts cold). Identical command counts.
-fn bench_bank_soa(c: &mut Criterion) {
-    let g = Geometry::paper_baseline();
-    let new_dev = || {
-        DramDevice::new(
-            DramConfig {
-                geometry: g,
-                ..DramConfig::default()
-            },
-            1,
-        )
-        .unwrap()
-    };
-    let sweep = |dev: &mut DramDevice, row: RowAddr| {
-        for bank in 0..g.num_banks {
-            let bank = BankId(bank);
-            let now = dev.earliest_act(bank);
-            if matches!(
-                dev.try_act(bank, row, now),
-                autorfm::dram::ActOutcome::Accepted
-            ) {
-                let pre = dev.earliest_pre(bank);
-                dev.precharge(bank, pre);
-            }
-        }
-    };
-
-    c.bench_function("bank_soa/one_device_8_sweeps", |b| {
-        let mut dev = new_dev();
-        let mut row = 0u32;
-        b.iter(|| {
-            for _ in 0..8 {
-                row = row.wrapping_add(977) & 0x1FFFF;
-                sweep(&mut dev, RowAddr(row));
-            }
-            black_box(dev.earliest_act(BankId(0)))
-        })
-    });
-
-    c.bench_function("bank_soa/8_devices_1_sweep", |b| {
-        let mut devs: Vec<DramDevice> = (0..8).map(|_| new_dev()).collect();
-        let mut row = 0u32;
-        b.iter(|| {
-            for dev in &mut devs {
-                row = row.wrapping_add(977) & 0x1FFFF;
-                sweep(dev, RowAddr(row));
-            }
-            black_box(devs[0].earliest_act(BankId(0)))
-        })
-    });
-}
-
 fn bench_system(c: &mut Criterion) {
     c.bench_function("system/autorfm4_1kinstr_2core", |b| {
         let spec = WorkloadSpec::by_name("mcf").unwrap();
@@ -391,7 +335,6 @@ criterion_group!(
     bench_controller,
     bench_wake,
     bench_llc,
-    bench_bank_soa,
     bench_system,
     bench_checker,
     bench_tracefile

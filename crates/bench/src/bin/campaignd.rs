@@ -9,8 +9,8 @@
 //!   persisted under `DIR/campaigns/` and auto-resumed on restart,
 //! * `--addr A` — bind address (default `127.0.0.1`),
 //! * `--port P` — bind port (default `0` = ephemeral),
-//! * `--workers N`, `--batch N` — worker threads and lockstep lanes per
-//!   work unit (defaults from `DaemonConfig::new`),
+//! * `--workers N`, `--batch N` — worker threads and cells per warmup (the
+//!   lanes of one work unit; defaults from `DaemonConfig::new`),
 //! * `--kernel stepped|event` — simulation kernel (default: event).
 //!
 //! On startup the bound address is printed to stdout as

@@ -31,13 +31,13 @@
 //! cell however they were built. Every simulation goes through one place,
 //! [`ResultCache::prefetch`], which simulates each distinct key **exactly
 //! once** (reloading it from the `--store` cell store when it can): it groups
-//! pending cells by shape (`autorfm::warm_digest`) into lockstep batches of
+//! pending cells by shape (`autorfm::warm_digest`) into work units of
 //! `min(autorfm_campaign::LANES, ceil(pending / opts.jobs))` lanes — warmup
-//! simulated once per batch, the instruction trace generated once per core —
-//! and runs the batches on `opts.jobs` threads ([`par_map`]).
+//! simulated once per unit, every lane a warm fork run to completion — and
+//! runs the units on `opts.jobs` threads ([`par_map`]).
 //!
-//! **Determinism guarantee:** every lane is bitwise identical to its
-//! standalone run (pinned by `tests/batch_differential.rs`) and simulations
+//! **Determinism guarantee:** every warm-forked lane is bitwise identical to
+//! its standalone run (pinned by `tests/batch_differential.rs`) and simulations
 //! share no mutable state, so every table is bitwise identical for any
 //! `--jobs` value; only wall-clock changes.
 
@@ -455,10 +455,11 @@ impl ResultCache {
     /// 1. claim the configuration keys no one has requested yet (duplicates
     ///    and keys already cached or in flight are left to their owner);
     /// 2. answer claimed keys the cell store already holds;
-    /// 3. group the rest by shape into lockstep batches of
+    /// 3. group the rest by shape into work units of
     ///    `min(LANES, ceil(pending / opts.jobs))` lanes
-    ///    (`autorfm_campaign::shape_units`) and run the batches on
-    ///    `opts.jobs` threads through `autorfm_campaign::run_batch_fallible`.
+    ///    (`autorfm_campaign::shape_units`) and run the units on
+    ///    `opts.jobs` threads through `autorfm_campaign::run_batch_fallible`,
+    ///    which warms up once per unit and forks each lane from that donor.
     ///
     /// Lanes are bitwise identical to standalone simulations, so no later
     /// `get` can tell how a result was computed. A lane that panics (or a

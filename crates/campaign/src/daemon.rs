@@ -13,7 +13,7 @@
 //!
 //! Workers pop units, run them through
 //! [`run_batch_fallible`](crate::runner::run_batch_fallible) — seeding from
-//! the daemon's **warm pool** so only the first batch of a shape pays
+//! the daemon's **warm pool** so only the first unit of a shape pays
 //! warmup — and persist every outcome (success *or* deterministic failure)
 //! to the store before marking it finished. Because records hit disk before
 //! the in-memory `done` set, a SIGKILL can lose at most the in-flight unit:
@@ -43,7 +43,7 @@ pub struct DaemonConfig {
     pub store: PathBuf,
     /// Worker threads.
     pub workers: usize,
-    /// Maximum lockstep lanes per work unit.
+    /// Maximum lanes per work unit: cells served by one warmup.
     pub batch: usize,
     /// Simulation kernel.
     pub kernel: KernelKind,
@@ -65,7 +65,7 @@ impl DaemonConfig {
     }
 }
 
-/// One queued unit of work: same-shape cells that run as lockstep lanes.
+/// One queued unit of work: same-shape cells forked from one warm donor.
 struct WorkUnit {
     /// The lanes' shared [`autorfm::warm_digest`] (the warm-pool key).
     shape: u64,
@@ -273,8 +273,8 @@ impl Daemon {
                 st.pending.insert(key);
                 scheduled.push((key, *cell));
             }
-            // Group schedulable cells by shape so they batch into lockstep
-            // lanes, chunked to the configured lane limit. A cell that
+            // Group schedulable cells by shape so each unit shares one
+            // warmup, chunked to the configured lane limit. A cell that
             // cannot even build a config fails right here, deterministically,
             // without a worker.
             let mut buildable: Vec<(u64, SimConfig)> = Vec::new();

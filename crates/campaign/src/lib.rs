@@ -16,9 +16,10 @@
 //!   JSON-shaped request a client submits; expansion and canonical identity
 //!   live here).
 //! * [`runner`] — [`run_batch_fallible`], the worker entry point: runs a
-//!   same-shape group of cells as [`autorfm::SimBatch`] lockstep lanes
-//!   (optionally seeded from a captured warm state), degrading per-lane
-//!   panics into per-cell error records instead of poisoning the batch; and
+//!   same-shape group of cells as lanes forked one at a time from one warm
+//!   donor ([`autorfm::System::fork_warm`], optionally seeded from a captured
+//!   warm state), turning a lane's panic or config error into its own
+//!   per-cell error record; and
 //!   [`shape_units`], the same-shape grouping that feeds it (shared by the
 //!   daemon and the experiment harness, with [`LANES`] lanes per unit at
 //!   most by default).

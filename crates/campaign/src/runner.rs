@@ -1,21 +1,19 @@
 //! Worker entry point: fallible batched execution.
 //!
-//! Workers run a same-shape group of cells as [`SimBatch`] lockstep lanes —
-//! the warm-fork + trace-memo fast path from the batch harness. A panic in
-//! one lane must not poison its batchmates, so this wrapper catches the
-//! unwind and degrades to standalone per-lane runs, each under its own
-//! catch, turning a panicking lane into one structured per-cell error while
-//! the rest still produce their (bitwise-identical) results.
+//! Workers run a same-shape group of cells as lanes forked from one warm
+//! donor, so warmup runs once per unit. Each lane runs to completion under
+//! its own unwind catch, so a panicking lane becomes one structured per-cell
+//! error while the rest still produce their (bitwise-identical) results.
 //!
 //! [`shape_units`] is the one grouping step in front of it, shared by the
 //! daemon's scheduler and the experiment harness's `ResultCache::prefetch`.
 
-use autorfm::{warm_digest, KernelKind, SimBatch, SimConfig, SimResult, System};
+use autorfm::{warm_digest, KernelKind, SimConfig, SimResult, System};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The most lockstep lanes one work unit runs: the daemon's default batch
-/// width and the cap on the harness's derived lane count.
+/// The most lanes one work unit runs: the daemon's default batch width and
+/// the cap on the harness's derived lane count.
 pub const LANES: usize = 8;
 
 /// Groups cells by shape (the [`warm_digest`] of their configuration) and
@@ -55,8 +53,9 @@ pub struct BatchOutcome {
     /// Per-input outcome, in input order: the result, or the panic/config
     /// error message for that cell alone.
     pub results: Vec<Result<SimResult, String>>,
-    /// Lane 0's post-warmup state, when capture was requested and the batch
-    /// was built cold — feed it back as `warm` for the next same-shape batch.
+    /// The donor's (lane 0's) post-warmup state, when capture was requested
+    /// and the donor was built cold — feed it back as `warm` for the next
+    /// same-shape unit.
     pub warm_state: Option<Vec<u8>>,
 }
 
@@ -71,63 +70,56 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs each configuration standalone under its own unwind catch.
-fn run_lanes_standalone(cfgs: &[SimConfig], kernel: KernelKind) -> Vec<Result<SimResult, String>> {
-    cfgs.iter()
-        .map(|cfg| {
-            let cfg = cfg.clone();
-            catch_unwind(AssertUnwindSafe(move || -> Result<SimResult, String> {
-                Ok(System::new(cfg)
-                    .map_err(|e| e.to_string())?
-                    .run_with(kernel))
-            }))
-            .map_err(panic_message)
-            .and_then(|r| r)
-        })
-        .collect()
-}
-
-/// Runs `cfgs` to completion as one lockstep batch (seeded from `warm` when
-/// given), falling back to standalone per-lane runs if the batch cannot be
-/// built or any lane panics mid-batch. Every cell therefore gets an
-/// individual outcome; a single bad cell costs one error record, not the
-/// batch. With `capture_warm` set (and no `warm` input), lane 0's warm state
-/// is captured before stepping so the caller can seed future batches of the
-/// same shape.
+/// Runs `cfgs` to completion, one lane at a time, each forked from one
+/// warm donor. The donor is lane 0's machine straight after warmup (adopted
+/// from `warm` when given); it never steps. Each lane is forked from it
+/// ([`System::fork_warm`]) only when it is about to run and dropped before
+/// the next is forked, so at most the donor and one lane are alive. A lane
+/// the donor cannot serve (no donor, or a different shape) is built
+/// standalone. Every lane runs under its own unwind catch: a bad cell costs
+/// one error record, not the unit. With `capture_warm` set (and no `warm`
+/// input), the donor's warm state is returned so the caller can seed future
+/// units of the same shape.
 ///
 /// Results are bitwise-identical however the cell ends up executed —
-/// batched, warm-forked, or standalone — which is what lets the store hold
-/// one canonical record per cell.
+/// warm-forked or standalone — which is what lets the store hold one
+/// canonical record per cell.
 pub fn run_batch_fallible(
     cfgs: &[SimConfig],
     warm: Option<&[u8]>,
     kernel: KernelKind,
     capture_warm: bool,
 ) -> BatchOutcome {
-    let built = match warm {
-        Some(bytes) => SimBatch::new_from_warm(cfgs.to_vec(), bytes),
-        None => SimBatch::new(cfgs.to_vec()),
+    let donor = cfgs.first().and_then(|first| {
+        catch_unwind(AssertUnwindSafe(|| match warm {
+            Some(bytes) => System::new_from_warm(first.clone(), bytes).ok(),
+            None => System::new(first.clone()).ok(),
+        }))
+        .ok()
+        .flatten()
+    });
+    let warm_state = if capture_warm && warm.is_none() {
+        donor.as_ref().map(System::warm_state)
+    } else {
+        None
     };
-    match built {
-        Ok(mut batch) => {
-            let warm_state = (capture_warm && warm.is_none()).then(|| batch.lane(0).warm_state());
-            match catch_unwind(AssertUnwindSafe(move || batch.run_with(kernel))) {
-                Ok(results) => BatchOutcome {
-                    results: results.into_iter().map(Ok).collect(),
-                    warm_state,
-                },
-                // A lane blew up mid-batch; the whole batch state is gone.
-                // Re-run each cell alone so only the culprit reports an error.
-                Err(_) => BatchOutcome {
-                    results: run_lanes_standalone(cfgs, kernel),
-                    warm_state,
-                },
-            }
-        }
-        Err(_) => BatchOutcome {
-            results: run_lanes_standalone(cfgs, kernel),
-            warm_state: None,
-        },
+    let results = cfgs
+        .iter()
+        .map(|cfg| {
+            catch_unwind(AssertUnwindSafe(|| -> Result<SimResult, String> {
+                let mut lane = match donor.as_ref().map(|d| d.fork_warm(cfg.clone())) {
+                    Some(Ok(lane)) => lane,
+                    _ => System::new(cfg.clone()).map_err(|e| e.to_string())?,
+                };
+                Ok(lane.run_with(kernel))
+            }))
+            .map_err(panic_message)
+            .and_then(|r| r)
+        })
+        .collect();
+    BatchOutcome {
+        results,
+        warm_state,
     }
 }
 
@@ -146,6 +138,18 @@ mod tests {
             .unwrap()
     }
 
+    /// Asserts each outcome is `Ok` and bitwise equal to a standalone run.
+    fn assert_standalone(cfgs: &[SimConfig], results: &[Result<SimResult, String>]) {
+        assert_eq!(cfgs.len(), results.len());
+        for (c, r) in cfgs.iter().zip(results) {
+            let standalone = System::new(c.clone()).unwrap().run_with(KernelKind::Event);
+            assert_eq!(
+                format!("{standalone:?}"),
+                format!("{:?}", r.as_ref().unwrap())
+            );
+        }
+    }
+
     #[test]
     fn batch_results_match_standalone() {
         let cfgs = [
@@ -153,39 +157,66 @@ mod tests {
             cfg(Scenario::Rfm { th: 8 }),
         ];
         let out = run_batch_fallible(&cfgs, None, KernelKind::Event, true);
-        assert!(out.warm_state.is_some());
-        for (c, r) in cfgs.iter().zip(&out.results) {
-            let standalone = System::new(c.clone()).unwrap().run_with(KernelKind::Event);
-            assert_eq!(
-                format!("{standalone:?}"),
-                format!("{:?}", r.as_ref().unwrap())
-            );
-        }
+        assert_standalone(&cfgs, &out.results);
         // Feeding the captured warm state back reproduces the same results.
         let warm = out.warm_state.unwrap();
         let again = run_batch_fallible(&cfgs, Some(&warm), KernelKind::Event, true);
         assert!(again.warm_state.is_none(), "no capture when warm was given");
-        for (a, b) in out.results.iter().zip(&again.results) {
-            assert_eq!(
-                format!("{:?}", a.as_ref().unwrap()),
-                format!("{:?}", b.as_ref().unwrap())
-            );
-        }
+        assert_standalone(&cfgs, &again.results);
     }
 
     #[test]
     fn mixed_shapes_degrade_to_per_lane_outcomes() {
-        // Different seeds = different shapes: the batch build fails, but each
-        // cell still gets its own standalone result.
+        // Different seeds = different shapes: lane 1 cannot fork from lane
+        // 0's donor, so it is built standalone; both cells get results.
         let a = cfg(Scenario::AutoRfm { th: 4 });
         let b = SimConfig {
             seed: 99,
             ..cfg(Scenario::AutoRfm { th: 4 })
         };
-        let out = run_batch_fallible(&[a, b], None, KernelKind::Event, true);
+        let out = run_batch_fallible(&[a.clone(), b.clone()], None, KernelKind::Event, true);
+        assert_standalone(&[a.clone(), b], &out.results);
+        // The captured state is lane 0's: fed back, it reproduces lane 0.
+        let warm = out.warm_state.expect("donor warm state captured");
+        let again = run_batch_fallible(&[a], Some(&warm), KernelKind::Event, false);
+        assert_eq!(
+            format!("{:?}", out.results[0].as_ref().unwrap()),
+            format!("{:?}", again.results[0].as_ref().unwrap())
+        );
+    }
+
+    #[test]
+    fn garbage_warm_state_falls_back_to_standalone_lanes() {
+        let cfgs = [
+            cfg(Scenario::AutoRfm { th: 4 }),
+            cfg(Scenario::Rfm { th: 8 }),
+        ];
+        let out = run_batch_fallible(&cfgs, Some(b"not a container"), KernelKind::Event, true);
         assert!(out.warm_state.is_none());
-        assert_eq!(out.results.len(), 2);
-        assert!(out.results.iter().all(Result::is_ok));
+        assert_standalone(&cfgs, &out.results);
+    }
+
+    #[test]
+    fn empty_input_yields_empty_results() {
+        let out = run_batch_fallible(&[], None, KernelKind::Event, true);
+        assert!(out.results.is_empty());
+        assert!(out.warm_state.is_none());
+    }
+
+    #[test]
+    fn invalid_lane_zero_costs_only_its_own_record() {
+        // No donor can be built from lane 0, so its batchmates run
+        // standalone and still match standalone runs.
+        let bad = cfg(Scenario::AutoRfm { th: 0 });
+        let good = [
+            cfg(Scenario::AutoRfm { th: 4 }),
+            cfg(Scenario::Rfm { th: 8 }),
+        ];
+        let cfgs = [bad, good[0].clone(), good[1].clone()];
+        let out = run_batch_fallible(&cfgs, None, KernelKind::Event, true);
+        assert!(out.results[0].is_err());
+        assert!(out.warm_state.is_none());
+        assert_standalone(&good, &out.results[1..]);
     }
 
     #[test]

@@ -245,9 +245,23 @@ mod tests {
             assert!(entry.get("description").is_some());
             assert!(entry.get("storage_bits").is_some());
             assert_eq!(
+                entry.get("recursive"),
+                Some(&Json::Bool(info.flags.recursive))
+            );
+            assert_eq!(
                 entry.get("all_bank"),
                 Some(&Json::Bool(info.flags.all_bank))
             );
+        }
+        let names = |entries: &[Json]| -> Vec<String> {
+            entries
+                .iter()
+                .filter_map(|e| e.get("name").and_then(Json::as_str).map(str::to_string))
+                .collect()
+        };
+        let tracker_names = names(trackers);
+        for zoo in ["graphene", "abacus", "hydra", "oracle"] {
+            assert!(tracker_names.iter().any(|n| n == zoo), "{zoo} missing");
         }
         let oracle = trackers
             .iter()
@@ -262,8 +276,23 @@ mod tests {
         for (entry, info) in mitigations.iter().zip(autorfm::mitigation::REGISTRY.iter()) {
             assert_eq!(entry.get("name").and_then(Json::as_str), Some(info.name));
             assert_eq!(
+                entry.get("recursive"),
+                Some(&Json::Bool(info.flags.recursive))
+            );
+            assert_eq!(
+                entry.get("refreshes_per_round").and_then(Json::as_f64),
+                Some(f64::from(info.flags.refreshes_per_round))
+            );
+            assert_eq!(
                 entry.get("transitive_safe"),
                 Some(&Json::Bool(info.flags.transitive_safe))
+            );
+        }
+        let mitigation_names = names(mitigations);
+        for policy in ["baseline", "recursive", "fractal", "minimal-pair"] {
+            assert!(
+                mitigation_names.iter().any(|n| n == policy),
+                "{policy} missing"
             );
         }
         let fractal = mitigations

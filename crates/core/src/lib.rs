@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod cli;
 pub mod config;
 pub mod experiments;
@@ -47,7 +46,6 @@ pub mod result;
 pub mod storage;
 pub mod system;
 
-pub use batch::SimBatch;
 pub use config::{MappingKind, SimConfig, SimConfigBuilder, TelemetryConfig};
 pub use result::SimResult;
 pub use system::{warm_digest, KernelKind, System};

@@ -12,8 +12,7 @@ use autorfm_snapshot::{
     MODEL_FINGERPRINT,
 };
 use autorfm_telemetry::{CsvSink, EpochSampler, NullSink, Observation, Sink, DEFAULT_MAX_SAMPLES};
-use autorfm_workloads::{MemoCursor, TraceMemo, WorkloadGen};
-use std::sync::Arc;
+use autorfm_workloads::WorkloadGen;
 
 /// Simulation step: 1 ns (4 CPU cycles at 4 GHz). All DRAM timings are
 /// nanosecond multiples, so stepping at 1 ns loses no command-timing accuracy.
@@ -64,32 +63,11 @@ impl KernelKind {
 struct BoundedStream {
     inner: WorkloadGen,
     line_mask: u64,
-    /// Replay the shared recorded trace instead of generating (batched
-    /// lanes). Replay is op-for-op identical to `inner`; `inner` is then only
-    /// the template for snapshot reconstruction (see
-    /// [`BoundedStream::save_stream_state`]).
-    memo: Option<MemoCursor>,
-}
-
-impl BoundedStream {
-    /// Serializes the stream's generator state. A memoized stream
-    /// materializes the generator its cursor position corresponds to, so
-    /// memoized and direct runs snapshot byte-identically.
-    fn save_stream_state(&self, w: &mut Writer) {
-        match &self.memo {
-            Some(cursor) => cursor.materialize().save_state(w),
-            None => self.inner.save_state(w),
-        }
-    }
 }
 
 impl InstructionStream for BoundedStream {
     fn next_op(&mut self) -> Op {
-        let op = match &mut self.memo {
-            Some(cursor) => cursor.next_op(),
-            None => self.inner.next_op(),
-        };
-        match op {
+        match self.inner.next_op() {
             Op::Load { line, dependent } => Op::Load {
                 line: LineAddr(line.0 & self.line_mask),
                 dependent,
@@ -181,7 +159,6 @@ impl System {
             .map(|i| BoundedStream {
                 inner: WorkloadGen::new(cfg.workload_of(i), i, cfg.seed),
                 line_mask,
-                memo: None,
             })
             .collect();
         let telemetry = cfg.telemetry.as_ref().map(|t| {
@@ -518,7 +495,7 @@ impl System {
         self.finish_at.encode(&mut w);
         w.put_usize(self.streams.len());
         for s in &self.streams {
-            s.save_stream_state(&mut w);
+            s.inner.save_state(&mut w);
         }
         // The uncore must be encoded before the cores: encoding it builds the
         // index that names each in-flight miss the cores wait on.
@@ -596,7 +573,7 @@ impl System {
         w.put_u64(warm_digest(&self.cfg));
         w.put_usize(self.streams.len());
         for s in &self.streams {
-            s.save_stream_state(&mut w);
+            s.inner.save_state(&mut w);
         }
         let _ = self.uncore.snapshot_state(&mut w);
         seal(KIND_WARM, w.bytes())
@@ -651,7 +628,9 @@ impl System {
     /// [`System::warm_state`] / [`System::new_from_warm`] serialization round
     /// trip. Equivalent to that pair — the encode/decode is an identity on a
     /// quiescent machine — but skips pushing the multi-megabyte LLC image
-    /// through the snapshot codec, so batched lanes fork in microseconds.
+    /// through the snapshot codec. This is how every batched lane is built:
+    /// `autorfm_campaign::run_batch_fallible` keeps one never-stepped donor
+    /// per work unit and forks each lane from it just before running it.
     ///
     /// # Errors
     ///
@@ -675,27 +654,6 @@ impl System {
         }
         sys.uncore = self.uncore.fork_warm();
         Ok(sys)
-    }
-
-    /// Switches every workload stream to replaying the shared recorded
-    /// traces (one memo per core) instead of generating privately. Sound only
-    /// when each memo was recorded for this machine's exact `(spec, core,
-    /// seed, warmup)` — in practice, when both sides share a [`warm_digest`]
-    /// — and only before any simulation steps have run (the cursors start at
-    /// the head of the post-warmup stream). Replay is op-for-op identical to
-    /// private generation, so results and snapshots are unchanged; the memo
-    /// only deduplicates the generation work across batched lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the memo count differs from the core count or the machine
-    /// has already stepped.
-    pub fn attach_trace_memos(&mut self, memos: &[Arc<TraceMemo>]) {
-        assert_eq!(memos.len(), self.streams.len(), "one memo per core");
-        assert_eq!(self.now, Cycle::ZERO, "memos attach before the first step");
-        for (stream, memo) in self.streams.iter_mut().zip(memos) {
-            stream.memo = Some(MemoCursor::new(Arc::clone(memo)));
-        }
     }
 
     /// The current simulation time.

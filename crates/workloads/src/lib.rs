@@ -30,11 +30,9 @@
 #![forbid(unsafe_code)]
 
 pub mod generator;
-pub mod memo;
 pub mod spec;
 pub mod tracefile;
 
 pub use generator::WorkloadGen;
-pub use memo::{MemoCursor, TraceMemo};
 pub use spec::{Pattern, Suite, WorkloadSpec, ALL_WORKLOADS};
 pub use tracefile::{TraceFile, TraceOp, TraceReplay};

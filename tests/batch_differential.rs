@@ -1,23 +1,22 @@
-//! Differential tests: batched lockstep lanes must be observationally
-//! identical to standalone runs.
+//! Differential tests: warm-forked lanes must be observationally identical
+//! to standalone runs.
 //!
-//! `SimBatch` shares warmup (lane 0 warms up, the rest fork), shares one
-//! recorded trace per core (every lane replays it through a `MemoCursor`),
-//! and advances lanes in lockstep chunks. All of that is a scheduling
-//! transform only: these tests run a (workload × tracker) matrix as one
-//! batch per cell-set — on both kernels — and require every lane's
+//! Batched cells share warmup: one never-stepped donor warms up and every
+//! lane is built from it with [`System::fork_warm`]. That is a construction
+//! shortcut only: these tests fork a (workload × tracker) matrix from one
+//! donor per workload — on both kernels — and require every lane's
 //! [`SimResult`] and sealed-snapshot digest to match a standalone run of the
 //! same configuration, including snapshots taken mid-run and resumed.
 
 use autorfm::experiments::Scenario;
 use autorfm::trackers::{self, TrackerKind};
-use autorfm::{KernelKind, SimBatch, SimConfig, SimResult, System};
+use autorfm::{KernelKind, SimConfig, SimResult, System};
 use autorfm_workloads::WorkloadSpec;
 
 /// Same full-stack smoke shape as `tests/kernel_differential.rs`. All
 /// trackers share one warm digest (trackers are scenario-level state), so
-/// the per-workload tracker sweep is exactly the same-shape lane set the
-/// batch engine is built for.
+/// the per-workload tracker sweep is exactly the same-shape lane set one
+/// donor serves.
 fn smoke_config(workload: &str, tracker: TrackerKind) -> SimConfig {
     let spec = WorkloadSpec::by_name(workload).expect("known workload");
     SimConfig::builder(spec)
@@ -30,7 +29,7 @@ fn smoke_config(workload: &str, tracker: TrackerKind) -> SimConfig {
         .expect("valid smoke config")
 }
 
-/// One batch lane per registered tracker.
+/// One lane per registered tracker.
 fn tracker_lanes(workload: &str) -> Vec<SimConfig> {
     trackers::names()
         .iter()
@@ -51,29 +50,30 @@ fn snapshot_digest(sys: &System) -> u64 {
         .digest
 }
 
-/// Every lane of a batch must finish bitwise identical to a standalone run
-/// of its configuration — results and final machine state — on both kernels.
+/// Every forked lane must finish bitwise identical to a standalone run of
+/// its configuration — results and final machine state — on both kernels.
 #[test]
 fn batch_lanes_match_standalone_across_matrix() {
     for kernel in [KernelKind::Event, KernelKind::Stepped] {
         for workload in ["mcf", "wrf"] {
             let cfgs = tracker_lanes(workload);
-            let mut batch = SimBatch::new(cfgs.clone()).expect("same-shape lanes");
-            let results = batch.run_with(kernel);
-            for (i, (cfg, batched)) in cfgs.into_iter().zip(&results).enumerate() {
+            let donor = System::new(cfgs[0].clone()).unwrap();
+            for (i, cfg) in cfgs.into_iter().enumerate() {
                 let tracker = trackers::names()[i];
+                let mut lane = donor.fork_warm(cfg.clone()).expect("same-shape lane");
+                let forked = lane.run_with(kernel);
                 let mut standalone = System::new(cfg).unwrap();
                 let r = standalone.run_with(kernel);
                 assert_eq!(
                     fingerprint(&r),
-                    fingerprint(batched),
+                    fingerprint(&forked),
                     "lane {i} ({tracker}) diverged from standalone on \
                      {workload} under the {} kernel",
                     kernel.name()
                 );
                 assert_eq!(
                     snapshot_digest(&standalone),
-                    snapshot_digest(batch.lane(i)),
+                    snapshot_digest(&lane),
                     "lane {i} ({tracker}) final state diverged on {workload} \
                      under the {} kernel",
                     kernel.name()
@@ -83,42 +83,43 @@ fn batch_lanes_match_standalone_across_matrix() {
     }
 }
 
-/// A lane snapshotted mid-batch must (a) hash identically to a standalone run
-/// paused at the same step boundary, and (b) restore into a system that
-/// finishes bitwise identical to the lane itself — even though the restored
-/// system generates its stream directly while the lane replays the shared
-/// memo.
+/// A forked lane snapshotted mid-run must (a) hash identically to a
+/// standalone run paused at the same step boundary, and (b) restore into a
+/// system that finishes bitwise identical to the live lane itself.
 #[test]
 fn mid_run_lane_snapshot_restores_identically() {
     let cfgs = tracker_lanes("mcf");
-    let probed = 1usize; // an arbitrary non-warmup lane
+    let probed = 1usize; // an arbitrary lane other than the donor's own
     let budget = 500;
 
-    let mut batch = SimBatch::new(cfgs.clone()).expect("same-shape lanes");
+    let donor = System::new(cfgs[0].clone()).unwrap();
+    let mut lane = donor
+        .fork_warm(cfgs[probed].clone())
+        .expect("same-shape lane");
     assert!(
-        !batch.advance_with(budget, KernelKind::Event),
+        lane.run_steps_with(budget, KernelKind::Event).is_none(),
         "checkpoint must land mid-run"
     );
 
-    // (a) Same boundary, same machine state as an unbatched run.
+    // (a) Same boundary, same machine state as an unforked run.
     let mut standalone = System::new(cfgs[probed].clone()).unwrap();
     assert!(standalone
         .run_steps_with(budget, KernelKind::Event)
         .is_none());
     assert_eq!(
         snapshot_digest(&standalone),
-        snapshot_digest(batch.lane(probed)),
+        snapshot_digest(&lane),
         "mid-run lane snapshot diverged from the standalone boundary"
     );
 
-    // (b) Restore the lane's snapshot and race it against the live batch.
-    let snap = batch.lane(probed).snapshot().expect("snapshot serializes");
+    // (b) Restore the lane's snapshot and race it against the live lane.
+    let snap = lane.snapshot().expect("snapshot serializes");
     let mut restored = System::restore(cfgs[probed].clone(), &snap).expect("snapshot restores");
     let r_restored = restored.run_with(KernelKind::Event);
-    let results = batch.run_with(KernelKind::Event);
+    let r_lane = lane.run_with(KernelKind::Event);
     assert_eq!(
-        fingerprint(&results[probed]),
+        fingerprint(&r_lane),
         fingerprint(&r_restored),
-        "restored lane diverged from the batch's own finish"
+        "restored lane diverged from the live lane's own finish"
     );
 }
