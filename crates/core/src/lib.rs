@@ -78,3 +78,87 @@ pub use autorfm_sim_core as sim_core;
 pub use autorfm_telemetry as telemetry;
 pub use autorfm_trackers as trackers;
 pub use autorfm_workloads as workloads;
+
+/// Lane-identity tests for batched cells. A batch is one never-stepped donor
+/// and lanes forked from it with [`System::fork_warm`] (the path
+/// `autorfm_campaign::run_batch_fallible` takes); every lane must equal the
+/// standalone run of its own configuration, whether the donor was built cold
+/// or from a captured [`System::warm_state`].
+#[cfg(test)]
+mod batch {
+    mod tests {
+        use crate::config::MappingKind;
+        use crate::experiments::Scenario;
+        use crate::{KernelKind, SimConfig, System};
+        use autorfm_workloads::WorkloadSpec;
+
+        fn lane_cfg(scenario: Scenario) -> SimConfig {
+            let spec = WorkloadSpec::by_name("mcf").unwrap();
+            SimConfig::builder(spec)
+                .scenario(scenario)
+                .cores(2)
+                .instructions(4_000)
+                .build()
+                .unwrap()
+        }
+
+        /// Forks and runs every lane from `donor`, one after another.
+        fn run_lanes(donor: &System, cfgs: &[SimConfig]) -> Vec<String> {
+            cfgs.iter()
+                .map(|cfg| {
+                    let result = donor
+                        .fork_warm(cfg.clone())
+                        .unwrap()
+                        .run_with(KernelKind::Event);
+                    format!("{result:?}")
+                })
+                .collect()
+        }
+
+        #[test]
+        fn lanes_match_standalone_runs() {
+            let scenarios = [
+                Scenario::Baseline {
+                    mapping: MappingKind::Zen,
+                },
+                Scenario::AutoRfm { th: 4 },
+                Scenario::Rfm { th: 8 },
+            ];
+            let cfgs: Vec<SimConfig> = scenarios.iter().map(|&s| lane_cfg(s)).collect();
+            let donor = System::new(cfgs[0].clone()).unwrap();
+            let results = run_lanes(&donor, &cfgs);
+            for (cfg, batched) in cfgs.into_iter().zip(&results) {
+                let standalone = System::new(cfg).unwrap().run_with(KernelKind::Event);
+                assert_eq!(
+                    &format!("{standalone:?}"),
+                    batched,
+                    "lane diverged from standalone"
+                );
+            }
+        }
+
+        #[test]
+        fn warm_seeded_batch_matches_cold_batch() {
+            let cfgs = vec![
+                lane_cfg(Scenario::AutoRfm { th: 4 }),
+                lane_cfg(Scenario::Rfm { th: 8 }),
+            ];
+            let cold = System::new(cfgs[0].clone()).unwrap();
+            let warm = cold.warm_state();
+            let seeded = System::new_from_warm(cfgs[0].clone(), &warm).unwrap();
+            assert_eq!(run_lanes(&seeded, &cfgs), run_lanes(&cold, &cfgs));
+        }
+
+        #[test]
+        fn mismatched_shapes_are_rejected() {
+            let a = lane_cfg(Scenario::AutoRfm { th: 4 });
+            let b = SimConfig {
+                seed: 99,
+                ..lane_cfg(Scenario::AutoRfm { th: 4 })
+            };
+            let donor = System::new(a).unwrap();
+            assert!(donor.fork_warm(b.clone()).is_err());
+            assert!(System::new_from_warm(b, &donor.warm_state()).is_err());
+        }
+    }
+}
