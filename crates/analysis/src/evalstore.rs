@@ -6,9 +6,9 @@
 //! same exactly-once persistence sweep cells already have: every
 //! [`CandidateResult`] is sealed into a `KIND_FUZZ` container under
 //! `<root>/cells/<16-hex key>.fuzz`, keyed by
-//! `digest64(config_key ‖ genome digest)`. `attack_fuzz --resume` (and a
-//! second run over the same store) then skips every previously evaluated
-//! genome, and `campaignd` can adopt a fuzz store next to its sweep cells
+//! `digest64(config_key ‖ genome digest)`. A second `attack_fuzz --store`
+//! run over the same store then skips every previously evaluated genome,
+//! and `campaignd` can adopt a fuzz store next to its sweep cells
 //! because both record families share one store root.
 //!
 //! The config key deliberately covers only what changes an *evaluation* —

@@ -14,10 +14,9 @@
 //!
 //! With `--store DIR`, every evaluation is also persisted as a sealed
 //! `KIND_FUZZ` record in the shared cell store, keyed by
-//! `(config, genome digest)`. A re-run over the same store (`--resume`
-//! makes the intent explicit and requires `--store`) answers every stored
-//! genome from disk — `sim_evaluated` drops to zero and the archive digest
-//! is reproduced exactly.
+//! `(config, genome digest)`. A re-run over the same store answers every
+//! stored genome from disk — `sim_evaluated` drops to zero and the archive
+//! digest is reproduced exactly.
 //!
 //! Per tracker the campaign yields an escape curve: for each watched damage
 //! threshold, the fewest activations any archived candidate needed to push
@@ -35,11 +34,11 @@
 //! The last stdout line is a JSON record `{patterns_per_sec,
 //! sim_evaluated, store_hits, archive_digest, trackers, thresholds, curves,
 //! hardness, oracle_escape_margin, fuzzer_beats_fixed}`; `scripts/verify.sh`
-//! reads it to check that `--resume` re-simulates nothing.
+//! reads it to check that a re-run over a warm store re-simulates nothing.
 //!
 //! Usage: `attack_fuzz [--tracker NAME] [--jobs N] [--seed N]
 //! [--activations N] [--generations N] [--population N]
-//! [--store DIR] [--resume] [--full]`
+//! [--store DIR] [--full]`
 //! (unknown flags are rejected; `--jobs` defaults to the host's available
 //! parallelism).
 
@@ -70,7 +69,6 @@ struct FuzzArgs {
     generations: u32,
     population: u32,
     store: Option<PathBuf>,
-    resume: bool,
 }
 
 fn parse_args() -> FuzzArgs {
@@ -82,11 +80,10 @@ fn parse_args() -> FuzzArgs {
         generations: 6,
         population: 24,
         store: None,
-        resume: false,
     };
     let usage = "usage: attack_fuzz [--tracker NAME] [--jobs N] [--seed N] \
                  [--activations N] [--generations N] [--population N] \
-                 [--store DIR] [--resume] [--full]";
+                 [--store DIR] [--full]";
     let mut args = std::env::args().skip(1);
     let next_val = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next()
@@ -126,7 +123,6 @@ fn parse_args() -> FuzzArgs {
             "--store" => {
                 out.store = Some(PathBuf::from(next_val(&mut args, "--store")));
             }
-            "--resume" => out.resume = true,
             "--full" => {
                 out.activations = 120_000;
                 out.generations = 12;
@@ -135,10 +131,6 @@ fn parse_args() -> FuzzArgs {
             other => panic!("unknown argument {other:?}\n{usage}"),
         }
     }
-    assert!(
-        !out.resume || out.store.is_some(),
-        "--resume needs --store DIR (nothing to resume from)\n{usage}"
-    );
     out
 }
 

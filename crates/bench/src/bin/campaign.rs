@@ -22,10 +22,9 @@
 //!   `workloads` — the matching GET endpoints,
 //! * `shutdown` — stop the server.
 
-use autorfm::snapshot::{digest64, Snapshot, Writer};
 use autorfm::telemetry::Json;
 use autorfm::System;
-use autorfm_campaign::{http, CellSpec};
+use autorfm_campaign::{encode_record, http, CellSpec};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: campaign (--addr HOST:PORT | --store DIR) \
@@ -143,9 +142,8 @@ fn check(addr: &str, id: &str) -> usize {
         let result = System::new(cfg)
             .unwrap_or_else(|e| panic!("build system for {label}: {e}"))
             .run();
-        let mut w = Writer::new();
-        result.encode(&mut w);
-        let local = format!("{:#018x}", digest64(w.bytes()));
+        let local = encode_record(key, Ok(&result)).result_digest();
+        let local = format!("{:#018x}", local.expect("a completed record has a digest"));
         if local == digest {
             println!("check: {label}: ok ({digest})");
         } else {

@@ -47,11 +47,10 @@
 pub mod experiments;
 
 use autorfm::experiments::Scenario;
-use autorfm::snapshot::store::{CellRecord, CellStore};
-use autorfm::snapshot::{Reader, Snapshot, Writer};
+use autorfm::snapshot::store::CellStore;
 use autorfm::trackers::TrackerKind;
 use autorfm::{KernelKind, MappingKind, SimConfig, SimResult, TelemetryConfig};
-use autorfm_campaign::{run_batch_fallible, shape_units, LANES};
+use autorfm_campaign::{decode_record, encode_record, run_batch_fallible, shape_units, LANES};
 use autorfm_sim_core::Cycle;
 use autorfm_workloads::{WorkloadSpec, ALL_WORKLOADS};
 use std::collections::hash_map::{Entry, HashMap};
@@ -405,16 +404,13 @@ impl ResultCache {
     /// re-runs (and a failure re-fails, loudly) rather than silently
     /// vanishing from the matrix.
     fn persisted(&self, key: u64) -> Option<SimResult> {
-        let bytes = self.store.as_ref()?.get(key)?.outcome.ok()?;
-        SimResult::decode(&mut Reader::new(&bytes)).ok()
+        decode_record(&self.store.as_ref()?.get(key)?).ok()
     }
 
-    /// Persists a completed result under `key` when a store is configured.
-    fn persist(&self, key: u64, result: &SimResult) {
+    /// Persists a cell's outcome under `key` when a store is configured.
+    fn persist(&self, key: u64, outcome: Result<&SimResult, &str>) {
         let Some(store) = &self.store else { return };
-        let mut w = Writer::new();
-        result.encode(&mut w);
-        if let Err(e) = store.put(key, &CellRecord::ok(key, w.into_bytes())) {
+        if let Err(e) = store.put(key, &encode_record(key, outcome)) {
             eprintln!("warning: could not write store cell {key:016x}: {e}");
         }
     }
@@ -435,9 +431,7 @@ impl ResultCache {
     /// Records one failed cell: a structured [`CellFailure`] in memory and,
     /// with a store configured, a persisted failed-cell record.
     fn record_failure(&self, key: u64, job: &SimJob, error: String) {
-        if let Some(store) = &self.store {
-            let _ = store.put(key, &CellRecord::failed(key, error.clone()));
-        }
+        self.persist(key, Err(&error));
         self.failures
             .lock()
             .expect("failures lock poisoned")
@@ -521,7 +515,7 @@ impl ResultCache {
                     Ok(result) => {
                         self.runs.fetch_add(1, Ordering::Relaxed);
                         if job.cfg.telemetry.is_none() {
-                            self.persist(*key, &result);
+                            self.persist(*key, Ok(&result));
                         }
                         Ok(Arc::new(result))
                     }

@@ -16,11 +16,12 @@
 
 use autorfm::experiments::Scenario;
 use autorfm::sim_core::ConfigError;
-use autorfm::snapshot::digest64;
+use autorfm::snapshot::store::CellRecord;
+use autorfm::snapshot::{digest64, Reader, Snapshot, Writer};
 use autorfm::telemetry::Json;
 use autorfm::trackers::TrackerKind;
 use autorfm::workloads::WorkloadSpec;
-use autorfm::SimConfig;
+use autorfm::{SimConfig, SimResult};
 use std::collections::HashSet;
 
 /// One sweep point: everything that determines a simulation's result bytes.
@@ -122,6 +123,28 @@ fn number<T: TryFrom<u64>>(value: Option<&Json>, key: &str, default: T) -> Resul
     };
     let n = value.as_u64().and_then(|n| T::try_from(n).ok());
     n.ok_or_else(|| ConfigError::new(format!("'{key}' out of range: {}", value.to_compact())))
+}
+
+/// The store record of cell `key`'s outcome (the result's [`Snapshot`]
+/// bytes, or the failure message): the one stored form of a finished cell,
+/// whoever computed it. `campaign check` digests the same bytes.
+pub fn encode_record(key: u64, outcome: Result<&SimResult, &str>) -> CellRecord {
+    match outcome {
+        Ok(result) => {
+            let mut w = Writer::new();
+            result.encode(&mut w);
+            CellRecord::ok(key, w.into_bytes())
+        }
+        Err(error) => CellRecord::failed(key, error),
+    }
+}
+
+/// Decodes an [`encode_record`] record: the result, or the failure message,
+/// or why the bytes no longer decode (e.g. an older build's). Callers set
+/// their own policy: the harness re-runs a failure, the daemon serves it.
+pub fn decode_record(record: &CellRecord) -> Result<SimResult, String> {
+    let bytes = record.outcome.as_ref().map_err(String::clone)?;
+    SimResult::decode(&mut Reader::new(bytes)).map_err(|e| format!("undecodable record: {e}"))
 }
 
 /// A client-submitted sweep: the cross product of workloads and scenarios.

@@ -16,21 +16,20 @@
 //! the daemon's **warm pool** so only the first unit of a shape pays
 //! warmup — and persist every outcome (success *or* deterministic failure)
 //! to the store before marking it finished. Because records hit disk before
-//! the in-memory `done` set, a SIGKILL can lose at most the in-flight unit:
-//! on restart the daemon rescans `<store>/campaigns/*.json`, resubmits every
-//! persisted request, and the store classifies all previously completed
-//! cells as dedup hits, so nothing finished is ever recomputed.
+//! the in-memory status turns done, a SIGKILL can lose at most the in-flight
+//! unit: on restart the daemon rescans `<store>/campaigns/*.json`, resubmits
+//! every persisted request, and the store classifies all previously
+//! completed cells as dedup hits, so nothing finished is ever recomputed.
 
-use crate::cell::{CellSpec, SweepRequest};
+use crate::cell::{decode_record, encode_record, CellSpec, SweepRequest};
 use crate::runner::{run_batch_fallible, shape_units, LANES};
 use autorfm::sim_core::ConfigError;
 use autorfm::snapshot::store::{CellRecord, CellStore};
-use autorfm::snapshot::{Reader, Snapshot, Writer};
-use autorfm::telemetry::{Json, Registry};
-use autorfm::{KernelKind, SimConfig, SimResult};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use autorfm::telemetry::{Json, MetricValue, Registry};
+use autorfm::{KernelKind, SimConfig};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -80,26 +79,69 @@ struct CampaignState {
     cells: Vec<u64>,
 }
 
+/// Where a cell is in its lifecycle: queued → running → done or failed, or
+/// done or failed straight from a record already in the store.
+#[derive(Clone)]
+enum Status {
+    /// In a queued work unit.
+    Queued,
+    /// Popped by a worker, currently executing.
+    Running,
+    /// Completed; a success record is in the store.
+    Done,
+    /// Failed deterministically; a failure record is in the store.
+    Failed(String),
+}
+
+/// Status names, in [`Status::rank`] order.
+const STATUS_NAMES: [&str; 4] = ["queued", "running", "done", "failed"];
+
+impl Status {
+    /// The status a stored record stands for.
+    fn stored(record: &CellRecord) -> Self {
+        match &record.outcome {
+            Ok(_) => Status::Done,
+            Err(msg) => Status::Failed(msg.clone()),
+        }
+    }
+
+    fn rank(&self) -> usize {
+        match self {
+            Status::Queued => 0,
+            Status::Running => 1,
+            Status::Done => 2,
+            Status::Failed(_) => 3,
+        }
+    }
+}
+
+/// One cell submitted in this daemon life.
+struct Cell {
+    spec: CellSpec,
+    status: Status,
+    /// Wall time (ns) of the work unit that computed it in this daemon life
+    /// (`None` for store hits and cells that failed at submit).
+    elapsed_ns: Option<u64>,
+}
+
+/// Cells per status, in [`Status::rank`] order: one pass over `cells`.
+fn tally<'a>(cells: impl Iterator<Item = &'a Cell>) -> [usize; 4] {
+    let mut counts = [0; 4];
+    for cell in cells {
+        counts[cell.status.rank()] += 1;
+    }
+    counts
+}
+
 /// All mutable scheduler state, under one lock.
 #[derive(Default)]
 struct State {
     campaigns: BTreeMap<String, CampaignState>,
     queue: VecDeque<WorkUnit>,
-    /// Scheduled but not yet finished (superset of `running`).
-    pending: HashSet<u64>,
-    /// Popped by a worker, currently executing.
-    running: HashSet<u64>,
-    /// Completed successfully (a success record is in the store).
-    done: HashSet<u64>,
-    /// Failed deterministically (a failure record is in the store).
-    errors: HashMap<u64, String>,
+    /// Every cell submitted in this daemon life, by key.
+    cells: HashMap<u64, Cell>,
     /// Warm pool: shape digest → captured lane-0 warm state.
     warm: HashMap<u64, Arc<Vec<u8>>>,
-    /// Cell key → spec, for manifests and the `/cells` endpoint.
-    index: HashMap<u64, CellSpec>,
-    /// Cell key → wall time (ns) of the work unit that computed it this
-    /// daemon life (0 for store hits).
-    elapsed_ns: HashMap<u64, u64>,
 }
 
 struct Inner {
@@ -107,16 +149,22 @@ struct Inner {
     store: CellStore,
     state: Mutex<State>,
     work_ready: Condvar,
+    /// The daemon's one set of counters (`/metrics`; `/stats` reads them
+    /// too). Bumped under the state lock, so a reader holding that lock sees
+    /// counters that agree with the cell statuses.
     metrics: Mutex<Registry>,
     shutdown: AtomicBool,
     started: Instant,
-    /// Cells simulated to completion in this daemon life.
-    computed: AtomicU64,
-    /// Cells that finished with an error in this daemon life.
-    failed: AtomicU64,
-    /// Dedup hits (submitted cells served by an existing record or an
-    /// in-flight execution) in this daemon life.
-    deduped: AtomicU64,
+}
+
+impl Inner {
+    /// The unlabelled registry counter `name`.
+    fn counter(&self, name: &str) -> u64 {
+        match self.metrics.lock().expect("metrics lock").get(name, &[]) {
+            Some(MetricValue::Counter(v)) => *v,
+            _ => 0,
+        }
+    }
 }
 
 /// What a submission did, per cell class.
@@ -140,15 +188,6 @@ pub struct Daemon {
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
-/// Encodes a result with its `Snapshot` codec, exactly as the harness's
-/// `ResultCache` does — these bytes (and their digest) are the store's one
-/// canonical form of a completed cell, whoever computed it.
-fn encode_result(result: &SimResult) -> Vec<u8> {
-    let mut w = Writer::new();
-    result.encode(&mut w);
-    w.into_bytes()
-}
-
 impl Daemon {
     /// Opens the store, starts the worker pool, and resumes every campaign
     /// persisted under `<store>/campaigns/` from a previous daemon life.
@@ -168,9 +207,6 @@ impl Daemon {
             metrics: Mutex::new(Registry::new()),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            computed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            deduped: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -220,7 +256,7 @@ impl Daemon {
     /// Registers a campaign and schedules its not-yet-known cells. The whole
     /// classification runs under the scheduler lock, so concurrent
     /// submissions with overlapping cells serialize and each shared cell is
-    /// scheduled exactly once (the later submitter sees it pending and takes
+    /// scheduled exactly once (the later submitter finds it known and takes
     /// a dedup hit). Resubmitting an identical request is idempotent.
     ///
     /// # Errors
@@ -243,87 +279,73 @@ impl Daemon {
         }
 
         let keys: Vec<u64> = cells.iter().map(CellSpec::key).collect();
-        let mut scheduled: Vec<(u64, CellSpec)> = Vec::new();
+        let mut buildable: Vec<(u64, SimConfig)> = Vec::new();
         let mut deduped = 0usize;
-        let mut failed_now: Vec<(u64, String)> = Vec::new();
-        {
-            let mut st = self.inner.state.lock().expect("state lock");
-            for (&key, cell) in keys.iter().zip(&cells) {
-                st.index.entry(key).or_insert(*cell);
-                if st.done.contains(&key)
-                    || st.errors.contains_key(&key)
-                    || st.pending.contains(&key)
-                {
-                    deduped += 1;
-                    continue;
-                }
-                // Unknown to this life — maybe a previous life finished it.
-                if let Some(record) = self.inner.store.get(key) {
-                    match record.outcome {
-                        Ok(_) => {
-                            st.done.insert(key);
-                        }
-                        Err(msg) => {
-                            st.errors.insert(key, msg);
-                        }
+        let mut failed = 0u64;
+        let mut st = self.inner.state.lock().expect("state lock");
+        for (&key, spec) in keys.iter().zip(&cells) {
+            if st.cells.contains_key(&key) {
+                deduped += 1;
+                continue;
+            }
+            // Unknown to this life: adopt a stored record, else schedule.
+            // A cell whose config is invalid fails here, without a worker,
+            // and its record is stored for restarts and sibling campaigns.
+            let status = if let Some(record) = self.inner.store.get(key) {
+                deduped += 1;
+                Status::stored(&record)
+            } else {
+                match spec.config() {
+                    Ok(cfg) => {
+                        buildable.push((key, cfg));
+                        Status::Queued
                     }
-                    deduped += 1;
-                    continue;
+                    Err(e) => {
+                        let msg = e.to_string();
+                        let _ = self.inner.store.put(key, &encode_record(key, Err(&msg)));
+                        failed += 1;
+                        Status::Failed(msg)
+                    }
                 }
-                st.pending.insert(key);
-                scheduled.push((key, *cell));
-            }
-            // Group schedulable cells by shape so each unit shares one
-            // warmup, chunked to the configured lane limit. A cell that
-            // cannot even build a config fails right here, deterministically,
-            // without a worker.
-            let mut buildable: Vec<(u64, SimConfig)> = Vec::new();
-            for (key, cell) in &scheduled {
-                match cell.config() {
-                    Ok(cfg) => buildable.push((*key, cfg)),
-                    Err(e) => failed_now.push((*key, e.to_string())),
-                }
-            }
-            for (key, msg) in &failed_now {
-                st.pending.remove(key);
-                st.errors.insert(*key, msg.clone());
-            }
-            for (shape, cells) in shape_units(buildable, self.inner.cfg.batch) {
-                st.queue.push_back(WorkUnit { shape, cells });
-            }
-            st.campaigns.insert(
-                id.clone(),
-                CampaignState {
-                    name: req.name.clone(),
-                    cells: keys,
+            };
+            st.cells.insert(
+                key,
+                Cell {
+                    spec: *spec,
+                    status,
+                    elapsed_ns: None,
                 },
             );
         }
-        self.inner.work_ready.notify_all();
-
-        // Failure records for config-invalid cells still go to the store so
-        // restarts and sibling campaigns see them.
-        for (key, msg) in &failed_now {
-            let _ = self
-                .inner
-                .store
-                .put(*key, &CellRecord::failed(*key, msg.clone()));
-            self.inner.failed.fetch_add(1, Ordering::Relaxed);
+        let scheduled = buildable.len();
+        // Group schedulable cells by shape so each unit shares one warmup,
+        // chunked to the configured lane limit.
+        for (shape, cells) in shape_units(buildable, self.inner.cfg.batch) {
+            st.queue.push_back(WorkUnit { shape, cells });
         }
-        self.inner
-            .deduped
-            .fetch_add(deduped as u64, Ordering::Relaxed);
+        st.campaigns.insert(
+            id.clone(),
+            CampaignState {
+                name: req.name.clone(),
+                cells: keys,
+            },
+        );
         {
+            // `cells_queued` counts every new cell, config-invalid ones too.
+            let new = (cells.len() - deduped) as u64;
             let mut m = self.inner.metrics.lock().expect("metrics lock");
-            m.incr_counter("cells_queued", &[], scheduled.len() as u64);
+            m.incr_counter("cells_queued", &[], new);
             m.incr_counter("cells_deduped", &[], deduped as u64);
-            m.incr_counter("cells_queued", &[("campaign", &id)], scheduled.len() as u64);
+            m.incr_counter("cells_failed", &[], failed);
+            m.incr_counter("cells_queued", &[("campaign", &id)], new);
             m.incr_counter("cells_deduped", &[("campaign", &id)], deduped as u64);
         }
+        drop(st);
+        self.inner.work_ready.notify_all();
         Ok(SubmitOutcome {
             id,
             total: cells.len(),
-            scheduled: scheduled.len() - failed_now.len(),
+            scheduled,
             deduped,
         })
     }
@@ -357,12 +379,12 @@ impl Daemon {
 
     /// Dedup hits recorded in this daemon life.
     pub fn dedup_hits(&self) -> u64 {
-        self.inner.deduped.load(Ordering::Relaxed)
+        self.inner.counter("cells_deduped")
     }
 
     /// Cells simulated to completion in this daemon life.
     pub fn cells_computed(&self) -> u64 {
-        self.inner.computed.load(Ordering::Relaxed)
+        self.inner.counter("cells_done")
     }
 
     /// Whether every cell of campaign `id` has finished (done or failed).
@@ -370,12 +392,11 @@ impl Daemon {
     pub fn is_complete(&self, id: &str) -> Option<bool> {
         let st = self.inner.state.lock().expect("state lock");
         let campaign = st.campaigns.get(id)?;
-        Some(
-            campaign
-                .cells
-                .iter()
-                .all(|k| st.done.contains(k) || st.errors.contains_key(k)),
-        )
+        Some(campaign.cells.iter().all(|k| {
+            st.cells
+                .get(k)
+                .is_some_and(|c| matches!(c.status, Status::Done | Status::Failed(_)))
+        }))
     }
 
     /// Status of campaign `id` as JSON; `None` for an unknown campaign.
@@ -402,10 +423,11 @@ impl Daemon {
     pub fn campaign_manifest(&self, id: &str) -> Option<Json> {
         let st = self.inner.state.lock().expect("state lock");
         let campaign = st.campaigns.get(id)?;
-        let mut rows = Vec::with_capacity(campaign.cells.len());
-        for key in &campaign.cells {
-            rows.push(self.cell_json_locked(*key, &st));
-        }
+        let rows = campaign
+            .cells
+            .iter()
+            .filter_map(|key| self.cell_json_locked(*key, &st))
+            .collect();
         let mut status = status_json(id, campaign, &st);
         if let Json::Obj(pairs) = &mut status {
             pairs.push(("cells".to_string(), Json::Arr(rows)));
@@ -413,71 +435,69 @@ impl Daemon {
         Some(status)
     }
 
-    /// One cell's record as JSON (spec, status, digest, perf, error).
-    /// `None` for a key the daemon has never seen.
+    /// One cell's record as JSON (spec, status, digest, perf, error). A cell
+    /// only the store knows (another writer's, or from an earlier life whose
+    /// campaign was not resubmitted) takes its status from the stored
+    /// record. `None` for a key neither the daemon nor the store knows.
     pub fn cell(&self, key: u64) -> Option<Json> {
         let st = self.inner.state.lock().expect("state lock");
-        if !st.index.contains_key(&key) && !self.inner.store.contains(key) {
-            return None;
-        }
-        Some(self.cell_json_locked(key, &st))
+        self.cell_json_locked(key, &st)
     }
 
-    fn cell_json_locked(&self, key: u64, st: &State) -> Json {
-        let mut pairs: Vec<(String, Json)> = match st.index.get(&key).map(|c| c.json_row(key)) {
+    fn cell_json_locked(&self, key: u64, st: &State) -> Option<Json> {
+        let cell = st.cells.get(&key);
+        let record = match cell.map(|c| &c.status) {
+            Some(Status::Done) | None => self.inner.store.get(key),
+            Some(_) => None,
+        };
+        let status = match (cell, &record) {
+            (Some(c), _) => c.status.clone(),
+            (None, Some(r)) => Status::stored(r),
+            (None, None) => return None,
+        };
+        let mut pairs: Vec<(String, Json)> = match cell.map(|c| c.spec.json_row(key)) {
             Some(Json::Obj(fields)) => fields,
             _ => vec![("key".into(), Json::Str(format!("{key:016x}")))],
         };
-        let status = if st.done.contains(&key) {
-            "done"
-        } else if st.errors.contains_key(&key) {
-            "failed"
-        } else if st.running.contains(&key) {
-            "running"
-        } else {
-            "queued"
-        };
-        pairs.push(("status".into(), Json::Str(status.to_string())));
-        if let Some(msg) = st.errors.get(&key) {
+        pairs.push((
+            "status".into(),
+            Json::Str(STATUS_NAMES[status.rank()].into()),
+        ));
+        if let Status::Failed(msg) = &status {
             pairs.push(("error".into(), Json::Str(msg.clone())));
         }
-        if let Some(ns) = st.elapsed_ns.get(&key) {
-            pairs.push(("elapsed_ns".into(), Json::Num(*ns as f64)));
+        if let Some(ns) = cell.and_then(|c| c.elapsed_ns) {
+            pairs.push(("elapsed_ns".into(), Json::Num(ns as f64)));
         }
-        if status == "done" {
-            if let Some(record) = self.inner.store.get(key) {
-                if let Some(digest) = record.result_digest() {
-                    pairs.push(("result_digest".into(), Json::Str(format!("{digest:#018x}"))));
-                }
-                if let Ok(bytes) = &record.outcome {
-                    let mut r = Reader::new(bytes);
-                    if let Ok(result) = SimResult::decode(&mut r) {
-                        pairs.push(("perf".into(), Json::Num(result.perf())));
-                        pairs.push((
-                            "elapsed_sim_ns".into(),
-                            Json::Num(result.elapsed.as_ns() as f64),
-                        ));
-                    }
-                }
+        if let (Status::Done, Some(record)) = (&status, &record) {
+            if let Some(digest) = record.result_digest() {
+                pairs.push(("result_digest".into(), Json::Str(format!("{digest:#018x}"))));
+            }
+            if let Ok(result) = decode_record(record) {
+                pairs.push(("perf".into(), Json::Num(result.perf())));
+                pairs.push((
+                    "elapsed_sim_ns".into(),
+                    Json::Num(result.elapsed.as_ns() as f64),
+                ));
             }
         }
-        Json::Obj(pairs)
+        Some(Json::Obj(pairs))
     }
 
     /// Global service statistics (the `/stats` payload and the source of
-    /// BENCH_7.json).
+    /// BENCH_7.json): cell statuses from the cell table, computed and
+    /// deduped cells from the metrics registry.
     pub fn stats(&self) -> Json {
-        let (campaigns, queue_depth, running, done, failed) = {
+        let (campaigns, queue_depth, [_, running, done, failed], computed, deduped) = {
             let st = self.inner.state.lock().expect("state lock");
             (
                 st.campaigns.len(),
                 st.queue.len(),
-                st.running.len(),
-                st.done.len(),
-                st.errors.len(),
+                tally(st.cells.values()),
+                self.inner.counter("cells_done"),
+                self.inner.counter("cells_deduped"),
             )
         };
-        let computed = self.inner.computed.load(Ordering::Relaxed);
         let uptime = self.inner.started.elapsed();
         let cells_per_sec = if uptime.as_secs_f64() > 0.0 {
             computed as f64 / uptime.as_secs_f64()
@@ -496,10 +516,7 @@ impl Daemon {
             ("cells_done", Json::Num(done as f64)),
             ("cells_failed", Json::Num(failed as f64)),
             ("cells_computed", Json::Num(computed as f64)),
-            (
-                "cells_deduped",
-                Json::Num(self.inner.deduped.load(Ordering::Relaxed) as f64),
-            ),
+            ("cells_deduped", Json::Num(deduped as f64)),
             ("cells_running", Json::Num(running as f64)),
             ("queue_depth", Json::Num(queue_depth as f64)),
             ("cells_per_sec", Json::Num(cells_per_sec)),
@@ -528,21 +545,8 @@ impl Daemon {
 }
 
 fn status_json(id: &str, campaign: &CampaignState, st: &State) -> Json {
-    let mut done = 0usize;
-    let mut failed = 0usize;
-    let mut running = 0usize;
-    let mut queued = 0usize;
-    for key in &campaign.cells {
-        if st.done.contains(key) {
-            done += 1;
-        } else if st.errors.contains_key(key) {
-            failed += 1;
-        } else if st.running.contains(key) {
-            running += 1;
-        } else {
-            queued += 1;
-        }
-    }
+    let [queued, running, done, failed] =
+        tally(campaign.cells.iter().filter_map(|k| st.cells.get(k)));
     Json::obj(vec![
         ("id", Json::Str(id.to_string())),
         ("name", Json::Str(campaign.name.clone())),
@@ -562,24 +566,24 @@ fn status_json(id: &str, campaign: &CampaignState, st: &State) -> Json {
 /// the shape), persist every outcome, mark cells finished.
 fn worker_loop(inner: &Inner) {
     loop {
-        let unit = {
+        let (unit, warm) = {
             let mut st = inner.state.lock().expect("state lock");
-            loop {
+            let unit = loop {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 if let Some(unit) = st.queue.pop_front() {
-                    for (key, _) in &unit.cells {
-                        st.running.insert(*key);
-                    }
                     break unit;
                 }
                 st = inner.work_ready.wait(st).expect("state lock");
+            };
+            for (key, _) in &unit.cells {
+                if let Some(cell) = st.cells.get_mut(key) {
+                    cell.status = Status::Running;
+                }
             }
-        };
-        let warm: Option<Arc<Vec<u8>>> = {
-            let st = inner.state.lock().expect("state lock");
-            st.warm.get(&unit.shape).cloned()
+            let warm = st.warm.get(&unit.shape).cloned();
+            (unit, warm)
         };
         let cfgs: Vec<SimConfig> = unit.cells.iter().map(|(_, cfg)| cfg.clone()).collect();
         let t0 = Instant::now();
@@ -594,40 +598,25 @@ fn worker_loop(inner: &Inner) {
             let mut st = inner.state.lock().expect("state lock");
             st.warm.entry(unit.shape).or_insert_with(|| Arc::new(bytes));
         }
-        let mut computed = 0u64;
-        let mut failed = 0u64;
         for ((key, _), result) in unit.cells.iter().zip(outcome.results) {
-            // Disk first, then the in-memory finished sets: a kill between
-            // the two re-runs an already-stored cell on restart (harmless,
-            // identical bytes) rather than ever losing a "finished" cell.
-            let record = match &result {
-                Ok(sim) => CellRecord::ok(*key, encode_result(sim)),
-                Err(msg) => CellRecord::failed(*key, msg.clone()),
-            };
+            // Disk first, then the in-memory status: a kill between the two
+            // re-runs an already-stored cell on restart (harmless, identical
+            // bytes) rather than ever losing a "finished" cell.
+            let record = encode_record(*key, result.as_ref().map_err(String::as_str));
             if let Err(e) = inner.store.put(*key, &record) {
                 eprintln!("campaignd: cannot store cell {key:016x}: {e}");
             }
+            let (status, counter) = match result {
+                Ok(_) => (Status::Done, "cells_done"),
+                Err(msg) => (Status::Failed(msg), "cells_failed"),
+            };
             let mut st = inner.state.lock().expect("state lock");
-            st.running.remove(key);
-            st.pending.remove(key);
-            st.elapsed_ns.insert(*key, unit_ns);
-            match result {
-                Ok(_) => {
-                    st.done.insert(*key);
-                    computed += 1;
-                }
-                Err(msg) => {
-                    st.errors.insert(*key, msg);
-                    failed += 1;
-                }
+            if let Some(cell) = st.cells.get_mut(key) {
+                cell.status = status;
+                cell.elapsed_ns = Some(unit_ns);
             }
-        }
-        inner.computed.fetch_add(computed, Ordering::Relaxed);
-        inner.failed.fetch_add(failed, Ordering::Relaxed);
-        {
             let mut m = inner.metrics.lock().expect("metrics lock");
-            m.incr_counter("cells_done", &[], computed);
-            m.incr_counter("cells_failed", &[], failed);
+            m.incr_counter(counter, &[], 1);
         }
     }
 }
@@ -720,6 +709,112 @@ mod tests {
             .find(|c| c.get("status").and_then(Json::as_str) == Some("failed"))
             .unwrap();
         assert!(failed.get("error").and_then(Json::as_str).is_some());
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `/stats` `[cells_done, cells_failed, cells_computed, cells_deduped]`
+    /// and `/metrics` `[cells_queued, cells_deduped, cells_done,
+    /// cells_failed]` (unlabelled).
+    fn counts(daemon: &Daemon) -> ([u64; 4], [u64; 4]) {
+        let stats = daemon.stats();
+        let stat = |name| stats.get(name).and_then(Json::as_u64).unwrap();
+        let metrics = daemon.metrics_json();
+        let metric = |name| {
+            let row = metrics.as_arr().unwrap().iter().find(|m| {
+                m.get("name").and_then(Json::as_str) == Some(name) && m.get("labels").is_none()
+            });
+            row.and_then(|m| m.get("value"))
+                .and_then(Json::as_u64)
+                .unwrap()
+        };
+        (
+            [
+                "cells_done",
+                "cells_failed",
+                "cells_computed",
+                "cells_deduped",
+            ]
+            .map(stat),
+            [
+                "cells_queued",
+                "cells_deduped",
+                "cells_done",
+                "cells_failed",
+            ]
+            .map(metric),
+        )
+    }
+
+    #[test]
+    fn submit_time_failures_and_dedups_are_counted() {
+        let dir = scratch("counters");
+        let daemon = Daemon::start(tiny_config(dir.clone())).unwrap();
+        let valid = SweepRequest {
+            name: "valid".into(),
+            workloads: vec!["mcf".into()],
+            scenarios: vec!["AutoRFM-4".into()],
+            cores: 2,
+            instructions: 4_000,
+            ..SweepRequest::default()
+        };
+        // A zero instruction budget fails at submit (invalid config).
+        let invalid = SweepRequest {
+            name: "invalid".into(),
+            instructions: 0,
+            ..valid.clone()
+        };
+        let submit = |req: &SweepRequest| {
+            let outcome = daemon.submit(req).unwrap();
+            wait_complete(&daemon, &outcome.id);
+            (outcome.scheduled, outcome.deduped)
+        };
+        assert_eq!((submit(&valid), submit(&invalid)), ((1, 0), (0, 0)));
+        assert_eq!(counts(&daemon), ([1, 1, 1, 0], [2, 0, 1, 1]));
+        // Resubmission: both cells are dedup hits, nothing else moves.
+        assert_eq!((submit(&valid), submit(&invalid)), ((0, 1), (0, 1)));
+        assert_eq!(counts(&daemon), ([1, 1, 1, 2], [2, 2, 1, 1]));
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_only_cells_report_their_stored_status() {
+        let dir = scratch("store-only");
+        let daemon = Daemon::start(tiny_config(dir.clone())).unwrap();
+        // Another writer (e.g. `run_all --store`) fills the shared root.
+        let req = SweepRequest {
+            workloads: vec!["mcf".into()],
+            scenarios: vec!["AutoRFM-4".into()],
+            cores: 2,
+            instructions: 4_000,
+            ..SweepRequest::default()
+        };
+        let spec = req.expand().unwrap()[0];
+        let (key, failed_key) = (spec.key(), 0x5678);
+        let result = autorfm::System::new(spec.config().unwrap()).unwrap().run();
+        let record = encode_record(key, Ok(&result));
+        let other = CellStore::open(&dir).unwrap();
+        other.put(key, &record).unwrap();
+        other
+            .put(failed_key, &encode_record(failed_key, Err("lane panicked")))
+            .unwrap();
+
+        let done = daemon.cell(key).unwrap();
+        assert_eq!(done.get("status").and_then(Json::as_str), Some("done"));
+        let digest = format!("{:#018x}", record.result_digest().unwrap());
+        assert_eq!(
+            done.get("result_digest").and_then(Json::as_str),
+            Some(digest.as_str())
+        );
+        assert_eq!(done.get("perf").and_then(Json::as_f64), Some(result.perf()));
+        let failed = daemon.cell(failed_key).unwrap();
+        assert_eq!(failed.get("status").and_then(Json::as_str), Some("failed"));
+        assert_eq!(
+            failed.get("error").and_then(Json::as_str),
+            Some("lane panicked")
+        );
+        assert!(daemon.cell(0x9abc).is_none(), "unknown keys stay unknown");
         daemon.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }

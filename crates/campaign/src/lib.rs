@@ -14,7 +14,8 @@
 //!   [`autorfm::SimConfig::key`] of the configuration it runs) and
 //!   [`SweepRequest`] (the
 //!   JSON-shaped request a client submits; expansion and canonical identity
-//!   live here).
+//!   live here), plus [`encode_record`] / [`decode_record`], the one codec
+//!   between a [`autorfm::SimResult`] and its store record.
 //! * [`runner`] — [`run_batch_fallible`], the worker entry point: runs a
 //!   same-shape group of cells as lanes forked one at a time from one warm
 //!   donor ([`autorfm::System::fork_warm`], optionally seeded from a captured
@@ -43,7 +44,7 @@ pub mod http;
 pub mod runner;
 pub mod server;
 
-pub use cell::{CellSpec, SweepRequest};
+pub use cell::{decode_record, encode_record, CellSpec, SweepRequest};
 pub use daemon::{Daemon, DaemonConfig, SubmitOutcome};
 pub use runner::{run_batch_fallible, shape_units, BatchOutcome, LANES};
 pub use server::serve;
