@@ -33,8 +33,9 @@
 //!
 //! The last stdout line is a JSON record `{patterns_per_sec,
 //! sim_evaluated, store_hits, archive_digest, trackers, thresholds, curves,
-//! hardness, oracle_escape_margin, fuzzer_beats_fixed}`; `scripts/verify.sh`
-//! reads it to check that a re-run over a warm store re-simulates nothing.
+//! hardness, oracle_escape_margin, fuzzer_beats_fixed}`;
+//! `crates/bench/tests/fuzz_store.rs` reads it to check that a re-run over a
+//! warm store re-simulates nothing.
 //!
 //! Usage: `attack_fuzz [--tracker NAME] [--jobs N] [--seed N]
 //! [--activations N] [--generations N] [--population N]

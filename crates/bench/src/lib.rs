@@ -33,13 +33,13 @@
 //! once** (reloading it from the `--store` cell store when it can): it groups
 //! pending cells by shape (`autorfm::warm_digest`) into work units of
 //! `min(autorfm_campaign::LANES, ceil(pending / opts.jobs))` lanes — warmup
-//! simulated once per unit, every lane a warm fork run to completion — and
-//! runs the units on `opts.jobs` threads ([`par_map`]).
+//! simulated once per unit, every lane built from that warm state and run to
+//! completion — and runs the units on `opts.jobs` threads ([`par_map`]).
 //!
-//! **Determinism guarantee:** every warm-forked lane is bitwise identical to
-//! its standalone run (pinned by `tests/batch_differential.rs`) and simulations
-//! share no mutable state, so every table is bitwise identical for any
-//! `--jobs` value; only wall-clock changes.
+//! **Determinism guarantee:** every lane built from warm state is bitwise
+//! identical to its standalone run (pinned by `tests/batch_differential.rs`)
+//! and simulations share no mutable state, so every table is bitwise
+//! identical for any `--jobs` value; only wall-clock changes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -453,7 +453,7 @@ impl ResultCache {
     ///    `min(LANES, ceil(pending / opts.jobs))` lanes
     ///    (`autorfm_campaign::shape_units`) and run the units on
     ///    `opts.jobs` threads through `autorfm_campaign::run_batch_fallible`,
-    ///    which warms up once per unit and forks each lane from that donor.
+    ///    which warms up once per unit and builds every lane from that.
     ///
     /// Lanes are bitwise identical to standalone simulations, so no later
     /// `get` can tell how a result was computed. A lane that panics (or a
@@ -508,7 +508,7 @@ impl ResultCache {
         let lanes = LANES.min(cells.len().div_ceil(threads.max(1)));
         par_map(&shape_units(cells, lanes), threads, |(_, unit)| {
             let cfgs: Vec<SimConfig> = unit.iter().map(|(_, cfg)| cfg.clone()).collect();
-            let outcome = run_batch_fallible(&cfgs, None, KernelKind::Event, false);
+            let outcome = run_batch_fallible(&cfgs, None, KernelKind::Event);
             for (&(i, _), result) in unit.iter().zip(outcome.results) {
                 let (key, job, slot) = &claimed[i];
                 let filled = match result {

@@ -12,13 +12,13 @@
 //!   most `batch` lanes and queued.
 //!
 //! Workers pop units, run them through
-//! [`run_batch_fallible`](crate::runner::run_batch_fallible) — seeding from
-//! the daemon's **warm pool** so only the first unit of a shape pays
-//! warmup — and persist every outcome (success *or* deterministic failure)
-//! to the store before marking it finished. Because records hit disk before
-//! the in-memory status turns done, a SIGKILL can lose at most the in-flight
-//! unit: on restart the daemon rescans `<store>/campaigns/*.json`, resubmits
-//! every persisted request, and the store classifies all previously
+//! [`run_batch_fallible`](crate::runner::run_batch_fallible) — building lanes
+//! from the bounded **warm pool** of [`Warm`] values, so only a shape's first
+//! unit pays warmup — and persist every outcome (success *or* deterministic
+//! failure) to the store before marking it finished. Because records hit disk
+//! before the in-memory status turns done, a SIGKILL can lose at most the
+//! in-flight unit: on restart the daemon rescans `<store>/campaigns/*.json`,
+//! resubmits every persisted request, and the store classifies all previously
 //! completed cells as dedup hits, so nothing finished is ever recomputed.
 
 use crate::cell::{decode_record, encode_record, CellSpec, SweepRequest};
@@ -26,13 +26,17 @@ use crate::runner::{run_batch_fallible, shape_units, LANES};
 use autorfm::sim_core::ConfigError;
 use autorfm::snapshot::store::{CellRecord, CellStore};
 use autorfm::telemetry::{Json, MetricValue, Registry};
-use autorfm::{KernelKind, SimConfig};
+use autorfm::{KernelKind, SimConfig, Warm};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// The most shapes the warm pool holds (each one warmed LLC, about 2 MB at
+/// the paper's geometry); when full it evicts its oldest entry first.
+pub const WARM_POOL_SHAPES: usize = 16;
 
 /// How a daemon is configured.
 #[derive(Debug, Clone)]
@@ -64,7 +68,7 @@ impl DaemonConfig {
     }
 }
 
-/// One queued unit of work: same-shape cells forked from one warm donor.
+/// One queued unit of work: same-shape cells built from one warm state.
 struct WorkUnit {
     /// The lanes' shared [`autorfm::warm_digest`] (the warm-pool key).
     shape: u64,
@@ -140,8 +144,9 @@ struct State {
     queue: VecDeque<WorkUnit>,
     /// Every cell submitted in this daemon life, by key.
     cells: HashMap<u64, Cell>,
-    /// Warm pool: shape digest → captured lane-0 warm state.
-    warm: HashMap<u64, Arc<Vec<u8>>>,
+    /// Warm pool: `(shape digest, warm state)`, oldest first, at most
+    /// [`WARM_POOL_SHAPES`] entries.
+    warm: VecDeque<(u64, Arc<Warm>)>,
 }
 
 struct Inner {
@@ -562,8 +567,8 @@ fn status_json(id: &str, campaign: &CampaignState, st: &State) -> Json {
     ])
 }
 
-/// The worker thread body: pop a unit, run it (warm-seeded when the pool has
-/// the shape), persist every outcome, mark cells finished.
+/// The worker thread body: pop a unit, run it (from the pool's warm state
+/// when it has the shape), persist every outcome, mark cells finished.
 fn worker_loop(inner: &Inner) {
     loop {
         let (unit, warm) = {
@@ -582,21 +587,21 @@ fn worker_loop(inner: &Inner) {
                     cell.status = Status::Running;
                 }
             }
-            let warm = st.warm.get(&unit.shape).cloned();
-            (unit, warm)
+            let warm = st.warm.iter().find(|(shape, _)| *shape == unit.shape);
+            (unit, warm.map(|(_, w)| Arc::clone(w)))
         };
         let cfgs: Vec<SimConfig> = unit.cells.iter().map(|(_, cfg)| cfg.clone()).collect();
         let t0 = Instant::now();
-        let outcome = run_batch_fallible(
-            &cfgs,
-            warm.as_ref().map(|w| w.as_slice()),
-            inner.cfg.kernel,
-            warm.is_none(),
-        );
+        let outcome = run_batch_fallible(&cfgs, warm, inner.cfg.kernel);
         let unit_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        if let Some(bytes) = outcome.warm_state {
+        if let Some(warm) = outcome.warm {
             let mut st = inner.state.lock().expect("state lock");
-            st.warm.entry(unit.shape).or_insert_with(|| Arc::new(bytes));
+            if st.warm.iter().all(|(shape, _)| *shape != unit.shape) {
+                if st.warm.len() == WARM_POOL_SHAPES {
+                    st.warm.pop_front();
+                }
+                st.warm.push_back((unit.shape, warm));
+            }
         }
         for ((key, _), result) in unit.cells.iter().zip(outcome.results) {
             // Disk first, then the in-memory status: a kill between the two
@@ -774,6 +779,80 @@ mod tests {
         // Resubmission: both cells are dedup hits, nothing else moves.
         assert_eq!((submit(&valid), submit(&invalid)), ((0, 1), (0, 1)));
         assert_eq!(counts(&daemon), ([1, 1, 1, 2], [2, 2, 1, 1]));
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One worker and one lane per unit: every unit after a shape's first is
+    /// built from the pooled warm state, and its record is still the
+    /// standalone run's.
+    #[test]
+    fn pooled_units_store_standalone_records() {
+        let dir = scratch("pooled");
+        let daemon = Daemon::start(DaemonConfig {
+            workers: 1,
+            batch: 1,
+            ..tiny_config(dir.clone())
+        })
+        .unwrap();
+        let req = SweepRequest {
+            name: "pooled".into(),
+            workloads: vec!["mcf".into()],
+            scenarios: vec!["baseline-zen".into(), "AutoRFM-4".into(), "RFM-8".into()],
+            cores: 2,
+            instructions: 4_000,
+            ..SweepRequest::default()
+        };
+        let outcome = daemon.submit(&req).unwrap();
+        assert_eq!(outcome.scheduled, 3);
+        wait_complete(&daemon, &outcome.id);
+        assert_eq!(daemon.inner.state.lock().unwrap().warm.len(), 1);
+        for spec in req.expand().unwrap() {
+            let standalone = autorfm::System::new(spec.config().unwrap()).unwrap().run();
+            assert_eq!(
+                daemon.store().get(spec.key()),
+                Some(encode_record(spec.key(), Ok(&standalone)))
+            );
+        }
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_pool_evicts_its_oldest_shape_when_full() {
+        let dir = scratch("pool-cap");
+        let daemon = Daemon::start(DaemonConfig {
+            workers: 1,
+            ..tiny_config(dir.clone())
+        })
+        .unwrap();
+        let mut shapes = Vec::new();
+        for seed in 0..=WARM_POOL_SHAPES as u64 {
+            let req = SweepRequest {
+                name: format!("seed-{seed}"),
+                workloads: vec!["mcf".into()],
+                scenarios: vec!["AutoRFM-4".into()],
+                cores: 1,
+                instructions: 1_000,
+                seed,
+                ..SweepRequest::default()
+            };
+            let cfg = req.expand().unwrap()[0].config().unwrap();
+            shapes.push(autorfm::warm_digest(&cfg));
+            let outcome = daemon.submit(&req).unwrap();
+            wait_complete(&daemon, &outcome.id);
+        }
+        let pooled: Vec<u64> = daemon
+            .inner
+            .state
+            .lock()
+            .unwrap()
+            .warm
+            .iter()
+            .map(|(s, _)| *s)
+            .collect();
+        assert_eq!(pooled.len(), WARM_POOL_SHAPES);
+        assert_eq!(pooled, shapes[1..], "the first shape is the one evicted");
         daemon.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }

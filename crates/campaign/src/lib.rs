@@ -17,16 +17,16 @@
 //!   live here), plus [`encode_record`] / [`decode_record`], the one codec
 //!   between a [`autorfm::SimResult`] and its store record.
 //! * [`runner`] — [`run_batch_fallible`], the worker entry point: runs a
-//!   same-shape group of cells as lanes forked one at a time from one warm
-//!   donor ([`autorfm::System::fork_warm`], optionally seeded from a captured
-//!   warm state), turning a lane's panic or config error into its own
-//!   per-cell error record; and
+//!   same-shape group of cells as lanes built one at a time from one
+//!   [`autorfm::Warm`] value ([`autorfm::System::from_warm`]; the caller's,
+//!   or lane 0's after warmup), turning a lane's panic or config error into
+//!   its own per-cell error record; and
 //!   [`shape_units`], the same-shape grouping that feeds it (shared by the
 //!   daemon and the experiment harness, with [`LANES`] lanes per unit at
 //!   most by default).
 //! * [`daemon`] — [`Daemon`]: the scheduler, the in-memory cell index, the
-//!   warm-state pool, dedup accounting, and resumption of persisted
-//!   campaigns on restart.
+//!   bounded pool of shared warm states, dedup accounting, and resumption of
+//!   persisted campaigns on restart.
 //! * [`http`] / [`server`] — a hand-rolled HTTP/1.1 + JSON layer over
 //!   `std::net::TcpListener` (no external dependencies, like the JSON codec
 //!   in `autorfm-telemetry`) exposing submit / status / manifest / cell /

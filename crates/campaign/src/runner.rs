@@ -1,16 +1,19 @@
 //! Worker entry point: fallible batched execution.
 //!
-//! Workers run a same-shape group of cells as lanes forked from one warm
-//! donor, so warmup runs once per unit. Each lane runs to completion under
-//! its own unwind catch, so a panicking lane becomes one structured per-cell
-//! error while the rest still produce their (bitwise-identical) results.
+//! Workers run a same-shape group of cells as lanes built from one
+//! [`Warm`] value, so warmup runs at most once per unit (never, when the
+//! caller already holds the shape's warm state). Each lane runs to
+//! completion under its own unwind catch, so a panicking lane becomes one
+//! structured per-cell error while the rest still produce their
+//! (bitwise-identical) results.
 //!
 //! [`shape_units`] is the one grouping step in front of it, shared by the
 //! daemon's scheduler and the experiment harness's `ResultCache::prefetch`.
 
-use autorfm::{warm_digest, KernelKind, SimConfig, SimResult, System};
+use autorfm::{warm_digest, KernelKind, SimConfig, SimResult, System, Warm};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// The most lanes one work unit runs: the daemon's default batch width and
 /// the cap on the harness's derived lane count.
@@ -48,15 +51,14 @@ pub fn shape_units<T: Clone>(
 }
 
 /// What one batched work unit produced.
-#[derive(Debug)]
 pub struct BatchOutcome {
     /// Per-input outcome, in input order: the result, or the panic/config
     /// error message for that cell alone.
     pub results: Vec<Result<SimResult, String>>,
-    /// The donor's (lane 0's) post-warmup state, when capture was requested
-    /// and the donor was built cold — feed it back as `warm` for the next
-    /// same-shape unit.
-    pub warm_state: Option<Vec<u8>>,
+    /// The warm state the lanes were built from: the `warm` given, else
+    /// lane 0's, warmed up cold (`None` when lane 0 cannot be built). Feed
+    /// it back as `warm` for the next same-shape unit.
+    pub warm: Option<Arc<Warm>>,
 }
 
 /// Renders a panic payload as the error string stored with the cell.
@@ -70,44 +72,37 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `cfgs` to completion, one lane at a time, each forked from one
-/// warm donor. The donor is lane 0's machine straight after warmup (adopted
-/// from `warm` when given); it never steps. Each lane is forked from it
-/// ([`System::fork_warm`]) only when it is about to run and dropped before
-/// the next is forked, so at most the donor and one lane are alive. A lane
-/// the donor cannot serve (no donor, or a different shape) is built
-/// standalone. Every lane runs under its own unwind catch: a bad cell costs
-/// one error record, not the unit. With `capture_warm` set (and no `warm`
-/// input), the donor's warm state is returned so the caller can seed future
-/// units of the same shape.
+/// Runs `cfgs` to completion, one lane at a time, each built from one
+/// [`Warm`] value: `warm` when given, else the one lane 0's machine gives up
+/// straight after warmup ([`System::into_warm`]). Each lane is built
+/// ([`System::from_warm`]) only when it is about to run and dropped before
+/// the next is built, so at most the warm state and one lane are alive. A
+/// lane the warm state cannot serve (none could be built, or a different
+/// shape) is built standalone. Every lane runs under its own unwind catch: a
+/// bad cell costs one error record, not the unit.
 ///
 /// Results are bitwise-identical however the cell ends up executed —
-/// warm-forked or standalone — which is what lets the store hold one
-/// canonical record per cell.
+/// built from warm state or standalone — which is what lets the store hold
+/// one canonical record per cell.
 pub fn run_batch_fallible(
     cfgs: &[SimConfig],
-    warm: Option<&[u8]>,
+    warm: Option<Arc<Warm>>,
     kernel: KernelKind,
-    capture_warm: bool,
 ) -> BatchOutcome {
-    let donor = cfgs.first().and_then(|first| {
-        catch_unwind(AssertUnwindSafe(|| match warm {
-            Some(bytes) => System::new_from_warm(first.clone(), bytes).ok(),
-            None => System::new(first.clone()).ok(),
+    let warm = warm.or_else(|| {
+        let first = cfgs.first()?.clone();
+        catch_unwind(AssertUnwindSafe(|| {
+            System::new(first).ok()?.into_warm().ok()
         }))
         .ok()
         .flatten()
+        .map(Arc::new)
     });
-    let warm_state = if capture_warm && warm.is_none() {
-        donor.as_ref().map(System::warm_state)
-    } else {
-        None
-    };
     let results = cfgs
         .iter()
         .map(|cfg| {
             catch_unwind(AssertUnwindSafe(|| -> Result<SimResult, String> {
-                let mut lane = match donor.as_ref().map(|d| d.fork_warm(cfg.clone())) {
+                let mut lane = match warm.as_deref().map(|w| System::from_warm(cfg.clone(), w)) {
                     Some(Ok(lane)) => lane,
                     _ => System::new(cfg.clone()).map_err(|e| e.to_string())?,
                 };
@@ -117,10 +112,7 @@ pub fn run_batch_fallible(
             .and_then(|r| r)
         })
         .collect();
-    BatchOutcome {
-        results,
-        warm_state,
-    }
+    BatchOutcome { results, warm }
 }
 
 #[cfg(test)]
@@ -156,29 +148,33 @@ mod tests {
             cfg(Scenario::AutoRfm { th: 4 }),
             cfg(Scenario::Rfm { th: 8 }),
         ];
-        let out = run_batch_fallible(&cfgs, None, KernelKind::Event, true);
+        let out = run_batch_fallible(&cfgs, None, KernelKind::Event);
         assert_standalone(&cfgs, &out.results);
-        // Feeding the captured warm state back reproduces the same results.
-        let warm = out.warm_state.unwrap();
-        let again = run_batch_fallible(&cfgs, Some(&warm), KernelKind::Event, true);
-        assert!(again.warm_state.is_none(), "no capture when warm was given");
+        // Feeding the warm state back reproduces the same results.
+        let warm = out.warm.unwrap();
+        let again = run_batch_fallible(&cfgs, Some(Arc::clone(&warm)), KernelKind::Event);
+        assert!(
+            Arc::ptr_eq(&warm, again.warm.as_ref().unwrap()),
+            "the given warm state is returned"
+        );
         assert_standalone(&cfgs, &again.results);
     }
 
     #[test]
     fn mixed_shapes_degrade_to_per_lane_outcomes() {
-        // Different seeds = different shapes: lane 1 cannot fork from lane
-        // 0's donor, so it is built standalone; both cells get results.
+        // Different seeds = different shapes: lane 1 cannot be built from
+        // lane 0's warm state, so it is built standalone; both cells get
+        // results.
         let a = cfg(Scenario::AutoRfm { th: 4 });
         let b = SimConfig {
             seed: 99,
             ..cfg(Scenario::AutoRfm { th: 4 })
         };
-        let out = run_batch_fallible(&[a.clone(), b.clone()], None, KernelKind::Event, true);
+        let out = run_batch_fallible(&[a.clone(), b.clone()], None, KernelKind::Event);
         assert_standalone(&[a.clone(), b], &out.results);
-        // The captured state is lane 0's: fed back, it reproduces lane 0.
-        let warm = out.warm_state.expect("donor warm state captured");
-        let again = run_batch_fallible(&[a], Some(&warm), KernelKind::Event, false);
+        // The warm state is lane 0's: fed back, it reproduces lane 0.
+        let warm = out.warm.expect("lane 0's warm state");
+        let again = run_batch_fallible(&[a], Some(warm), KernelKind::Event);
         assert_eq!(
             format!("{:?}", out.results[0].as_ref().unwrap()),
             format!("{:?}", again.results[0].as_ref().unwrap())
@@ -191,21 +187,26 @@ mod tests {
             cfg(Scenario::AutoRfm { th: 4 }),
             cfg(Scenario::Rfm { th: 8 }),
         ];
-        let out = run_batch_fallible(&cfgs, Some(b"not a container"), KernelKind::Event, true);
-        assert!(out.warm_state.is_none());
+        // Warm state of another shape (another seed) serves no lane.
+        let other = SimConfig {
+            seed: 99,
+            ..cfg(Scenario::AutoRfm { th: 4 })
+        };
+        let foreign = Arc::new(System::new(other).unwrap().into_warm().unwrap());
+        let out = run_batch_fallible(&cfgs, Some(foreign), KernelKind::Event);
         assert_standalone(&cfgs, &out.results);
     }
 
     #[test]
     fn empty_input_yields_empty_results() {
-        let out = run_batch_fallible(&[], None, KernelKind::Event, true);
+        let out = run_batch_fallible(&[], None, KernelKind::Event);
         assert!(out.results.is_empty());
-        assert!(out.warm_state.is_none());
+        assert!(out.warm.is_none());
     }
 
     #[test]
     fn invalid_lane_zero_costs_only_its_own_record() {
-        // No donor can be built from lane 0, so its batchmates run
+        // No warm state can be built from lane 0, so its batchmates run
         // standalone and still match standalone runs.
         let bad = cfg(Scenario::AutoRfm { th: 0 });
         let good = [
@@ -213,9 +214,9 @@ mod tests {
             cfg(Scenario::Rfm { th: 8 }),
         ];
         let cfgs = [bad, good[0].clone(), good[1].clone()];
-        let out = run_batch_fallible(&cfgs, None, KernelKind::Event, true);
+        let out = run_batch_fallible(&cfgs, None, KernelKind::Event);
         assert!(out.results[0].is_err());
-        assert!(out.warm_state.is_none());
+        assert!(out.warm.is_none());
         assert_standalone(&good, &out.results[1..]);
     }
 
@@ -250,7 +251,7 @@ mod tests {
         // and it must not take the valid lane down with it.
         let good = cfg(Scenario::AutoRfm { th: 4 });
         let bad = cfg(Scenario::AutoRfm { th: 0 });
-        let out = run_batch_fallible(&[good, bad], None, KernelKind::Event, true);
+        let out = run_batch_fallible(&[good, bad], None, KernelKind::Event);
         assert!(out.results[0].is_ok());
         assert!(out.results[1].is_err());
     }

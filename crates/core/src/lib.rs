@@ -48,7 +48,7 @@ pub mod system;
 
 pub use config::{MappingKind, SimConfig, SimConfigBuilder, TelemetryConfig};
 pub use result::SimResult;
-pub use system::{warm_digest, KernelKind, System};
+pub use system::{warm_digest, KernelKind, System, Warm};
 
 pub use autorfm_snapshot as snapshot;
 
@@ -79,17 +79,17 @@ pub use autorfm_telemetry as telemetry;
 pub use autorfm_trackers as trackers;
 pub use autorfm_workloads as workloads;
 
-/// Lane-identity tests for batched cells. A batch is one never-stepped donor
-/// and lanes forked from it with [`System::fork_warm`] (the path
-/// `autorfm_campaign::run_batch_fallible` takes); every lane must equal the
-/// standalone run of its own configuration, whether the donor was built cold
-/// or from a captured [`System::warm_state`].
+/// Lane-identity tests for batched cells: lanes built with
+/// [`System::from_warm`] from one [`Warm`] value (the path
+/// `autorfm_campaign::run_batch_fallible` takes) must equal the standalone
+/// run of their own configuration, whether the warm state came from a cold
+/// machine or from one rebuilt from a captured [`System::warm_state`].
 #[cfg(test)]
 mod batch {
     mod tests {
         use crate::config::MappingKind;
         use crate::experiments::Scenario;
-        use crate::{KernelKind, SimConfig, System};
+        use crate::{KernelKind, SimConfig, System, Warm};
         use autorfm_workloads::WorkloadSpec;
 
         fn lane_cfg(scenario: Scenario) -> SimConfig {
@@ -102,12 +102,11 @@ mod batch {
                 .unwrap()
         }
 
-        /// Forks and runs every lane from `donor`, one after another.
-        fn run_lanes(donor: &System, cfgs: &[SimConfig]) -> Vec<String> {
+        /// Builds and runs every lane from `warm`, one after another.
+        fn run_lanes(warm: &Warm, cfgs: &[SimConfig]) -> Vec<String> {
             cfgs.iter()
                 .map(|cfg| {
-                    let result = donor
-                        .fork_warm(cfg.clone())
+                    let result = System::from_warm(cfg.clone(), warm)
                         .unwrap()
                         .run_with(KernelKind::Event);
                     format!("{result:?}")
@@ -125,8 +124,8 @@ mod batch {
                 Scenario::Rfm { th: 8 },
             ];
             let cfgs: Vec<SimConfig> = scenarios.iter().map(|&s| lane_cfg(s)).collect();
-            let donor = System::new(cfgs[0].clone()).unwrap();
-            let results = run_lanes(&donor, &cfgs);
+            let warm = System::new(cfgs[0].clone()).unwrap().into_warm().unwrap();
+            let results = run_lanes(&warm, &cfgs);
             for (cfg, batched) in cfgs.into_iter().zip(&results) {
                 let standalone = System::new(cfg).unwrap().run_with(KernelKind::Event);
                 assert_eq!(
@@ -144,9 +143,12 @@ mod batch {
                 lane_cfg(Scenario::Rfm { th: 8 }),
             ];
             let cold = System::new(cfgs[0].clone()).unwrap();
-            let warm = cold.warm_state();
-            let seeded = System::new_from_warm(cfgs[0].clone(), &warm).unwrap();
-            assert_eq!(run_lanes(&seeded, &cfgs), run_lanes(&cold, &cfgs));
+            let bytes = cold.warm_state();
+            let seeded = System::new_from_warm(cfgs[0].clone(), &bytes).unwrap();
+            assert_eq!(
+                run_lanes(&seeded.into_warm().unwrap(), &cfgs),
+                run_lanes(&cold.into_warm().unwrap(), &cfgs)
+            );
         }
 
         #[test]
@@ -157,8 +159,8 @@ mod batch {
                 ..lane_cfg(Scenario::AutoRfm { th: 4 })
             };
             let donor = System::new(a).unwrap();
-            assert!(donor.fork_warm(b.clone()).is_err());
-            assert!(System::new_from_warm(b, &donor.warm_state()).is_err());
+            assert!(System::new_from_warm(b.clone(), &donor.warm_state()).is_err());
+            assert!(System::from_warm(b, &donor.into_warm().unwrap()).is_err());
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::config::{MappingKind, SimConfig};
 use crate::result::SimResult;
-use autorfm_cpu::{Core, InstructionStream, Op, Uncore};
+use autorfm_cpu::{CompletionIndex, CompletionTable, Core, InstructionStream, Llc, Op, Uncore};
 use autorfm_dram::{DramConfig, DramDevice};
 use autorfm_mapping::{LinearMap, MemoryMap, RubixMap, ZenMap};
 use autorfm_memctrl::MemController;
@@ -89,6 +89,22 @@ struct Telemetry {
     sink: Box<dyn Sink>,
 }
 
+/// What warmup produces for one shape ([`warm_digest`]): each core's
+/// workload stream and the warmed LLC. It holds no per-run state, so one
+/// value serves every run of the shape, on any thread.
+#[derive(Clone)]
+pub struct Warm {
+    digest: u64,
+    streams: Vec<WorkloadGen>,
+    llc: Llc,
+}
+
+// Lanes on many worker threads share one `Warm`.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Warm>();
+};
+
 /// The full simulated machine: cores + LLC + memory controller + DRAM.
 pub struct System {
     cfg: SimConfig,
@@ -123,15 +139,20 @@ impl System {
     ///
     /// Returns [`ConfigError`] if any component configuration is invalid.
     pub fn new(cfg: SimConfig) -> Result<Self, ConfigError> {
-        let mut system = Self::assemble(cfg)?;
+        let streams = fresh_streams(&cfg);
+        let uncore = Uncore::new(cfg.uncore)?;
+        let mut system = Self::assemble(cfg, streams, uncore)?;
         system.warmup();
         Ok(system)
     }
 
-    /// Builds the machine without running warmup (used by [`System::new`],
-    /// [`System::restore`], and [`System::new_from_warm`], which overwrite the
-    /// warm state anyway).
-    fn assemble(cfg: SimConfig) -> Result<Self, ConfigError> {
+    /// Builds the machine around the given warm parts — one workload stream
+    /// per core and the uncore — with every other component fresh.
+    fn assemble(
+        cfg: SimConfig,
+        streams: Vec<WorkloadGen>,
+        uncore: Uncore,
+    ) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let map: Box<dyn MemoryMap> = match cfg.mapping {
             MappingKind::Zen => Box::new(ZenMap::new(cfg.geometry)?),
@@ -150,16 +171,13 @@ impl System {
             cfg.seed,
         )?;
         let mc = MemController::new(map, device, cfg.mc);
-        let uncore = Uncore::new(cfg.uncore)?;
         let line_mask = cfg.geometry.total_lines() - 1;
         let cores = (0..cfg.num_cores)
             .map(|i| Core::new(i, cfg.core_params))
             .collect::<Vec<_>>();
-        let streams = (0..cfg.num_cores)
-            .map(|i| BoundedStream {
-                inner: WorkloadGen::new(cfg.workload_of(i), i, cfg.seed),
-                line_mask,
-            })
+        let streams = streams
+            .into_iter()
+            .map(|inner| BoundedStream { inner, line_mask })
             .collect();
         let telemetry = cfg.telemetry.as_ref().map(|t| {
             let epoch = t.epoch.unwrap_or(cfg.timings.t_refi);
@@ -493,13 +511,9 @@ impl System {
         w.put_u64(config_digest(&self.cfg));
         self.now.encode(&mut w);
         self.finish_at.encode(&mut w);
-        w.put_usize(self.streams.len());
-        for s in &self.streams {
-            s.inner.save_state(&mut w);
-        }
         // The uncore must be encoded before the cores: encoding it builds the
         // index that names each in-flight miss the cores wait on.
-        let index = self.uncore.snapshot_state(&mut w);
+        let index = self.encode_warm_parts(&mut w);
         for core in &self.cores {
             core.snapshot_state(&mut w, &index);
         }
@@ -529,29 +543,20 @@ impl System {
                 "cannot restore into a telemetry-enabled configuration",
             ));
         }
-        let mut sys = Self::assemble(cfg)
-            .map_err(|e| SnapError::corrupt(format!("invalid configuration: {e}")))?;
         let mut r = Reader::new(&c.payload);
-        let digest = r.take_u64()?;
-        if digest != config_digest(&sys.cfg) {
+        if r.take_u64()? != config_digest(&cfg) {
             return Err(SnapError::corrupt(
                 "snapshot was taken under a different configuration",
             ));
         }
-        sys.now = Cycle::decode(&mut r)?;
+        let now = Cycle::decode(&mut r)?;
         let finish_at: Vec<Option<Cycle>> = Vec::decode(&mut r)?;
+        let (mut sys, table) = Self::decode_warm_parts(cfg, &mut r)?;
         if finish_at.len() != sys.cores.len() {
             return Err(SnapError::corrupt("finish-time count mismatch"));
         }
+        sys.now = now;
         sys.finish_at = finish_at;
-        let n = r.take_usize()?;
-        if n != sys.streams.len() {
-            return Err(SnapError::corrupt("workload stream count mismatch"));
-        }
-        for s in &mut sys.streams {
-            s.inner.load_state(&mut r)?;
-        }
-        let table = sys.uncore.restore_state(&mut r)?;
         for core in &mut sys.cores {
             core.restore_state(&mut r, &table)?;
         }
@@ -565,26 +570,51 @@ impl System {
     /// Serializes only the warm state — the workload streams and the warmed
     /// LLC — into a sealed [`KIND_WARM`] container. Taken right after
     /// construction (before any [`System::run`] steps), this captures exactly
-    /// what warmup produced, so N scenario runs over the same workload can
-    /// fork from one shared warmup via [`System::new_from_warm`] instead of
-    /// each re-simulating it.
+    /// what warmup produced, so N scenario runs over the same workload, in
+    /// this process or another, can start from one shared warmup via
+    /// [`System::new_from_warm`] instead of each re-simulating it.
     pub fn warm_state(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u64(warm_digest(&self.cfg));
-        w.put_usize(self.streams.len());
-        for s in &self.streams {
-            s.inner.save_state(&mut w);
-        }
-        let _ = self.uncore.snapshot_state(&mut w);
+        let _ = self.encode_warm_parts(&mut w);
         seal(KIND_WARM, w.bytes())
     }
 
+    /// Writes the workload streams and the uncore, the block
+    /// [`System::snapshot`] and [`System::warm_state`] share.
+    fn encode_warm_parts(&self, w: &mut Writer) -> CompletionIndex {
+        w.put_usize(self.streams.len());
+        for s in &self.streams {
+            s.inner.save_state(w);
+        }
+        self.uncore.snapshot_state(w)
+    }
+
+    /// Decodes what [`System::encode_warm_parts`] wrote; builds the machine around it.
+    fn decode_warm_parts(
+        cfg: SimConfig,
+        r: &mut Reader<'_>,
+    ) -> Result<(Self, CompletionTable), SnapError> {
+        if r.take_usize()? != usize::from(cfg.num_cores) {
+            return Err(SnapError::corrupt("workload stream count mismatch"));
+        }
+        let mut streams = fresh_streams(&cfg);
+        for s in &mut streams {
+            s.load_state(r)?;
+        }
+        let (uncore, table) = Uncore::decode_state(cfg.uncore, r)?;
+        let sys = Self::assemble(cfg, streams, uncore)
+            .map_err(|e| SnapError::corrupt(format!("invalid configuration: {e}")))?;
+        Ok((sys, table))
+    }
+
     /// Builds the machine described by `cfg`, skipping warmup and adopting
-    /// the warm state captured by [`System::warm_state`] instead. The result
-    /// is bitwise identical to `System::new(cfg)` whenever the warm snapshot
-    /// came from a configuration with the same [`warm_digest`] — workloads,
-    /// core count, seed, warmup length, LLC shape, and geometry all agree —
-    /// even if mitigation, mapping, or timings differ.
+    /// the warm state captured by [`System::warm_state`] instead (the
+    /// serialized [`System::from_warm`]). The result is bitwise identical to
+    /// `System::new(cfg)` whenever the warm snapshot came from a
+    /// configuration with the same [`warm_digest`] — workloads, core count,
+    /// seed, warmup length, LLC shape, and geometry all agree — even if
+    /// mitigation, mapping, or timings differ.
     ///
     /// # Errors
     ///
@@ -598,62 +628,52 @@ impl System {
                 c.kind
             )));
         }
-        let mut sys = Self::assemble(cfg)
-            .map_err(|e| SnapError::corrupt(format!("invalid configuration: {e}")))?;
         let mut r = Reader::new(&c.payload);
-        let digest = r.take_u64()?;
-        if digest != warm_digest(&sys.cfg) {
+        if r.take_u64()? != warm_digest(&cfg) {
             return Err(SnapError::corrupt(
                 "warm snapshot was taken under an incompatible configuration",
             ));
         }
-        let n = r.take_usize()?;
-        if n != sys.streams.len() {
-            return Err(SnapError::corrupt("workload stream count mismatch"));
-        }
-        for s in &mut sys.streams {
-            s.inner.load_state(&mut r)?;
-        }
         // Warmup allocates no MSHRs, so the completion table is empty.
-        let _ = sys.uncore.restore_state(&mut r)?;
+        let (sys, _) = Self::decode_warm_parts(cfg, &mut r)?;
         if !r.is_empty() {
             return Err(SnapError::corrupt("trailing bytes after warm state"));
         }
         Ok(sys)
     }
 
-    /// In-memory warm fork: builds the machine described by `cfg`, adopting
-    /// this just-constructed machine's warm state (workload stream positions,
-    /// warmed LLC, uncore statistics) by direct clone instead of the
-    /// [`System::warm_state`] / [`System::new_from_warm`] serialization round
-    /// trip. Equivalent to that pair — the encode/decode is an identity on a
-    /// quiescent machine — but skips pushing the multi-megabyte LLC image
-    /// through the snapshot codec. This is how every batched lane is built:
-    /// `autorfm_campaign::run_batch_fallible` keeps one never-stepped donor
-    /// per work unit and forks each lane from it just before running it.
+    /// Gives up this machine, keeping only its warm state for
+    /// [`System::from_warm`].
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if `cfg` is invalid, the warm digests
-    /// disagree, or this machine has already stepped (warm state is only
-    /// well-defined straight after construction).
-    pub fn fork_warm(&self, cfg: SimConfig) -> Result<Self, ConfigError> {
-        if warm_digest(&cfg) != warm_digest(&self.cfg) {
-            return Err(ConfigError::new(
-                "warm fork requires a configuration with a matching warm digest",
-            ));
-        }
+    /// Returns [`ConfigError`] if the machine has stepped: warm state is
+    /// only well-defined straight after construction.
+    pub fn into_warm(self) -> Result<Warm, ConfigError> {
         if self.now != Cycle::ZERO {
-            return Err(ConfigError::new(
-                "warm fork donor must not have simulated any steps",
-            ));
+            return Err(ConfigError::new("warm state of a stepped machine"));
         }
-        let mut sys = Self::assemble(cfg)?;
-        for (dst, src) in sys.streams.iter_mut().zip(&self.streams) {
-            dst.inner = src.inner.clone();
+        Ok(Warm {
+            digest: warm_digest(&self.cfg),
+            streams: self.streams.into_iter().map(|s| s.inner).collect(),
+            llc: self.uncore.into_llc(),
+        })
+    }
+
+    /// Builds the machine described by `cfg` around clones of `warm`'s
+    /// streams and LLC instead of running warmup: bitwise identical to
+    /// `System::new(cfg)`. Every batched lane is built this way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if `cfg` is invalid or its [`warm_digest`]
+    /// differs from the one `warm` was built under.
+    pub fn from_warm(cfg: SimConfig, warm: &Warm) -> Result<Self, ConfigError> {
+        if warm_digest(&cfg) != warm.digest {
+            return Err(ConfigError::new("warm state of another shape"));
         }
-        sys.uncore = self.uncore.fork_warm();
-        Ok(sys)
+        let uncore = Uncore::with_llc(cfg.uncore, warm.llc.clone())?;
+        Self::assemble(cfg, warm.streams.clone(), uncore)
     }
 
     /// The current simulation time.
@@ -675,6 +695,13 @@ impl System {
     pub fn uncore(&self) -> &Uncore {
         &self.uncore
     }
+}
+
+/// Each core's workload stream as construction leaves it, before warmup.
+fn fresh_streams(cfg: &SimConfig) -> Vec<WorkloadGen> {
+    (0..cfg.num_cores)
+        .map(|i| WorkloadGen::new(cfg.workload_of(i), i, cfg.seed))
+        .collect()
 }
 
 /// Digest of every configuration field, used to guard [`System::restore`]
@@ -978,6 +1005,21 @@ mod tests {
         let forked = System::new_from_warm(rfm_cfg, &warm).unwrap().run();
         assert_eq!(cold.elapsed, forked.elapsed);
         assert_eq!(cold.per_core_ipc, forked.per_core_ipc);
+    }
+
+    #[test]
+    fn into_warm_refuses_a_stepped_machine() {
+        let spec = WorkloadSpec::by_name("mcf").unwrap();
+        let cfg = SimConfig::builder(spec)
+            .scenario(Scenario::AutoRfm { th: 4 })
+            .cores(2)
+            .instructions(5_000)
+            .build()
+            .unwrap();
+        let mut stepped = System::new(cfg.clone()).unwrap();
+        assert!(stepped.run_steps(10).is_none());
+        assert!(stepped.into_warm().is_err());
+        assert!(System::new(cfg).unwrap().into_warm().is_ok());
     }
 
     #[test]

@@ -378,7 +378,7 @@ impl Core {
 
     /// Restores the state saved by [`Core::snapshot_state`] into a core
     /// constructed with the same parameters. `table` must come from the
-    /// same-restore [`Uncore::restore_state`] call.
+    /// same-restore [`Uncore::decode_state`] call.
     ///
     /// # Errors
     ///

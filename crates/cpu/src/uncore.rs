@@ -113,7 +113,7 @@ impl CompletionIndex {
 }
 
 /// Fresh pending [`Completion`] handles recreated by
-/// [`Uncore::restore_state`], keyed by MSHR slot. Cores use it to re-link
+/// [`Uncore::decode_state`], keyed by MSHR slot. Cores use it to re-link
 /// restored ROB entries to the same handles the MSHRs will resolve.
 pub struct CompletionTable {
     map: HashMap<(u64, u32), Completion>,
@@ -162,18 +162,27 @@ impl core::fmt::Debug for Uncore {
 }
 
 impl Uncore {
-    /// Creates the uncore.
+    /// Creates the uncore with an empty LLC.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the LLC parameters are invalid or
     /// `mshr_entries == 0`.
     pub fn new(params: UncoreParams) -> Result<Self, ConfigError> {
+        Self::with_llc(params, Llc::new(params.llc)?)
+    }
+
+    /// Creates a quiescent uncore around `llc`, of the shape `params.llc`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if `mshr_entries == 0`.
+    pub fn with_llc(params: UncoreParams, llc: Llc) -> Result<Self, ConfigError> {
         if params.mshr_entries == 0 {
             return Err(ConfigError::new("need at least one MSHR"));
         }
         Ok(Uncore {
-            llc: Llc::new(params.llc)?,
+            llc,
             params,
             mshrs: HashMap::new(),
             outbox: VecDeque::new(),
@@ -186,29 +195,9 @@ impl Uncore {
         &self.stats
     }
 
-    /// A fresh uncore adopting this one's warm state — LLC contents and
-    /// access statistics — as a direct in-memory clone, skipping the
-    /// serialize/deserialize round trip of [`Uncore::snapshot_state`] /
-    /// [`Uncore::restore_state`] (equivalent to it for a quiescent uncore,
-    /// at a fraction of the cost — the LLC is megabytes of ways).
-    ///
-    /// # Panics
-    ///
-    /// Panics if misses are in flight or the outbox is non-empty: completion
-    /// handles are shared [`Rc`]s that must not span machines, so only a
-    /// quiescent (just-warmed-up) uncore may fork.
-    pub fn fork_warm(&self) -> Self {
-        assert!(
-            self.mshrs.is_empty() && self.outbox.is_empty(),
-            "warm fork requires a quiescent uncore (no in-flight misses)"
-        );
-        Uncore {
-            llc: self.llc.clone(),
-            params: self.params,
-            mshrs: HashMap::new(),
-            outbox: VecDeque::new(),
-            stats: self.stats.clone(),
-        }
+    /// Gives up the uncore, keeping only its (warmed) LLC.
+    pub fn into_llc(self) -> Llc {
+        self.llc
     }
 
     /// The shared LLC (for hit/miss statistics).
@@ -454,22 +443,24 @@ impl Uncore {
         CompletionIndex { map }
     }
 
-    /// Restores the state saved by [`Uncore::snapshot_state`] into an uncore
-    /// constructed with the same parameters. Pending misses get fresh
-    /// completion handles; the returned [`CompletionTable`] lets cores re-link
-    /// their ROB entries to them.
+    /// Rebuilds the uncore saved by [`Uncore::snapshot_state`] under
+    /// `params`. Pending misses get fresh completion handles; the returned
+    /// [`CompletionTable`] lets cores re-link their ROB entries to them.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] if the snapshot is inconsistent with this
-    /// uncore's configuration or malformed.
-    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<CompletionTable, SnapError> {
-        self.llc = Llc::decode(r)?;
+    /// Returns [`SnapError`] if `params` are invalid, or the snapshot is
+    /// inconsistent with them or malformed.
+    pub fn decode_state(
+        params: UncoreParams,
+        r: &mut Reader<'_>,
+    ) -> Result<(Self, CompletionTable), SnapError> {
+        let mut uncore = Self::with_llc(params, Llc::decode(r)?)
+            .map_err(|e| SnapError::corrupt(format!("invalid configuration: {e}")))?;
         let n = r.take_usize()?;
-        if n > self.params.mshr_entries {
+        if n > params.mshr_entries {
             return Err(SnapError::corrupt("MSHR count exceeds capacity"));
         }
-        self.mshrs.clear();
         let mut map = HashMap::new();
         for _ in 0..n {
             let line = r.take_u64()?;
@@ -484,7 +475,7 @@ impl Uncore {
                 map.insert((line, i as u32), Rc::clone(&c));
                 waiters.push(c);
             }
-            if self
+            if uncore
                 .mshrs
                 .insert(
                     line,
@@ -498,9 +489,9 @@ impl Uncore {
                 return Err(SnapError::corrupt("duplicate MSHR line"));
             }
         }
-        self.outbox = VecDeque::decode(r)?;
-        self.stats = UncoreStats::decode(r)?;
-        Ok(CompletionTable { map })
+        uncore.outbox = VecDeque::decode(r)?;
+        uncore.stats = UncoreStats::decode(r)?;
+        Ok((uncore, CompletionTable { map }))
     }
 }
 

@@ -1263,10 +1263,20 @@ impl<M: MemoryMap> MemController<M> {
         for q in &mut self.queues {
             *q = std::collections::VecDeque::decode(r)?;
         }
+        let (banks, subchannels) = (self.queues.len(), self.bus_free.len());
         self.bank_hold_until = Vec::decode(r)?;
         self.raa = Vec::decode(r)?;
         self.bus_free = Vec::decode(r)?;
         self.miss_serviced = Vec::decode(r)?;
+        // The tick indexes these columns by bank and sub-channel unchecked.
+        let per_bank = [
+            self.bank_hold_until.len(),
+            self.raa.len(),
+            self.miss_serviced.len(),
+        ];
+        if per_bank != [banks; 3] || self.bus_free.len() != subchannels {
+            return Err(SnapError::corrupt("bank or sub-channel count mismatch"));
+        }
         let nw = r.take_usize()?;
         if nw != self.wqueues.len() {
             return Err(SnapError::corrupt("write-queue count mismatch"));
@@ -1288,6 +1298,9 @@ impl<M: MemoryMap> MemController<M> {
         self.responses = Vec::decode(r)?;
         self.stats = McStats::decode(r)?;
         self.rr_start = r.take_usize()?;
+        if self.rr_start >= banks {
+            return Err(SnapError::corrupt("round-robin start beyond the banks"));
+        }
         self.prev_ref_epoch = r.take_u64()?;
         self.device.restore_state(r)?;
         // The wake cache and queue indexes are redundant state: they are
@@ -1808,6 +1821,30 @@ mod tests {
         assert_eq!(Some(wake), m.device().next_event_at(now), "a bank is due");
         assert!(wake > now + STEP, "the next REF is due next step");
         assert!(m.tick_or_skip(now + STEP), "a quiet tick was not elided");
+    }
+
+    /// Snapshots `forge(controller)` and restores it into a fresh one.
+    fn restore_forged(forge: impl FnOnce(&mut MemController<ZenMap>)) -> Result<(), SnapError> {
+        let mut m = mc(DeviceMitigation::None);
+        forge(&mut m);
+        let mut w = Writer::new();
+        m.snapshot_state(&mut w);
+        mc(DeviceMitigation::None).restore_state(&mut Reader::new(w.bytes()))
+    }
+
+    #[test]
+    fn restore_rejects_a_round_robin_start_beyond_the_banks() {
+        assert!(restore_forged(|_| {}).is_ok());
+        assert!(restore_forged(|m| m.rr_start = 10_000).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_per_bank_columns_of_another_length() {
+        assert!(restore_forged(|m| {
+            m.bank_hold_until.pop();
+        })
+        .is_err());
+        assert!(restore_forged(|m| m.bus_free.push(Cycle::ZERO)).is_err());
     }
 
     #[test]

@@ -107,8 +107,10 @@ echo "== attack fuzzer smoke (escape curves + OracleRH strictly-hardest gate) ==
 # the lowest watched threshold (nonzero curve coverage) AND the MINT/PrIDE
 # curves sit inside the closed-form run-of-successes expectation band.
 # Per-candidate seeds derive from genome digests, so the sweep is
-# bit-identical at any --jobs. Evaluations persist into a scratch store for
-# the warm-store smoke below.
+# bit-identical at any --jobs. Evaluations persist into a scratch store that
+# the campaign smoke below reuses; that a rerun over a warm store simulates
+# nothing and reproduces the archive is pinned by
+# crates/bench/tests/fuzz_store.rs under cargo test.
 FUZZ_STORE="$(mktemp -d)"
 CAMPAIGND_PID=""
 # On any exit, stop the campaign daemon (if a failing step left it running)
@@ -118,30 +120,6 @@ fuzz_out="$(cargo run --release -p autorfm-bench --bin attack_fuzz -- \
     --jobs "${JOBS}" --store "${FUZZ_STORE}")"
 printf '%s\n' "${fuzz_out}"
 printf '%s\n' "${fuzz_out}" | tail -n 1 > results/attack_fuzz.json
-
-echo "== attack_fuzz warm-store smoke (the store answers every genome) =="
-# A second run over the populated store must simulate nothing: every genome
-# is answered from disk and the survivor archives come out bit-identical
-# (same archive digest). This is the persistence analogue of the campaign
-# dedup gate below.
-resume_fuzz_out="$(cargo run --release -p autorfm-bench --bin attack_fuzz -- \
-    --jobs "${JOBS}" --store "${FUZZ_STORE}")"
-printf '%s\n' "${resume_fuzz_out}" | tail -n 1 > results/attack_fuzz_resume.json
-python3 - <<'EOF'
-import json
-
-with open("results/attack_fuzz.json") as f:
-    cold = json.load(f)
-with open("results/attack_fuzz_resume.json") as f:
-    warm = json.load(f)
-assert warm["sim_evaluated"] == 0, \
-    f"resume re-simulated {warm['sim_evaluated']} stored genomes"
-assert warm["store_hits"] > 0, "resume answered nothing from the store"
-assert warm["archive_digest"] == cold["archive_digest"], \
-    f"resume archive digest {warm['archive_digest']} != cold {cold['archive_digest']}"
-print(f"attack_fuzz warm store: 0 re-evaluations, {warm['store_hits']} store hits, "
-      f"archive digest {warm['archive_digest']} reproduced")
-EOF
 
 echo "== campaign service smoke (campaignd + campaign CLI) =="
 # Boot the always-on sweep server on an ephemeral port over the fuzz store

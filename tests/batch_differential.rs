@@ -1,10 +1,11 @@
 //! Differential tests: warm-forked lanes must be observationally identical
 //! to standalone runs.
 //!
-//! Batched cells share warmup: one never-stepped donor warms up and every
-//! lane is built from it with [`System::fork_warm`]. That is a construction
-//! shortcut only: these tests fork a (workload × tracker) matrix from one
-//! donor per workload — on both kernels — and require every lane's
+//! Batched cells share warmup: one never-stepped machine warms up and gives
+//! up its [`autorfm::Warm`] state ([`System::into_warm`]), and every lane is
+//! built from it with [`System::from_warm`]. That is a construction shortcut
+//! only: these tests build a (workload × tracker) matrix from one warm state
+//! per workload — on both kernels — and require every lane's
 //! [`SimResult`] and sealed-snapshot digest to match a standalone run of the
 //! same configuration, including snapshots taken mid-run and resumed.
 
@@ -16,7 +17,7 @@ use autorfm_workloads::WorkloadSpec;
 /// Same full-stack smoke shape as `tests/kernel_differential.rs`. All
 /// trackers share one warm digest (trackers are scenario-level state), so
 /// the per-workload tracker sweep is exactly the same-shape lane set one
-/// donor serves.
+/// warm state serves.
 fn smoke_config(workload: &str, tracker: TrackerKind) -> SimConfig {
     let spec = WorkloadSpec::by_name(workload).expect("known workload");
     SimConfig::builder(spec)
@@ -50,17 +51,17 @@ fn snapshot_digest(sys: &System) -> u64 {
         .digest
 }
 
-/// Every forked lane must finish bitwise identical to a standalone run of
+/// Every lane built from warm state must finish bitwise identical to a standalone run of
 /// its configuration — results and final machine state — on both kernels.
 #[test]
 fn batch_lanes_match_standalone_across_matrix() {
     for kernel in [KernelKind::Event, KernelKind::Stepped] {
         for workload in ["mcf", "wrf"] {
             let cfgs = tracker_lanes(workload);
-            let donor = System::new(cfgs[0].clone()).unwrap();
+            let warm = System::new(cfgs[0].clone()).unwrap().into_warm().unwrap();
             for (i, cfg) in cfgs.into_iter().enumerate() {
                 let tracker = trackers::names()[i];
-                let mut lane = donor.fork_warm(cfg.clone()).expect("same-shape lane");
+                let mut lane = System::from_warm(cfg.clone(), &warm).expect("same-shape lane");
                 let forked = lane.run_with(kernel);
                 let mut standalone = System::new(cfg).unwrap();
                 let r = standalone.run_with(kernel);
@@ -83,19 +84,17 @@ fn batch_lanes_match_standalone_across_matrix() {
     }
 }
 
-/// A forked lane snapshotted mid-run must (a) hash identically to a
+/// A lane snapshotted mid-run must (a) hash identically to a
 /// standalone run paused at the same step boundary, and (b) restore into a
 /// system that finishes bitwise identical to the live lane itself.
 #[test]
 fn mid_run_lane_snapshot_restores_identically() {
     let cfgs = tracker_lanes("mcf");
-    let probed = 1usize; // an arbitrary lane other than the donor's own
+    let probed = 1usize; // an arbitrary lane other than lane 0
     let budget = 500;
 
-    let donor = System::new(cfgs[0].clone()).unwrap();
-    let mut lane = donor
-        .fork_warm(cfgs[probed].clone())
-        .expect("same-shape lane");
+    let warm = System::new(cfgs[0].clone()).unwrap().into_warm().unwrap();
+    let mut lane = System::from_warm(cfgs[probed].clone(), &warm).expect("same-shape lane");
     assert!(
         lane.run_steps_with(budget, KernelKind::Event).is_none(),
         "checkpoint must land mid-run"
