@@ -15,7 +15,8 @@
 //! * `--telemetry` — record epoch time series and full final-metric
 //!   registries in each target's manifest (see [`experiments::Ctx`]),
 //! * `--epoch-ns N` — telemetry sampling window (default: one tREFI),
-//! * `--telemetry-csv DIR` — stream each run's epoch series as CSV,
+//! * `--telemetry-csv DIR` — write each simulated cell's epoch series as
+//!   CSV into `DIR` (see [`ResultCache::new`]),
 //! * `--store DIR` — persist and reload every simulation through the
 //!   content-addressed cell store at `DIR` (see [`ResultCache::new`]),
 //! * `--tracker NAME` — tracker override for the tracker-sweep targets.
@@ -80,8 +81,8 @@ pub struct RunOpts {
     /// Telemetry epoch length in nanoseconds (`--epoch-ns N`, implies
     /// `--telemetry`; default: one tREFI).
     pub epoch_ns: Option<u64>,
-    /// Stream each run's epoch series as CSV into this directory
-    /// (`--telemetry-csv DIR`, implies `--telemetry`).
+    /// Write each simulated cell's epoch series as CSV into this directory
+    /// (`--telemetry-csv DIR`, implies `--telemetry`; [`ResultCache::new`]).
     pub telemetry_csv: Option<PathBuf>,
     /// Root of the campaign service's content-addressed cell store
     /// (`--store DIR`). When set, [`ResultCache::new`] reads and writes
@@ -187,21 +188,10 @@ impl RunOpts {
 }
 
 /// Builds the [`TelemetryConfig`] `opts` asks for (`None` when disabled).
-/// `tag` names the streamed CSV file inside `opts.telemetry_csv`.
-pub fn telemetry_config(opts: &RunOpts, tag: &str) -> Option<TelemetryConfig> {
-    if !opts.telemetry {
-        return None;
-    }
-    let csv_path = opts.telemetry_csv.as_ref().map(|dir| {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: could not create {}: {e}", dir.display());
-        }
-        dir.join(format!("{tag}.csv"))
-    });
-    Some(TelemetryConfig {
+pub fn telemetry_config(opts: &RunOpts) -> Option<TelemetryConfig> {
+    opts.telemetry.then(|| TelemetryConfig {
         epoch: opts.epoch_ns.map(Cycle::from_ns),
         max_samples: None,
-        csv_path,
     })
 }
 
@@ -211,7 +201,8 @@ pub fn telemetry_config(opts: &RunOpts, tag: &str) -> Option<TelemetryConfig> {
 /// [`SimConfig::key`], so two jobs with equal configurations are one
 /// simulation whatever their labels say. The label (`"workload/scenario"`,
 /// plus one `/tag` per [`SimJob::variant`]) only names the cell — in
-/// manifests, in [`CellFailure`] records and in telemetry CSV file names.
+/// manifests, in [`CellFailure`] records and in the telemetry CSV file the
+/// cell's first requester gets.
 #[derive(Debug, Clone)]
 pub struct SimJob {
     /// Human-readable name of the cell.
@@ -229,33 +220,19 @@ impl SimJob {
         let mut cfg = SimConfig::scenario(spec, scenario);
         cfg.num_cores = opts.cores;
         cfg.instructions_per_core = opts.instructions;
-        cfg.telemetry = telemetry_config(opts, &csv_tag(&label));
+        cfg.telemetry = telemetry_config(opts);
         SimJob { label, cfg }
     }
 
     /// This cell with `tweak` applied to its configuration, labelled
     /// `"{label}/{tag}"`. A tweak that restates a value the configuration
-    /// already has leaves the cell — and its key — unchanged (unless a
-    /// telemetry CSV file, named after the label, is streamed).
+    /// already has leaves the cell — and its key — unchanged.
     #[must_use]
     pub fn variant(mut self, tag: &str, tweak: impl FnOnce(&mut SimConfig)) -> Self {
         self.label = format!("{}/{tag}", self.label);
         tweak(&mut self.cfg);
-        if let Some(path) = self
-            .cfg
-            .telemetry
-            .as_mut()
-            .and_then(|t| t.csv_path.as_mut())
-        {
-            path.set_file_name(format!("{}.csv", csv_tag(&self.label)));
-        }
         self
     }
-}
-
-/// The telemetry CSV file stem of a job label: `workload__scenario[__tag]`.
-fn csv_tag(label: &str) -> String {
-    label.replace('/', "__")
 }
 
 /// Applies `f` to every item on `jobs` scoped worker threads, returning
@@ -325,6 +302,7 @@ pub struct ResultCache {
     results: Mutex<HashMap<u64, CacheSlot>>,
     runs: AtomicUsize,
     store: Option<CellStore>,
+    csv_dir: Option<PathBuf>,
     failures: Mutex<Vec<CellFailure>>,
 }
 
@@ -365,14 +343,25 @@ impl ResultCache {
     /// persisted — so a killed experiment resumes instead of starting over.
     /// Without one (or if it cannot be opened, with a warning) the cache
     /// lives in memory only, like `ResultCache::default()`.
+    ///
+    /// With `--telemetry-csv DIR`, every cell this cache simulates writes its
+    /// epoch series to `DIR/<label, / as __>.csv` (e.g. `mcf__AutoRFM-4.csv`)
+    /// once it completes: one file per distinct cell, named after the job
+    /// that first requested it.
     pub fn new(opts: &RunOpts) -> Self {
         let store = opts.store.as_ref().and_then(|root| {
             CellStore::open(root)
                 .map_err(|e| eprintln!("warning: could not open store {}: {e}", root.display()))
                 .ok()
         });
+        let csv_dir = opts.telemetry_csv.clone().filter(|dir| {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| eprintln!("warning: could not create {}: {e}", dir.display()))
+                .is_ok()
+        });
         ResultCache {
             store,
+            csv_dir,
             ..Self::default()
         }
     }
@@ -426,6 +415,24 @@ impl ResultCache {
             .lock()
             .expect("failures lock poisoned")
             .clone()
+    }
+
+    /// Writes a freshly simulated cell's epoch series as CSV when a
+    /// `--telemetry-csv` directory is configured. A failed write warns and
+    /// leaves the result alone.
+    fn write_csv(&self, job: &SimJob, result: &SimResult) {
+        let (Some(dir), Some(series)) = (&self.csv_dir, &result.series) else {
+            return;
+        };
+        let path = dir.join(format!("{}.csv", job.label.replace('/', "__")));
+        let written = std::fs::File::create(&path)
+            .and_then(|file| series.write_csv(std::io::BufWriter::new(file)));
+        if let Err(e) = written {
+            eprintln!(
+                "warning: could not write telemetry CSV {}: {e}",
+                path.display()
+            );
+        }
     }
 
     /// Records one failed cell: a structured [`CellFailure`] in memory and,
@@ -517,6 +524,7 @@ impl ResultCache {
                         if job.cfg.telemetry.is_none() {
                             self.persist(*key, Ok(&result));
                         }
+                        self.write_csv(job, &result);
                         Ok(Arc::new(result))
                     }
                     Err(error) => {

@@ -100,3 +100,60 @@ fn resume_reruns_a_target_whose_options_changed() {
     assert!(run_all(&["--resume", "--jobs", "1"]).contains(SKIPPED));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every ablation variant and seed-sensitivity point is a cell keyed by the
+/// full configuration it runs, so a second run over the first run's
+/// `--store`, with a fresh cache, simulates only what the store cannot hold:
+/// seed_sensitivity's AutoRFM-4 latency probes (one per seed and workload),
+/// which read a telemetry registry and so are never stored. Both reports
+/// come out byte for byte the same.
+#[test]
+fn rerun_over_a_populated_store_simulates_only_telemetry_cells() {
+    let dir = scratch("rerun-store");
+    let store = dir.join("store");
+    let opts = RunOpts::from_args(
+        [
+            "--workloads",
+            "mcf",
+            "--cores",
+            "2",
+            "--instructions",
+            "5000",
+            "--jobs",
+            "2",
+            "--store",
+        ]
+        .into_iter()
+        .map(String::from)
+        .chain([store.to_string_lossy().into_owned()]),
+    );
+    let entries: Vec<(&str, Experiment)> = ALL
+        .iter()
+        .copied()
+        .filter(|(name, _)| ["ablations", "seed_sensitivity"].contains(name))
+        .collect();
+    assert_eq!(entries.len(), 2);
+    let run = |out: &Path| {
+        let failures = experiments::run(&entries, &opts, &ResultCache::new(&opts), out, false);
+        assert!(failures.is_empty(), "{failures:?}");
+        let simulated = |target: &str| {
+            RunManifest::load(&out.join(format!("{target}.json")))
+                .unwrap()
+                .metrics
+                .get("simulations_run", &[])
+                .expect("every manifest counts its simulations")
+                .scalar() as usize
+        };
+        (simulated("ablations"), simulated("seed_sensitivity"))
+    };
+    let (first, second) = (dir.join("first"), dir.join("second"));
+    let (ablations, seeds) = run(&first);
+    assert!(ablations > 0 && seeds > 0, "the first run simulates");
+    let probes = 5 * opts.workloads.len();
+    assert_eq!(run(&second), (0, probes), "only the latency probes rerun");
+    for target in ["ablations", "seed_sensitivity"] {
+        let report = |out: &Path| std::fs::read(out.join(format!("{target}.txt"))).unwrap();
+        assert_eq!(report(&first), report(&second), "{target} report changed");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,6 +1,7 @@
-//! ISSUE-2 telemetry guarantees: the disabled (default) path is bitwise
-//! identical to a harness without telemetry, and the enabled path records
-//! epoch series and full metric registries without perturbing results.
+//! Telemetry guarantees: the disabled (default) path is bitwise identical to
+//! a harness without telemetry, the enabled path records epoch series and
+//! full metric registries without perturbing results, and `--telemetry-csv`
+//! writes each simulated cell's series.
 
 use autorfm::experiments::Scenario;
 use autorfm::{KernelKind, System};
@@ -111,7 +112,7 @@ fn epoch_length_controls_resolution_only() {
 }
 
 /// Telemetry runs go through the batched lanes like every other run: each
-/// lane keeps its own sink, so its epoch series equals a standalone
+/// lane keeps its own sampler, so its epoch series equals a standalone
 /// `System` run's series sample for sample.
 #[test]
 fn batched_lanes_record_the_standalone_series() {
@@ -120,7 +121,7 @@ fn batched_lanes_record_the_standalone_series() {
     let batched = run_matrix(&jobs, &opts);
     for (job, lane) in jobs.iter().zip(&batched) {
         let mut cfg = job.cfg.clone();
-        cfg.telemetry = telemetry_config(&opts, "standalone");
+        cfg.telemetry = telemetry_config(&opts);
         assert!(cfg.telemetry.is_some(), "telemetry on");
         let standalone = System::new(cfg).unwrap().run_with(KernelKind::Event);
         let want = &standalone
@@ -135,4 +136,53 @@ fn batched_lanes_record_the_standalone_series() {
         }
         assert_eq!(format!("{standalone:?}"), format!("{lane:?}"));
     }
+}
+
+/// `--telemetry-csv DIR` writes one file per simulated cell, named
+/// `<workload>__<scenario>.csv` after its label, holding exactly
+/// `EpochSeries::write_csv` of the cell's series. The directory is an output
+/// path, not part of any cell's identity.
+#[test]
+fn telemetry_csv_writes_each_cells_series() {
+    let dir = std::env::temp_dir().join(format!("autorfm-telemetry-csv-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let plain = quick_opts(true);
+    let mut opts = plain.clone();
+    opts.telemetry_csv = Some(dir.clone());
+    opts.workloads.truncate(1);
+    let jobs = matrix(&opts);
+    assert_eq!(jobs.len(), 2);
+    let results = run_matrix(&jobs, &opts);
+
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["mcf__AutoRFM-4.csv", "mcf__baseline-zen.csv"]);
+    for (job, result) in jobs.iter().zip(&results) {
+        let series = result
+            .series
+            .as_ref()
+            .expect("telemetry on records a series");
+        let mut want = Vec::new();
+        series.write_csv(&mut want).unwrap();
+        let got = std::fs::read(dir.join(format!("{}.csv", job.label.replace('/', "__")))).unwrap();
+        assert_eq!(got, want, "CSV of {}", job.label);
+        let lines = String::from_utf8(got).unwrap().lines().count();
+        assert_eq!(
+            lines,
+            series.samples.len() + 1,
+            "header + one row per sample"
+        );
+    }
+
+    let spec = opts.workloads[0];
+    for scenario in [BASELINE_ZEN, Scenario::AutoRfm { th: 4 }] {
+        let key = SimJob::new(spec, scenario, &plain).cfg.key();
+        assert_eq!(SimJob::new(spec, scenario, &opts).cfg.key(), key);
+        let restated = SimJob::new(spec, scenario, &opts).variant("same", |_| {});
+        assert_eq!(restated.cfg.key(), key, "a no-op variant is the same cell");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -313,6 +313,7 @@ mod tests {
             http::request(&addr, "POST", "/campaigns", Some(&req.to_json())).unwrap();
         assert_eq!(status, 200, "{submit:?}");
         let id = submit.get("id").and_then(Json::as_str).unwrap().to_string();
+        assert_eq!(submit.get("scheduled").and_then(Json::as_u64), Some(1));
 
         let deadline = Instant::now() + Duration::from_secs(300);
         loop {
@@ -335,6 +336,18 @@ mod tests {
         let (status, cell) = http::request(&addr, "GET", &format!("/cells/{key}"), None).unwrap();
         assert_eq!(status, 200);
         assert_eq!(cell.get("status").and_then(Json::as_str), Some("done"));
+
+        // Resubmitting a completed sweep is pure dedup: same campaign, no
+        // fresh work.
+        let (status, resubmit) =
+            http::request(&addr, "POST", "/campaigns", Some(&req.to_json())).unwrap();
+        assert_eq!(status, 200, "{resubmit:?}");
+        assert_eq!(resubmit.get("id").and_then(Json::as_str), Some(id.as_str()));
+        assert_eq!(
+            resubmit.get("scheduled").and_then(Json::as_u64),
+            Some(0),
+            "{resubmit:?}"
+        );
 
         let (status, _) = http::request(&addr, "GET", "/cells/zzz", None).unwrap();
         assert_eq!(status, 400);

@@ -63,11 +63,11 @@ USAGE:
 
 OPTIONS:
   --workload NAME        Table-V workload (default: bwaves); see --list-workloads
-  --scenario KIND        baseline | rfm | rfm-rubix | autorfm | autorfm-zen |
-                         autorfm-recursive | autorfm-minimal | prac
-                         (default: autorfm)
-  --th N                 mitigation threshold / window (default: 4)
-  --mapping KIND         zen | rubix | linear (baseline scenario only)
+  --scenario NAME        scenario name as the result tables print it
+                         (default: AutoRFM-4): baseline-{zen,rubix,linear},
+                         RFM-<th>, RFM-<th>-rubix, AutoRFM-<th>,
+                         AutoRFM-<th>-{zen,recursive,minimal},
+                         AutoRFM-<th>-<tracker>, PRAC-ABO<th>
   --cores N              cores in rate mode (default: 8)
   --instructions N       instructions per core (default: 100000)
   --seed N               RNG seed (default: 42)
@@ -84,9 +84,6 @@ OPTIONS:
 /// Returns [`ConfigError`] with a user-facing message on malformed input.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliCommand, ConfigError> {
     let mut spec = RunSpec::default();
-    let mut th: u32 = 4;
-    let mut scenario_name = String::from("autorfm");
-    let mut mapping = MappingKind::Zen;
     let mut args = args.into_iter();
 
     fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, ConfigError> {
@@ -103,8 +100,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliCommand,
             "--help" | "-h" => return Ok(CliCommand::Help),
             "--list-workloads" => return Ok(CliCommand::ListWorkloads),
             "--workload" => spec.workload = value(&mut args, "--workload")?,
-            "--scenario" => scenario_name = value(&mut args, "--scenario")?,
-            "--th" => th = number(&value(&mut args, "--th")?, "--th")?,
+            "--scenario" => spec.scenario = value(&mut args, "--scenario")?.parse()?,
             "--cores" => spec.cores = number(&value(&mut args, "--cores")?, "--cores")?,
             "--instructions" => {
                 spec.instructions = number(&value(&mut args, "--instructions")?, "--instructions")?
@@ -112,14 +108,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliCommand,
             "--seed" => spec.seed = number(&value(&mut args, "--seed")?, "--seed")?,
             "--audit" => spec.audit = true,
             "--no-baseline" => spec.with_baseline = false,
-            "--mapping" => {
-                mapping = match value(&mut args, "--mapping")?.as_str() {
-                    "zen" => MappingKind::Zen,
-                    "rubix" => MappingKind::Rubix { key: 0xAB1E },
-                    "linear" => MappingKind::Linear,
-                    other => return Err(ConfigError::new(format!("unknown mapping {other}"))),
-                };
-            }
             other => {
                 return Err(ConfigError::new(format!(
                     "unknown flag {other} (try --help)"
@@ -127,17 +115,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliCommand,
             }
         }
     }
-    spec.scenario = match scenario_name.as_str() {
-        "baseline" => Scenario::Baseline { mapping },
-        "rfm" => Scenario::Rfm { th },
-        "rfm-rubix" => Scenario::RfmOnRubix { th },
-        "autorfm" => Scenario::AutoRfm { th },
-        "autorfm-zen" => Scenario::AutoRfmZen { th },
-        "autorfm-recursive" => Scenario::AutoRfmRecursive { th },
-        "autorfm-minimal" => Scenario::AutoRfmMinimal { th },
-        "prac" => Scenario::Prac { abo_th: th.max(16) },
-        other => return Err(ConfigError::new(format!("unknown scenario {other}"))),
-    };
     if WorkloadSpec::by_name(&spec.workload).is_none() {
         return Err(ConfigError::new(format!(
             "unknown workload {} (try --list-workloads)",
@@ -239,9 +216,7 @@ mod tests {
             "--workload",
             "mcf",
             "--scenario",
-            "rfm",
-            "--th",
-            "8",
+            "RFM-8",
             "--cores",
             "4",
             "--instructions",
@@ -266,7 +241,7 @@ mod tests {
 
     #[test]
     fn baseline_scenario_respects_mapping() {
-        let cmd = parse(&["--scenario", "baseline", "--mapping", "rubix"]).unwrap();
+        let cmd = parse(&["--scenario", "baseline-rubix"]).unwrap();
         let CliCommand::Run(spec) = cmd else { panic!() };
         assert!(matches!(
             spec.scenario,
@@ -274,6 +249,36 @@ mod tests {
                 mapping: MappingKind::Rubix { .. }
             }
         ));
+    }
+
+    #[test]
+    fn every_scenario_is_reachable_by_its_printed_name() {
+        let scenarios = [
+            Scenario::Baseline {
+                mapping: MappingKind::Zen,
+            },
+            Scenario::Baseline {
+                mapping: MappingKind::Linear,
+            },
+            Scenario::Rfm { th: 16 },
+            Scenario::RfmOnRubix { th: 8 },
+            Scenario::AutoRfm { th: 2 },
+            Scenario::AutoRfmZen { th: 4 },
+            Scenario::AutoRfmRecursive { th: 4 },
+            Scenario::AutoRfmMinimal { th: 4 },
+            Scenario::AutoRfmWith {
+                th: 4,
+                tracker: "pride".parse().unwrap(),
+            },
+            Scenario::Prac { abo_th: 16 },
+        ];
+        for scenario in scenarios {
+            let name = scenario.to_string();
+            let CliCommand::Run(spec) = parse(&["--scenario", &name]).unwrap() else {
+                panic!("expected Run")
+            };
+            assert_eq!(spec.scenario, scenario, "{name}");
+        }
     }
 
     #[test]
@@ -291,10 +296,14 @@ mod tests {
     fn errors_are_reported() {
         assert!(parse(&["--workload", "nope"]).is_err());
         assert!(parse(&["--scenario", "nope"]).is_err());
-        assert!(parse(&["--th"]).is_err());
-        assert!(parse(&["--th", "abc"]).is_err());
+        assert!(parse(&["--scenario"]).is_err());
+        assert!(parse(&["--cores", "abc"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
-        assert!(parse(&["--mapping", "weird"]).is_err());
+        // The threshold and mapping are part of the scenario name.
+        for flag in ["--th", "--mapping"] {
+            let err = parse(&[flag, "4"]).unwrap_err().to_string();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+        }
     }
 
     #[test]

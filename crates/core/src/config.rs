@@ -6,7 +6,6 @@ use autorfm_dram::{DeviceMitigation, RefreshPolicy};
 use autorfm_memctrl::McConfig;
 use autorfm_sim_core::{ConfigError, Cycle, DramTimings, Geometry};
 use autorfm_workloads::WorkloadSpec;
-use std::path::PathBuf;
 
 /// Which physical-address mapping the memory controller uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +35,11 @@ impl MappingKind {
 /// Epoch time-series telemetry configuration (see `autorfm_telemetry`).
 ///
 /// Telemetry is off by default ([`SimConfig::telemetry`] is `None`), and the
-/// simulation loop then pays only a single branch per step.
+/// simulation loop then pays only a single branch per step. When on, the
+/// run's epoch series and final metrics registry come back in
+/// [`crate::SimResult::series`] and [`crate::SimResult::metrics`]; the
+/// simulator itself writes no file (`EpochSeries::write_csv` renders a
+/// series as CSV).
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryConfig {
     /// Sampling window length; `None` means one tREFI
@@ -45,9 +48,6 @@ pub struct TelemetryConfig {
     /// Cap on retained windows; `None` means
     /// [`autorfm_telemetry::DEFAULT_MAX_SAMPLES`].
     pub max_samples: Option<usize>,
-    /// Stream samples as CSV to this file while the run progresses (in
-    /// addition to retaining the series in the result).
-    pub csv_path: Option<PathBuf>,
 }
 
 /// Full system configuration for one simulation.

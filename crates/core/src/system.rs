@@ -11,7 +11,7 @@ use autorfm_snapshot::{
     digest64, open, seal, Reader, SnapError, Snapshot, Writer, KIND_SYSTEM, KIND_WARM,
     MODEL_FINGERPRINT,
 };
-use autorfm_telemetry::{CsvSink, EpochSampler, NullSink, Observation, Sink, DEFAULT_MAX_SAMPLES};
+use autorfm_telemetry::{EpochSampler, Observation, DEFAULT_MAX_SAMPLES};
 use autorfm_workloads::WorkloadGen;
 
 /// Simulation step: 1 ns (4 CPU cycles at 4 GHz). All DRAM timings are
@@ -83,12 +83,6 @@ impl InstructionStream for BoundedStream {
     }
 }
 
-/// Live telemetry state: the epoch sampler plus the sink it streams to.
-struct Telemetry {
-    sampler: EpochSampler,
-    sink: Box<dyn Sink>,
-}
-
 /// What warmup produces for one shape ([`warm_digest`]): each core's
 /// workload stream and the warmed LLC. It holds no per-run state, so one
 /// value serves every run of the shape, on any thread.
@@ -114,7 +108,7 @@ pub struct System {
     mc: MemController<Box<dyn MemoryMap>>,
     now: Cycle,
     finish_at: Vec<Option<Cycle>>,
-    telemetry: Option<Telemetry>,
+    telemetry: Option<EpochSampler>,
     /// Kernel diagnostics (not part of the machine state, never snapshotted):
     /// steps actually executed vs. steps the event kernel proved were no-ops
     /// and leapt over.
@@ -180,22 +174,10 @@ impl System {
             .map(|inner| BoundedStream { inner, line_mask })
             .collect();
         let telemetry = cfg.telemetry.as_ref().map(|t| {
-            let epoch = t.epoch.unwrap_or(cfg.timings.t_refi);
-            let max_samples = t.max_samples.unwrap_or(DEFAULT_MAX_SAMPLES);
-            let sink: Box<dyn Sink> = match &t.csv_path {
-                Some(path) => match std::fs::File::create(path) {
-                    Ok(f) => Box::new(CsvSink::new(std::io::BufWriter::new(f))),
-                    Err(e) => {
-                        eprintln!("warning: cannot open telemetry CSV {}: {e}", path.display());
-                        Box::new(NullSink)
-                    }
-                },
-                None => Box::new(NullSink),
-            };
-            Telemetry {
-                sampler: EpochSampler::with_max_samples(epoch, max_samples),
-                sink,
-            }
+            EpochSampler::with_max_samples(
+                t.epoch.unwrap_or(cfg.timings.t_refi),
+                t.max_samples.unwrap_or(DEFAULT_MAX_SAMPLES),
+            )
         });
         Ok(System {
             finish_at: vec![None; cfg.num_cores as usize],
@@ -335,10 +317,9 @@ impl System {
         // under the stepped kernel; `observe` closes all crossed windows
         // (delta to the first, zeros after) at their grid-aligned ends, so
         // the retained series is identical too.
-        if let Some(t) = &mut self.telemetry {
-            if t.sampler.due(self.now) {
-                let obs = Self::observation(&self.mc, &self.cores);
-                t.sampler.observe(self.now, obs, t.sink.as_mut());
+        if let Some(sampler) = &mut self.telemetry {
+            if sampler.due(self.now) {
+                sampler.observe(self.now, Self::observation(&self.mc, &self.cores));
             }
         }
     }
@@ -398,10 +379,9 @@ impl System {
         self.uncore.tick(&mut self.mc, now);
         // Disabled telemetry (the default) costs exactly this one branch
         // per step; an Observation is only built at epoch boundaries.
-        if let Some(t) = &mut self.telemetry {
-            if t.sampler.due(now) {
-                let obs = Self::observation(&self.mc, &self.cores);
-                t.sampler.observe(now, obs, t.sink.as_mut());
+        if let Some(sampler) = &mut self.telemetry {
+            if sampler.due(now) {
+                sampler.observe(now, Self::observation(&self.mc, &self.cores));
             }
         }
         all_done
@@ -409,18 +389,16 @@ impl System {
 
     /// Closes telemetry and collects the final metrics.
     fn finalize(&mut self) -> SimResult {
-        let closed = self.telemetry.take().map(|mut t| {
-            let obs = Self::observation(&self.mc, &self.cores);
-            let series = t.sampler.finish(self.now, obs, t.sink.as_mut());
-            (series, t.sink)
-        });
+        let series = self
+            .telemetry
+            .take()
+            .map(|sampler| sampler.finish(self.now, Self::observation(&self.mc, &self.cores)));
         let mut result = self.collect();
-        if let Some((series, mut sink)) = closed {
+        if let Some(series) = series {
             result.series = Some(series);
             let mut reg = result.to_registry();
             self.mc.stats().export(&mut reg, &[]);
             self.uncore.stats().export(&mut reg, &[]);
-            sink.on_final(&reg);
             result.metrics = Some(reg);
         }
         result
@@ -498,13 +476,13 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] if telemetry is enabled: a live CSV sink holds an
-    /// open file handle that cannot be serialized, and silently dropping
-    /// samples would corrupt the stream.
+    /// Returns [`SnapError`] if telemetry is enabled: the epoch sampler's
+    /// state is not part of the snapshot format, and a restored run would
+    /// silently lose the samples taken before the checkpoint.
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapError> {
         if self.telemetry.is_some() {
             return Err(SnapError::corrupt(
-                "cannot checkpoint a telemetry-enabled run (live sink state is not serializable)",
+                "cannot checkpoint a telemetry-enabled run (sampler state is not part of the snapshot format)",
             ));
         }
         let mut w = Writer::new();

@@ -13,7 +13,7 @@
 //!     With no run-key, lists the runs that carry a series.
 //! ```
 
-use autorfm_telemetry::{CsvSink, RunManifest, Sink};
+use autorfm_telemetry::RunManifest;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -117,9 +117,9 @@ fn series(m: &RunManifest, key: &str, metric: Option<&str>) -> Result<(), ExitCo
     };
     match metric {
         None => {
-            let mut sink = CsvSink::new(std::io::stdout());
-            for sample in &series.samples {
-                sink.on_sample(sample);
+            if let Err(e) = series.write_csv(std::io::stdout().lock()) {
+                eprintln!("error: writing the series: {e}");
+                return Err(ExitCode::FAILURE);
             }
         }
         Some(name) => {

@@ -4,12 +4,13 @@
 //! (per-tREFI by default, matching the paper's Table V / Fig 8b metrics) and
 //! converts cumulative system counters into per-window deltas: ACT/ALERT/REF/
 //! RFM rates, queue occupancy, row-hit rate, and per-core IPC. The produced
-//! [`EpochSeries`] rides on the run manifest and can be dumped as CSV by the
-//! `telemetry_report` binary.
+//! [`EpochSeries`] rides on the run manifest; [`EpochSeries::write_csv`] is
+//! its one CSV rendering (`run_all --telemetry-csv`, `telemetry_report
+//! series`).
 
 use crate::json::Json;
-use crate::sink::Sink;
 use autorfm_sim_core::Cycle;
+use std::io::{self, Write};
 
 /// Cumulative system counters observed at one point in simulated time.
 ///
@@ -215,6 +216,30 @@ impl EpochSeries {
         cols
     }
 
+    /// Writes the series as CSV: a header row (`index,start_ns,end_ns`, the
+    /// [`Self::columns`], then `partial`), then one row per stored sample.
+    /// Integral values print as integers, the rest with six decimals. An
+    /// empty series writes nothing. The writer is flushed before returning.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first write or flush error.
+    pub fn write_csv(&self, mut out: impl Write) -> io::Result<()> {
+        if self.samples.is_empty() {
+            return Ok(());
+        }
+        let columns = self.columns();
+        writeln!(out, "index,start_ns,end_ns,{},partial", columns.join(","))?;
+        for s in &self.samples {
+            write!(out, "{},{},{}", s.index, s.start.as_ns(), s.end.as_ns())?;
+            for c in &columns {
+                write!(out, ",{}", fmt_cell(s.column(c).unwrap_or(0.0)))?;
+            }
+            writeln!(out, ",{}", u8::from(s.partial))?;
+        }
+        out.flush()
+    }
+
     /// Serializes the series.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -244,13 +269,6 @@ impl EpochSeries {
 /// Default cap on stored samples per run (long `--full` runs stay bounded).
 pub const DEFAULT_MAX_SAMPLES: usize = 4096;
 
-/// Samples buffered between sink deliveries. The per-tREFI epoch boundary is
-/// the most frequent non-memctrl wake on telemetry-enabled runs, so the
-/// sampler batches its sink hand-offs: samples accumulate in the series and
-/// are forwarded in chunks of this size (plus one final partial chunk at
-/// `finish`), in time order, rather than one virtual call per epoch.
-pub const SINK_FLUSH_CHUNK: usize = 64;
-
 /// Converts cumulative [`Observation`]s into an [`EpochSeries`].
 ///
 /// Window `k` covers `[k·len, (k+1)·len)`. The producer calls
@@ -272,9 +290,6 @@ pub struct EpochSampler {
     index: u64,
     prev: Observation,
     series: EpochSeries,
-    /// Stored samples not yet forwarded to the sink (the chunk tail of
-    /// `series.samples`); always `< SINK_FLUSH_CHUNK` between calls.
-    pending: usize,
 }
 
 impl EpochSampler {
@@ -307,7 +322,6 @@ impl EpochSampler {
                 samples: Vec::new(),
                 truncated: false,
             },
-            pending: 0,
         }
     }
 
@@ -328,10 +342,10 @@ impl EpochSampler {
 
     /// Closes every window boundary crossed by `now`, attributing the deltas
     /// since the previous observation to the first of them.
-    pub fn observe(&mut self, now: Cycle, obs: Observation, sink: &mut dyn Sink) {
+    pub fn observe(&mut self, now: Cycle, obs: Observation) {
         while self.due(now) {
             let end = self.next_boundary;
-            self.emit(end, false, &obs, sink);
+            self.emit(end, false, &obs);
             self.window_start = end;
             self.next_boundary = end + self.epoch_len;
             // Any further windows crossed by the same observation get zero
@@ -341,28 +355,16 @@ impl EpochSampler {
 
     /// Closes the trailing partial window (if any time has passed since the
     /// last boundary) and returns the collected series.
-    pub fn finish(mut self, now: Cycle, obs: Observation, sink: &mut dyn Sink) -> EpochSeries {
+    pub fn finish(mut self, now: Cycle, obs: Observation) -> EpochSeries {
         // A final observation may still close whole windows first.
-        self.observe(now, obs.clone(), sink);
+        self.observe(now, obs.clone());
         if now > self.window_start {
-            self.emit(now, true, &obs, sink);
+            self.emit(now, true, &obs);
         }
-        self.flush(sink);
         self.series
     }
 
-    /// Forwards the buffered chunk tail of `series.samples` to the sink, in
-    /// time order. The sink thus sees exactly the stored series — chunking
-    /// changes delivery granularity, never content or order.
-    fn flush(&mut self, sink: &mut dyn Sink) {
-        let start = self.series.samples.len() - self.pending;
-        for sample in &self.series.samples[start..] {
-            sink.on_sample(sample);
-        }
-        self.pending = 0;
-    }
-
-    fn emit(&mut self, end: Cycle, partial: bool, obs: &Observation, sink: &mut dyn Sink) {
+    fn emit(&mut self, end: Cycle, partial: bool, obs: &Observation) {
         let cycles = (end - self.window_start).raw();
         let d = |cur: u64, prev: u64| cur.saturating_sub(prev);
         let ipc: Vec<f64> = obs
@@ -400,20 +402,25 @@ impl EpochSampler {
         self.prev = obs.clone();
         if self.series.samples.len() < self.max_samples {
             self.series.samples.push(sample);
-            self.pending += 1;
-            if self.pending >= SINK_FLUSH_CHUNK {
-                self.flush(sink);
-            }
         } else {
             self.series.truncated = true;
         }
     }
 }
 
+/// One CSV cell: integral values print as integers, the rest with six
+/// decimals.
+fn fmt_cell(x: f64) -> String {
+    if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
+        format!("{}", x as i64)
+    } else {
+        format!("{x:.6}")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::NullSink;
 
     fn obs(acts: u64, retired: &[u64]) -> Observation {
         Observation {
@@ -427,12 +434,11 @@ mod tests {
     fn windows_align_to_multiples_of_epoch_len() {
         let len = Cycle::from_ns(100);
         let mut s = EpochSampler::new(len);
-        let mut sink = NullSink;
         assert!(!s.due(Cycle::from_ns(99)));
         assert!(s.due(Cycle::from_ns(100)));
-        s.observe(Cycle::from_ns(100), obs(10, &[400]), &mut sink);
-        s.observe(Cycle::from_ns(200), obs(30, &[800]), &mut sink);
-        let series = s.finish(Cycle::from_ns(200), obs(30, &[800]), &mut sink);
+        s.observe(Cycle::from_ns(100), obs(10, &[400]));
+        s.observe(Cycle::from_ns(200), obs(30, &[800]));
+        let series = s.finish(Cycle::from_ns(200), obs(30, &[800]));
         assert_eq!(series.samples.len(), 2, "no empty trailing partial");
         let [a, b] = &series.samples[..] else {
             unreachable!()
@@ -451,9 +457,8 @@ mod tests {
         // The simulator steps at 1 ns, so the first observation at or after
         // the boundary closes the window with deltas measured at that point.
         let mut s = EpochSampler::new(Cycle::from_ns(100));
-        let mut sink = NullSink;
-        s.observe(Cycle::from_ns(103), obs(7, &[]), &mut sink);
-        let series = s.finish(Cycle::from_ns(103), obs(7, &[]), &mut sink);
+        s.observe(Cycle::from_ns(103), obs(7, &[]));
+        let series = s.finish(Cycle::from_ns(103), obs(7, &[]));
         assert_eq!(series.samples.len(), 2);
         assert_eq!(series.samples[0].end, Cycle::from_ns(100));
         assert_eq!(series.samples[0].acts, 7);
@@ -466,10 +471,9 @@ mod tests {
     #[test]
     fn skipped_windows_emit_zero_deltas() {
         let mut s = EpochSampler::new(Cycle::from_ns(100));
-        let mut sink = NullSink;
         // One observation lands past three boundaries.
-        s.observe(Cycle::from_ns(310), obs(12, &[]), &mut sink);
-        let series = s.finish(Cycle::from_ns(310), obs(12, &[]), &mut sink);
+        s.observe(Cycle::from_ns(310), obs(12, &[]));
+        let series = s.finish(Cycle::from_ns(310), obs(12, &[]));
         assert_eq!(series.samples.len(), 4, "3 whole + 1 partial");
         assert_eq!(series.samples[0].acts, 12, "deltas go to the first window");
         assert_eq!(series.samples[1].acts, 0);
@@ -481,10 +485,9 @@ mod tests {
     #[test]
     fn final_partial_epoch_is_emitted() {
         let mut s = EpochSampler::new(Cycle::from_ns(100));
-        let mut sink = NullSink;
-        s.observe(Cycle::from_ns(100), obs(4, &[100]), &mut sink);
+        s.observe(Cycle::from_ns(100), obs(4, &[100]));
         // Run ends mid-window at 140 ns with 6 more ACTs.
-        let series = s.finish(Cycle::from_ns(140), obs(10, &[260]), &mut sink);
+        let series = s.finish(Cycle::from_ns(140), obs(10, &[260]));
         assert_eq!(series.samples.len(), 2);
         let last = &series.samples[1];
         assert!(last.partial);
@@ -500,9 +503,8 @@ mod tests {
     #[test]
     fn finish_exactly_on_boundary_has_no_partial() {
         let mut s = EpochSampler::new(Cycle::from_ns(100));
-        let mut sink = NullSink;
-        s.observe(Cycle::from_ns(100), obs(4, &[]), &mut sink);
-        let series = s.finish(Cycle::from_ns(100), obs(4, &[]), &mut sink);
+        s.observe(Cycle::from_ns(100), obs(4, &[]));
+        let series = s.finish(Cycle::from_ns(100), obs(4, &[]));
         assert_eq!(series.samples.len(), 1);
         assert!(!series.samples[0].partial);
     }
@@ -511,8 +513,7 @@ mod tests {
     fn finish_closes_whole_window_then_partial() {
         // finish() past an unobserved boundary closes the whole window first.
         let s = EpochSampler::new(Cycle::from_ns(100));
-        let mut sink = NullSink;
-        let series = s.finish(Cycle::from_ns(150), obs(9, &[]), &mut sink);
+        let series = s.finish(Cycle::from_ns(150), obs(9, &[]));
         assert_eq!(series.samples.len(), 2);
         assert!(!series.samples[0].partial);
         assert_eq!(series.samples[0].acts, 9);
@@ -523,11 +524,10 @@ mod tests {
     #[test]
     fn max_samples_truncates() {
         let mut s = EpochSampler::with_max_samples(Cycle::from_ns(10), 2);
-        let mut sink = NullSink;
         for k in 1..=5u64 {
-            s.observe(Cycle::from_ns(10 * k), obs(k, &[]), &mut sink);
+            s.observe(Cycle::from_ns(10 * k), obs(k, &[]));
         }
-        let series = s.finish(Cycle::from_ns(55), obs(9, &[]), &mut sink);
+        let series = s.finish(Cycle::from_ns(55), obs(9, &[]));
         assert_eq!(series.samples.len(), 2);
         assert!(series.truncated);
     }
@@ -535,12 +535,11 @@ mod tests {
     #[test]
     fn queue_depth_is_a_gauge() {
         let mut s = EpochSampler::new(Cycle::from_ns(100));
-        let mut sink = NullSink;
         let mut o = obs(1, &[]);
         o.queue_depth = 17;
-        s.observe(Cycle::from_ns(100), o.clone(), &mut sink);
+        s.observe(Cycle::from_ns(100), o.clone());
         o.queue_depth = 3;
-        let series = s.finish(Cycle::from_ns(150), o, &mut sink);
+        let series = s.finish(Cycle::from_ns(150), o);
         assert_eq!(series.samples[0].queue_depth, 17);
         assert_eq!(series.samples[1].queue_depth, 3);
     }
@@ -548,9 +547,8 @@ mod tests {
     #[test]
     fn series_json_round_trip() {
         let mut s = EpochSampler::new(Cycle::from_ns(100));
-        let mut sink = NullSink;
-        s.observe(Cycle::from_ns(100), obs(10, &[100, 200]), &mut sink);
-        let series = s.finish(Cycle::from_ns(130), obs(12, &[150, 260]), &mut sink);
+        s.observe(Cycle::from_ns(100), obs(10, &[100, 200]));
+        let series = s.finish(Cycle::from_ns(130), obs(12, &[150, 260]));
         let json = series.to_json();
         let back = EpochSeries::from_json(&Json::parse(&json.to_pretty()).unwrap());
         assert_eq!(back, series);
@@ -559,9 +557,8 @@ mod tests {
     #[test]
     fn column_lookup() {
         let mut s = EpochSampler::new(Cycle::from_ns(100));
-        let mut sink = NullSink;
-        s.observe(Cycle::from_ns(100), obs(10, &[200, 400]), &mut sink);
-        let series = s.finish(Cycle::from_ns(100), obs(10, &[200, 400]), &mut sink);
+        s.observe(Cycle::from_ns(100), obs(10, &[200, 400]));
+        let series = s.finish(Cycle::from_ns(100), obs(10, &[200, 400]));
         let sample = &series.samples[0];
         assert_eq!(sample.column("acts"), Some(10.0));
         assert_eq!(sample.column("ipc_core1"), Some(1.0));
@@ -570,39 +567,110 @@ mod tests {
         assert!(series.columns().contains(&"ipc_core0".to_string()));
     }
 
-    #[test]
-    fn chunked_sink_delivery_is_bitwise_identical_to_series() {
-        use crate::sink::MemorySink;
-        // Enough windows to force several full chunks plus a partial tail.
-        let windows = SINK_FLUSH_CHUNK as u64 * 3 + 17;
-        let mut s = EpochSampler::new(Cycle::from_ns(10));
-        let mut sink = MemorySink::new();
-        for k in 1..=windows {
-            s.observe(Cycle::from_ns(10 * k), obs(k * 3, &[k * 7]), &mut sink);
+    fn sample(index: u64, acts: u64) -> EpochSample {
+        EpochSample {
+            index,
+            start: Cycle::from_ns(index * 100),
+            end: Cycle::from_ns((index + 1) * 100),
+            partial: false,
+            acts,
+            alerts: 1,
+            reads: 0,
+            writes: 0,
+            refs: 0,
+            rfms: 0,
+            mitigations: 0,
+            victim_refreshes: 0,
+            row_hits: 3,
+            row_misses: 1,
+            queue_depth: 5,
+            ipc: vec![0.5, 1.0],
         }
-        let series = s.finish(
-            Cycle::from_ns(10 * windows + 4),
-            obs(windows * 3 + 1, &[windows * 7 + 2]),
-            &mut sink,
-        );
-        assert_eq!(series.samples.len() as u64, windows + 1);
+    }
+
+    fn csv(series: &EpochSeries) -> String {
+        let mut out = Vec::new();
+        series.write_csv(&mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn write_csv_writes_header_and_rows() {
+        let series = EpochSeries {
+            epoch_len: Cycle::from_ns(100),
+            samples: vec![sample(0, 10), sample(1, 20)],
+            truncated: false,
+        };
+        let text = csv(&series);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].starts_with("index,start_ns,end_ns,acts,"));
+        assert!(lines[0].contains("ipc_core0,ipc_core1,partial"));
+        assert!(lines[1].starts_with("0,0,100,10,1,"));
+        assert!(lines[1].contains("0.750000"), "row_hit_rate: {}", lines[1]);
+        assert!(lines[2].starts_with("1,100,200,20,"));
         assert_eq!(
-            sink.samples, series.samples,
-            "sink must see exactly the stored series, in order"
+            lines[0],
+            "index,start_ns,end_ns,acts,alerts,reads,writes,refs,rfms,mitigations,\
+             victim_refreshes,row_hits,row_misses,queue_depth,row_hit_rate,total_ipc,\
+             ipc_core0,ipc_core1,partial"
+        );
+        assert_eq!(
+            lines[1],
+            "0,0,100,10,1,0,0,0,0,0,0,3,1,5,0.750000,1.500000,0.500000,1,0"
+        );
+        assert!(text.ends_with('\n'));
+        assert_eq!(
+            csv(&EpochSeries::default()),
+            "",
+            "an empty series writes nothing"
         );
     }
 
     #[test]
-    fn truncated_samples_never_reach_the_sink() {
-        use crate::sink::MemorySink;
+    fn truncated_samples_never_reach_the_csv() {
         let mut s = EpochSampler::with_max_samples(Cycle::from_ns(10), 3);
-        let mut sink = MemorySink::new();
         for k in 1..=9u64 {
-            s.observe(Cycle::from_ns(10 * k), obs(k, &[]), &mut sink);
+            s.observe(Cycle::from_ns(10 * k), obs(k, &[]));
         }
-        let series = s.finish(Cycle::from_ns(95), obs(9, &[]), &mut sink);
+        let series = s.finish(Cycle::from_ns(95), obs(9, &[]));
         assert!(series.truncated);
-        assert_eq!(sink.samples, series.samples);
+        let text = csv(&series);
+        let rows: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(rows.len(), 3, "only the stored samples: {text}");
+        assert!(rows[2].starts_with("2,20,30,"), "{}", rows[2]);
+    }
+
+    /// A writer whose writes, or only its flush, fail.
+    struct Failing {
+        on_write: bool,
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.on_write {
+                Err(io::Error::other("disk full"))
+            } else {
+                Ok(buf.len())
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("flush failed"))
+        }
+    }
+
+    #[test]
+    fn write_csv_returns_write_and_flush_errors() {
+        let series = EpochSeries {
+            epoch_len: Cycle::from_ns(100),
+            samples: vec![sample(0, 10)],
+            truncated: false,
+        };
+        let err = series.write_csv(Failing { on_write: true }).unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        let err = series.write_csv(Failing { on_write: false }).unwrap_err();
+        assert_eq!(err.to_string(), "flush failed");
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //!   with quantiles) that the simulator's [`autorfm_sim_core`] statistics
 //!   primitives plug into;
 //! * [`EpochSampler`] / [`EpochSeries`] — per-tREFI-window time series of
-//!   ACT/RFM/REF/ALERT rates, queue occupancy, row-hit rate, and per-core IPC;
-//! * [`Sink`] — pluggable sample consumers ([`NullSink`] by default — zero
-//!   overhead, output bitwise identical to a telemetry-free build —
-//!   plus [`MemorySink`] and [`CsvSink`]);
+//!   ACT/RFM/REF/ALERT rates, queue occupancy, row-hit rate, and per-core IPC,
+//!   retained in the run's result and rendered as CSV by
+//!   [`EpochSeries::write_csv`];
 //! * [`RunManifest`] — the machine-readable `results/<target>.json` documents
 //!   the experiment harness writes next to every `.txt` report;
 //! * [`Json`] — the self-contained JSON value/parser/writer everything above
@@ -22,18 +21,24 @@
 //!
 //! ```
 //! use autorfm_sim_core::Cycle;
-//! use autorfm_telemetry::{EpochSampler, NullSink, Observation, Registry};
+//! use autorfm_telemetry::{EpochSampler, Observation, Registry};
 //!
 //! let mut reg = Registry::new();
 //! reg.counter("dram_acts", &[("scenario", "AutoRFM-4")], 1234);
 //!
 //! let mut sampler = EpochSampler::new(Cycle::from_ns(3900)); // one tREFI
-//! let mut sink = NullSink;
 //! let obs = Observation { acts: 40, ..Observation::default() };
-//! sampler.observe(Cycle::from_ns(3900), obs.clone(), &mut sink);
-//! let series = sampler.finish(Cycle::from_ns(5000), obs, &mut sink);
+//! sampler.observe(Cycle::from_ns(3900), obs.clone());
+//! let series = sampler.finish(Cycle::from_ns(5000), obs);
 //! assert_eq!(series.samples[0].acts, 40);
 //! assert!(series.samples[1].partial);
+//!
+//! let mut csv = Vec::new();
+//! series.write_csv(&mut csv)?;
+//! let csv = String::from_utf8(csv).unwrap();
+//! assert!(csv.starts_with("index,start_ns,end_ns,acts,"));
+//! assert_eq!(csv.lines().count(), 3); // header + one row per sample
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -43,10 +48,8 @@ pub mod epoch;
 pub mod json;
 pub mod manifest;
 pub mod registry;
-pub mod sink;
 
 pub use epoch::{EpochSample, EpochSampler, EpochSeries, Observation, DEFAULT_MAX_SAMPLES};
 pub use json::{Json, JsonError};
 pub use manifest::{MetricDelta, RunEntry, RunManifest, SCHEMA_VERSION};
 pub use registry::{HistogramSnapshot, Labels, Metric, MetricValue, Registry};
-pub use sink::{CsvSink, MemorySink, NullSink, Sink};

@@ -67,28 +67,17 @@ echo "golden tables: every results/golden/*.txt reproduced byte for byte"
 
 echo "== ablations + seed_sensitivity rerun over the populated store =="
 # Every ablation variant and seed-sensitivity point is a cell keyed by the
-# full configuration it runs, so after run_all the store answers all of them:
-# a rerun simulates nothing and reproduces the golden tables. The one
-# exception is seed_sensitivity's 30 AutoRFM-4 latency probes (6 workloads x
-# 5 seeds): they read the controller's worst read latency from a telemetry
-# registry, and telemetry cells are never stored.
+# full configuration it runs, so after run_all the store answers all of them
+# and a rerun reproduces the golden tables. That the rerun simulates nothing
+# but seed_sensitivity's AutoRFM-4 latency probes (telemetry cells, never
+# stored) is pinned by crates/bench/tests/experiments.rs
+# (rerun_over_a_populated_store_simulates_only_telemetry_cells) under cargo
+# test.
 ./target/release/run_all --only ablations --only seed_sensitivity \
     --store results/store --jobs "${JOBS}"
 for target in ablations seed_sensitivity; do
     cmp "results/golden/${target}.txt" "results/${target}.txt"
 done
-python3 - <<'EOF'
-import json
-
-expected = {"ablations": 0, "seed_sensitivity": 30}
-for target, want in expected.items():
-    with open(f"results/{target}.json") as f:
-        manifest = json.load(f)
-    ran = next(m["value"] for m in manifest["metrics"] if m["name"] == "simulations_run")
-    assert ran == want, \
-        f"{target} simulated {ran} cells over the populated store (expected {want})"
-    print(f"{target}: {ran} fresh simulations, {len(manifest['runs'])} cells in its manifest")
-EOF
 
 echo "== run_all --resume smoke (table2_trh_history should be skipped) =="
 resume_out="$(cargo run --release -p autorfm-bench --bin run_all -- \
@@ -127,8 +116,9 @@ echo "== campaign service smoke (campaignd + campaign CLI) =="
 # is pinned by exactly_once::daemon_adopts_fuzz_store_records under cargo
 # test). Push a 4-cell sweep through it, wait for completion,
 # then re-run every cell as a direct System simulation and diff result
-# digests (campaign check). Resubmitting the same sweep must be pure dedup:
-# zero new cells scheduled.
+# digests (campaign check). That resubmitting a completed sweep is pure dedup
+# (same id, zero cells scheduled) is pinned by
+# crates/campaign/src/server.rs (http_api_end_to_end) under cargo test.
 CAMPAIGN_STORE="${FUZZ_STORE}"
 ./target/release/campaignd --store "${CAMPAIGN_STORE}" --port 0 &
 CAMPAIGND_PID=$!
@@ -141,16 +131,14 @@ submit_out="$(campaign submit --name smoke \
     --workloads mcf,wrf --scenarios baseline-zen,AutoRFM-4 \
     --cores 2 --instructions 10000)"
 printf '%s\n' "${submit_out}"
-CAMPAIGN_ID="$(python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])' <<<"${submit_out}")"
-campaign wait "${CAMPAIGN_ID}" > /dev/null
-campaign check "${CAMPAIGN_ID}"
-resubmit_out="$(campaign submit --name smoke \
-    --workloads mcf,wrf --scenarios baseline-zen,AutoRFM-4 \
-    --cores 2 --instructions 10000)"
-if [ "$(python3 -c 'import json,sys; print(json.load(sys.stdin)["scheduled"])' <<<"${resubmit_out}")" != "0" ]; then
-    echo "verify: resubmitted campaign scheduled fresh work instead of dedup" >&2
+id_re='"id": "([^"]+)"'
+if [[ ! "${submit_out}" =~ ${id_re} ]]; then
+    echo "verify: campaign submit printed no campaign id" >&2
     exit 1
 fi
+CAMPAIGN_ID="${BASH_REMATCH[1]}"
+campaign wait "${CAMPAIGN_ID}" > /dev/null
+campaign check "${CAMPAIGN_ID}"
 campaign stats > results/campaign_stats.json
 campaign shutdown > /dev/null
 wait "${CAMPAIGND_PID}"

@@ -1,10 +1,12 @@
 //! `autorfm-repro`: run one AutoRFM simulation from the command line.
 //!
 //! ```text
-//! autorfm-repro --workload bwaves --scenario autorfm --th 4
+//! autorfm-repro --workload bwaves --scenario AutoRFM-4
 //! ```
 //!
-//! See `--help` for the full flag set.
+//! `--scenario` takes a scenario name exactly as the result tables print it
+//! (`baseline-rubix`, `RFM-8`, `AutoRFM-4-pride`, `PRAC-ABO16`, ...). See
+//! `--help` for the full flag set.
 
 use autorfm::cli::{parse_args, run_command};
 
