@@ -6,16 +6,18 @@
 //! same exactly-once persistence sweep cells already have: every
 //! [`CandidateResult`] is sealed into a `KIND_FUZZ` container under
 //! `<root>/cells/<16-hex key>.fuzz`, keyed by
-//! `digest64(config_key ‖ genome digest)`. A second `attack_fuzz --store`
-//! run over the same store then skips every previously evaluated genome,
-//! and `campaignd` can adopt a fuzz store next to its sweep cells
-//! because both record families share one store root.
+//! `digest64(config_key ‖ genome digest)`. A second run of the
+//! `attack_fuzz` experiment with the same config over the same store then
+//! skips every previously evaluated genome, and `campaignd` can adopt a
+//! fuzz store next to its sweep cells because both record families share
+//! one store root.
 //!
 //! The config key deliberately covers only what changes an *evaluation* —
 //! tracker, policy, window, bank size, activation budget, master seed,
-//! thresholds, oracle trigger — and not the search budget
-//! (`generations`/`population`): resuming a campaign with a deeper search
-//! still reuses every stored evaluation.
+//! thresholds, oracle trigger — and not `generations`/`population`: a
+//! deeper search at the same activation budget reuses every stored
+//! evaluation. A run with another activation budget (`attack_fuzz` scales
+//! it with the run's fidelity) shares no records.
 
 use crate::fuzzer::{CandidateResult, FuzzConfig};
 use crate::montecarlo::AttackReport;

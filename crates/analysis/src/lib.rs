@@ -19,8 +19,9 @@
 //!   from the device only in timing, address mapping and queueing.
 //! * [`evalstore`] — persistence for fuzz campaigns: candidate results as
 //!   sealed `KIND_FUZZ` records in a [`CellStore`](autorfm_snapshot::store::CellStore),
-//!   keyed by `(config, genome)` digests so a re-run of `attack_fuzz` over
-//!   the same `--store` skips every previously evaluated genome.
+//!   keyed by `(config, genome)` digests so a re-run of the `attack_fuzz`
+//!   experiment over the same cell store skips every previously evaluated
+//!   genome.
 //! * [`pattern`] — the serializable [`AttackPattern`] genome (with named
 //!   constructors for the paper's fixed shapes) and its [`PatternCursor`]:
 //!   one representation for replay, search, and storage of adversarial

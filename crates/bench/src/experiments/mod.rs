@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 mod ablations;
+mod attack_fuzz;
 mod fig01_overview;
 mod fig03_rfm_slowdown;
 mod fig08_mapping_impact;
@@ -75,6 +76,7 @@ pub const ALL: &[(&str, Experiment)] = &[
     ("model_vs_sim", model_vs_sim::run),
     ("seed_sensitivity", seed_sensitivity::run),
     ("tracker_zoo", tracker_zoo::run),
+    ("attack_fuzz", attack_fuzz::run),
 ];
 
 /// What one experiment runs with and writes to: its own copy of the run

@@ -1,53 +1,54 @@
 //! The attack fuzzer's persistent evaluation store, end to end: a second
-//! `attack_fuzz` run over the store the first one filled simulates nothing,
-//! answers every genome from disk and reproduces the survivor archive.
+//! `run_all --only attack_fuzz` over the store the first one filled
+//! simulates nothing, answers every genome from disk and writes the same
+//! report.
 
-use autorfm::telemetry::Json;
+use autorfm::telemetry::RunManifest;
 use std::path::Path;
 use std::process::Command;
 
-/// Runs one small MINT campaign over `store` and returns its closing JSON
-/// record (the last stdout line).
-fn fuzz(store: &Path) -> Json {
-    let out = Command::new(env!("CARGO_BIN_EXE_attack_fuzz"))
-        .args([
-            "--tracker",
-            "mint",
-            "--generations",
-            "1",
-            "--population",
-            "8",
-        ])
-        .args(["--activations", "20000", "--store"])
+/// Runs one quick MINT campaign over `store` from `dir` and returns its
+/// report and manifest.
+fn fuzz(dir: &Path, store: &Path) -> (Vec<u8>, RunManifest) {
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--only", "attack_fuzz", "--quick", "--tracker", "mint"])
+        .arg("--store")
         .arg(store)
+        .current_dir(dir)
         .output()
-        .expect("attack_fuzz starts");
+        .expect("run_all starts");
     assert!(
         out.status.success(),
-        "attack_fuzz failed: {}",
+        "run_all failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
-    Json::parse(stdout.lines().last().expect("a closing record")).expect("a JSON record")
+    let results = dir.join("results");
+    (
+        std::fs::read(results.join("attack_fuzz.txt")).expect("a report"),
+        RunManifest::load(&results.join("attack_fuzz.json")).expect("a manifest"),
+    )
 }
 
 #[test]
 fn rerun_over_a_warm_store_simulates_nothing() {
-    let store = std::env::temp_dir().join(format!("autorfm-fuzz-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store);
-    let cold = fuzz(&store);
-    let warm = fuzz(&store);
-    let _ = std::fs::remove_dir_all(&store);
-    let field = |record: &Json, name: &str| record.get(name).cloned().expect(name);
-    assert!(field(&cold, "sim_evaluated").as_u64() > Some(0));
-    assert_eq!(field(&warm, "sim_evaluated").as_u64(), Some(0));
+    let dir = std::env::temp_dir().join(format!("autorfm-fuzz-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("store");
+    let (cold_report, cold) = fuzz(&dir, &store);
+    let (warm_report, warm) = fuzz(&dir, &store);
+    let _ = std::fs::remove_dir_all(&dir);
+    let gauge = |m: &RunManifest, name: &str| m.metrics.get(name, &[]).expect(name).scalar();
+    assert!(gauge(&cold, "sim_evaluated") > 0.0);
+    assert_eq!(gauge(&warm, "sim_evaluated"), 0.0);
     assert_eq!(
-        field(&warm, "store_hits").as_u64(),
-        field(&cold, "sim_evaluated").as_u64(),
+        gauge(&warm, "store_hits"),
+        gauge(&cold, "sim_evaluated"),
         "every genome the first run simulated is answered from the store"
     );
     assert_eq!(
-        field(&warm, "archive_digest"),
-        field(&cold, "archive_digest")
+        String::from_utf8(warm_report).unwrap(),
+        String::from_utf8(cold_report).unwrap(),
+        "the report does not depend on the store"
     );
 }

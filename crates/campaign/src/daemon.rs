@@ -272,14 +272,17 @@ impl Daemon {
         let cells = req.expand()?;
         let id = req.id();
         // Persist the spec before scheduling: once a client has an id, a
-        // restarted daemon must know how to finish the campaign.
+        // restarted daemon must know how to finish the campaign. The write
+        // is atomic, so a kill mid-write never leaves a truncated spec that
+        // the restart would skip.
         let spec_path = self
             .inner
             .store
             .root()
             .join("campaigns")
             .join(format!("{id}.json"));
-        if let Err(e) = std::fs::write(&spec_path, req.to_json().to_pretty() + "\n") {
+        let spec = req.to_json().to_pretty() + "\n";
+        if let Err(e) = autorfm::snapshot::write_atomic(&spec_path, spec.as_bytes()) {
             eprintln!("campaignd: cannot persist {}: {e}", spec_path.display());
         }
 
@@ -512,8 +515,8 @@ impl Daemon {
         Json::obj(vec![
             ("campaigns", Json::Num(campaigns as f64)),
             // Fuzz-evaluation records adopted alongside sweep cells: the
-            // store root is shared with `attack_fuzz --store`, so a daemon
-            // pointed at a fuzz store reports its persisted evaluations.
+            // store root is shared with the `attack_fuzz` experiment, so a
+            // daemon pointed at its store reports the persisted evaluations.
             (
                 "fuzz_records",
                 Json::Num(self.inner.store.fuzz_len() as f64),

@@ -136,10 +136,10 @@ fn overlapping_campaigns_compute_shared_cells_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A daemon pointed at a store that `attack_fuzz --store` populated adopts
-/// the fuzz records next to its sweep cells: `/stats` reports them, they
-/// survive the daemon's own sweep traffic, and sweep cells never collide
-/// with fuzz records even at equal keys.
+/// A daemon pointed at a store that the `attack_fuzz` experiment populated
+/// adopts the fuzz records next to its sweep cells: `/stats` reports them,
+/// they survive the daemon's own sweep traffic, and sweep cells never
+/// collide with fuzz records even at equal keys.
 #[test]
 fn daemon_adopts_fuzz_store_records() {
     use autorfm::analysis::{AttackFuzzer, FuzzConfig, FuzzStore};

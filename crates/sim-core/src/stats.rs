@@ -342,23 +342,6 @@ impl Snapshot for Histogram {
     }
 }
 
-/// Formats a fraction as a percentage string with one decimal, e.g. `"3.1%"`.
-pub fn percent(frac: f64) -> String {
-    format!("{:.1}%", frac * 100.0)
-}
-
-/// Geometric mean of a slice of positive values; `0.0` for an empty slice.
-///
-/// Slowdown aggregates in the paper are arithmetic means across workloads; the
-/// geometric mean is provided for weighted-speedup style reporting.
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,17 +408,5 @@ mod tests {
     #[should_panic(expected = "bin width must be positive")]
     fn histogram_zero_width_panics() {
         Histogram::new(0, 4);
-    }
-
-    #[test]
-    fn percent_formatting() {
-        assert_eq!(percent(0.031), "3.1%");
-        assert_eq!(percent(0.0), "0.0%");
-    }
-
-    #[test]
-    fn geomean_values() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
     }
 }

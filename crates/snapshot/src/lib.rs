@@ -545,8 +545,18 @@ pub fn open(bytes: &[u8]) -> Result<Container, SnapError> {
     })
 }
 
-/// Writes a sealed container to `path` atomically (tmp file + rename), so a
-/// crash mid-write never leaves a half-written file behind.
+/// Writes a sealed container to `path` atomically (see [`write_atomic`]).
+///
+/// # Errors
+///
+/// Returns any I/O error from writing or renaming.
+pub fn write_file(path: &std::path::Path, kind: u8, payload: &[u8]) -> std::io::Result<()> {
+    write_atomic(path, &seal(kind, payload))
+}
+
+/// Writes `bytes` to `path` atomically (tmp file + rename), so a crash
+/// mid-write never leaves a half-written file behind: a reader sees the old
+/// file, the new one, or none.
 ///
 /// Every call writes through its own tmp file in `path`'s directory, named
 /// after the process id and a process-wide counter: concurrent writers of the
@@ -556,14 +566,13 @@ pub fn open(bytes: &[u8]) -> Result<Container, SnapError> {
 /// # Errors
 ///
 /// Returns any I/O error from writing or renaming.
-pub fn write_file(path: &std::path::Path, kind: u8, payload: &[u8]) -> std::io::Result<()> {
+pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
     static NEXT_TMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let n = NEXT_TMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
     tmp_name.push(format!(".{}.{n}.tmp", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
-    let result =
-        std::fs::write(&tmp, seal(kind, payload)).and_then(|()| std::fs::rename(&tmp, path));
+    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }

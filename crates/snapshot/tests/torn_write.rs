@@ -1,11 +1,14 @@
 //! A writer killed mid-`put` (SIGKILL: no unwinding, no cleanup) never
 //! leaves a torn cell behind. `CellStore::put` writes a per-writer temporary
 //! file and renames it into place, so every `cells/*.cell` file a reader can
-//! see either opens and decodes, or is absent.
+//! see either opens and decodes, or is absent. The same holds for a plain
+//! file written through `write_atomic` (the campaign daemon's persisted
+//! specs): it is absent or whole.
 #![cfg(unix)]
 
 use autorfm_snapshot::store::{CellRecord, CellStore};
-use std::path::PathBuf;
+use autorfm_snapshot::write_atomic;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -27,8 +30,25 @@ fn record(t: u64, i: u64) -> CellRecord {
     CellRecord::ok(t * KEYS + i % KEYS, vec![i as u8; len])
 }
 
-/// The writer the test below kills: `WRITERS` threads putting records in
-/// a loop until killed. It runs only as that test's child — it finds its
+/// The last line of every text file the child writes.
+const MARKER: &str = "-- end of spec --\n";
+
+/// The text file the child rewrites through `write_atomic` inside `dir`.
+fn text_path(dir: &Path) -> PathBuf {
+    dir.join("spec.json")
+}
+
+/// The text the child writes on its `i`-th rewrite: large, so a kill
+/// regularly lands mid-write, and ending in [`MARKER`].
+fn text(i: u64) -> String {
+    let mut s = format!("{i}\n").repeat(64 * 1024 + (i as usize * 131) % 4096);
+    s.push_str(MARKER);
+    s
+}
+
+/// The writer the test below kills: `WRITERS` threads putting records and
+/// one thread rewriting a text file through `write_atomic`, in a loop until
+/// killed. It runs only as that test's child — it finds its
 /// store through its parent's pid, and returns at once when started any
 /// other way.
 #[test]
@@ -49,6 +69,12 @@ fn put_loop_child() {
                 }
             });
         }
+        let path = text_path(&dir);
+        scope.spawn(move || {
+            for i in 0u64.. {
+                write_atomic(&path, text(i).as_bytes()).unwrap();
+            }
+        });
     });
 }
 
@@ -72,6 +98,14 @@ fn sigkill_during_put_leaves_whole_cells_or_none() {
         std::thread::sleep(Duration::from_millis(1 + 3 * round));
         child.kill().unwrap();
         child.wait().unwrap();
+
+        if let Ok(text) = std::fs::read_to_string(text_path(&dir)) {
+            assert!(
+                text.ends_with(MARKER),
+                "round {round}: truncated text file ({} bytes)",
+                text.len()
+            );
+        }
 
         let keys = store.keys();
         assert!(!keys.is_empty(), "round {round}: the writer wrote nothing");

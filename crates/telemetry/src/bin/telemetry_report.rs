@@ -115,32 +115,12 @@ fn series(m: &RunManifest, key: &str, metric: Option<&str>) -> Result<(), ExitCo
         eprintln!("error: run {key:?} has no epoch series (re-run with --telemetry)");
         return Err(ExitCode::FAILURE);
     };
-    match metric {
-        None => {
-            if let Err(e) = series.write_csv(std::io::stdout().lock()) {
-                eprintln!("error: writing the series: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        }
-        Some(name) => {
-            if !series.columns().iter().any(|c| c == name) {
-                eprintln!(
-                    "error: unknown metric {name:?}; available: {}",
-                    series.columns().join(", ")
-                );
-                return Err(ExitCode::FAILURE);
-            }
-            println!("index,start_ns,end_ns,{name}");
-            for s in &series.samples {
-                println!(
-                    "{},{},{},{}",
-                    s.index,
-                    s.start.as_ns(),
-                    s.end.as_ns(),
-                    s.column(name).unwrap_or(0.0)
-                );
-            }
-        }
-    }
-    Ok(())
+    let written = match metric {
+        None => series.write_csv(std::io::stdout().lock()),
+        Some(name) => series.write_column_csv(name, std::io::stdout().lock()),
+    };
+    written.map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }

@@ -224,18 +224,46 @@ impl EpochSeries {
     /// # Errors
     ///
     /// Returns the first write or flush error.
-    pub fn write_csv(&self, mut out: impl Write) -> io::Result<()> {
+    pub fn write_csv(&self, out: impl Write) -> io::Result<()> {
+        self.write_rows(&self.columns(), true, out)
+    }
+
+    /// Writes one column of [`Self::write_csv`]'s output: the
+    /// `index,start_ns,end_ns,<name>` header and rows, cells formatted the
+    /// same way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`io::ErrorKind::InvalidInput`], writing nothing, if `name`
+    /// is not one of [`Self::columns`]; else the first write or flush error.
+    pub fn write_column_csv(&self, name: &str, out: impl Write) -> io::Result<()> {
+        let columns = self.columns();
+        if !columns.iter().any(|c| c == name) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("unknown metric {name:?}; available: {}", columns.join(", ")),
+            ));
+        }
+        self.write_rows(&[name.to_string()], false, out)
+    }
+
+    /// The CSV writer behind [`Self::write_csv`] and
+    /// [`Self::write_column_csv`]: `columns`, then `partial` if asked.
+    fn write_rows(&self, columns: &[String], partial: bool, mut out: impl Write) -> io::Result<()> {
         if self.samples.is_empty() {
             return Ok(());
         }
-        let columns = self.columns();
-        writeln!(out, "index,start_ns,end_ns,{},partial", columns.join(","))?;
+        let tail = if partial { ",partial" } else { "" };
+        writeln!(out, "index,start_ns,end_ns,{}{tail}", columns.join(","))?;
         for s in &self.samples {
             write!(out, "{},{},{}", s.index, s.start.as_ns(), s.end.as_ns())?;
-            for c in &columns {
+            for c in columns {
                 write!(out, ",{}", fmt_cell(s.column(c).unwrap_or(0.0)))?;
             }
-            writeln!(out, ",{}", u8::from(s.partial))?;
+            if partial {
+                write!(out, ",{}", u8::from(s.partial))?;
+            }
+            writeln!(out)?;
         }
         out.flush()
     }
@@ -639,6 +667,34 @@ mod tests {
         let rows: Vec<&str> = text.lines().skip(1).collect();
         assert_eq!(rows.len(), 3, "only the stored samples: {text}");
         assert!(rows[2].starts_with("2,20,30,"), "{}", rows[2]);
+    }
+
+    #[test]
+    fn write_column_csv_projects_write_csv() {
+        let series = EpochSeries {
+            epoch_len: Cycle::from_ns(100),
+            samples: vec![sample(0, 10), sample(1, 20)],
+            truncated: false,
+        };
+        let full = csv(&series);
+        let header: Vec<&str> = full.lines().next().unwrap().split(',').collect();
+        for name in series.columns() {
+            let at = header.iter().position(|h| *h == name).unwrap();
+            let projected: String = full
+                .lines()
+                .map(|line| {
+                    let cells: Vec<&str> = line.split(',').collect();
+                    format!("{},{}\n", cells[..3].join(","), cells[at])
+                })
+                .collect();
+            let mut out = Vec::new();
+            series.write_column_csv(&name, &mut out).unwrap();
+            assert_eq!(String::from_utf8(out).unwrap(), projected, "{name}");
+        }
+        let mut out = Vec::new();
+        let err = series.write_column_csv("nope", &mut out).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
     }
 
     /// A writer whose writes, or only its flush, fail.

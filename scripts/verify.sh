@@ -57,9 +57,12 @@ echo "run_all --jobs ${JOBS}: $((end - start))s"
 # OracleRH lower-bound gate: one column per *registered* tracker (so a
 # tracker registered but not wired everywhere shows here and in the kernel
 # differential above), and the idealized oracle must be strictly cheaper than
-# every real tracker. results/golden/ pins every table at default fidelity
-# (100K instructions/core): any drift in a regenerated table fails here
-# (set -e).
+# every real tracker; and attack_fuzz's escape-curve gates: one fuzz
+# campaign per registered tracker, the eager oracle strictly hardest to
+# escape, every real tracker escaping the lowest watched threshold, and the
+# MINT/PrIDE curves inside the closed-form run-of-successes band.
+# results/golden/ pins every table at default fidelity (100K
+# instructions/core): any drift in a regenerated table fails here (set -e).
 for golden in results/golden/*.txt; do
     cmp "${golden}" "results/$(basename "${golden}")"
 done
@@ -88,38 +91,20 @@ if ! grep -q "already complete, skipping" <<<"${resume_out}"; then
     exit 1
 fi
 
-echo "== attack fuzzer smoke (escape curves + OracleRH strictly-hardest gate) =="
-# One bounded fuzz campaign per *registered* tracker: mutation + annealing
-# over the AttackPattern genome space against the tracker-only AttackSim.
-# The binary exits nonzero unless the eager-oracle hardness is strictly
-# greater than every real tracker's AND every real tracker escapes at least
-# the lowest watched threshold (nonzero curve coverage) AND the MINT/PrIDE
-# curves sit inside the closed-form run-of-successes expectation band.
-# Per-candidate seeds derive from genome digests, so the sweep is
-# bit-identical at any --jobs. Evaluations persist into a scratch store that
-# the campaign smoke below reuses; that a rerun over a warm store simulates
-# nothing and reproduces the archive is pinned by
-# crates/bench/tests/fuzz_store.rs under cargo test.
-FUZZ_STORE="$(mktemp -d)"
+echo "== campaign service smoke (campaignd + campaign CLI) =="
+# Boot the always-on sweep server on an ephemeral port over a scratch store
+# (that campaignd adopts fuzz records next to its sweep cells is pinned by
+# exactly_once::daemon_adopts_fuzz_store_records under cargo test). Push a
+# 4-cell sweep through it, wait for completion, then re-run every cell as a
+# direct System simulation and diff result digests (campaign check). That
+# resubmitting a completed sweep is pure dedup (same id, zero cells
+# scheduled) is pinned by crates/campaign/src/server.rs (http_api_end_to_end)
+# under cargo test.
+CAMPAIGN_STORE="$(mktemp -d)"
 CAMPAIGND_PID=""
 # On any exit, stop the campaign daemon (if a failing step left it running)
 # and remove the scratch store.
-trap '[ -n "${CAMPAIGND_PID}" ] && kill "${CAMPAIGND_PID}" 2>/dev/null; rm -rf "${FUZZ_STORE}"' EXIT
-fuzz_out="$(cargo run --release -p autorfm-bench --bin attack_fuzz -- \
-    --jobs "${JOBS}" --store "${FUZZ_STORE}")"
-printf '%s\n' "${fuzz_out}"
-printf '%s\n' "${fuzz_out}" | tail -n 1 > results/attack_fuzz.json
-
-echo "== campaign service smoke (campaignd + campaign CLI) =="
-# Boot the always-on sweep server on an ephemeral port over the fuzz store
-# from above (that campaignd adopts the fuzz records next to its sweep cells
-# is pinned by exactly_once::daemon_adopts_fuzz_store_records under cargo
-# test). Push a 4-cell sweep through it, wait for completion,
-# then re-run every cell as a direct System simulation and diff result
-# digests (campaign check). That resubmitting a completed sweep is pure dedup
-# (same id, zero cells scheduled) is pinned by
-# crates/campaign/src/server.rs (http_api_end_to_end) under cargo test.
-CAMPAIGN_STORE="${FUZZ_STORE}"
+trap '[ -n "${CAMPAIGND_PID}" ] && kill "${CAMPAIGND_PID}" 2>/dev/null; rm -rf "${CAMPAIGN_STORE}"' EXIT
 ./target/release/campaignd --store "${CAMPAIGN_STORE}" --port 0 &
 CAMPAIGND_PID=$!
 for _ in $(seq 1 100); do
