@@ -1,5 +1,5 @@
 //! The attack-pattern fuzzer: mutation + simulated-annealing search over the
-//! [`AttackPattern`](crate::AttackPattern) genome space against the stripped
+//! [`AttackPattern`] genome space against the stripped
 //! tracker-only [`AttackSim`] fast path.
 //!
 //! # Search loop

@@ -20,6 +20,10 @@
 //! older model computed, and a killed campaign resumes under `--resume`
 //! without re-running finished simulations.
 //!
+//! At the end it prints how many distinct cells the run requested and
+//! simulated, then how many work units warmed up, over how many distinct
+//! shapes, and their summed wall time across worker threads.
+//!
 //! A target that panics keeps its partial report, followed by an
 //! `=== FAILED` line, and a nonzero manifest `exit_code`; the remaining
 //! targets still run and `run_all` exits 1.
@@ -71,6 +75,13 @@ fn main() {
         "{} distinct cells, {} simulated",
         cache.len(),
         cache.simulations_run()
+    );
+    let ledger = cache.warmups();
+    eprintln!(
+        "{} warmups over {} shapes, {:.1} s of work-unit time",
+        ledger.warmups,
+        ledger.shapes.len(),
+        ledger.unit_wall.as_secs_f64()
     );
     if failures.is_empty() {
         eprintln!("done.");

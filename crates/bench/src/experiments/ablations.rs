@@ -18,6 +18,7 @@ use autorfm::analysis::MintModel;
 use autorfm::dram::RefreshPolicy;
 use autorfm::experiments::Scenario;
 use autorfm::memctrl::{PagePolicy, RaaRefCredit, RetryPolicy, WritePolicy};
+use autorfm::result::mean_slowdown;
 use autorfm::sim_core::{Cycle, TimingOverride};
 use autorfm::SimConfig;
 use autorfm_workloads::WorkloadSpec;
@@ -227,19 +228,15 @@ pub fn run(ctx: &mut Ctx) {
     for variant in &table {
         matrix.extend(opts.workloads.iter().map(|&spec| variant.job(spec, &opts)));
     }
-    ctx.prefetch(&matrix);
+    let results = ctx.run(&matrix);
 
-    let (baselines, cells) = matrix.split_at(n);
+    let (baselines, cells) = results.split_at(n);
     let rows: Vec<Vec<String>> = table
         .iter()
         .zip(cells.chunks(n))
-        .map(|(variant, jobs)| {
-            let slowdowns: Vec<f64> = jobs
-                .iter()
-                .zip(baselines)
-                .map(|(job, base)| ctx.get(job).slowdown_vs(&ctx.get(base)))
-                .collect();
-            let avg = slowdowns.iter().sum::<f64>() / n as f64;
+        .map(|(variant, treated)| {
+            let pairs = baselines.iter().zip(treated);
+            let avg = mean_slowdown(pairs.map(|(b, t)| (&**b, &**t)));
             vec![variant.ablation.into(), variant.name.clone(), pct(avg)]
         })
         .collect();

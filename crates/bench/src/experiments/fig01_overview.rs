@@ -5,13 +5,12 @@
 //! RFMTH → tolerated TRH-D plus simulated slowdowns). Figures 1(b) and 1(c)
 //! are schematic diagrams with no data series.
 
-use super::Ctx;
-use crate::{bar_chart, pct, SimJob, BASELINE_ZEN};
+use super::{mean_column_slowdown, Ctx};
+use crate::{bar_chart, pct, BASELINE_ZEN};
 use autorfm::analysis::{MintModel, TRH_HISTORY};
 use autorfm::experiments::Scenario;
 
 pub fn run(ctx: &mut Ctx) {
-    let opts = ctx.opts.clone();
     ctx.banner("Figure 1(a) + 1(d): threshold trend and RFM slowdown trend");
 
     ctx.println("(a) Rowhammer threshold over DRAM generations:");
@@ -28,22 +27,13 @@ pub fn run(ctx: &mut Ctx) {
 
     ctx.println("\n(d) RFM slowdown as the tolerated threshold shrinks:");
     let ths = [32u32, 16, 8, 4];
-    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
-    let mut matrix: Vec<SimJob> = Vec::new();
-    for &spec in &opts.workloads {
-        matrix.push(job(spec, BASELINE_ZEN));
-        matrix.extend(ths.iter().map(|&th| job(spec, Scenario::Rfm { th })));
-    }
-    ctx.prefetch(&matrix);
+    let mut scenarios = vec![BASELINE_ZEN];
+    scenarios.extend(ths.map(|th| Scenario::Rfm { th }));
+    let rows = ctx.sweep(&scenarios);
     let mut chart = Vec::new();
-    for th in ths {
+    for (i, th) in ths.into_iter().enumerate() {
         let trhd = MintModel::rfm(th, true).tolerated_trh_d();
-        let mut sum = 0.0;
-        for &spec in &opts.workloads {
-            let base = ctx.get(&job(spec, BASELINE_ZEN));
-            sum += ctx.get(&job(spec, Scenario::Rfm { th })).slowdown_vs(&base);
-        }
-        let s = sum / opts.workloads.len() as f64;
+        let s = mean_column_slowdown(&rows, 0, i + 1);
         chart.push((format!("TRH-D ~{trhd:.0} (RFM-{th})"), s));
     }
     ctx.print(bar_chart("average RFM slowdown", &chart, pct));

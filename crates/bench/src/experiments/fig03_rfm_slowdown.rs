@@ -3,40 +3,17 @@
 //! Regenerates the per-workload slowdown of RFM-4/8/16/32 relative to the
 //! no-mitigation Zen baseline. Paper averages: 33%, 12.9%, 4.4%, 0.2%.
 
-use super::Ctx;
-use crate::{bar_chart, pct, render_table, SimJob, BASELINE_ZEN};
+use super::{slowdown_table, Ctx};
+use crate::{bar_chart, pct, render_table, BASELINE_ZEN};
 use autorfm::experiments::Scenario;
 
 pub fn run(ctx: &mut Ctx) {
-    let opts = ctx.opts.clone();
     ctx.banner("Figure 3: slowdown of RFM-N vs no-mitigation baseline");
 
     let ths = [4u32, 8, 16, 32];
-    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
-    let mut matrix: Vec<SimJob> = Vec::new();
-    for &spec in &opts.workloads {
-        matrix.push(job(spec, BASELINE_ZEN));
-        matrix.extend(ths.iter().map(|&th| job(spec, Scenario::Rfm { th })));
-    }
-    ctx.prefetch(&matrix);
-    let mut rows = Vec::new();
-    let mut sums = vec![0.0f64; ths.len()];
-
-    for &spec in &opts.workloads {
-        let base = ctx.get(&job(spec, BASELINE_ZEN));
-        let mut row = vec![spec.name.to_string()];
-        for (i, th) in ths.iter().enumerate() {
-            let r = ctx.get(&job(spec, Scenario::Rfm { th: *th }));
-            let s = r.slowdown_vs(&base);
-            sums[i] += s;
-            row.push(pct(s));
-        }
-        rows.push(row);
-    }
-    let n = opts.workloads.len() as f64;
-    let mut avg = vec!["AVERAGE".to_string()];
-    avg.extend(sums.iter().map(|s| pct(s / n)));
-    rows.push(avg);
+    let mut scenarios = vec![BASELINE_ZEN];
+    scenarios.extend(ths.map(|th| Scenario::Rfm { th }));
+    let (mut rows, means) = slowdown_table(&ctx.sweep(&scenarios));
     rows.push(vec![
         "paper avg".into(),
         "33.0%".into(),
@@ -50,8 +27,8 @@ pub fn run(ctx: &mut Ctx) {
     ));
     let chart: Vec<(String, f64)> = ths
         .iter()
-        .zip(&sums)
-        .map(|(th, s)| (format!("RFM-{th}"), s / n))
+        .zip(means)
+        .map(|(th, m)| (format!("RFM-{th}"), m))
         .collect();
     ctx.print(bar_chart("average slowdown", &chart, pct));
 }

@@ -4,42 +4,36 @@
 //! mitigation power (65–92 mW total over baseline).
 
 use super::Ctx;
-use crate::{render_table, SimJob, BASELINE_RUBIX, BASELINE_ZEN};
+use crate::{render_table, BASELINE_RUBIX, BASELINE_ZEN};
 use autorfm::experiments::Scenario;
 use autorfm::power::PowerModel;
 
 pub fn run(ctx: &mut Ctx) {
-    let opts = ctx.opts.clone();
     ctx.banner("Figure 12: DRAM power breakdown");
 
-    let configs = [
-        ("baseline", BASELINE_ZEN),
-        ("rubix", BASELINE_RUBIX),
-        ("AutoRFM-8", Scenario::AutoRfm { th: 8 }),
-        ("AutoRFM-4", Scenario::AutoRfm { th: 4 }),
-    ];
-    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
-    let matrix: Vec<SimJob> = configs
-        .iter()
-        .flat_map(|&(_, scen)| opts.workloads.iter().map(move |&spec| job(spec, scen)))
-        .collect();
-    ctx.prefetch(&matrix);
+    let names = ["baseline", "rubix", "AutoRFM-8", "AutoRFM-4"];
+    let results = ctx.sweep(&[
+        BASELINE_ZEN,
+        BASELINE_RUBIX,
+        Scenario::AutoRfm { th: 8 },
+        Scenario::AutoRfm { th: 4 },
+    ]);
     let model = PowerModel::ddr5();
     let mut rows = Vec::new();
     let mut base_total = None;
 
-    for (name, scen) in configs {
+    for (i, name) in names.into_iter().enumerate() {
         // Average the breakdown across workloads.
         let mut acc = autorfm::power::PowerBreakdown::default();
-        for &spec in &opts.workloads {
-            let r = ctx.get(&job(spec, scen));
+        for (_, r) in &results {
+            let r = &r[i];
             let p = model.breakdown(&r.power_counts, r.elapsed.as_secs_f64());
             acc.act_rw_mw += p.act_rw_mw;
             acc.background_mw += p.background_mw;
             acc.refresh_mw += p.refresh_mw;
             acc.mitigation_mw += p.mitigation_mw;
         }
-        let n = opts.workloads.len() as f64;
+        let n = results.len() as f64;
         let p = autorfm::power::PowerBreakdown {
             act_rw_mw: acc.act_rw_mw / n,
             background_mw: acc.background_mw / n,

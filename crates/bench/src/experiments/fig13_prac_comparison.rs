@@ -4,8 +4,8 @@
 //! Paper: PRAC ≥4% flat (longer timings); RFM explodes below TRH-D ~300;
 //! AutoRFM stays at 2–3.1% down to TRH-D 74.
 
-use super::Ctx;
-use crate::{pct, render_table, SimJob, BASELINE_ZEN};
+use super::{mean_column_slowdown, Ctx};
+use crate::{pct, render_table, BASELINE_ZEN};
 use autorfm::analysis::MintModel;
 use autorfm::experiments::Scenario;
 
@@ -13,43 +13,22 @@ const RFM_THS: [u32; 4] = [4, 8, 16, 32];
 const AUTO_RFM_THS: [u32; 5] = [4, 6, 8, 12, 16];
 const PRAC_ABOS: [u32; 3] = [64, 128, 256];
 
-fn avg_slowdown(scen: Scenario, ctx: &mut Ctx) -> f64 {
-    let opts = ctx.opts.clone();
-    let mut sum = 0.0;
-    for &spec in &opts.workloads {
-        let base = ctx.get(&SimJob::new(spec, BASELINE_ZEN, &opts));
-        sum += ctx.get(&SimJob::new(spec, scen, &opts)).slowdown_vs(&base);
-    }
-    sum / opts.workloads.len() as f64
-}
-
 pub fn run(ctx: &mut Ctx) {
-    let opts = ctx.opts.clone();
     ctx.banner("Figure 13: PRAC vs RFM vs AutoRFM across thresholds");
 
-    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
-    let mut matrix: Vec<SimJob> = Vec::new();
-    for &spec in &opts.workloads {
-        matrix.push(job(spec, BASELINE_ZEN));
-        matrix.extend(RFM_THS.iter().map(|&th| job(spec, Scenario::Rfm { th })));
-        matrix.extend(
-            AUTO_RFM_THS
-                .iter()
-                .map(|&th| job(spec, Scenario::AutoRfm { th })),
-        );
-        matrix.extend(
-            PRAC_ABOS
-                .iter()
-                .map(|&abo_th| job(spec, Scenario::Prac { abo_th })),
-        );
-    }
-    ctx.prefetch(&matrix);
+    // Per workload: the baseline, then every point below in table order.
+    let mut scenarios = vec![BASELINE_ZEN];
+    scenarios.extend(RFM_THS.map(|th| Scenario::Rfm { th }));
+    scenarios.extend(AUTO_RFM_THS.map(|th| Scenario::AutoRfm { th }));
+    scenarios.extend(PRAC_ABOS.map(|abo_th| Scenario::Prac { abo_th }));
+    let results = ctx.sweep(&scenarios);
+    let mut means = (1..scenarios.len()).map(|i| mean_column_slowdown(&results, 0, i));
     let mut rows = Vec::new();
 
     // RFM points: RFMTH -> (tolerated TRH-D from the recursive model, slowdown).
     for th in RFM_THS {
         let trhd = MintModel::rfm(th, true).tolerated_trh_d();
-        let s = avg_slowdown(Scenario::Rfm { th }, ctx);
+        let s = means.next().expect("one mean per point");
         rows.push(vec![
             "RFM".into(),
             format!("{th}"),
@@ -60,7 +39,7 @@ pub fn run(ctx: &mut Ctx) {
     // AutoRFM points (fractal model thresholds).
     for th in AUTO_RFM_THS {
         let trhd = MintModel::auto_rfm(th, false).tolerated_trh_d();
-        let s = avg_slowdown(Scenario::AutoRfm { th }, ctx);
+        let s = means.next().expect("one mean per point");
         rows.push(vec![
             "AutoRFM".into(),
             format!("{th}"),
@@ -71,7 +50,7 @@ pub fn run(ctx: &mut Ctx) {
     // PRAC: slowdown is dominated by the increased timings and is nearly flat
     // in the threshold; the ABO threshold tracks the tolerated TRH-D (MOAT).
     for abo in PRAC_ABOS {
-        let s = avg_slowdown(Scenario::Prac { abo_th: abo }, ctx);
+        let s = means.next().expect("one mean per point");
         rows.push(vec![
             "PRAC".into(),
             format!("ABO{abo}"),

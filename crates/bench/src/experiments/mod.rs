@@ -2,7 +2,7 @@
 //! function `run(&mut Ctx)` listed in [`ALL`], and [`run`] executes a
 //! selection of them one after another, in one process, over one shared
 //! [`ResultCache`] — so a cell several figures use is simulated once (each
-//! prefetch still fans out over `--jobs` threads).
+//! [`Ctx::run`] still fans out over `--jobs` threads).
 //!
 //! Each target writes `<dir>/<target>.txt` (its report) and
 //! `<dir>/<target>.json` (its [`RunManifest`]: the run options, every cell
@@ -12,9 +12,11 @@
 //! after it still run.
 
 use crate::{ResultCache, RunOpts, SimJob};
+use autorfm::experiments::Scenario;
 use autorfm::telemetry::{Json, Labels, RunEntry, RunManifest};
 use autorfm::SimResult;
 use autorfm_campaign::runner::panic_message;
+use autorfm_workloads::WorkloadSpec;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -46,6 +48,40 @@ mod tracker_zoo;
 /// One experiment: it writes its report and records its cells through the
 /// [`Ctx`] it is given, and signals failure by panicking.
 pub type Experiment = fn(&mut Ctx);
+
+/// One workload's row of a [`Ctx::sweep`]: the workload and its results, in
+/// the order the scenarios were given.
+pub type Row = (&'static WorkloadSpec, Vec<Arc<SimResult>>);
+
+/// The workload-mean slowdown of column `col` against column `base` of a
+/// [`Ctx::sweep`] (`autorfm::result::mean_slowdown`).
+fn mean_column_slowdown(rows: &[Row], base: usize, col: usize) -> f64 {
+    autorfm::result::mean_slowdown(rows.iter().map(|(_, r)| (&*r[base], &*r[col])))
+}
+
+/// A table line per row of a [`Ctx::sweep`]: the workload's name, then the
+/// slowdown of every later column against column 0, then an `AVERAGE` line
+/// of the column means. Returns the lines and the means.
+fn slowdown_table(rows: &[Row]) -> (Vec<Vec<String>>, Vec<f64>) {
+    let means: Vec<f64> = (1..rows.first().map_or(1, |(_, r)| r.len()))
+        .map(|col| mean_column_slowdown(rows, 0, col))
+        .collect();
+    let mut lines: Vec<Vec<String>> = rows
+        .iter()
+        .map(|(spec, r)| {
+            let slowdowns = r[1..].iter().map(|t| crate::pct(t.slowdown_vs(&r[0])));
+            std::iter::once(spec.name.to_string())
+                .chain(slowdowns)
+                .collect()
+        })
+        .collect();
+    lines.push(
+        std::iter::once("AVERAGE".to_string())
+            .chain(means.iter().map(|&m| crate::pct(m)))
+            .collect(),
+    );
+    (lines, means)
+}
 
 /// Every experiment in run order: its name (the stem of its report and
 /// manifest files) and its function.
@@ -82,9 +118,10 @@ pub const ALL: &[(&str, Experiment)] = &[
 /// What one experiment runs with and writes to: its own copy of the run
 /// options, the shared cache, its report text and its manifest.
 ///
-/// [`Ctx::prefetch`] and [`Ctx::get`] record every cell the experiment
-/// touches, so its manifest lists the cells it used — cache hits included —
-/// while `simulations_run` counts only the cells it simulated itself.
+/// [`Ctx::run`] (and [`Ctx::sweep`], one `run` over a workload × scenario
+/// matrix) records every cell the experiment touches, so its manifest lists
+/// the cells it used — cache hits included — while `simulations_run` counts
+/// only the cells it simulated itself.
 pub struct Ctx<'a> {
     /// The options this experiment runs with (a copy it may narrow).
     pub opts: RunOpts,
@@ -98,9 +135,14 @@ pub struct Ctx<'a> {
     started: Instant,
 }
 
+/// The options only a target that simulates depends on: its manifest's
+/// config block drops them when it lists no run.
+const CELL_OPTIONS: [&str; 4] = ["cores", "workloads", "telemetry", "epoch_ns"];
+
 /// The manifest config block a run with `opts` writes: every option the
-/// reports depend on (not `--jobs`, `--store` or `--telemetry-csv`).
-fn config_block(opts: &RunOpts) -> Vec<(String, Json)> {
+/// reports depend on (not `--jobs`, `--store` or `--telemetry-csv`), less
+/// [`CELL_OPTIONS`] unless the target `simulates`.
+fn config_block(opts: &RunOpts, simulates: bool) -> Vec<(String, Json)> {
     let mut config = vec![
         ("cores", Json::Num(f64::from(opts.cores))),
         ("instructions_per_core", Json::Num(opts.instructions as f64)),
@@ -124,6 +166,7 @@ fn config_block(opts: &RunOpts) -> Vec<(String, Json)> {
     }
     config
         .into_iter()
+        .filter(|(k, _)| simulates || !CELL_OPTIONS.contains(k))
         .map(|(k, v)| (k.to_string(), v))
         .collect()
 }
@@ -133,7 +176,7 @@ impl<'a> Ctx<'a> {
     fn new(target: &str, opts: &RunOpts, cache: &'a ResultCache) -> Self {
         let mut manifest = RunManifest::new(target);
         manifest.jobs = opts.jobs as u64;
-        manifest.config = config_block(opts);
+        manifest.config = config_block(opts, true);
         Ctx {
             opts: opts.clone(),
             cache,
@@ -169,32 +212,41 @@ impl<'a> Ctx<'a> {
         self.println(shape);
     }
 
-    /// Simulates (or finds cached) every job — see [`ResultCache::prefetch`]
-    /// — and records them as cells of this experiment.
-    pub fn prefetch(&mut self, jobs: &[SimJob]) {
-        self.cache.prefetch(jobs, &self.opts);
-        for job in jobs {
-            self.touch(job);
-        }
-    }
-
-    /// The result of `job` (a miss simulates it), recorded as a cell of this
-    /// experiment.
+    /// Every job's result, in job order — simulated, reloaded or cached by
+    /// [`ResultCache::run`] on `opts.jobs` threads — with each job recorded
+    /// as a cell of this experiment (first label per key).
     ///
     /// # Panics
     ///
-    /// Panics with the cell's error text if it failed.
-    pub fn get(&mut self, job: &SimJob) -> Arc<SimResult> {
-        let result = self.cache.get(job);
-        self.touch(job);
-        result
+    /// Panics with the cell's error text if a job's cell failed.
+    pub fn run(&mut self, jobs: &[SimJob]) -> Vec<Arc<SimResult>> {
+        for job in jobs {
+            let key = job.cfg.key();
+            if self.seen.insert(key) {
+                self.cells.push((job.label.clone(), key));
+            }
+        }
+        self.cache.run(jobs, self.opts.jobs)
     }
 
-    fn touch(&mut self, job: &SimJob) {
-        let key = job.cfg.key();
-        if self.seen.insert(key) {
-            self.cells.push((job.label.clone(), key));
-        }
+    /// One [`Ctx::run`] over `opts.workloads` × `scenarios`, workload-major:
+    /// one row per workload, its results in `scenarios` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the cell's error text if a cell failed.
+    pub fn sweep(&mut self, scenarios: &[Scenario]) -> Vec<Row> {
+        let workloads = self.opts.workloads.clone();
+        let jobs: Vec<SimJob> = workloads
+            .iter()
+            .flat_map(|&spec| scenarios.iter().map(move |&s| (spec, s)))
+            .map(|(spec, scenario)| SimJob::new(spec, scenario, &self.opts))
+            .collect();
+        let mut results = self.run(&jobs).into_iter();
+        workloads
+            .into_iter()
+            .map(|spec| (spec, results.by_ref().take(scenarios.len()).collect()))
+            .collect()
     }
 
     /// Records a top-level scalar metric in the manifest — for outputs that
@@ -214,6 +266,10 @@ impl<'a> Ctx<'a> {
                     series: result.series.clone(),
                 });
             }
+        }
+        if m.runs.is_empty() {
+            m.config
+                .retain(|(k, _)| !CELL_OPTIONS.contains(&k.as_str()));
         }
         m.exit_code = Some(exit_code);
         m.wall_s = self.started.elapsed().as_secs_f64();
@@ -237,10 +293,11 @@ impl<'a> Ctx<'a> {
 }
 
 /// Whether `<dir>/<target>.json` records a clean exit under the config block
-/// `opts` would write (what `--resume` skips).
+/// `opts` would write for a target like it — one that simulates if the
+/// manifest lists runs (what `--resume` skips).
 fn is_complete(dir: &Path, target: &str, opts: &RunOpts) -> bool {
     RunManifest::load(&dir.join(format!("{target}.json")))
-        .is_ok_and(|m| m.exit_code == Some(0) && m.config == config_block(opts))
+        .is_ok_and(|m| m.exit_code == Some(0) && m.config == config_block(opts, !m.runs.is_empty()))
 }
 
 /// Runs `entries` one after another over `cache`, writing each report to

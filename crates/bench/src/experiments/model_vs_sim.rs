@@ -5,37 +5,24 @@
 //! RFM slowdown, both as functions of the measured per-bank activation rate.
 
 use super::Ctx;
-use crate::{pct, render_table, SimJob, BASELINE_ZEN};
+use crate::{pct, render_table, BASELINE_ZEN};
 use autorfm::analysis::{AutoRfmConflictModel, RfmPerfModel};
 use autorfm::experiments::Scenario;
 
 pub fn run(ctx: &mut Ctx) {
-    let opts = ctx.opts.clone();
     ctx.banner("Model vs simulation: ALERT probability and RFM slowdown");
 
-    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
-    let matrix: Vec<SimJob> = opts
-        .workloads
-        .iter()
-        .flat_map(|&spec| {
-            [
-                job(spec, BASELINE_ZEN),
-                job(spec, Scenario::AutoRfm { th: 4 }),
-                job(spec, Scenario::Rfm { th: 4 }),
-            ]
-        })
-        .collect();
-    ctx.prefetch(&matrix);
+    let results = ctx.sweep(&[
+        BASELINE_ZEN,
+        Scenario::AutoRfm { th: 4 },
+        Scenario::Rfm { th: 4 },
+    ]);
     let mut rows = Vec::new();
-    for &spec in &opts.workloads {
-        let base = ctx.get(&job(spec, BASELINE_ZEN));
+    for (spec, r) in results {
+        let (base, auto, rfm) = (&r[0], &r[1], &r[2]);
         // Per-bank activation rate measured on the baseline, in ACTs/ns.
         let acts_per_ns = base.act_per_trefi_per_bank / 3900.0;
-
-        let auto = ctx.get(&job(spec, Scenario::AutoRfm { th: 4 }));
         let alert_model = AutoRfmConflictModel::paper_defaults(4).alert_probability(acts_per_ns);
-
-        let rfm = ctx.get(&job(spec, Scenario::Rfm { th: 4 }));
         let rfm_model = RfmPerfModel::paper_defaults(4).slowdown_estimate(acts_per_ns);
 
         rows.push(vec![
@@ -43,7 +30,7 @@ pub fn run(ctx: &mut Ctx) {
             format!("{:.2}", base.act_per_trefi_per_bank),
             format!("{:.3}%", auto.alerts_per_act * 100.0),
             format!("{:.3}%", alert_model * 100.0),
-            pct(rfm.slowdown_vs(&base)),
+            pct(rfm.slowdown_vs(base)),
             pct(rfm_model),
         ]);
     }

@@ -10,8 +10,10 @@
 use super::Ctx;
 use crate::{render_table, RunOpts, SimJob, BASELINE_ZEN};
 use autorfm::experiments::Scenario;
+use autorfm::result::mean_slowdown;
 use autorfm::{SimResult, TelemetryConfig};
 use autorfm_workloads::WorkloadSpec;
+use std::sync::Arc;
 
 const SEEDS: &[u64] = &[42, 1337, 2024, 7, 99];
 /// Per `(workload, seed)`: the same-seed baseline, then the two scenarios.
@@ -48,10 +50,19 @@ fn max_read_latency_ns(result: &SimResult) -> u64 {
     cycles / 4
 }
 
-/// Mean and population std-dev, accumulated in seed order.
-fn mean_std(slowdowns: &[f64]) -> (f64, f64) {
-    let mean = slowdowns.iter().sum::<f64>() / slowdowns.len() as f64;
-    let var = slowdowns.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / slowdowns.len() as f64;
+/// Mean and population std-dev of the slowdown of `RUNS[k]` against the
+/// same-seed baseline, over one workload's cells, accumulated in seed order.
+fn mean_std(per_workload: &[Arc<SimResult>], k: usize) -> (f64, f64) {
+    let pairs = || {
+        per_workload
+            .chunks(RUNS.len())
+            .map(move |seed_runs| (&*seed_runs[0], &*seed_runs[k]))
+    };
+    let mean = mean_slowdown(pairs());
+    let var = pairs()
+        .map(|(base, treated)| (treated.slowdown_vs(base) - mean).powi(2))
+        .sum::<f64>()
+        / SEEDS.len() as f64;
     (mean, var.sqrt())
 }
 
@@ -72,24 +83,15 @@ pub fn run(ctx: &mut Ctx) {
         })
         .map(|(spec, scenario, seed)| cell(spec, scenario, seed, &opts))
         .collect();
-    ctx.prefetch(&grid);
-    let results: Vec<_> = grid.iter().map(|job| ctx.get(job)).collect();
+    let results = ctx.run(&grid);
 
     let mut rows = Vec::new();
     for (per_workload, spec) in results
         .chunks(SEEDS.len() * RUNS.len())
         .zip(&opts.workloads)
     {
-        // Per-seed slowdown of the scenario at `RUNS[k]` vs the same-seed
-        // baseline.
-        let slowdowns = |k: usize| -> Vec<f64> {
-            per_workload
-                .chunks(RUNS.len())
-                .map(|seed_runs| seed_runs[k].slowdown_vs(&seed_runs[0]))
-                .collect()
-        };
-        let (rfm_m, rfm_s) = mean_std(&slowdowns(1));
-        let (auto_m, auto_s) = mean_std(&slowdowns(2));
+        let (rfm_m, rfm_s) = mean_std(per_workload, 1);
+        let (auto_m, auto_s) = mean_std(per_workload, 2);
         let worst = per_workload
             .chunks(RUNS.len())
             .map(|seed_runs| max_read_latency_ns(&seed_runs[2]))

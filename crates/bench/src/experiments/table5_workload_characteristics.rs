@@ -2,21 +2,14 @@
 //! measured on the baseline system, against the paper's reported values.
 
 use super::Ctx;
-use crate::{render_table, SimJob, BASELINE_ZEN};
+use crate::{render_table, BASELINE_ZEN};
 
 pub fn run(ctx: &mut Ctx) {
-    let opts = ctx.opts.clone();
     ctx.banner("Table V: workload characteristics (baseline Zen system)");
 
-    let matrix: Vec<SimJob> = opts
-        .workloads
-        .iter()
-        .map(|&spec| SimJob::new(spec, BASELINE_ZEN, &opts))
-        .collect();
-    ctx.prefetch(&matrix);
     let mut rows = Vec::new();
-    for (spec, job) in opts.workloads.iter().zip(&matrix) {
-        let r = ctx.get(job);
+    for (spec, r) in ctx.sweep(&[BASELINE_ZEN]) {
+        let r = &r[0];
         rows.push(vec![
             spec.suite.to_string(),
             spec.name.to_string(),

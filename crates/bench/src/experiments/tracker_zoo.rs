@@ -16,44 +16,37 @@
 //! oracle_gap_geomean}`.
 
 use super::Ctx;
-use crate::{pct, render_table, SimJob, BASELINE_RUBIX};
+use crate::{pct, render_table, BASELINE_RUBIX};
 use autorfm::experiments::Scenario;
 use autorfm::telemetry::Json;
 use autorfm::trackers::TrackerKind;
 
 pub fn run(ctx: &mut Ctx) {
-    let opts = ctx.opts.clone();
     ctx.banner("Tracker zoo: slowdown of AutoRFM-4 per registered tracker");
 
     let th = 4u32;
     let kinds = TrackerKind::ALL;
-    let job = |spec, scenario| SimJob::new(spec, scenario, &opts);
-    let mut matrix: Vec<SimJob> = Vec::new();
-    for &spec in &opts.workloads {
-        matrix.push(job(spec, BASELINE_RUBIX));
-        matrix.extend(
-            kinds
-                .iter()
-                .map(|&tracker| job(spec, Scenario::AutoRfmWith { th, tracker })),
-        );
-    }
-    ctx.prefetch(&matrix);
+    let mut scenarios = vec![BASELINE_RUBIX];
+    scenarios.extend(
+        kinds
+            .iter()
+            .map(|&tracker| Scenario::AutoRfmWith { th, tracker }),
+    );
+    let results = ctx.sweep(&scenarios);
 
     // Geomean slowdown factor (1 + slowdown) per tracker across workloads.
     let mut log_sums = vec![0.0f64; kinds.len()];
     let mut rows = Vec::new();
-    for &spec in &opts.workloads {
-        let base = ctx.get(&job(spec, BASELINE_RUBIX));
+    for (spec, r) in &results {
         let mut row = vec![spec.name.to_string()];
-        for (i, &tracker) in kinds.iter().enumerate() {
-            let r = ctx.get(&job(spec, Scenario::AutoRfmWith { th, tracker }));
-            let s = r.slowdown_vs(&base);
+        for (i, t) in r[1..].iter().enumerate() {
+            let s = t.slowdown_vs(&r[0]);
             log_sums[i] += (1.0 + s).ln();
             row.push(pct(s));
         }
         rows.push(row);
     }
-    let n = opts.workloads.len() as f64;
+    let n = results.len() as f64;
     let factors: Vec<f64> = log_sums.iter().map(|l| (l / n).exp()).collect();
     let mut avg = vec!["GEOMEAN".to_string()];
     avg.extend(factors.iter().map(|f| pct(f - 1.0)));

@@ -29,9 +29,10 @@
 //! [`SimConfig::key`] (the model fingerprint plus *every* configuration
 //! field). A figure's `(workload, scenario)` point, an ablation variant and a
 //! seed-sensitivity point are all cells, and equal configurations are one
-//! cell however they were built. Every simulation goes through one place,
-//! [`ResultCache::prefetch`], which simulates each distinct key **exactly
-//! once** (reloading it from the `--store` cell store when it can): it groups
+//! cell however they were built. Every simulation goes through one call,
+//! [`ResultCache::run`], which returns each job's result in job order and
+//! simulates each distinct key **exactly once** (reloading it from the
+//! `--store` cell store when it can): it groups
 //! pending cells by shape (`autorfm::warm_digest`) into work units of
 //! `min(autorfm_campaign::LANES, ceil(pending / opts.jobs))` lanes — warmup
 //! simulated once per unit, every lane built from that warm state and run to
@@ -55,9 +56,11 @@ use autorfm_campaign::{decode_record, encode_record, run_batch_fallible, shape_u
 use autorfm_sim_core::Cycle;
 use autorfm_workloads::{WorkloadSpec, ALL_WORKLOADS};
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Common run options for every experiment: the built-in
 /// [`RunOpts::default`] overridden by command-line flags
@@ -71,7 +74,7 @@ pub struct RunOpts {
     pub instructions: u64,
     /// Workloads to simulate.
     pub workloads: Vec<&'static WorkloadSpec>,
-    /// Worker threads for [`run_matrix`] / [`par_map`] (`--jobs N`;
+    /// Worker threads for [`ResultCache::run`] / [`par_map`] (`--jobs N`;
     /// default: available parallelism).
     pub jobs: usize,
     /// Record epoch time series and final-metric registries
@@ -277,15 +280,7 @@ where
         .collect()
 }
 
-/// Runs a matrix of jobs in parallel (duplicates once), returning results in
-/// input order.
-pub fn run_matrix(jobs: &[SimJob], opts: &RunOpts) -> Vec<SimResult> {
-    let cache = ResultCache::new(opts);
-    cache.prefetch(jobs, opts);
-    jobs.iter().map(|job| (*cache.get(job)).clone()).collect()
-}
-
-/// One cached cell: filled exactly once, by the prefetch that claimed it,
+/// One cached cell: filled exactly once, by the run that claimed it,
 /// with the result or the failed cell's error text; concurrent requesters
 /// block on it.
 type CacheSlot = Arc<OnceLock<Result<Arc<SimResult>, String>>>;
@@ -294,20 +289,33 @@ type CacheSlot = Arc<OnceLock<Result<Arc<SimResult>, String>>>;
 /// configuration many experiments share (the normalization baselines above
 /// all, or an ablation variant equal to a scenario) is simulated only once.
 ///
-/// The first [`ResultCache::prefetch`] (or [`ResultCache::get`]) to request
-/// a key claims its [`OnceLock`] slot and fills it; concurrent requesters
-/// block until the result is ready — never re-running the simulation.
+/// The first [`ResultCache::run`] to request a key claims its [`OnceLock`]
+/// slot and fills it; concurrent requesters block until the result is
+/// ready — never re-running the simulation.
 #[derive(Default)]
 pub struct ResultCache {
     results: Mutex<HashMap<u64, CacheSlot>>,
     runs: AtomicUsize,
+    ledger: Mutex<WarmupLedger>,
     store: Option<CellStore>,
     csv_dir: Option<PathBuf>,
     failures: Mutex<Vec<CellFailure>>,
 }
 
-/// One cell that failed in a prefetch: the job's identity plus the panic or
-/// configuration-error text. Recorded by [`ResultCache::prefetch`] instead of
+/// What the work units a [`ResultCache`] ran cost in warmup: read back via
+/// [`ResultCache::warmups`].
+#[derive(Debug, Clone, Default)]
+pub struct WarmupLedger {
+    /// Units that warmed up (every unit whose first lane could be built).
+    pub warmups: usize,
+    /// The distinct shapes (`autorfm::warm_digest`) among those units.
+    pub shapes: HashSet<u64>,
+    /// Wall time of every unit, summed over the worker threads.
+    pub unit_wall: Duration,
+}
+
+/// One cell that failed in a run: the job's identity plus the panic or
+/// configuration-error text. Recorded by [`ResultCache::run`] instead of
 /// letting a single bad lane poison its whole batch; read back via
 /// [`ResultCache::failures`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -320,18 +328,18 @@ pub struct CellFailure {
     pub error: String,
 }
 
-/// Fills every claimed slot a prefetch leaves empty when it ends. Normally
-/// there are none; if the prefetch panicked, its waiters get an error
-/// instead of blocking forever.
+/// Fills every claimed slot a run leaves empty when it ends. Normally
+/// there are none; if the run panicked, its waiters get an error instead
+/// of blocking forever.
 struct AbandonGuard<'a>(&'a [Claim<'a>]);
 
-/// A job a prefetch claimed: its key, the job, and the slot to fill.
+/// A job a run claimed: its key, the job, and the slot to fill.
 type Claim<'a> = (u64, &'a SimJob, CacheSlot);
 
 impl Drop for AbandonGuard<'_> {
     fn drop(&mut self) {
         for (_, _, slot) in self.0 {
-            let _ = slot.set(Err("abandoned: the prefetch running it panicked".into()));
+            let _ = slot.set(Err("abandoned: the run simulating it panicked".into()));
         }
     }
 }
@@ -366,27 +374,6 @@ impl ResultCache {
         }
     }
 
-    /// Runs (or returns the cached result of) `job`: a miss is a one-job
-    /// [`ResultCache::prefetch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the cell's error text if it failed (see
-    /// [`ResultCache::failures`]), or if an internal lock is poisoned.
-    pub fn get(&self, job: &SimJob) -> Arc<SimResult> {
-        self.run_jobs(std::slice::from_ref(job), 1);
-        let slot = {
-            let map = self.results.lock().expect("cache lock poisoned");
-            map.get(&job.cfg.key())
-                .expect("run_jobs claimed the key")
-                .clone()
-        };
-        match slot.wait() {
-            Ok(result) => Arc::clone(result),
-            Err(error) => panic!("{} failed: {error}", job.label),
-        }
-    }
-
     /// The completed result the cell store holds under `key`, if a store is
     /// configured. A record of a *failed* cell — or one that no longer
     /// decodes, e.g. written by an older build — is not a result: the job
@@ -404,7 +391,7 @@ impl ResultCache {
         }
     }
 
-    /// Every [`CellFailure`] recorded by [`ResultCache::prefetch`] so far,
+    /// Every [`CellFailure`] recorded by [`ResultCache::run`] so far,
     /// in recording order.
     ///
     /// # Panics
@@ -449,47 +436,48 @@ impl ResultCache {
             });
     }
 
-    /// Simulates every job in the matrix that no earlier request claimed, so
-    /// later `get`s are instant hits. This is the harness's one simulation
-    /// path:
+    /// Every job's result, in job order: the harness's one simulation call.
     ///
     /// 1. claim the configuration keys no one has requested yet (duplicates
     ///    and keys already cached or in flight are left to their owner);
     /// 2. answer claimed keys the cell store already holds;
     /// 3. group the rest by shape into work units of
-    ///    `min(LANES, ceil(pending / opts.jobs))` lanes
-    ///    (`autorfm_campaign::shape_units`) and run the units on
-    ///    `opts.jobs` threads through `autorfm_campaign::run_batch_fallible`,
-    ///    which warms up once per unit and builds every lane from that.
+    ///    `min(LANES, ceil(pending / threads))` lanes
+    ///    (`autorfm_campaign::shape_units`) and run the units on `threads`
+    ///    threads through `autorfm_campaign::run_batch_fallible`, which
+    ///    warms up once per unit and builds every lane from that;
+    /// 4. read each job's slot, in order, waiting on keys another call has
+    ///    in flight.
     ///
-    /// Lanes are bitwise identical to standalone simulations, so no later
-    /// `get` can tell how a result was computed. A lane that panics (or a
-    /// cell whose configuration is invalid) does not poison its batchmates:
-    /// the bad cell becomes a structured [`CellFailure`] record — cell key
-    /// plus error text — readable via [`ResultCache::failures`] (and, with a
-    /// store configured, a persisted failed-cell record). Cells with
-    /// telemetry enabled neither read nor write the store: their epoch series
-    /// and metric registries cannot be persisted (see `SimResult`'s snapshot
+    /// Lanes are bitwise identical to standalone simulations, so no caller
+    /// can tell how a result was computed. A lane that panics (or a cell
+    /// whose configuration is invalid) does not poison its batchmates: the
+    /// bad cell becomes a structured [`CellFailure`] record — cell key plus
+    /// error text — readable via [`ResultCache::failures`] (and, with a
+    /// store configured, a persisted failed-cell record), while its
+    /// batchmates' results are cached and stored. Cells with telemetry
+    /// enabled neither read nor write the store: their epoch series and
+    /// metric registries cannot be persisted (see `SimResult`'s snapshot
     /// docs).
     ///
     /// # Panics
     ///
-    /// Panics if a lock is poisoned.
-    pub fn prefetch(&self, jobs: &[SimJob], opts: &RunOpts) {
-        self.run_jobs(jobs, opts.jobs);
-    }
-
-    /// [`ResultCache::prefetch`] on `threads` worker threads.
-    fn run_jobs(&self, jobs: &[SimJob], threads: usize) {
-        let claimed: Vec<Claim<'_>> = {
+    /// Panics with `"{label} failed: {error}"` for the first job whose cell
+    /// failed (in this call or an earlier one), once every claimed cell has
+    /// finished; or if a lock is poisoned.
+    pub fn run(&self, jobs: &[SimJob], threads: usize) -> Vec<Arc<SimResult>> {
+        let mut claimed: Vec<Claim<'_>> = Vec::new();
+        let slots: Vec<CacheSlot> = {
             let mut map = self.results.lock().expect("cache lock poisoned");
             jobs.iter()
-                .filter_map(|job| {
+                .map(|job| {
                     let key = job.cfg.key();
                     match map.entry(key) {
-                        Entry::Occupied(_) => None,
+                        Entry::Occupied(o) => o.get().clone(),
                         Entry::Vacant(v) => {
-                            Some((key, job, v.insert(CacheSlot::default()).clone()))
+                            let slot = v.insert(CacheSlot::default()).clone();
+                            claimed.push((key, job, slot.clone()));
+                            slot
                         }
                     }
                 })
@@ -513,7 +501,8 @@ impl ResultCache {
             }
         }
         let lanes = LANES.min(cells.len().div_ceil(threads.max(1)));
-        par_map(&shape_units(cells, lanes), threads, |(_, unit)| {
+        par_map(&shape_units(cells, lanes), threads, |(shape, unit)| {
+            let started = Instant::now();
             let cfgs: Vec<SimConfig> = unit.iter().map(|(_, cfg)| cfg.clone()).collect();
             let outcome = run_batch_fallible(&cfgs, None, KernelKind::Event);
             for (&(i, _), result) in unit.iter().zip(outcome.results) {
@@ -534,7 +523,31 @@ impl ResultCache {
                 };
                 let _ = slot.set(filled);
             }
+            let mut ledger = self.ledger.lock().expect("ledger lock poisoned");
+            if outcome.warm.is_some() {
+                ledger.warmups += 1;
+                ledger.shapes.insert(*shape);
+            }
+            ledger.unit_wall += started.elapsed();
         });
+        slots
+            .iter()
+            .zip(jobs)
+            .map(|(slot, job)| match slot.wait() {
+                Ok(result) => Arc::clone(result),
+                Err(error) => panic!("{} failed: {error}", job.label),
+            })
+            .collect()
+    }
+
+    /// The warmups, distinct shapes and unit wall time of every work unit
+    /// this cache has run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the internal lock is poisoned.
+    pub fn warmups(&self) -> WarmupLedger {
+        self.ledger.lock().expect("ledger lock poisoned").clone()
     }
 
     /// Number of distinct configuration keys requested so far (completed,
@@ -679,8 +692,8 @@ mod tests {
         };
         let cache = ResultCache::new(&opts);
         let job = SimJob::new(spec, BASELINE_ZEN, &opts);
-        let a = cache.get(&job).perf();
-        let b = cache.get(&job).perf();
+        let a = cache.run(std::slice::from_ref(&job), 1)[0].perf();
+        let b = cache.run(std::slice::from_ref(&job), 1)[0].perf();
         assert_eq!(a, b);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.simulations_run(), 1);
@@ -689,7 +702,7 @@ mod tests {
     #[test]
     fn batched_matrix_matches_unbatched() {
         let spec = WorkloadSpec::by_name("mcf").unwrap();
-        let mut opts = RunOpts {
+        let opts = RunOpts {
             cores: 2,
             instructions: 2_000,
             workloads: vec![spec],
@@ -714,19 +727,20 @@ mod tests {
                     .run_with(KernelKind::Event)
             })
             .collect();
-        // One worker: full 8-lane batches. More workers than cells: one
-        // lane per batch.
-        for jobs in [1, 2 * distinct] {
-            opts.jobs = jobs;
+        // One worker: full 8-lane batches, so 8 + 3 lanes warm up twice.
+        // More workers than cells: one lane, and one warmup, per batch.
+        for (jobs, warmups) in [(1, 2), (2 * distinct, distinct)] {
             let cache = ResultCache::default();
-            cache.prefetch(&matrix, &opts);
-            let batched: Vec<SimResult> = matrix.iter().map(|j| (*cache.get(j)).clone()).collect();
+            let batched = cache.run(&matrix, jobs);
             assert_eq!(
                 format!("{standalone:?}"),
                 format!("{batched:?}"),
                 "jobs {jobs}"
             );
             assert_eq!(cache.simulations_run(), distinct);
+            let ledger = cache.warmups();
+            assert_eq!(ledger.warmups, warmups, "jobs {jobs}");
+            assert_eq!(ledger.shapes.len(), 1, "jobs {jobs}: one shape");
         }
     }
 

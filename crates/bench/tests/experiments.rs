@@ -1,6 +1,6 @@
 //! The experiment registry and its runner: one entry per pinned table, a
 //! panicking target fails alone, and `--resume` reruns a target whose
-//! options changed.
+//! options changed — the cell options only for a target that simulates.
 
 use autorfm::telemetry::RunManifest;
 use autorfm_bench::experiments::{self, Ctx, Experiment, ALL};
@@ -98,6 +98,45 @@ fn resume_reruns_a_target_whose_options_changed() {
     assert!(rerun.contains("=== running table2_trh_history"), "{rerun}");
     // The same options (whatever `--jobs`) now do.
     assert!(run_all(&["--resume", "--jobs", "1"]).contains(SKIPPED));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A target that simulates nothing records no cell options in its manifest,
+/// so `--resume` skips it whatever `--workloads` and `--cores` say; a target
+/// that simulates still reruns when they change.
+#[test]
+fn resume_skips_a_target_that_simulates_nothing_across_cell_options() {
+    let dir = scratch("runner-resume-cells");
+    let run_all = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "run_all {args:?} failed");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    const SKIPPED: &str = "already complete, skipping";
+    assert!(!run_all(&["--only", "table2", "--quick"]).contains(SKIPPED));
+    let rerun = run_all(&[
+        "--only",
+        "table2",
+        "--quick",
+        "--resume",
+        "--workloads",
+        "mcf",
+        "--cores",
+        "2",
+    ]);
+    assert!(rerun.contains(SKIPPED), "{rerun}");
+
+    let table5 = ["--only", "table5", "--quick", "--cores", "2"];
+    assert!(!run_all(&[&table5[..], &["--workloads", "mcf"]].concat()).contains(SKIPPED));
+    let rerun = run_all(&[&table5[..], &["--resume", "--workloads", "wrf"]].concat());
+    assert!(
+        rerun.contains("=== running table5_workload_characteristics"),
+        "{rerun}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

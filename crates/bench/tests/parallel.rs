@@ -1,10 +1,11 @@
-//! The ISSUE-1 parallel-harness guarantees: `run_matrix` is bitwise
+//! The parallel-harness guarantees: [`ResultCache::run`] is bitwise
 //! deterministic across worker counts, and the shared [`ResultCache`]
 //! simulates each distinct key exactly once under concurrent access.
 
 use autorfm::experiments::Scenario;
-use autorfm_bench::{run_matrix, ResultCache, RunOpts, SimJob, BASELINE_ZEN};
+use autorfm_bench::{ResultCache, RunOpts, SimJob, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
+use std::sync::Arc;
 
 fn quick_opts(jobs: usize) -> RunOpts {
     RunOpts {
@@ -37,8 +38,8 @@ fn run_matrix_parallel_matches_serial() {
     let parallel_opts = quick_opts(4);
     let jobs = matrix(&serial_opts);
 
-    let serial = run_matrix(&jobs, &serial_opts);
-    let parallel = run_matrix(&jobs, &parallel_opts);
+    let serial = ResultCache::new(&serial_opts).run(&jobs, serial_opts.jobs);
+    let parallel = ResultCache::new(&parallel_opts).run(&jobs, parallel_opts.jobs);
 
     assert_eq!(serial.len(), jobs.len());
     assert_eq!(parallel.len(), jobs.len());
@@ -81,7 +82,7 @@ fn shared_cache_simulates_each_key_exactly_once() {
     }
 
     let cache = ResultCache::new(&opts);
-    cache.prefetch(&duplicated, &opts);
+    let results = cache.run(&duplicated, opts.jobs);
 
     assert_eq!(cache.len(), unique.len(), "cache holds one entry per key");
     assert_eq!(
@@ -90,17 +91,19 @@ fn shared_cache_simulates_each_key_exactly_once() {
         "a baseline or scenario was simulated more than once"
     );
 
-    // And the cached results are the exact objects later `get`s observe.
-    for job in &unique {
-        let again = cache.get(job);
-        assert_eq!(again.workload, job.cfg.workload.name);
+    // And the cached results are the exact objects later runs observe.
+    let again = cache.run(&unique, opts.jobs);
+    for ((result, job), first) in again.iter().zip(&unique).zip(&results) {
+        assert_eq!(result.workload, job.cfg.workload.name);
+        assert!(Arc::ptr_eq(result, first), "{} was rebuilt", job.label);
     }
     assert_eq!(cache.simulations_run(), unique.len());
 }
 
-/// A bad cell in a prefetch becomes a structured failure record — cell key
-/// plus error text — while its batchmates still produce results, and a
-/// later `get` of it panics with that text instead of re-running it.
+/// A bad cell in a run becomes a structured failure record — cell key plus
+/// error text — while its batchmates still produce results; the run, and
+/// any later run asking for it, panics with that text instead of
+/// re-running it.
 #[test]
 fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
     let opts = quick_opts(1);
@@ -116,7 +119,17 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
     ];
 
     let cache = ResultCache::default();
-    cache.prefetch(&jobs, &opts);
+    let ask = |jobs: &[SimJob]| {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.run(jobs, opts.jobs);
+        }))
+        .expect_err("a run holding the failed cell must panic");
+        panic
+            .downcast_ref::<String>()
+            .expect("panic carries a formatted message")
+            .clone()
+    };
+    let first = ask(&jobs);
 
     let failures = cache.failures();
     assert_eq!(
@@ -128,25 +141,20 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
     assert_eq!(failures[0].key, bad.cfg.key());
     assert!(!failures[0].error.is_empty());
 
-    // Both healthy cells are cached and never re-simulated by later gets.
-    let a = cache.get(&job(BASELINE_ZEN));
-    let b = cache.get(&job(Scenario::AutoRfm { th: 4 }));
-    assert_eq!(a.workload, spec.name);
-    assert_eq!(b.workload, spec.name);
+    // Both healthy cells are cached and never re-simulated by later runs.
+    let healthy = cache.run(&[jobs[0].clone(), jobs[2].clone()], opts.jobs);
+    assert_eq!(healthy[0].workload, spec.name);
+    assert_eq!(healthy[1].workload, spec.name);
     assert_eq!(cache.simulations_run(), 2);
 
     // The bad cell fails loudly, with its recorded error, and only once.
-    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cache.get(&bad);
-    }))
-    .expect_err("a get of the failed cell must panic");
-    let message = panic
-        .downcast_ref::<String>()
-        .expect("panic carries a formatted message");
-    assert!(
-        message.contains(&failures[0].error),
-        "panic {message:?} lacks the config error {:?}",
-        failures[0].error
-    );
+    for message in [first, ask(std::slice::from_ref(&bad))] {
+        assert!(
+            message.contains(&failures[0].error),
+            "panic {message:?} lacks the config error {:?}",
+            failures[0].error
+        );
+    }
     assert_eq!(cache.failures().len(), 1);
+    assert_eq!(cache.simulations_run(), 2);
 }

@@ -11,9 +11,11 @@ use autorfm::sim_core::{Cycle, TimingOverride};
 use autorfm::snapshot::store::{CellRecord, CellStore};
 use autorfm::snapshot::{digest64, Snapshot, Writer, MODEL_FINGERPRINT};
 use autorfm::SimConfig;
+use autorfm::SimResult;
 use autorfm_bench::{ResultCache, RunOpts, SimJob, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn tiny_opts() -> RunOpts {
     RunOpts {
@@ -31,6 +33,11 @@ fn stored(dir: &Path) -> RunOpts {
         store: Some(dir.to_path_buf()),
         ..tiny_opts()
     }
+}
+
+/// `job`'s result from `cache`: a one-job [`ResultCache::run`].
+fn one(cache: &ResultCache, job: &SimJob) -> Arc<SimResult> {
+    cache.run(std::slice::from_ref(job), 1).remove(0)
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -58,7 +65,7 @@ fn store_backed_cache_survives_a_reload_without_resimulating() {
 
     // First life simulates and persists a cell record under the config key.
     let cache = ResultCache::new(&stored(&dir));
-    let first = cache.get(&job);
+    let first = one(&cache, &job);
     assert_eq!(cache.simulations_run(), 1);
     let store = CellStore::open(&dir).unwrap();
     assert!(
@@ -69,7 +76,7 @@ fn store_backed_cache_survives_a_reload_without_resimulating() {
     // Second life (a fresh cache on the same store) reloads instead of
     // re-running, and the reloaded result matches the original.
     let cache2 = ResultCache::new(&stored(&dir));
-    let back = cache2.get(&job);
+    let back = one(&cache2, &job);
     assert_eq!(cache2.simulations_run(), 0);
     assert_eq!(back.elapsed, first.elapsed);
     assert_eq!(back.per_core_ipc, first.per_core_ipc);
@@ -82,7 +89,7 @@ fn store_backed_cache_survives_a_reload_without_resimulating() {
         .put(failed_key, &CellRecord::failed(failed_key, "lane panicked"))
         .unwrap();
     let cache3 = ResultCache::new(&stored(&dir));
-    let _ = cache3.get(&other);
+    let _ = one(&cache3, &other);
     assert_eq!(cache3.simulations_run(), 1);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -98,12 +105,12 @@ fn opts_store_persists_and_reloads_like_with_store() {
     let job = SimJob::new(opts.workloads[0], BASELINE_ZEN, &opts);
 
     let cache = ResultCache::new(&opts);
-    let first = cache.get(&job);
+    let first = one(&cache, &job);
     assert_eq!(cache.simulations_run(), 1);
     assert!(CellStore::open(&dir).unwrap().contains(job.cfg.key()));
 
     let reloaded = ResultCache::new(&opts);
-    assert_eq!(reloaded.get(&job).elapsed, first.elapsed);
+    assert_eq!(one(&reloaded, &job).elapsed, first.elapsed);
     assert_eq!(reloaded.simulations_run(), 0);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -116,7 +123,7 @@ fn a_flipped_default_is_a_different_cell_and_a_cache_miss() {
     let dir = scratch("store-flip");
     let opts = tiny_opts();
     let rfm8 = SimJob::new(opts.workloads[0], Scenario::Rfm { th: 8 }, &opts);
-    ResultCache::new(&stored(&dir)).get(&rfm8);
+    one(&ResultCache::new(&stored(&dir)), &rfm8);
 
     let slow_rfm = rfm8.clone().variant("trfm-410ns", |cfg| {
         cfg.timings = cfg.timings.clone().with_override(TimingOverride {
@@ -130,7 +137,7 @@ fn a_flipped_default_is_a_different_cell_and_a_cache_miss() {
     for flipped in [&slow_rfm, &half_credit] {
         assert_ne!(flipped.cfg.key(), rfm8.cfg.key(), "{}", flipped.label);
         let cache = ResultCache::new(&stored(&dir));
-        cache.get(flipped);
+        one(&cache, flipped);
         assert_eq!(
             cache.simulations_run(),
             1,
@@ -140,7 +147,7 @@ fn a_flipped_default_is_a_different_cell_and_a_cache_miss() {
     }
     // The unflipped cell is still a hit.
     let cache = ResultCache::new(&stored(&dir));
-    cache.get(&rfm8);
+    one(&cache, &rfm8);
     assert_eq!(cache.simulations_run(), 0);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -168,7 +175,7 @@ fn variants_equal_to_a_scenario_share_its_cell() {
     assert_eq!(t_rfm_205.cfg.key(), rfm8.cfg.key());
 
     let cache = ResultCache::default();
-    cache.prefetch(&[zen4, whole_bank, rfm8, t_rfm_205], &opts);
+    cache.run(&[zen4, whole_bank, rfm8, t_rfm_205], opts.jobs);
     assert_eq!(cache.len(), 2);
     assert_eq!(cache.simulations_run(), 2);
 }
@@ -193,7 +200,7 @@ fn a_record_under_another_fingerprint_reads_as_absent() {
     // An "older model" stored a (wrong) result for this very config.
     let stale = SimJob::new(spec, Scenario::Rfm { th: 4 }, &opts);
     let mut w = Writer::new();
-    ResultCache::default().get(&stale).encode(&mut w);
+    one(&ResultCache::default(), &stale).encode(&mut w);
     let old_key = salted(MODEL_FINGERPRINT ^ 0x5a5a, &job.cfg);
     let store = CellStore::open(&dir).unwrap();
     store
@@ -201,13 +208,13 @@ fn a_record_under_another_fingerprint_reads_as_absent() {
         .unwrap();
 
     let cache = ResultCache::new(&stored(&dir));
-    let fresh = cache.get(&job);
+    let fresh = one(&cache, &job);
     assert_eq!(
         cache.simulations_run(),
         1,
         "the old model's record was served"
     );
-    let standalone = ResultCache::default().get(&job);
+    let standalone = one(&ResultCache::default(), &job);
     assert_eq!(format!("{fresh:?}"), format!("{standalone:?}"));
 
     let _ = std::fs::remove_dir_all(&dir);

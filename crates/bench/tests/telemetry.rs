@@ -5,7 +5,7 @@
 
 use autorfm::experiments::Scenario;
 use autorfm::{KernelKind, System};
-use autorfm_bench::{run_matrix, telemetry_config, RunOpts, SimJob, BASELINE_ZEN};
+use autorfm_bench::{telemetry_config, ResultCache, RunOpts, SimJob, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
 
 fn quick_opts(telemetry: bool) -> RunOpts {
@@ -40,8 +40,8 @@ fn disabled_path_is_bitwise_identical_to_enabled() {
     let on_opts = quick_opts(true);
     let jobs = matrix(&off_opts);
 
-    let off = run_matrix(&jobs, &off_opts);
-    let on = run_matrix(&matrix(&on_opts), &on_opts);
+    let off = ResultCache::new(&off_opts).run(&jobs, off_opts.jobs);
+    let on = ResultCache::new(&on_opts).run(&matrix(&on_opts), on_opts.jobs);
 
     assert_eq!(off.len(), on.len());
     for ((a, b), job) in off.iter().zip(&on).zip(&jobs) {
@@ -73,8 +73,8 @@ fn disabled_path_is_bitwise_identical_to_enabled() {
 fn disabled_path_is_deterministic() {
     let opts = quick_opts(false);
     let jobs = matrix(&opts);
-    let a = run_matrix(&jobs, &opts);
-    let b = run_matrix(&jobs, &opts);
+    let a = ResultCache::new(&opts).run(&jobs, opts.jobs);
+    let b = ResultCache::new(&opts).run(&jobs, opts.jobs);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.elapsed, y.elapsed);
         assert_eq!(x.dram.acts.get(), y.dram.acts.get());
@@ -93,8 +93,8 @@ fn epoch_length_controls_resolution_only() {
     let coarse_jobs = [SimJob::new(spec, BASELINE_ZEN, &coarse_opts)];
     let fine_jobs = [SimJob::new(spec, BASELINE_ZEN, &fine_opts)];
 
-    let coarse = &run_matrix(&coarse_jobs, &coarse_opts)[0];
-    let fine = &run_matrix(&fine_jobs, &fine_opts)[0];
+    let coarse = &ResultCache::new(&coarse_opts).run(&coarse_jobs, coarse_opts.jobs)[0];
+    let fine = &ResultCache::new(&fine_opts).run(&fine_jobs, fine_opts.jobs)[0];
 
     assert_eq!(coarse.elapsed, fine.elapsed);
     assert_eq!(coarse.dram.acts.get(), fine.dram.acts.get());
@@ -118,7 +118,7 @@ fn epoch_length_controls_resolution_only() {
 fn batched_lanes_record_the_standalone_series() {
     let opts = quick_opts(true);
     let jobs = matrix(&opts);
-    let batched = run_matrix(&jobs, &opts);
+    let batched = ResultCache::new(&opts).run(&jobs, opts.jobs);
     for (job, lane) in jobs.iter().zip(&batched) {
         let mut cfg = job.cfg.clone();
         cfg.telemetry = telemetry_config(&opts);
@@ -152,7 +152,7 @@ fn telemetry_csv_writes_each_cells_series() {
     opts.workloads.truncate(1);
     let jobs = matrix(&opts);
     assert_eq!(jobs.len(), 2);
-    let results = run_matrix(&jobs, &opts);
+    let results = ResultCache::new(&opts).run(&jobs, opts.jobs);
 
     let mut files: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()

@@ -8,11 +8,11 @@
 //! * already queued or running for another campaign → dedup hit (the cell's
 //!   one execution will serve both campaigns);
 //! * genuinely new → grouped with same-shape cells
-//!   ([`shape_units`](crate::runner::shape_units)) into work units of at
+//!   ([`shape_units`]) into work units of at
 //!   most `batch` lanes and queued.
 //!
 //! Workers pop units, run them through
-//! [`run_batch_fallible`](crate::runner::run_batch_fallible) — building lanes
+//! [`run_batch_fallible`] — building lanes
 //! from the bounded **warm pool** of [`Warm`] values, so only a shape's first
 //! unit pays warmup — and persist every outcome (success *or* deterministic
 //! failure) to the store before marking it finished. Because records hit disk

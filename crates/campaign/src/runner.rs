@@ -8,7 +8,7 @@
 //! (bitwise-identical) results.
 //!
 //! [`shape_units`] is the one grouping step in front of it, shared by the
-//! daemon's scheduler and the experiment harness's `ResultCache::prefetch`.
+//! daemon's scheduler and the experiment harness's `ResultCache::run`.
 
 use autorfm::{warm_digest, KernelKind, SimConfig, SimResult, System, Warm};
 use std::collections::HashMap;

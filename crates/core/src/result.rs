@@ -170,12 +170,16 @@ impl Snapshot for SimResult {
 }
 
 /// Arithmetic-mean slowdown over per-workload `(baseline, treated)` pairs —
-/// how the paper aggregates its slowdown figures.
-pub fn mean_slowdown(pairs: &[(SimResult, SimResult)]) -> f64 {
-    if pairs.is_empty() {
+/// how the paper aggregates its slowdown figures: the slowdowns summed in
+/// pair order, then divided by the pair count (0 for no pairs).
+pub fn mean_slowdown<'a>(
+    pairs: impl ExactSizeIterator<Item = (&'a SimResult, &'a SimResult)>,
+) -> f64 {
+    let n = pairs.len();
+    if n == 0 {
         return 0.0;
     }
-    pairs.iter().map(|(b, t)| t.slowdown_vs(b)).sum::<f64>() / pairs.len() as f64
+    pairs.map(|(b, t)| t.slowdown_vs(b)).sum::<f64>() / n as f64
 }
 
 #[cfg(test)]
@@ -220,11 +224,11 @@ mod tests {
 
     #[test]
     fn mean_slowdown_aggregates() {
-        let pairs = vec![
+        let pairs = [
             (result(&[2.0]), result(&[1.0])), // 50%
             (result(&[2.0]), result(&[2.0])), // 0%
         ];
-        assert!((mean_slowdown(&pairs) - 0.25).abs() < 1e-12);
-        assert_eq!(mean_slowdown(&[]), 0.0);
+        assert!((mean_slowdown(pairs.iter().map(|(b, t)| (b, t))) - 0.25).abs() < 1e-12);
+        assert_eq!(mean_slowdown(std::iter::empty()), 0.0);
     }
 }

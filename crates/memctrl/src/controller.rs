@@ -758,7 +758,7 @@ impl<M: MemoryMap> MemController<M> {
     /// The shared couplings — data-bus availability, rank tRRD/tFAW spacing,
     /// the rotating next-REF bound — never dirty anything: they are read
     /// live and folded into each bank's candidates with O(1) arithmetic by
-    /// [`MemController::combine_cand`]. The query is therefore an
+    /// `MemController::combine_cand`. The query is therefore an
     /// O(dirty-banks) refresh plus an O(banks) arithmetic min, instead of a
     /// full rescan of every bank queue.
     pub fn next_event_at(&mut self, now: Cycle) -> Cycle {

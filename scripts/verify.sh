@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification entry point: lint (fmt + clippy), build, run the full
+# Tier-1 verification entry point: lint (fmt + clippy + rustdoc), build, run the full
 # test suite, then run the default-fidelity experiment sweep through the
 # parallel harness, report how long it took and diff every table against
 # results/golden/. Usage: scripts/verify.sh
@@ -21,6 +21,11 @@ cargo fmt --all --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors) =="
+# Module docs link to items by path: a rename that leaves a link dangling
+# (or a public doc linking a private item) fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
