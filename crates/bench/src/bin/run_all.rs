@@ -8,17 +8,14 @@
 //!
 //! * `--list` — print the target names and exit,
 //! * `--only <substring>` — run only matching targets (repeatable; one
-//!   target alone is `--only <target>`),
-//! * `--resume` — skip targets whose manifest records a clean exit under
-//!   the same options (`--jobs` aside), and let the rest reload completed
-//!   simulations from the cell store.
+//!   target alone is `--only <target>`).
 //!
 //! Completed simulations also go to a content-addressed cell store (see
 //! `autorfm_snapshot::store`): `--store DIR` if given (never emptied), else
-//! `results/store`, which a run without `--resume` empties first. Keys are
-//! salted with the model fingerprint, so a kept store never serves cells an
-//! older model computed, and a killed campaign resumes under `--resume`
-//! without re-running finished simulations.
+//! `results/store`, which the run empties first. Keys are salted with the
+//! model fingerprint, so a kept store never serves cells an older model
+//! computed, and a killed run resumes with `--store results/store`: every
+//! selected target reruns, reloading its finished simulations from the store.
 //!
 //! At the end it prints how many distinct cells the run requested and
 //! simulated, then how many work units warmed up, over how many distinct
@@ -33,12 +30,11 @@ use autorfm_bench::{ResultCache, RunOpts};
 use std::path::{Path, PathBuf};
 
 fn main() {
-    let (mut list, mut resume, mut only, mut rest) = (false, false, Vec::new(), Vec::new());
+    let (mut list, mut only, mut rest) = (false, Vec::new(), Vec::new());
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" => list = true,
-            "--resume" => resume = true,
             "--only" => only.push(args.next().expect("--only needs a substring")),
             _ => rest.push(arg),
         }
@@ -61,16 +57,14 @@ fn main() {
     }
     let store = opts.store.get_or_insert_with(|| {
         let dir = PathBuf::from("results/store");
-        if !resume {
-            // Cells an older build computed must not answer this run.
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        // Cells an older build computed must not answer this run.
+        let _ = std::fs::remove_dir_all(&dir);
         dir
     });
     eprintln!("cell store: {}", store.display());
 
     let cache = ResultCache::new(&opts);
-    let failures = experiments::run(&selected, &opts, &cache, Path::new("results"), resume);
+    let failures = experiments::run(&selected, &opts, &cache, Path::new("results"));
     eprintln!(
         "{} distinct cells, {} simulated",
         cache.len(),

@@ -135,48 +135,30 @@ pub struct Ctx<'a> {
     started: Instant,
 }
 
-/// The options only a target that simulates depends on: its manifest's
-/// config block drops them when it lists no run.
-const CELL_OPTIONS: [&str; 4] = ["cores", "workloads", "telemetry", "epoch_ns"];
-
-/// The manifest config block a run with `opts` writes: every option the
-/// reports depend on (not `--jobs`, `--store` or `--telemetry-csv`), less
-/// [`CELL_OPTIONS`] unless the target `simulates`.
-fn config_block(opts: &RunOpts, simulates: bool) -> Vec<(String, Json)> {
-    let mut config = vec![
-        ("cores", Json::Num(f64::from(opts.cores))),
-        ("instructions_per_core", Json::Num(opts.instructions as f64)),
-        (
-            "workloads",
-            Json::Arr(
-                opts.workloads
-                    .iter()
-                    .map(|w| Json::Str(w.name.to_string()))
-                    .collect(),
-            ),
-        ),
-        ("seed", Json::Num(42.0)),
-        ("telemetry", Json::Bool(opts.telemetry)),
-    ];
-    if let Some(ns) = opts.epoch_ns {
-        config.push(("epoch_ns", Json::Num(ns as f64)));
-    }
-    if let Some(tracker) = opts.tracker {
-        config.push(("tracker", Json::Str(tracker.to_string())));
-    }
-    config
-        .into_iter()
-        .filter(|(k, _)| simulates || !CELL_OPTIONS.contains(k))
-        .map(|(k, v)| (k.to_string(), v))
-        .collect()
-}
-
 impl<'a> Ctx<'a> {
     /// Starts experiment `target` with `opts` over `cache`.
     fn new(target: &str, opts: &RunOpts, cache: &'a ResultCache) -> Self {
         let mut manifest = RunManifest::new(target);
         manifest.jobs = opts.jobs as u64;
-        manifest.config = config_block(opts, true);
+        // Every option the reports depend on (not `--jobs` or `--store`).
+        let workloads = opts.workloads.iter().map(|w| Json::Str(w.name.to_string()));
+        let mut config = vec![
+            ("cores", Json::Num(f64::from(opts.cores))),
+            ("instructions_per_core", Json::Num(opts.instructions as f64)),
+            ("workloads", Json::Arr(workloads.collect())),
+            ("seed", Json::Num(42.0)),
+            ("telemetry", Json::Bool(opts.telemetry)),
+        ];
+        if let Some(ns) = opts.epoch_ns {
+            config.push(("epoch_ns", Json::Num(ns as f64)));
+        }
+        if let Some(tracker) = opts.tracker {
+            config.push(("tracker", Json::Str(tracker.to_string())));
+        }
+        manifest.config = config
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
         Ctx {
             opts: opts.clone(),
             cache,
@@ -267,10 +249,6 @@ impl<'a> Ctx<'a> {
                 });
             }
         }
-        if m.runs.is_empty() {
-            m.config
-                .retain(|(k, _)| !CELL_OPTIONS.contains(&k.as_str()));
-        }
         m.exit_code = Some(exit_code);
         m.wall_s = self.started.elapsed().as_secs_f64();
         m.sim_cycles = m
@@ -292,19 +270,9 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Whether `<dir>/<target>.json` records a clean exit under the config block
-/// `opts` would write for a target like it — one that simulates if the
-/// manifest lists runs (what `--resume` skips).
-fn is_complete(dir: &Path, target: &str, opts: &RunOpts) -> bool {
-    RunManifest::load(&dir.join(format!("{target}.json")))
-        .is_ok_and(|m| m.exit_code == Some(0) && m.config == config_block(opts, !m.runs.is_empty()))
-}
-
 /// Runs `entries` one after another over `cache`, writing each report to
-/// `<dir>/<name>.txt` and each manifest to `<dir>/<name>.json`. With
-/// `resume`, a target whose manifest records a clean exit under this run's
-/// config block is skipped. A panicking target is reported and the rest
-/// still run.
+/// `<dir>/<name>.txt` and each manifest to `<dir>/<name>.json`. A panicking
+/// target is reported and the rest still run.
 ///
 /// Returns one line per failed target (empty: every target completed).
 ///
@@ -316,20 +284,11 @@ pub fn run(
     opts: &RunOpts,
     cache: &ResultCache,
     dir: &Path,
-    resume: bool,
 ) -> Vec<String> {
     std::fs::create_dir_all(dir).expect("create the results directory");
     let mut failures = Vec::new();
     for &(name, experiment) in entries {
-        if resume && is_complete(dir, name, opts) {
-            eprintln!("=== {name}: already complete, skipping (--resume) ===");
-            continue;
-        }
         eprintln!("=== running {name} ===");
-        let manifest_path = dir.join(format!("{name}.json"));
-        // Until this target finishes, `--resume` must not trust an older
-        // run's manifest for it.
-        let _ = std::fs::remove_file(&manifest_path);
         let mut ctx = Ctx::new(name, opts, cache);
         let outcome = catch_unwind(AssertUnwindSafe(|| experiment(&mut ctx)));
         let (mut report, manifest) = ctx.finish(if outcome.is_ok() { 0 } else { 101 });
@@ -340,6 +299,7 @@ pub fn run(
         }
         let path = dir.join(format!("{name}.txt"));
         std::fs::write(&path, report).expect("write the report");
+        let manifest_path = dir.join(format!("{name}.json"));
         if let Err(e) = manifest.save(&manifest_path) {
             eprintln!("warning: could not write {}: {e}", manifest_path.display());
         }

@@ -15,8 +15,6 @@
 //! * `--telemetry` — record epoch time series and full final-metric
 //!   registries in each target's manifest (see [`experiments::Ctx`]),
 //! * `--epoch-ns N` — telemetry sampling window (default: one tREFI),
-//! * `--telemetry-csv DIR` — write each simulated cell's epoch series as
-//!   CSV into `DIR` (see [`ResultCache::new`]),
 //! * `--store DIR` — persist and reload every simulation through the
 //!   content-addressed cell store at `DIR` (see [`ResultCache::new`]),
 //! * `--tracker NAME` — tracker override for the tracker-sweep targets.
@@ -84,9 +82,6 @@ pub struct RunOpts {
     /// Telemetry epoch length in nanoseconds (`--epoch-ns N`, implies
     /// `--telemetry`; default: one tREFI).
     pub epoch_ns: Option<u64>,
-    /// Write each simulated cell's epoch series as CSV into this directory
-    /// (`--telemetry-csv DIR`, implies `--telemetry`; [`ResultCache::new`]).
-    pub telemetry_csv: Option<PathBuf>,
     /// Root of the campaign service's content-addressed cell store
     /// (`--store DIR`). When set, [`ResultCache::new`] reads and writes
     /// per-cell records there — shared with `campaignd` and every other
@@ -108,7 +103,6 @@ impl Default for RunOpts {
             jobs: std::thread::available_parallelism().map_or(1, usize::from),
             telemetry: false,
             epoch_ns: None,
-            telemetry_csv: None,
             store: None,
             tracker: None,
         }
@@ -166,11 +160,6 @@ impl RunOpts {
                             .expect("--epoch-ns needs a positive number"),
                     );
                 }
-                "--telemetry-csv" => {
-                    opts.telemetry = true;
-                    opts.telemetry_csv =
-                        Some(args.next().expect("--telemetry-csv needs a directory").into());
-                }
                 "--store" => {
                     opts.store = Some(args.next().expect("--store needs a directory").into());
                 }
@@ -182,7 +171,7 @@ impl RunOpts {
                     );
                 }
                 other => panic!(
-                    "unknown flag {other}; expected --quick|--full|--instructions N|--cores N|--jobs N|--workloads a,b|--telemetry|--epoch-ns N|--telemetry-csv DIR|--store DIR|--tracker T"
+                    "unknown flag {other}; expected --quick|--full|--instructions N|--cores N|--jobs N|--workloads a,b|--telemetry|--epoch-ns N|--store DIR|--tracker T"
                 ),
             }
         }
@@ -204,14 +193,13 @@ pub fn telemetry_config(opts: &RunOpts) -> Option<TelemetryConfig> {
 /// [`SimConfig::key`], so two jobs with equal configurations are one
 /// simulation whatever their labels say. The label (`"workload/scenario"`,
 /// plus one `/tag` per [`SimJob::variant`]) only names the cell — in
-/// manifests, in [`CellFailure`] records and in the telemetry CSV file the
-/// cell's first requester gets.
+/// manifests and in the panic a failed cell raises.
 #[derive(Debug, Clone)]
 pub struct SimJob {
     /// Human-readable name of the cell.
     pub label: String,
     /// What the cell simulates; assembled, not yet validated (an invalid
-    /// configuration becomes a [`CellFailure`] when the job runs).
+    /// configuration fails the cell when the job runs).
     pub cfg: SimConfig,
 }
 
@@ -298,8 +286,6 @@ pub struct ResultCache {
     runs: AtomicUsize,
     ledger: Mutex<WarmupLedger>,
     store: Option<CellStore>,
-    csv_dir: Option<PathBuf>,
-    failures: Mutex<Vec<CellFailure>>,
 }
 
 /// What the work units a [`ResultCache`] ran cost in warmup: read back via
@@ -312,20 +298,6 @@ pub struct WarmupLedger {
     pub shapes: HashSet<u64>,
     /// Wall time of every unit, summed over the worker threads.
     pub unit_wall: Duration,
-}
-
-/// One cell that failed in a run: the job's identity plus the panic or
-/// configuration-error text. Recorded by [`ResultCache::run`] instead of
-/// letting a single bad lane poison its whole batch; read back via
-/// [`ResultCache::failures`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellFailure {
-    /// Label of the failed job.
-    pub label: String,
-    /// The job's configuration key ([`SimConfig::key`]; also its store key).
-    pub key: u64,
-    /// Why it failed (panic message or configuration error).
-    pub error: String,
 }
 
 /// Fills every claimed slot a run leaves empty when it ends. Normally
@@ -351,25 +323,14 @@ impl ResultCache {
     /// persisted — so a killed experiment resumes instead of starting over.
     /// Without one (or if it cannot be opened, with a warning) the cache
     /// lives in memory only, like `ResultCache::default()`.
-    ///
-    /// With `--telemetry-csv DIR`, every cell this cache simulates writes its
-    /// epoch series to `DIR/<label, / as __>.csv` (e.g. `mcf__AutoRFM-4.csv`)
-    /// once it completes: one file per distinct cell, named after the job
-    /// that first requested it.
     pub fn new(opts: &RunOpts) -> Self {
         let store = opts.store.as_ref().and_then(|root| {
             CellStore::open(root)
                 .map_err(|e| eprintln!("warning: could not open store {}: {e}", root.display()))
                 .ok()
         });
-        let csv_dir = opts.telemetry_csv.clone().filter(|dir| {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| eprintln!("warning: could not create {}: {e}", dir.display()))
-                .is_ok()
-        });
         ResultCache {
             store,
-            csv_dir,
             ..Self::default()
         }
     }
@@ -391,51 +352,6 @@ impl ResultCache {
         }
     }
 
-    /// Every [`CellFailure`] recorded by [`ResultCache::run`] so far,
-    /// in recording order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock is poisoned.
-    pub fn failures(&self) -> Vec<CellFailure> {
-        self.failures
-            .lock()
-            .expect("failures lock poisoned")
-            .clone()
-    }
-
-    /// Writes a freshly simulated cell's epoch series as CSV when a
-    /// `--telemetry-csv` directory is configured. A failed write warns and
-    /// leaves the result alone.
-    fn write_csv(&self, job: &SimJob, result: &SimResult) {
-        let (Some(dir), Some(series)) = (&self.csv_dir, &result.series) else {
-            return;
-        };
-        let path = dir.join(format!("{}.csv", job.label.replace('/', "__")));
-        let written = std::fs::File::create(&path)
-            .and_then(|file| series.write_csv(std::io::BufWriter::new(file)));
-        if let Err(e) = written {
-            eprintln!(
-                "warning: could not write telemetry CSV {}: {e}",
-                path.display()
-            );
-        }
-    }
-
-    /// Records one failed cell: a structured [`CellFailure`] in memory and,
-    /// with a store configured, a persisted failed-cell record.
-    fn record_failure(&self, key: u64, job: &SimJob, error: String) {
-        self.persist(key, Err(&error));
-        self.failures
-            .lock()
-            .expect("failures lock poisoned")
-            .push(CellFailure {
-                label: job.label.clone(),
-                key,
-                error,
-            });
-    }
-
     /// Every job's result, in job order: the harness's one simulation call.
     ///
     /// 1. claim the configuration keys no one has requested yet (duplicates
@@ -452,10 +368,9 @@ impl ResultCache {
     /// Lanes are bitwise identical to standalone simulations, so no caller
     /// can tell how a result was computed. A lane that panics (or a cell
     /// whose configuration is invalid) does not poison its batchmates: the
-    /// bad cell becomes a structured [`CellFailure`] record — cell key plus
-    /// error text — readable via [`ResultCache::failures`] (and, with a
-    /// store configured, a persisted failed-cell record), while its
-    /// batchmates' results are cached and stored. Cells with telemetry
+    /// bad cell's error text is cached (and, with a store configured,
+    /// persisted as a failed-cell record), while its batchmates' results are
+    /// cached and stored. Cells with telemetry
     /// enabled neither read nor write the store: their epoch series and
     /// metric registries cannot be persisted (see `SimResult`'s snapshot
     /// docs).
@@ -495,8 +410,9 @@ impl ResultCache {
             match job.cfg.validate() {
                 Ok(()) => cells.push((i, job.cfg.clone())),
                 Err(e) => {
-                    self.record_failure(*key, job, e.to_string());
-                    let _ = slot.set(Err(e.to_string()));
+                    let error = e.to_string();
+                    self.persist(*key, Err(&error));
+                    let _ = slot.set(Err(error));
                 }
             }
         }
@@ -513,11 +429,10 @@ impl ResultCache {
                         if job.cfg.telemetry.is_none() {
                             self.persist(*key, Ok(&result));
                         }
-                        self.write_csv(job, &result);
                         Ok(Arc::new(result))
                     }
                     Err(error) => {
-                        self.record_failure(*key, job, error.clone());
+                        self.persist(*key, Err(&error));
                         Err(error)
                     }
                 };

@@ -1,6 +1,6 @@
 //! The experiment registry and its runner: one entry per pinned table, a
-//! panicking target fails alone, and `--resume` reruns a target whose
-//! options changed — the cell options only for a target that simulates.
+//! panicking target fails alone, and a rerun over a populated cell store
+//! reproduces its reports without simulating the stored cells.
 
 use autorfm::telemetry::RunManifest;
 use autorfm_bench::experiments::{self, Ctx, Experiment, ALL};
@@ -48,13 +48,7 @@ fn panics(ctx: &mut Ctx) {
 fn a_panicking_target_fails_alone() {
     let dir = scratch("runner-panic");
     let entries: [(&str, Experiment); 3] = [("a", ok), ("b", panics), ("c", ok)];
-    let failures = experiments::run(
-        &entries,
-        &RunOpts::default(),
-        &ResultCache::default(),
-        &dir,
-        false,
-    );
+    let failures = experiments::run(&entries, &RunOpts::default(), &ResultCache::default(), &dir);
     assert_eq!(failures.len(), 1, "{failures:?}");
     assert!(failures[0].starts_with("b: ") && failures[0].contains("boom"));
 
@@ -78,64 +72,37 @@ fn a_panicking_target_fails_alone() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A killed run resumes over its store: a second `run_all --store
+/// results/store` reruns the target, reloads every cell and writes the same
+/// report; a run without `--store` empties `results/store` and simulates
+/// again.
 #[test]
-fn resume_reruns_a_target_whose_options_changed() {
-    let dir = scratch("runner-resume");
+fn rerun_over_its_store_reproduces_a_target_without_simulating() {
+    let dir = scratch("run-all-store");
     let run_all = |args: &[&str]| {
         let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
-            .args(["--only", "table2"])
+            .args(["--only", "fig03", "--quick", "--workloads", "mcf"])
             .args(args)
             .current_dir(&dir)
             .output()
             .unwrap();
         assert!(out.status.success(), "run_all {args:?} failed");
-        String::from_utf8(out.stderr).unwrap()
+        let results = dir.join("results");
+        let manifest = RunManifest::load(&results.join("fig03_rfm_slowdown.json")).unwrap();
+        let simulated = manifest.metrics.get("simulations_run", &[]).unwrap();
+        let report = std::fs::read(results.join("fig03_rfm_slowdown.txt")).unwrap();
+        (report, simulated.scalar())
     };
-    const SKIPPED: &str = "already complete, skipping";
-    assert!(!run_all(&["--quick"]).contains(SKIPPED));
-    // A quick-fidelity manifest does not complete a default-fidelity run.
-    let rerun = run_all(&["--resume"]);
-    assert!(rerun.contains("=== running table2_trh_history"), "{rerun}");
-    // The same options (whatever `--jobs`) now do.
-    assert!(run_all(&["--resume", "--jobs", "1"]).contains(SKIPPED));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A target that simulates nothing records no cell options in its manifest,
-/// so `--resume` skips it whatever `--workloads` and `--cores` say; a target
-/// that simulates still reruns when they change.
-#[test]
-fn resume_skips_a_target_that_simulates_nothing_across_cell_options() {
-    let dir = scratch("runner-resume-cells");
-    let run_all = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
-            .args(args)
-            .current_dir(&dir)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "run_all {args:?} failed");
-        String::from_utf8(out.stderr).unwrap()
-    };
-    const SKIPPED: &str = "already complete, skipping";
-    assert!(!run_all(&["--only", "table2", "--quick"]).contains(SKIPPED));
-    let rerun = run_all(&[
-        "--only",
-        "table2",
-        "--quick",
-        "--resume",
-        "--workloads",
-        "mcf",
-        "--cores",
-        "2",
-    ]);
-    assert!(rerun.contains(SKIPPED), "{rerun}");
-
-    let table5 = ["--only", "table5", "--quick", "--cores", "2"];
-    assert!(!run_all(&[&table5[..], &["--workloads", "mcf"]].concat()).contains(SKIPPED));
-    let rerun = run_all(&[&table5[..], &["--resume", "--workloads", "wrf"]].concat());
-    assert!(
-        rerun.contains("=== running table5_workload_characteristics"),
-        "{rerun}"
+    let (report, simulated) = run_all(&[]);
+    assert_eq!(simulated, 5.0, "a fresh run simulates every cell");
+    assert_eq!(
+        run_all(&["--store", "results/store"]),
+        (report.clone(), 0.0)
+    );
+    assert_eq!(
+        run_all(&[]),
+        (report, 5.0),
+        "no --store: the store is emptied"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -173,7 +140,7 @@ fn rerun_over_a_populated_store_simulates_only_telemetry_cells() {
         .collect();
     assert_eq!(entries.len(), 2);
     let run = |out: &Path| {
-        let failures = experiments::run(&entries, &opts, &ResultCache::new(&opts), out, false);
+        let failures = experiments::run(&entries, &opts, &ResultCache::new(&opts), out);
         assert!(failures.is_empty(), "{failures:?}");
         let simulated = |target: &str| {
             RunManifest::load(&out.join(format!("{target}.json")))

@@ -3,6 +3,7 @@
 //! simulates each distinct key exactly once under concurrent access.
 
 use autorfm::experiments::Scenario;
+use autorfm::snapshot::store::CellStore;
 use autorfm_bench::{ResultCache, RunOpts, SimJob, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
 use std::sync::Arc;
@@ -100,13 +101,18 @@ fn shared_cache_simulates_each_key_exactly_once() {
     assert_eq!(cache.simulations_run(), unique.len());
 }
 
-/// A bad cell in a run becomes a structured failure record — cell key plus
-/// error text — while its batchmates still produce results; the run, and
-/// any later run asking for it, panics with that text instead of
-/// re-running it.
+/// A bad cell in a run fails alone: its batchmates still produce results,
+/// and the run — and any later run asking for it — panics with the cell's
+/// label and error text instead of re-running it. With a store, the error
+/// is also persisted as the cell's failed-cell record.
 #[test]
 fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
-    let opts = quick_opts(1);
+    let dir = std::env::temp_dir().join(format!("autorfm-bad-cells-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = RunOpts {
+        store: Some(dir.clone()),
+        ..quick_opts(1)
+    };
     let spec = opts.workloads[0];
     // AutoRFM with window 0 is rejected by every tracker; its cell must not
     // poison the two valid cells batched alongside it.
@@ -118,7 +124,7 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
         job(Scenario::AutoRfm { th: 4 }),
     ];
 
-    let cache = ResultCache::default();
+    let cache = ResultCache::new(&opts);
     let ask = |jobs: &[SimJob]| {
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.run(jobs, opts.jobs);
@@ -131,15 +137,13 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
     };
     let first = ask(&jobs);
 
-    let failures = cache.failures();
-    assert_eq!(
-        failures.len(),
-        1,
-        "exactly the bad cell failed: {failures:?}"
-    );
-    assert_eq!(failures[0].label, format!("{}/AutoRFM-0", spec.name));
-    assert_eq!(failures[0].key, bad.cfg.key());
-    assert!(!failures[0].error.is_empty());
+    let record = CellStore::open(&dir).unwrap().get(bad.cfg.key());
+    let error = record
+        .expect("the failed cell has a store record")
+        .outcome
+        .expect_err("the record is a failure");
+    assert!(!error.is_empty());
+    assert_eq!(first, format!("{}/AutoRFM-0 failed: {error}", spec.name));
 
     // Both healthy cells are cached and never re-simulated by later runs.
     let healthy = cache.run(&[jobs[0].clone(), jobs[2].clone()], opts.jobs);
@@ -148,13 +152,7 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
     assert_eq!(cache.simulations_run(), 2);
 
     // The bad cell fails loudly, with its recorded error, and only once.
-    for message in [first, ask(std::slice::from_ref(&bad))] {
-        assert!(
-            message.contains(&failures[0].error),
-            "panic {message:?} lacks the config error {:?}",
-            failures[0].error
-        );
-    }
-    assert_eq!(cache.failures().len(), 1);
+    assert_eq!(ask(std::slice::from_ref(&bad)), first);
     assert_eq!(cache.simulations_run(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,10 +1,12 @@
 //! Telemetry guarantees: the disabled (default) path is bitwise identical to
 //! a harness without telemetry, the enabled path records epoch series and
-//! full metric registries without perturbing results, and `--telemetry-csv`
-//! writes each simulated cell's series.
+//! full metric registries without perturbing results, and a target's
+//! manifest keeps each cell's series.
 
 use autorfm::experiments::Scenario;
+use autorfm::telemetry::{EpochSeries, RunManifest};
 use autorfm::{KernelKind, System};
+use autorfm_bench::experiments::{self, Ctx, Experiment};
 use autorfm_bench::{telemetry_config, ResultCache, RunOpts, SimJob, BASELINE_ZEN};
 use autorfm_workloads::WorkloadSpec;
 
@@ -138,37 +140,47 @@ fn batched_lanes_record_the_standalone_series() {
     }
 }
 
-/// `--telemetry-csv DIR` writes one file per simulated cell, named
-/// `<workload>__<scenario>.csv` after its label, holding exactly
-/// `EpochSeries::write_csv` of the cell's series. The directory is an output
-/// path, not part of any cell's identity.
+/// An experiment that runs the cells [`matrix`] lists for its options.
+fn matrix_cells(ctx: &mut Ctx) {
+    let jobs = matrix(&ctx.opts);
+    ctx.run(&jobs);
+}
+
+/// A target's manifest carries each cell's epoch series: rendered with
+/// `EpochSeries::write_csv` (what `telemetry_report series <manifest>
+/// <label>` prints), it is the simulated result's CSV byte for byte.
 #[test]
-fn telemetry_csv_writes_each_cells_series() {
-    let dir = std::env::temp_dir().join(format!("autorfm-telemetry-csv-{}", std::process::id()));
+fn manifest_series_renders_the_simulated_csv() {
+    let dir = std::env::temp_dir().join(format!("autorfm-manifest-series-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let plain = quick_opts(true);
-    let mut opts = plain.clone();
-    opts.telemetry_csv = Some(dir.clone());
+    let mut opts = quick_opts(true);
     opts.workloads.truncate(1);
+    let cache = ResultCache::default();
+    let entries: [(&str, Experiment); 1] = [("cells", matrix_cells)];
+    assert!(experiments::run(&entries, &opts, &cache, &dir).is_empty());
+    let manifest = RunManifest::load(&dir.join("cells.json")).unwrap();
+
     let jobs = matrix(&opts);
     assert_eq!(jobs.len(), 2);
-    let results = ResultCache::new(&opts).run(&jobs, opts.jobs);
-
-    let mut files: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    files.sort();
-    assert_eq!(files, ["mcf__AutoRFM-4.csv", "mcf__baseline-zen.csv"]);
+    let results = cache.run(&jobs, opts.jobs);
+    let csv = |series: &EpochSeries| {
+        let mut out = Vec::new();
+        series.write_csv(&mut out).unwrap();
+        out
+    };
     for (job, result) in jobs.iter().zip(&results) {
         let series = result
             .series
             .as_ref()
             .expect("telemetry on records a series");
-        let mut want = Vec::new();
-        series.write_csv(&mut want).unwrap();
-        let got = std::fs::read(dir.join(format!("{}.csv", job.label.replace('/', "__")))).unwrap();
-        assert_eq!(got, want, "CSV of {}", job.label);
+        let entry = manifest
+            .run(&job.label)
+            .expect("the manifest lists the cell");
+        let got = csv(entry
+            .series
+            .as_ref()
+            .expect("the manifest keeps the series"));
+        assert_eq!(got, csv(series), "CSV of {}", job.label);
         let lines = String::from_utf8(got).unwrap().lines().count();
         assert_eq!(
             lines,
@@ -177,11 +189,9 @@ fn telemetry_csv_writes_each_cells_series() {
         );
     }
 
-    let spec = opts.workloads[0];
-    for scenario in [BASELINE_ZEN, Scenario::AutoRfm { th: 4 }] {
-        let key = SimJob::new(spec, scenario, &plain).cfg.key();
-        assert_eq!(SimJob::new(spec, scenario, &opts).cfg.key(), key);
-        let restated = SimJob::new(spec, scenario, &opts).variant("same", |_| {});
+    for job in jobs {
+        let key = job.cfg.key();
+        let restated = job.variant("same", |_| {});
         assert_eq!(restated.cfg.key(), key, "a no-op variant is the same cell");
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -32,7 +32,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The most shapes the warm pool holds (each one warmed LLC, about 2 MB at
 /// the paper's geometry); when full it evicts its oldest entry first.
@@ -363,6 +363,11 @@ impl Daemon {
         &self.inner.store
     }
 
+    /// Time since this daemon started.
+    pub(crate) fn uptime(&self) -> Duration {
+        self.inner.started.elapsed()
+    }
+
     /// Whether shutdown has been requested.
     pub fn is_shutdown(&self) -> bool {
         self.inner.shutdown.load(Ordering::SeqCst)
@@ -506,7 +511,7 @@ impl Daemon {
                 self.inner.counter("cells_deduped"),
             )
         };
-        let uptime = self.inner.started.elapsed();
+        let uptime = self.uptime();
         let cells_per_sec = if uptime.as_secs_f64() > 0.0 {
             computed as f64 / uptime.as_secs_f64()
         } else {

@@ -23,6 +23,12 @@ use crate::daemon::Daemon;
 use crate::http::{read_request, respond_error, respond_json, Request};
 use autorfm::telemetry::Json;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::Duration;
+
+/// How long a connection's thread waits for each read of its request before
+/// it gives up on the client: a connection that sends nothing cannot hold a
+/// thread for ever.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Serves `daemon` on `listener` until a `POST /shutdown` arrives. Returns
 /// after the accept loop exits; the caller still owns worker teardown via
@@ -38,6 +44,9 @@ pub fn serve(daemon: &Daemon, listener: TcpListener) -> std::io::Result<()> {
             break;
         }
         let Ok(mut stream) = conn else { continue };
+        if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+            continue;
+        }
         let daemon = daemon.clone();
         std::thread::spawn(move || {
             if let Err(e) = handle(&daemon, &mut stream, addr) {
@@ -66,11 +75,7 @@ fn route(
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["health"]) => {
-            let uptime = daemon
-                .stats()
-                .get("uptime_ns")
-                .cloned()
-                .unwrap_or(Json::Null);
+            let uptime = Json::Num(daemon.uptime().as_nanos() as f64);
             respond_json(
                 stream,
                 200,
@@ -362,6 +367,53 @@ mod tests {
         .unwrap();
         assert_eq!(status, 400);
         assert!(err.get("error").is_some());
+
+        let (status, _) = http::request(&addr, "POST", "/shutdown", None).unwrap();
+        assert_eq!(status, 200);
+        server.join().unwrap();
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A client that connects and sends nothing is answered and closed once
+    /// [`READ_TIMEOUT`] passes, and the server still serves `/health`.
+    #[test]
+    fn an_idle_connection_is_closed_after_the_read_timeout() {
+        let dir = scratch("idle");
+        let daemon = Daemon::start(DaemonConfig {
+            store: dir.clone(),
+            workers: 1,
+            batch: 1,
+            kernel: KernelKind::Event,
+        })
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = {
+            let daemon = daemon.clone();
+            std::thread::spawn(move || serve(&daemon, listener).unwrap())
+        };
+
+        let started = Instant::now();
+        let mut idle = TcpStream::connect(&addr).unwrap();
+        let margin = Duration::from_secs(10);
+        idle.set_read_timeout(Some(READ_TIMEOUT + margin)).unwrap();
+        let mut reply = Vec::new();
+        std::io::Read::read_to_end(&mut idle, &mut reply)
+            .expect("the server closes the connection");
+        let waited = started.elapsed();
+        assert!(
+            waited >= READ_TIMEOUT && waited < READ_TIMEOUT + margin,
+            "closed after {waited:?}"
+        );
+
+        let (status, body) = http::request(&addr, "GET", "/health", None).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(body.get("ok"), Some(&Json::Bool(true)));
+        assert!(body
+            .get("uptime_ns")
+            .and_then(Json::as_f64)
+            .is_some_and(|ns| ns > 0.0));
 
         let (status, _) = http::request(&addr, "POST", "/shutdown", None).unwrap();
         assert_eq!(status, 200);

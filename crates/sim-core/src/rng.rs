@@ -3,9 +3,8 @@
 //! The simulator needs randomness in three places: the in-DRAM trackers (MINT's
 //! slot selection), Fractal Mitigation's distance selection, and the workload
 //! generators. For bit-reproducible simulations across runs and library versions
-//! we use our own xoshiro256++ implementation seeded with SplitMix64, rather than
-//! depending on `rand` in hot paths. (The `rand` crate is still used by test code
-//! and some workload utilities.)
+//! we use our own xoshiro256++ implementation seeded with SplitMix64; no crate
+//! in the workspace depends on `rand`.
 
 /// A deterministic xoshiro256++ PRNG.
 ///

@@ -5,8 +5,8 @@
 //! converts cumulative system counters into per-window deltas: ACT/ALERT/REF/
 //! RFM rates, queue occupancy, row-hit rate, and per-core IPC. The produced
 //! [`EpochSeries`] rides on the run manifest; [`EpochSeries::write_csv`] is
-//! its one CSV rendering (`run_all --telemetry-csv`, `telemetry_report
-//! series`).
+//! its one CSV rendering (`telemetry_report series <manifest> <run-key>` of a
+//! `run_all --telemetry` manifest).
 
 use crate::json::Json;
 use autorfm_sim_core::Cycle;
