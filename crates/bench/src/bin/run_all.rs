@@ -63,8 +63,8 @@ fn main() {
     });
     eprintln!("cell store: {}", store.display());
 
-    let cache = ResultCache::new(&opts);
-    let failures = experiments::run(&selected, &opts, &cache, Path::new("results"));
+    let mut cache = ResultCache::new(&opts);
+    let failures = experiments::run(&selected, &opts, &mut cache, Path::new("results"));
     eprintln!(
         "{} distinct cells, {} simulated",
         cache.len(),

@@ -1,6 +1,6 @@
 //! The paper's evaluation as one registry: every table and figure is a
 //! function `run(&mut Ctx)` listed in [`ALL`], and [`run`] executes a
-//! selection of them one after another, in one process, over one shared
+//! selection of them one after another, in one process, over one
 //! [`ResultCache`] — so a cell several figures use is simulated once (each
 //! [`Ctx::run`] still fans out over `--jobs` threads).
 //!
@@ -13,6 +13,7 @@
 
 use crate::{ResultCache, RunOpts, SimJob};
 use autorfm::experiments::Scenario;
+use autorfm::snapshot::write_atomic;
 use autorfm::telemetry::{Json, Labels, RunEntry, RunManifest};
 use autorfm::SimResult;
 use autorfm_campaign::runner::panic_message;
@@ -116,7 +117,7 @@ pub const ALL: &[(&str, Experiment)] = &[
 ];
 
 /// What one experiment runs with and writes to: its own copy of the run
-/// options, the shared cache, its report text and its manifest.
+/// options, the run's cache, its report text and its manifest.
 ///
 /// [`Ctx::run`] (and [`Ctx::sweep`], one `run` over a workload × scenario
 /// matrix) records every cell the experiment touches, so its manifest lists
@@ -125,7 +126,7 @@ pub const ALL: &[(&str, Experiment)] = &[
 pub struct Ctx<'a> {
     /// The options this experiment runs with (a copy it may narrow).
     pub opts: RunOpts,
-    cache: &'a ResultCache,
+    cache: &'a mut ResultCache,
     out: String,
     manifest: RunManifest,
     /// The cells touched so far, first label per key, in first-touch order.
@@ -137,7 +138,7 @@ pub struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     /// Starts experiment `target` with `opts` over `cache`.
-    fn new(target: &str, opts: &RunOpts, cache: &'a ResultCache) -> Self {
+    fn new(target: &str, opts: &RunOpts, cache: &'a mut ResultCache) -> Self {
         let mut manifest = RunManifest::new(target);
         manifest.jobs = opts.jobs as u64;
         // Every option the reports depend on (not `--jobs` or `--store`).
@@ -161,12 +162,12 @@ impl<'a> Ctx<'a> {
             .collect();
         Ctx {
             opts: opts.clone(),
+            simulations_before: cache.simulations_run(),
             cache,
             out: String::new(),
             manifest,
             cells: Vec::new(),
             seen: HashSet::new(),
-            simulations_before: cache.simulations_run(),
             started: Instant::now(),
         }
     }
@@ -271,8 +272,10 @@ impl<'a> Ctx<'a> {
 }
 
 /// Runs `entries` one after another over `cache`, writing each report to
-/// `<dir>/<name>.txt` and each manifest to `<dir>/<name>.json`. A panicking
-/// target is reported and the rest still run.
+/// `<dir>/<name>.txt` and each manifest to `<dir>/<name>.json`, each through
+/// `autorfm::snapshot::write_atomic`, so a killed run leaves the old file or
+/// the new one, never a torn one. A panicking target is reported and the rest
+/// still run.
 ///
 /// Returns one line per failed target (empty: every target completed).
 ///
@@ -282,7 +285,7 @@ impl<'a> Ctx<'a> {
 pub fn run(
     entries: &[(&str, Experiment)],
     opts: &RunOpts,
-    cache: &ResultCache,
+    cache: &mut ResultCache,
     dir: &Path,
 ) -> Vec<String> {
     std::fs::create_dir_all(dir).expect("create the results directory");
@@ -298,9 +301,10 @@ pub fn run(
             failures.push(format!("{name}: {message}"));
         }
         let path = dir.join(format!("{name}.txt"));
-        std::fs::write(&path, report).expect("write the report");
+        write_atomic(&path, report.as_bytes()).expect("write the report");
         let manifest_path = dir.join(format!("{name}.json"));
-        if let Err(e) = manifest.save(&manifest_path) {
+        let json = manifest.to_json().to_pretty();
+        if let Err(e) = write_atomic(&manifest_path, json.as_bytes()) {
             eprintln!("warning: could not write {}: {e}", manifest_path.display());
         }
         eprintln!("    -> {}", path.display());

@@ -2,7 +2,7 @@
 //!
 //! The experiment harness: every table/figure of the paper is a registered
 //! function in [`experiments::ALL`] (see DESIGN.md for the index), run in
-//! one process over one shared [`ResultCache`] by the `run_all` binary
+//! one process over one [`ResultCache`] by the `run_all` binary
 //! (`run_all --only <target>` runs one), plus Criterion micro-benchmarks
 //! (`benches/`).
 //!
@@ -35,6 +35,9 @@
 //! `min(autorfm_campaign::LANES, ceil(pending / opts.jobs))` lanes — warmup
 //! simulated once per unit, every lane built from that warm state and run to
 //! completion — and runs the units on `opts.jobs` threads ([`par_map`]).
+//! Those worker threads are the only concurrency: the cache has one owner,
+//! `run` takes `&mut self`, and the targets ask for their cells one after
+//! another.
 //!
 //! **Determinism guarantee:** every lane built from warm state is bitwise
 //! identical to its standalone run (pinned by `tests/batch_differential.rs`)
@@ -53,11 +56,10 @@ use autorfm::{KernelKind, MappingKind, SimConfig, SimResult, TelemetryConfig};
 use autorfm_campaign::{decode_record, encode_record, run_batch_fallible, shape_units, LANES};
 use autorfm_sim_core::Cycle;
 use autorfm_workloads::{WorkloadSpec, ALL_WORKLOADS};
-use std::collections::hash_map::{Entry, HashMap};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Common run options for every experiment: the built-in
@@ -85,7 +87,8 @@ pub struct RunOpts {
     /// Root of the campaign service's content-addressed cell store
     /// (`--store DIR`). When set, [`ResultCache::new`] reads and writes
     /// per-cell records there — shared with `campaignd` and every other
-    /// experiment — so completed simulations survive a killed run.
+    /// experiment — so completed simulations survive a killed run. A
+    /// directory that cannot be opened stops the run before any target.
     pub store: Option<PathBuf>,
     /// Tracker override for tracker-sweep targets (`--tracker NAME`; see
     /// `autorfm::trackers::names()`; default: each target's own set).
@@ -268,23 +271,19 @@ where
         .collect()
 }
 
-/// One cached cell: filled exactly once, by the run that claimed it,
-/// with the result or the failed cell's error text; concurrent requesters
-/// block on it.
-type CacheSlot = Arc<OnceLock<Result<Arc<SimResult>, String>>>;
-
-/// A thread-safe cache of cell results keyed by [`SimConfig::key`], so a
-/// configuration many experiments share (the normalization baselines above
-/// all, or an ablation variant equal to a scenario) is simulated only once.
+/// A cache of cell results keyed by [`SimConfig::key`], so a configuration
+/// many experiments share (the normalization baselines above all, or an
+/// ablation variant equal to a scenario) is simulated only once.
 ///
-/// The first [`ResultCache::run`] to request a key claims its [`OnceLock`]
-/// slot and fills it; concurrent requesters block until the result is
-/// ready — never re-running the simulation.
+/// The cache has one owner: [`ResultCache::run`] takes `&mut self`, and the
+/// only threads are the ones a single call runs its work units on. A failed
+/// cell's error text is cached like a result, so asking again fails again
+/// without re-running it.
 #[derive(Default)]
 pub struct ResultCache {
-    results: Mutex<HashMap<u64, CacheSlot>>,
-    runs: AtomicUsize,
-    ledger: Mutex<WarmupLedger>,
+    results: HashMap<u64, Result<Arc<SimResult>, String>>,
+    runs: usize,
+    ledger: WarmupLedger,
     store: Option<CellStore>,
 }
 
@@ -300,34 +299,22 @@ pub struct WarmupLedger {
     pub unit_wall: Duration,
 }
 
-/// Fills every claimed slot a run leaves empty when it ends. Normally
-/// there are none; if the run panicked, its waiters get an error instead
-/// of blocking forever.
-struct AbandonGuard<'a>(&'a [Claim<'a>]);
-
-/// A job a run claimed: its key, the job, and the slot to fill.
-type Claim<'a> = (u64, &'a SimJob, CacheSlot);
-
-impl Drop for AbandonGuard<'_> {
-    fn drop(&mut self) {
-        for (_, _, slot) in self.0 {
-            let _ = slot.set(Err("abandoned: the run simulating it panicked".into()));
-        }
-    }
-}
-
 impl ResultCache {
     /// Creates an empty cache backed by `opts.store` (`--store DIR`, the
     /// content-addressed cell store `run_all` and `campaignd` share): with a
     /// store, completed results are reloaded and every fresh simulation is
     /// persisted — so a killed experiment resumes instead of starting over.
-    /// Without one (or if it cannot be opened, with a warning) the cache
-    /// lives in memory only, like `ResultCache::default()`.
+    /// Without one the cache lives in memory only, like
+    /// `ResultCache::default()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the directory and the cause if `opts.store` cannot be
+    /// opened (e.g. it names a regular file).
     pub fn new(opts: &RunOpts) -> Self {
-        let store = opts.store.as_ref().and_then(|root| {
+        let store = opts.store.as_ref().map(|root| {
             CellStore::open(root)
-                .map_err(|e| eprintln!("warning: could not open store {}: {e}", root.display()))
-                .ok()
+                .unwrap_or_else(|e| panic!("cannot open store {}: {e}", root.display()))
         });
         ResultCache {
             store,
@@ -354,101 +341,90 @@ impl ResultCache {
 
     /// Every job's result, in job order: the harness's one simulation call.
     ///
-    /// 1. claim the configuration keys no one has requested yet (duplicates
-    ///    and keys already cached or in flight are left to their owner);
-    /// 2. answer claimed keys the cell store already holds;
+    /// 1. take the first job of each configuration key the cache does not
+    ///    hold yet;
+    /// 2. answer those the cell store already holds, and fail those whose
+    ///    configuration is invalid;
     /// 3. group the rest by shape into work units of
     ///    `min(LANES, ceil(pending / threads))` lanes
     ///    (`autorfm_campaign::shape_units`) and run the units on `threads`
     ///    threads through `autorfm_campaign::run_batch_fallible`, which
-    ///    warms up once per unit and builds every lane from that;
-    /// 4. read each job's slot, in order, waiting on keys another call has
-    ///    in flight.
+    ///    warms up once per unit and builds every lane from that; each unit
+    ///    persists its cells before it returns, so a killed run keeps the
+    ///    cells it finished;
+    /// 4. cache every outcome and read each job's, in order.
     ///
     /// Lanes are bitwise identical to standalone simulations, so no caller
     /// can tell how a result was computed. A lane that panics (or a cell
     /// whose configuration is invalid) does not poison its batchmates: the
     /// bad cell's error text is cached (and, with a store configured,
     /// persisted as a failed-cell record), while its batchmates' results are
-    /// cached and stored. Cells with telemetry
-    /// enabled neither read nor write the store: their epoch series and
-    /// metric registries cannot be persisted (see `SimResult`'s snapshot
-    /// docs).
+    /// cached and stored. Cells with telemetry enabled neither read nor
+    /// write the store: their epoch series and metric registries cannot be
+    /// persisted (see `SimResult`'s snapshot docs). A call that unwinds
+    /// outside a lane caches none of the cells it was simulating; the next
+    /// call asks for them again, reloading what the store kept.
     ///
     /// # Panics
     ///
     /// Panics with `"{label} failed: {error}"` for the first job whose cell
-    /// failed (in this call or an earlier one), once every claimed cell has
-    /// finished; or if a lock is poisoned.
-    pub fn run(&self, jobs: &[SimJob], threads: usize) -> Vec<Arc<SimResult>> {
-        let mut claimed: Vec<Claim<'_>> = Vec::new();
-        let slots: Vec<CacheSlot> = {
-            let mut map = self.results.lock().expect("cache lock poisoned");
-            jobs.iter()
-                .map(|job| {
-                    let key = job.cfg.key();
-                    match map.entry(key) {
-                        Entry::Occupied(o) => o.get().clone(),
-                        Entry::Vacant(v) => {
-                            let slot = v.insert(CacheSlot::default()).clone();
-                            claimed.push((key, job, slot.clone()));
-                            slot
-                        }
-                    }
-                })
-                .collect()
-        };
-        let _guard = AbandonGuard(&claimed);
-        let mut cells: Vec<(usize, SimConfig)> = Vec::new();
-        for (i, (key, job, slot)) in claimed.iter().enumerate() {
+    /// failed (in this call or an earlier one), once every cell has finished.
+    pub fn run(&mut self, jobs: &[SimJob], threads: usize) -> Vec<Arc<SimResult>> {
+        let keys: Vec<u64> = jobs.iter().map(|job| job.cfg.key()).collect();
+        let mut pending = HashSet::new();
+        let mut cells: Vec<(u64, SimConfig)> = Vec::new();
+        for (&key, job) in keys.iter().zip(jobs) {
+            if self.results.contains_key(&key) || !pending.insert(key) {
+                continue;
+            }
             if job.cfg.telemetry.is_none() {
-                if let Some(prior) = self.persisted(*key) {
-                    let _ = slot.set(Ok(Arc::new(prior)));
+                if let Some(prior) = self.persisted(key) {
+                    self.results.insert(key, Ok(Arc::new(prior)));
                     continue;
                 }
             }
             match job.cfg.validate() {
-                Ok(()) => cells.push((i, job.cfg.clone())),
+                Ok(()) => cells.push((key, job.cfg.clone())),
                 Err(e) => {
                     let error = e.to_string();
-                    self.persist(*key, Err(&error));
-                    let _ = slot.set(Err(error));
+                    self.persist(key, Err(&error));
+                    self.results.insert(key, Err(error));
                 }
             }
         }
         let lanes = LANES.min(cells.len().div_ceil(threads.max(1)));
-        par_map(&shape_units(cells, lanes), threads, |(shape, unit)| {
+        let units = par_map(&shape_units(cells, lanes), threads, |(shape, unit)| {
             let started = Instant::now();
             let cfgs: Vec<SimConfig> = unit.iter().map(|(_, cfg)| cfg.clone()).collect();
             let outcome = run_batch_fallible(&cfgs, None, KernelKind::Event);
-            for (&(i, _), result) in unit.iter().zip(outcome.results) {
-                let (key, job, slot) = &claimed[i];
-                let filled = match result {
-                    Ok(result) => {
-                        self.runs.fetch_add(1, Ordering::Relaxed);
-                        if job.cfg.telemetry.is_none() {
-                            self.persist(*key, Ok(&result));
-                        }
-                        Ok(Arc::new(result))
+            let results: Vec<_> = unit
+                .iter()
+                .zip(outcome.results)
+                .map(|((key, cfg), result)| {
+                    match &result {
+                        Ok(r) if cfg.telemetry.is_none() => self.persist(*key, Ok(r)),
+                        Ok(_) => {}
+                        Err(error) => self.persist(*key, Err(error)),
                     }
-                    Err(error) => {
-                        self.persist(*key, Err(&error));
-                        Err(error)
-                    }
-                };
-                let _ = slot.set(filled);
-            }
-            let mut ledger = self.ledger.lock().expect("ledger lock poisoned");
-            if outcome.warm.is_some() {
-                ledger.warmups += 1;
-                ledger.shapes.insert(*shape);
-            }
-            ledger.unit_wall += started.elapsed();
+                    (*key, result)
+                })
+                .collect();
+            (*shape, outcome.warm.is_some(), started.elapsed(), results)
         });
-        slots
-            .iter()
+        for (shape, warmed, wall, results) in units {
+            if warmed {
+                self.ledger.warmups += 1;
+                self.ledger.shapes.insert(shape);
+            }
+            self.ledger.unit_wall += wall;
+            for (key, result) in results {
+                self.runs += usize::from(result.is_ok());
+                self.results.insert(key, result.map(Arc::new));
+            }
+        }
+        keys.iter()
             .zip(jobs)
-            .map(|(slot, job)| match slot.wait() {
+            .map(|(key, job)| match &self.results[key] {
                 Ok(result) => Arc::clone(result),
                 Err(error) => panic!("{} failed: {error}", job.label),
             })
@@ -457,48 +433,31 @@ impl ResultCache {
 
     /// The warmups, distinct shapes and unit wall time of every work unit
     /// this cache has run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock is poisoned.
-    pub fn warmups(&self) -> WarmupLedger {
-        self.ledger.lock().expect("ledger lock poisoned").clone()
+    pub fn warmups(&self) -> &WarmupLedger {
+        &self.ledger
     }
 
-    /// Number of distinct configuration keys requested so far (completed,
-    /// failed, or in flight).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock is poisoned.
+    /// Number of distinct configuration keys requested so far (completed or
+    /// failed).
     pub fn len(&self) -> usize {
-        self.results.lock().expect("cache lock poisoned").len()
+        self.results.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.results.is_empty()
     }
 
     /// Total simulations actually executed: cells that neither hit the cache
     /// nor the store and completed without error.
     pub fn simulations_run(&self) -> usize {
-        self.runs.load(Ordering::Relaxed)
+        self.runs
     }
 
     /// The completed result cached under `key`, if any: keys never
-    /// requested, still being simulated by another thread, or failed read as
-    /// `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock is poisoned.
+    /// requested, or failed, read as `None`.
     pub(crate) fn result(&self, key: u64) -> Option<Arc<SimResult>> {
-        let map = self.results.lock().expect("cache lock poisoned");
-        match map.get(&key)?.get() {
-            Some(Ok(r)) => Some(Arc::clone(r)),
-            _ => None,
-        }
+        self.results.get(&key)?.as_ref().ok().cloned()
     }
 }
 
@@ -605,7 +564,7 @@ mod tests {
             jobs: 1,
             ..RunOpts::default()
         };
-        let cache = ResultCache::new(&opts);
+        let mut cache = ResultCache::new(&opts);
         let job = SimJob::new(spec, BASELINE_ZEN, &opts);
         let a = cache.run(std::slice::from_ref(&job), 1)[0].perf();
         let b = cache.run(std::slice::from_ref(&job), 1)[0].perf();
@@ -645,7 +604,7 @@ mod tests {
         // One worker: full 8-lane batches, so 8 + 3 lanes warm up twice.
         // More workers than cells: one lane, and one warmup, per batch.
         for (jobs, warmups) in [(1, 2), (2 * distinct, distinct)] {
-            let cache = ResultCache::default();
+            let mut cache = ResultCache::default();
             let batched = cache.run(&matrix, jobs);
             assert_eq!(
                 format!("{standalone:?}"),

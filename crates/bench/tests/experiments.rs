@@ -48,7 +48,12 @@ fn panics(ctx: &mut Ctx) {
 fn a_panicking_target_fails_alone() {
     let dir = scratch("runner-panic");
     let entries: [(&str, Experiment); 3] = [("a", ok), ("b", panics), ("c", ok)];
-    let failures = experiments::run(&entries, &RunOpts::default(), &ResultCache::default(), &dir);
+    let failures = experiments::run(
+        &entries,
+        &RunOpts::default(),
+        &mut ResultCache::default(),
+        &dir,
+    );
     assert_eq!(failures.len(), 1, "{failures:?}");
     assert!(failures[0].starts_with("b: ") && failures[0].contains("boom"));
 
@@ -140,7 +145,7 @@ fn rerun_over_a_populated_store_simulates_only_telemetry_cells() {
         .collect();
     assert_eq!(entries.len(), 2);
     let run = |out: &Path| {
-        let failures = experiments::run(&entries, &opts, &ResultCache::new(&opts), out);
+        let failures = experiments::run(&entries, &opts, &mut ResultCache::new(&opts), out);
         assert!(failures.is_empty(), "{failures:?}");
         let simulated = |target: &str| {
             RunManifest::load(&out.join(format!("{target}.json")))

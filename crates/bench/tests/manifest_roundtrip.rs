@@ -46,9 +46,9 @@ fn runner_manifests_list_every_cell_a_target_used() {
         telemetry: true,
         ..RunOpts::default()
     };
-    let cache = ResultCache::default();
+    let mut cache = ResultCache::default();
     let entries: [(&str, Experiment); 2] = [("first", first), ("second", second)];
-    assert!(experiments::run(&entries, &opts, &cache, &dir).is_empty());
+    assert!(experiments::run(&entries, &opts, &mut cache, &dir).is_empty());
     let result = cache
         .run(&[SimJob::new(spec, BASELINE_ZEN, &opts)], 1)
         .remove(0);
@@ -120,10 +120,10 @@ fn ctx_run_keeps_job_order_and_lists_a_duplicate_once() {
         jobs: 2,
         ..RunOpts::default()
     };
-    let cache = ResultCache::default();
+    let mut cache = ResultCache::default();
     cache.run(&[SimJob::new(spec, BASELINE_ZEN, &opts)], 1);
     let entries: [(&str, Experiment); 1] = [("duplicated", duplicated)];
-    let failures = experiments::run(&entries, &opts, &cache, &dir);
+    let failures = experiments::run(&entries, &opts, &mut cache, &dir);
     assert!(failures.is_empty(), "{failures:?}");
 
     let manifest = RunManifest::load(&dir.join("duplicated.json")).unwrap();

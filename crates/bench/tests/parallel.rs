@@ -1,6 +1,6 @@
 //! The parallel-harness guarantees: [`ResultCache::run`] is bitwise
-//! deterministic across worker counts, and the shared [`ResultCache`]
-//! simulates each distinct key exactly once under concurrent access.
+//! deterministic across worker counts, and a [`ResultCache`] simulates each
+//! distinct key exactly once however often its jobs repeat it.
 
 use autorfm::experiments::Scenario;
 use autorfm::snapshot::store::CellStore;
@@ -69,20 +69,19 @@ fn run_matrix_parallel_matches_serial() {
     }
 }
 
-/// Many concurrent requests for overlapping keys: each distinct
+/// One run requesting every key many times over: each distinct
 /// configuration is simulated exactly once.
 #[test]
 fn shared_cache_simulates_each_key_exactly_once() {
     let opts = quick_opts(8);
     let unique = matrix(&opts);
-    // Request every key 6 times, interleaved, so several workers race on the
-    // same OnceLock slots.
+    // Request every key 6 times, interleaved, in one call on 8 workers.
     let mut duplicated = Vec::new();
     for _ in 0..6 {
         duplicated.extend_from_slice(&unique);
     }
 
-    let cache = ResultCache::new(&opts);
+    let mut cache = ResultCache::new(&opts);
     let results = cache.run(&duplicated, opts.jobs);
 
     assert_eq!(cache.len(), unique.len(), "cache holds one entry per key");
@@ -124,8 +123,8 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
         job(Scenario::AutoRfm { th: 4 }),
     ];
 
-    let cache = ResultCache::new(&opts);
-    let ask = |jobs: &[SimJob]| {
+    let mut cache = ResultCache::new(&opts);
+    let ask = |cache: &mut ResultCache, jobs: &[SimJob]| {
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.run(jobs, opts.jobs);
         }))
@@ -135,7 +134,7 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
             .expect("panic carries a formatted message")
             .clone()
     };
-    let first = ask(&jobs);
+    let first = ask(&mut cache, &jobs);
 
     let record = CellStore::open(&dir).unwrap().get(bad.cfg.key());
     let error = record
@@ -152,7 +151,7 @@ fn batched_prefetch_surfaces_bad_cells_as_failure_records() {
     assert_eq!(cache.simulations_run(), 2);
 
     // The bad cell fails loudly, with its recorded error, and only once.
-    assert_eq!(ask(std::slice::from_ref(&bad)), first);
+    assert_eq!(ask(&mut cache, std::slice::from_ref(&bad)), first);
     assert_eq!(cache.simulations_run(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }

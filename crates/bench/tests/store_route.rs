@@ -36,7 +36,7 @@ fn stored(dir: &Path) -> RunOpts {
 }
 
 /// `job`'s result from `cache`: a one-job [`ResultCache::run`].
-fn one(cache: &ResultCache, job: &SimJob) -> Arc<SimResult> {
+fn one(cache: &mut ResultCache, job: &SimJob) -> Arc<SimResult> {
     cache.run(std::slice::from_ref(job), 1).remove(0)
 }
 
@@ -64,8 +64,8 @@ fn store_backed_cache_survives_a_reload_without_resimulating() {
     );
 
     // First life simulates and persists a cell record under the config key.
-    let cache = ResultCache::new(&stored(&dir));
-    let first = one(&cache, &job);
+    let mut cache = ResultCache::new(&stored(&dir));
+    let first = one(&mut cache, &job);
     assert_eq!(cache.simulations_run(), 1);
     let store = CellStore::open(&dir).unwrap();
     assert!(
@@ -75,8 +75,8 @@ fn store_backed_cache_survives_a_reload_without_resimulating() {
 
     // Second life (a fresh cache on the same store) reloads instead of
     // re-running, and the reloaded result matches the original.
-    let cache2 = ResultCache::new(&stored(&dir));
-    let back = one(&cache2, &job);
+    let mut cache2 = ResultCache::new(&stored(&dir));
+    let back = one(&mut cache2, &job);
     assert_eq!(cache2.simulations_run(), 0);
     assert_eq!(back.elapsed, first.elapsed);
     assert_eq!(back.per_core_ipc, first.per_core_ipc);
@@ -88,8 +88,8 @@ fn store_backed_cache_survives_a_reload_without_resimulating() {
     store
         .put(failed_key, &CellRecord::failed(failed_key, "lane panicked"))
         .unwrap();
-    let cache3 = ResultCache::new(&stored(&dir));
-    let _ = one(&cache3, &other);
+    let mut cache3 = ResultCache::new(&stored(&dir));
+    let _ = one(&mut cache3, &other);
     assert_eq!(cache3.simulations_run(), 1);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -104,13 +104,13 @@ fn opts_store_persists_and_reloads_like_with_store() {
     };
     let job = SimJob::new(opts.workloads[0], BASELINE_ZEN, &opts);
 
-    let cache = ResultCache::new(&opts);
-    let first = one(&cache, &job);
+    let mut cache = ResultCache::new(&opts);
+    let first = one(&mut cache, &job);
     assert_eq!(cache.simulations_run(), 1);
     assert!(CellStore::open(&dir).unwrap().contains(job.cfg.key()));
 
-    let reloaded = ResultCache::new(&opts);
-    assert_eq!(one(&reloaded, &job).elapsed, first.elapsed);
+    let mut reloaded = ResultCache::new(&opts);
+    assert_eq!(one(&mut reloaded, &job).elapsed, first.elapsed);
     assert_eq!(reloaded.simulations_run(), 0);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -123,7 +123,7 @@ fn a_flipped_default_is_a_different_cell_and_a_cache_miss() {
     let dir = scratch("store-flip");
     let opts = tiny_opts();
     let rfm8 = SimJob::new(opts.workloads[0], Scenario::Rfm { th: 8 }, &opts);
-    one(&ResultCache::new(&stored(&dir)), &rfm8);
+    one(&mut ResultCache::new(&stored(&dir)), &rfm8);
 
     let slow_rfm = rfm8.clone().variant("trfm-410ns", |cfg| {
         cfg.timings = cfg.timings.clone().with_override(TimingOverride {
@@ -136,8 +136,8 @@ fn a_flipped_default_is_a_different_cell_and_a_cache_miss() {
     });
     for flipped in [&slow_rfm, &half_credit] {
         assert_ne!(flipped.cfg.key(), rfm8.cfg.key(), "{}", flipped.label);
-        let cache = ResultCache::new(&stored(&dir));
-        one(&cache, flipped);
+        let mut cache = ResultCache::new(&stored(&dir));
+        one(&mut cache, flipped);
         assert_eq!(
             cache.simulations_run(),
             1,
@@ -146,8 +146,8 @@ fn a_flipped_default_is_a_different_cell_and_a_cache_miss() {
         );
     }
     // The unflipped cell is still a hit.
-    let cache = ResultCache::new(&stored(&dir));
-    one(&cache, &rfm8);
+    let mut cache = ResultCache::new(&stored(&dir));
+    one(&mut cache, &rfm8);
     assert_eq!(cache.simulations_run(), 0);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -174,7 +174,7 @@ fn variants_equal_to_a_scenario_share_its_cell() {
     assert_eq!(whole_bank.cfg.key(), zen4.cfg.key());
     assert_eq!(t_rfm_205.cfg.key(), rfm8.cfg.key());
 
-    let cache = ResultCache::default();
+    let mut cache = ResultCache::default();
     cache.run(&[zen4, whole_bank, rfm8, t_rfm_205], opts.jobs);
     assert_eq!(cache.len(), 2);
     assert_eq!(cache.simulations_run(), 2);
@@ -200,22 +200,39 @@ fn a_record_under_another_fingerprint_reads_as_absent() {
     // An "older model" stored a (wrong) result for this very config.
     let stale = SimJob::new(spec, Scenario::Rfm { th: 4 }, &opts);
     let mut w = Writer::new();
-    one(&ResultCache::default(), &stale).encode(&mut w);
+    one(&mut ResultCache::default(), &stale).encode(&mut w);
     let old_key = salted(MODEL_FINGERPRINT ^ 0x5a5a, &job.cfg);
     let store = CellStore::open(&dir).unwrap();
     store
         .put(old_key, &CellRecord::ok(old_key, w.into_bytes()))
         .unwrap();
 
-    let cache = ResultCache::new(&stored(&dir));
-    let fresh = one(&cache, &job);
+    let mut cache = ResultCache::new(&stored(&dir));
+    let fresh = one(&mut cache, &job);
     assert_eq!(
         cache.simulations_run(),
         1,
         "the old model's record was served"
     );
-    let standalone = one(&ResultCache::default(), &job);
+    let standalone = one(&mut ResultCache::default(), &job);
     assert_eq!(format!("{fresh:?}"), format!("{standalone:?}"));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `--store` that cannot be opened — here a regular file — fails the
+/// cache's construction, naming the path, instead of running memory-only.
+#[test]
+fn a_store_path_that_is_a_regular_file_fails() {
+    let file = scratch("store-is-a-file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let panic = std::panic::catch_unwind(|| ResultCache::new(&stored(&file)))
+        .err()
+        .expect("opening a file as a store must fail");
+    let message = panic.downcast_ref::<String>().expect("a formatted message");
+    assert!(
+        message.starts_with(&format!("cannot open store {}: ", file.display())),
+        "{message}"
+    );
+    let _ = std::fs::remove_file(&file);
 }

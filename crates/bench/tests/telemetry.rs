@@ -155,9 +155,9 @@ fn manifest_series_renders_the_simulated_csv() {
     let _ = std::fs::remove_dir_all(&dir);
     let mut opts = quick_opts(true);
     opts.workloads.truncate(1);
-    let cache = ResultCache::default();
+    let mut cache = ResultCache::default();
     let entries: [(&str, Experiment); 1] = [("cells", matrix_cells)];
-    assert!(experiments::run(&entries, &opts, &cache, &dir).is_empty());
+    assert!(experiments::run(&entries, &opts, &mut cache, &dir).is_empty());
     let manifest = RunManifest::load(&dir.join("cells.json")).unwrap();
 
     let jobs = matrix(&opts);

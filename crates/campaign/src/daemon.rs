@@ -497,9 +497,10 @@ impl Daemon {
         Some(Json::Obj(pairs))
     }
 
-    /// Global service statistics (the `/stats` payload and the source of
-    /// BENCH_7.json): cell statuses from the cell table, computed and
-    /// deduped cells from the metrics registry.
+    /// Global service statistics: the `/stats` payload, which the campaign
+    /// smoke in `scripts/verify.sh` saves as `results/campaign_stats.json`.
+    /// Cell statuses come from the cell table, computed and deduped cells
+    /// from the metrics registry.
     pub fn stats(&self) -> Json {
         let (campaigns, queue_depth, [_, running, done, failed], computed, deduped) = {
             let st = self.inner.state.lock().expect("state lock");

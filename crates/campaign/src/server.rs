@@ -22,6 +22,7 @@ use crate::cell::SweepRequest;
 use crate::daemon::Daemon;
 use crate::http::{read_request, respond_error, respond_json, Request};
 use autorfm::telemetry::Json;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -61,6 +62,13 @@ pub fn serve(daemon: &Daemon, listener: TcpListener) -> std::io::Result<()> {
 fn handle(daemon: &Daemon, stream: &mut TcpStream, addr: SocketAddr) -> std::io::Result<()> {
     let req = match read_request(&mut *stream) {
         Ok(req) => req,
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            let msg = format!(
+                "no request within the {} s read timeout",
+                READ_TIMEOUT.as_secs()
+            );
+            return respond_error(stream, 408, "Request Timeout", &msg);
+        }
         Err(e) => return respond_error(stream, 400, "Bad Request", &e.to_string()),
     };
     route(daemon, stream, addr, &req)
@@ -375,8 +383,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A client that connects and sends nothing is answered and closed once
-    /// [`READ_TIMEOUT`] passes, and the server still serves `/health`.
+    /// A client that connects and sends nothing is answered `408 Request
+    /// Timeout` and closed once [`READ_TIMEOUT`] passes, and the server still
+    /// serves `/health`.
     #[test]
     fn an_idle_connection_is_closed_after_the_read_timeout() {
         let dir = scratch("idle");
@@ -406,6 +415,9 @@ mod tests {
             waited >= READ_TIMEOUT && waited < READ_TIMEOUT + margin,
             "closed after {waited:?}"
         );
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(reply.starts_with("HTTP/1.1 408"), "reply: {reply}");
+        assert!(reply.contains("5 s read timeout"), "reply: {reply}");
 
         let (status, body) = http::request(&addr, "GET", "/health", None).unwrap();
         assert_eq!(status, 200);

@@ -95,13 +95,18 @@ pub struct SimConfig {
     pub telemetry: Option<TelemetryConfig>,
 }
 
-/// Typed, validating builder for [`SimConfig`] — the one supported way to
-/// construct a configuration.
+/// Typed, validating builder for [`SimConfig`]: the way to construct a
+/// configuration that must be valid before anything runs it.
 ///
 /// Obtained from [`SimConfig::builder`], which starts from the paper's
 /// Table-IV baseline; every setter overrides one knob, and [`build`] runs
 /// [`SimConfig::validate`] so an impossible configuration is rejected at
 /// construction time instead of deep inside [`crate::System::new`].
+///
+/// Experiment matrices build their cells from [`SimConfig::scenario`]
+/// instead, unvalidated on purpose (the harness's `SimJob::new`, the
+/// campaign service's `CellSpec`): a bad cell then fails as that cell's
+/// failure record when it runs, not as an error that stops the matrix.
 ///
 /// ```
 /// use autorfm::{experiments::Scenario, SimConfig};
@@ -234,8 +239,7 @@ impl SimConfigBuilder {
 
 impl SimConfig {
     /// Starts a [`SimConfigBuilder`] from the paper's Table-IV baseline
-    /// running `workload` — the one supported way to construct a
-    /// [`SimConfig`].
+    /// running `workload`, which validates the configuration it builds.
     pub fn builder(workload: &'static WorkloadSpec) -> SimConfigBuilder {
         SimConfigBuilder {
             cfg: Self::baseline(workload),

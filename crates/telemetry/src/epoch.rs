@@ -360,14 +360,6 @@ impl EpochSampler {
         now >= self.next_boundary
     }
 
-    /// Clocking contract: the cycle of the next epoch boundary. A time-skipping
-    /// simulation loop must not leap past this cycle, so every epoch observes
-    /// the machine at exactly the same cycle as a per-step loop would.
-    #[inline]
-    pub fn next_boundary(&self) -> Cycle {
-        self.next_boundary
-    }
-
     /// Closes every window boundary crossed by `now`, attributing the deltas
     /// since the previous observation to the first of them.
     pub fn observe(&mut self, now: Cycle, obs: Observation) {

@@ -189,15 +189,6 @@ impl RunManifest {
         })
     }
 
-    /// Writes the manifest as pretty-printed JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().to_pretty())
-    }
-
     /// Reads and parses a manifest file.
     ///
     /// # Errors
@@ -358,7 +349,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.json");
         let m = manifest();
-        m.save(&path).unwrap();
+        std::fs::write(&path, m.to_json().to_pretty()).unwrap();
         let back = RunManifest::load(&path).unwrap();
         assert_eq!(back.target, "fig03_rfm_slowdown");
         assert_eq!(back.run("bwaves/RFM-4").unwrap().metrics.len(), 1);

@@ -16,6 +16,9 @@ if grep -rn 'env::var(' crates/*/src src; then
     exit 1
 fi
 
+echo "== non-test lines (crates/*/src + src/, each file up to its first #[cfg(test)]) =="
+scripts/nontest_lines.sh
+
 echo "== cargo fmt --all --check =="
 cargo fmt --all --check
 
