@@ -127,15 +127,6 @@ impl FuzzStore {
         })
     }
 
-    /// Wraps an already-open [`CellStore`] (e.g. the campaign daemon's),
-    /// scoped to `cfg`.
-    pub fn with_store(store: CellStore, cfg: &FuzzConfig) -> Self {
-        FuzzStore {
-            cfg_key: config_key(cfg),
-            store,
-        }
-    }
-
     /// The underlying shared store.
     pub fn store(&self) -> &CellStore {
         &self.store

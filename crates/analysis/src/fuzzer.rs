@@ -144,13 +144,6 @@ pub struct FuzzOutcome {
     pub archive_len: usize,
 }
 
-impl FuzzOutcome {
-    /// Number of watched thresholds some candidate escaped past.
-    pub fn escaped_thresholds(&self) -> usize {
-        self.curve.iter().filter(|c| c.is_some()).count()
-    }
-}
-
 /// Mutation + simulated-annealing search over attack-pattern genomes.
 pub struct AttackFuzzer {
     cfg: FuzzConfig,

@@ -55,15 +55,19 @@ fn main() {
         eprintln!("no targets match --only {only:?}; try --list");
         std::process::exit(2);
     }
-    let store = opts.store.get_or_insert_with(|| {
-        let dir = PathBuf::from("results/store");
-        // Cells an older build computed must not answer this run.
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    });
+    let store = opts
+        .store
+        .get_or_insert_with(|| {
+            let dir = PathBuf::from("results/store");
+            // Cells an older build computed must not answer this run.
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        })
+        .clone();
+    // Named once open: `ResultCache::new` panics on a store it cannot open.
+    let mut cache = ResultCache::new(&opts);
     eprintln!("cell store: {}", store.display());
 
-    let mut cache = ResultCache::new(&opts);
     let failures = experiments::run(&selected, &opts, &mut cache, Path::new("results"));
     eprintln!(
         "{} distinct cells, {} simulated",

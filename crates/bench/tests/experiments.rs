@@ -112,6 +112,26 @@ fn rerun_over_its_store_reproduces_a_target_without_simulating() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `--store` that cannot be opened stops `run_all` before any target runs,
+/// and it never names the path as its cell store.
+#[test]
+fn an_unopenable_store_fails_without_claiming_it() {
+    let dir = scratch("run-all-bad-store");
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, b"a regular file").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--only", "table2_trh_history", "--store"])
+        .arg(&file)
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("cannot open store"), "{stderr}");
+    assert!(!stderr.contains("cell store:"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every ablation variant and seed-sensitivity point is a cell keyed by the
 /// full configuration it runs, so a second run over the first run's
 /// `--store`, with a fresh cache, simulates only what the store cannot hold:

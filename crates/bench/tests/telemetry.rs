@@ -59,7 +59,8 @@ fn disabled_path_is_bitwise_identical_to_enabled() {
         assert!(a.metrics.is_none());
         let series = b.series.as_ref().expect("telemetry on records a series");
         assert!(!series.samples.is_empty());
-        let acts: u64 = series.samples.iter().map(|s| s.acts).sum();
+        // `counts[0]` is the window's ACTs (`COUNTERS[0]`).
+        let acts: u64 = series.samples.iter().map(|s| s.counts[0]).sum();
         assert_eq!(
             acts,
             b.dram.acts.get(),
@@ -108,8 +109,9 @@ fn epoch_length_controls_resolution_only() {
         fs.samples.len(),
         cs.samples.len()
     );
-    let coarse_acts: u64 = cs.samples.iter().map(|s| s.acts).sum();
-    let fine_acts: u64 = fs.samples.iter().map(|s| s.acts).sum();
+    // `counts[0]` is the window's ACTs (`COUNTERS[0]`).
+    let coarse_acts: u64 = cs.samples.iter().map(|s| s.counts[0]).sum();
+    let fine_acts: u64 = fs.samples.iter().map(|s| s.counts[0]).sum();
     assert_eq!(coarse_acts, fine_acts);
 }
 

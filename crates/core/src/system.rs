@@ -174,7 +174,7 @@ impl System {
             .map(|inner| BoundedStream { inner, line_mask })
             .collect();
         let telemetry = cfg.telemetry.as_ref().map(|t| {
-            EpochSampler::with_max_samples(
+            EpochSampler::new(
                 t.epoch.unwrap_or(cfg.timings.t_refi),
                 t.max_samples.unwrap_or(DEFAULT_MAX_SAMPLES),
             )
@@ -409,16 +409,19 @@ impl System {
         let dram = mc.device().stats();
         let ctrl = mc.stats();
         Observation {
-            acts: dram.acts.get(),
-            alerts: dram.alerts.get(),
-            reads: dram.reads.get(),
-            writes: dram.writes.get(),
-            refs: dram.refs.get(),
-            rfms: dram.rfms.get(),
-            mitigations: dram.mitigations.get(),
-            victim_refreshes: dram.victim_refreshes.get(),
-            row_hits: ctrl.row_hits.get(),
-            row_misses: ctrl.row_misses.get(),
+            // In `autorfm_telemetry::COUNTERS` order.
+            counts: [
+                dram.acts.get(),
+                dram.alerts.get(),
+                dram.reads.get(),
+                dram.writes.get(),
+                dram.refs.get(),
+                dram.rfms.get(),
+                dram.mitigations.get(),
+                dram.victim_refreshes.get(),
+                ctrl.row_hits.get(),
+                ctrl.row_misses.get(),
+            ],
             queue_depth: mc.pending_requests() as u64,
             retired: cores.iter().map(Core::retired).collect(),
         }
@@ -725,6 +728,7 @@ mod tests {
     use super::*;
     use crate::experiments::Scenario;
     use autorfm_sim_core::Geometry;
+    use autorfm_telemetry::MetricValue;
     use autorfm_workloads::WorkloadSpec;
 
     fn quick(scenario: Scenario, name: &str) -> SimResult {
@@ -883,11 +887,20 @@ mod tests {
         let series = traced.series.as_ref().unwrap();
         assert!(!series.samples.is_empty());
         assert_eq!(series.samples[0].ipc.len(), 2);
-        // Epoch deltas must tally back to the cumulative totals.
-        let acts: u64 = series.samples.iter().map(|s| s.acts).sum();
-        assert_eq!(acts, traced.dram.acts.get());
-        // The final registry carries all three layers' exports.
+        // Epoch deltas must tally back to the cumulative totals, counter by
+        // counter: `observation` fills them in `COUNTERS` order.
         let reg = traced.metrics.as_ref().unwrap();
+        for (i, name) in autorfm_telemetry::COUNTERS.iter().enumerate() {
+            let total: u64 = series.samples.iter().map(|s| s.counts[i]).sum();
+            let layer = if name.starts_with("row_") {
+                "mc"
+            } else {
+                "dram"
+            };
+            let exported = reg.get(&format!("{layer}_{name}"), &[]);
+            assert_eq!(exported, Some(&MetricValue::Counter(total)), "{name}");
+        }
+        // The final registry carries all three layers' exports.
         assert!(reg.get("dram_acts", &[]).is_some());
         assert!(reg.get("mc_row_hits", &[]).is_some());
         assert!(reg.get("llc_load_misses", &[]).is_some());

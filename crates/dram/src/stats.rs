@@ -76,14 +76,14 @@ impl DramStats {
         reg.record_counter("dram_mitigations", labels, &self.mitigations);
         reg.record_counter("dram_victim_refreshes", labels, &self.victim_refreshes);
         reg.record_counter("dram_empty_mitigations", labels, &self.empty_mitigations);
-        reg.record_histogram("dram_mitigation_levels", labels, &self.mitigation_levels);
-        reg.record_histogram("dram_victim_distances", labels, &self.victim_distances);
-        reg.record_histogram(
+        reg.histogram("dram_mitigation_levels", labels, &self.mitigation_levels);
+        reg.histogram("dram_victim_distances", labels, &self.victim_distances);
+        reg.histogram(
             "dram_mitigations_by_subarray",
             labels,
             &self.mitigations_by_subarray,
         );
-        reg.record_histogram(
+        reg.histogram(
             "dram_conflicts_by_subarray",
             labels,
             &self.conflicts_by_subarray,

@@ -36,6 +36,6 @@ pub mod timing;
 pub use error::ConfigError;
 pub use geometry::{BankId, Geometry, LineAddr, PhysAddr, RowAddr, RowId, SubarrayId};
 pub use rng::DetRng;
-pub use stats::{Average, Counter, Histogram, Ratio};
+pub use stats::{Average, Counter, Histogram};
 pub use time::{Cycle, NanoSec, CYCLES_PER_NS};
 pub use timing::{DramTimings, TimingOverride};

@@ -1,5 +1,5 @@
 //! Lightweight statistics primitives used across the simulator for reporting:
-//! event counters, running averages, ratios, and fixed-bin histograms.
+//! event counters, running averages, and fixed-bin histograms.
 
 use autorfm_snapshot::{Reader, SnapError, Snapshot, Writer};
 use core::fmt;
@@ -116,60 +116,6 @@ impl FromIterator<f64> for Average {
     }
 }
 
-/// A numerator/denominator pair for rate metrics such as "ALERTs per ACT".
-///
-/// # Examples
-///
-/// ```
-/// use autorfm_sim_core::Ratio;
-///
-/// let mut alerts_per_act = Ratio::new();
-/// alerts_per_act.add_denom(1000);
-/// alerts_per_act.add_num(2);
-/// assert_eq!(alerts_per_act.value(), 0.002);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Ratio {
-    num: u64,
-    denom: u64,
-}
-
-impl Ratio {
-    /// Creates a zeroed ratio.
-    pub const fn new() -> Self {
-        Ratio { num: 0, denom: 0 }
-    }
-
-    /// Increments the numerator by `n`.
-    pub fn add_num(&mut self, n: u64) {
-        self.num += n;
-    }
-
-    /// Increments the denominator by `n`.
-    pub fn add_denom(&mut self, n: u64) {
-        self.denom += n;
-    }
-
-    /// `num / denom`; `0.0` when the denominator is zero.
-    pub fn value(&self) -> f64 {
-        if self.denom == 0 {
-            0.0
-        } else {
-            self.num as f64 / self.denom as f64
-        }
-    }
-
-    /// The numerator.
-    pub const fn num(&self) -> u64 {
-        self.num
-    }
-
-    /// The denominator.
-    pub const fn denom(&self) -> u64 {
-        self.denom
-    }
-}
-
 /// A histogram over `u64` values with fixed-width bins and an overflow bin.
 ///
 /// # Examples
@@ -215,6 +161,27 @@ impl Histogram {
         }
     }
 
+    /// Rebuilds a histogram from its recorded state (a decoded snapshot or
+    /// a metrics document); `None` for a shape [`Histogram::new`] rejects:
+    /// a zero bin width or no bins.
+    pub fn from_parts(
+        bin_width: u64,
+        bins: Vec<u64>,
+        overflow: u64,
+        total: u64,
+        sum: u128,
+        max: u64,
+    ) -> Option<Self> {
+        (bin_width > 0 && !bins.is_empty()).then_some(Histogram {
+            bin_width,
+            bins,
+            overflow,
+            total,
+            sum,
+            max,
+        })
+    }
+
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         let idx = (value / self.bin_width) as usize;
@@ -238,7 +205,7 @@ impl Histogram {
         self.bin_width
     }
 
-    /// All bin counts, including empty bins (telemetry snapshots).
+    /// All bin counts, including empty bins (telemetry export).
     pub fn bins(&self) -> &[u64] {
         &self.bins
     }
@@ -270,6 +237,38 @@ impl Histogram {
     /// Largest recorded sample.
     pub const fn max(&self) -> u64 {
         self.max
+    }
+
+    /// Estimates the `q`-quantile (`0.0 ..= 1.0`) from the binned counts,
+    /// as Prometheus' `histogram_quantile` does: locate the bin holding rank
+    /// `q · total` and interpolate linearly inside it.
+    ///
+    /// Returns `0.0` for an empty histogram. `q <= 0` yields the lower edge of
+    /// the first non-empty bin; `q >= 1` (or any rank landing in the overflow
+    /// bin) yields the recorded maximum.
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        if q >= 1.0 {
+            return self.max as f64;
+        }
+        let rank = (q.max(0.0) * self.total as f64).max(f64::MIN_POSITIVE);
+        let mut cum = 0u64;
+        for (i, &count) in self.bins.iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            let before = cum;
+            cum += count;
+            if cum as f64 >= rank {
+                let lo = (i as u64 * self.bin_width) as f64;
+                let frac = (rank - before as f64) / count as f64;
+                return lo + self.bin_width as f64 * frac;
+            }
+        }
+        // Rank lands in the overflow bin (or floating-point slop ate it).
+        self.max as f64
     }
 
     /// Iterates over `(bin_start, count)` pairs for non-empty bins.
@@ -304,19 +303,6 @@ impl Snapshot for Average {
     }
 }
 
-impl Snapshot for Ratio {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.num);
-        w.put_u64(self.denom);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Ratio {
-            num: r.take_u64()?,
-            denom: r.take_u64()?,
-        })
-    }
-}
-
 impl Snapshot for Histogram {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.bin_width);
@@ -327,18 +313,15 @@ impl Snapshot for Histogram {
         w.put_u64(self.max);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let h = Histogram {
-            bin_width: r.take_u64()?,
-            bins: Vec::decode(r)?,
-            overflow: r.take_u64()?,
-            total: r.take_u64()?,
-            sum: r.take_u128()?,
-            max: r.take_u64()?,
-        };
-        if h.bin_width == 0 || h.bins.is_empty() {
-            return Err(SnapError::corrupt("degenerate histogram shape"));
-        }
-        Ok(h)
+        Histogram::from_parts(
+            r.take_u64()?,
+            Vec::decode(r)?,
+            r.take_u64()?,
+            r.take_u64()?,
+            r.take_u128()?,
+            r.take_u64()?,
+        )
+        .ok_or_else(|| SnapError::corrupt("degenerate histogram shape"))
     }
 }
 
@@ -368,17 +351,6 @@ mod tests {
     #[test]
     fn average_empty_is_zero() {
         assert_eq!(Average::new().mean(), 0.0);
-    }
-
-    #[test]
-    fn ratio_zero_denominator() {
-        let mut r = Ratio::new();
-        r.add_num(5);
-        assert_eq!(r.value(), 0.0);
-        r.add_denom(10);
-        assert_eq!(r.value(), 0.5);
-        assert_eq!(r.num(), 5);
-        assert_eq!(r.denom(), 10);
     }
 
     #[test]

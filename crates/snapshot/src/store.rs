@@ -166,13 +166,7 @@ impl CellStore {
     /// wrong-key files all read as `None` — a damaged cell is simply
     /// recomputed, never trusted.
     pub fn get(&self, key: u64) -> Option<CellRecord> {
-        let bytes = std::fs::read(self.cell_path(key)).ok()?;
-        let c = open(&bytes).ok()?;
-        if c.kind != KIND_CELL {
-            return None;
-        }
-        let record = CellRecord::decode(&c.payload).ok()?;
-        (record.key == key).then_some(record)
+        read_record(&self.cell_path(key), KIND_CELL, key)
     }
 
     /// Writes `record` under `key` atomically (tmp file + rename).
@@ -182,13 +176,7 @@ impl CellStore {
     /// Returns the underlying I/O error. A record whose `key` field disagrees
     /// with `key` is rejected as [`std::io::ErrorKind::InvalidInput`].
     pub fn put(&self, key: u64, record: &CellRecord) -> std::io::Result<()> {
-        if record.key != key {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("record key {:#x} filed under {key:#x}", record.key),
-            ));
-        }
-        write_file(&self.cell_path(key), KIND_CELL, &record.encode())
+        write_record(&self.cell_path(key), KIND_CELL, key, record)
     }
 
     /// Every key with a record on disk, sorted. (Scans the directory; meant
@@ -224,13 +212,7 @@ impl CellStore {
     /// corrupt, wrong-kind, or wrong-key files all read as `None` — a
     /// damaged record is simply re-evaluated, never trusted.
     pub fn get_fuzz(&self, key: u64) -> Option<CellRecord> {
-        let bytes = std::fs::read(self.fuzz_path(key)).ok()?;
-        let c = open(&bytes).ok()?;
-        if c.kind != KIND_FUZZ {
-            return None;
-        }
-        let record = CellRecord::decode(&c.payload).ok()?;
-        (record.key == key).then_some(record)
+        read_record(&self.fuzz_path(key), KIND_FUZZ, key)
     }
 
     /// Writes fuzz-evaluation `record` under `key` atomically.
@@ -240,13 +222,7 @@ impl CellStore {
     /// Returns the underlying I/O error. A record whose `key` field disagrees
     /// with `key` is rejected as [`std::io::ErrorKind::InvalidInput`].
     pub fn put_fuzz(&self, key: u64, record: &CellRecord) -> std::io::Result<()> {
-        if record.key != key {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("fuzz record key {:#x} filed under {key:#x}", record.key),
-            ));
-        }
-        write_file(&self.fuzz_path(key), KIND_FUZZ, &record.encode())
+        write_record(&self.fuzz_path(key), KIND_FUZZ, key, record)
     }
 
     /// Every fuzz-evaluation key with a record on disk, sorted.
@@ -268,6 +244,30 @@ impl CellStore {
     pub fn is_empty(&self) -> bool {
         self.keys().is_empty()
     }
+}
+
+/// The one read path of both record families: the sealed container at
+/// `path` must be of `kind` and hold a [`CellRecord`] for `key`.
+fn read_record(path: &Path, kind: u8, key: u64) -> Option<CellRecord> {
+    let bytes = std::fs::read(path).ok()?;
+    let c = open(&bytes).ok()?;
+    if c.kind != kind {
+        return None;
+    }
+    let record = CellRecord::decode(&c.payload).ok()?;
+    (record.key == key).then_some(record)
+}
+
+/// The one write path of both record families: seals `record` as `kind` at
+/// `path`, refusing a record whose own key is not `key`.
+fn write_record(path: &Path, kind: u8, key: u64, record: &CellRecord) -> std::io::Result<()> {
+    if record.key != key {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("record key {:#x} filed under {key:#x}", record.key),
+        ));
+    }
+    write_file(path, kind, &record.encode())
 }
 
 #[cfg(test)]

@@ -12,6 +12,25 @@ use crate::json::Json;
 use autorfm_sim_core::Cycle;
 use std::io::{self, Write};
 
+/// The cumulative system counters an epoch series tracks, in CSV and JSON
+/// order: the DRAM engine's successful ACTs, ACTs declined with an ALERT,
+/// column reads and writes, REF and explicit RFM commands, mitigations and
+/// victim refreshes, then the memory controller's row-buffer hits and
+/// misses. [`Observation::counts`] and [`EpochSample::counts`] are indexed
+/// by this list.
+pub const COUNTERS: [&str; 10] = [
+    "acts",
+    "alerts",
+    "reads",
+    "writes",
+    "refs",
+    "rfms",
+    "mitigations",
+    "victim_refreshes",
+    "row_hits",
+    "row_misses",
+];
+
 /// Cumulative system counters observed at one point in simulated time.
 ///
 /// Producers (the simulation loop) fill this from the DRAM device, memory
@@ -19,26 +38,8 @@ use std::io::{self, Write};
 /// per-epoch deltas. All fields except `queue_depth` are cumulative.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Observation {
-    /// Successful activations (DRAM engine).
-    pub acts: u64,
-    /// ACTs declined with an ALERT (DRAM engine).
-    pub alerts: u64,
-    /// Column reads (DRAM engine).
-    pub reads: u64,
-    /// Column writes (DRAM engine).
-    pub writes: u64,
-    /// REF commands (DRAM engine).
-    pub refs: u64,
-    /// Explicit RFM commands (DRAM engine).
-    pub rfms: u64,
-    /// Mitigations performed (DRAM engine).
-    pub mitigations: u64,
-    /// Victim refreshes issued (DRAM engine).
-    pub victim_refreshes: u64,
-    /// Row-buffer hits (memory controller).
-    pub row_hits: u64,
-    /// Row-buffer misses (memory controller).
-    pub row_misses: u64,
+    /// One count per [`COUNTERS`] entry, in list order.
+    pub counts: [u64; COUNTERS.len()],
     /// Requests currently queued in the controller — a gauge, not cumulative.
     pub queue_depth: u64,
     /// Instructions retired so far, per core (CPU model).
@@ -57,26 +58,8 @@ pub struct EpochSample {
     pub end: Cycle,
     /// Whether this is the trailing partial window of the run.
     pub partial: bool,
-    /// ACTs in the window.
-    pub acts: u64,
-    /// ALERTs in the window.
-    pub alerts: u64,
-    /// Reads in the window.
-    pub reads: u64,
-    /// Writes in the window.
-    pub writes: u64,
-    /// REFs in the window.
-    pub refs: u64,
-    /// RFMs in the window.
-    pub rfms: u64,
-    /// Mitigations in the window.
-    pub mitigations: u64,
-    /// Victim refreshes in the window.
-    pub victim_refreshes: u64,
-    /// Row-buffer hits in the window.
-    pub row_hits: u64,
-    /// Row-buffer misses in the window.
-    pub row_misses: u64,
+    /// Each [`COUNTERS`] entry's delta over the window, in list order.
+    pub counts: [u64; COUNTERS.len()],
     /// Controller queue depth at the end of the window (gauge).
     pub queue_depth: u64,
     /// Per-core IPC over the window (instructions / CPU cycles).
@@ -86,11 +69,13 @@ pub struct EpochSample {
 impl EpochSample {
     /// Row-buffer hit rate within the window.
     pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_misses;
+        // `COUNTERS` ends with the row-buffer hits and misses.
+        let [.., hits, misses] = self.counts;
+        let total = hits + misses;
         if total == 0 {
             0.0
         } else {
-            self.row_hits as f64 / total as f64
+            hits as f64 / total as f64
         }
     }
 
@@ -99,38 +84,14 @@ impl EpochSample {
         self.ipc.iter().sum()
     }
 
-    /// The scalar column names every sample exposes, in CSV order
-    /// (`ipc_core<i>` columns follow, one per core).
-    pub const SCALAR_COLUMNS: &'static [&'static str] = &[
-        "acts",
-        "alerts",
-        "reads",
-        "writes",
-        "refs",
-        "rfms",
-        "mitigations",
-        "victim_refreshes",
-        "row_hits",
-        "row_misses",
-        "queue_depth",
-        "row_hit_rate",
-        "total_ipc",
-    ];
-
-    /// Looks a scalar column up by name (see [`Self::SCALAR_COLUMNS`], plus
-    /// `ipc_core<i>`).
+    /// Looks a column up by name: one of [`COUNTERS`], `queue_depth`,
+    /// `row_hit_rate`, `total_ipc` or `ipc_core<i>` (see
+    /// [`EpochSeries::columns`]).
     pub fn column(&self, name: &str) -> Option<f64> {
+        if let Some(i) = COUNTERS.iter().position(|c| *c == name) {
+            return Some(self.counts[i] as f64);
+        }
         let v = match name {
-            "acts" => self.acts as f64,
-            "alerts" => self.alerts as f64,
-            "reads" => self.reads as f64,
-            "writes" => self.writes as f64,
-            "refs" => self.refs as f64,
-            "rfms" => self.rfms as f64,
-            "mitigations" => self.mitigations as f64,
-            "victim_refreshes" => self.victim_refreshes as f64,
-            "row_hits" => self.row_hits as f64,
-            "row_misses" => self.row_misses as f64,
             "queue_depth" => self.queue_depth as f64,
             "row_hit_rate" => self.row_hit_rate(),
             "total_ipc" => self.total_ipc(),
@@ -143,27 +104,23 @@ impl EpochSample {
     }
 
     fn to_json(&self) -> Json {
-        Json::obj(vec![
+        let mut pairs = vec![
             ("index", Json::Num(self.index as f64)),
             ("start_ns", Json::Num(self.start.as_ns() as f64)),
             ("end_ns", Json::Num(self.end.as_ns() as f64)),
             ("partial", Json::Bool(self.partial)),
-            ("acts", Json::Num(self.acts as f64)),
-            ("alerts", Json::Num(self.alerts as f64)),
-            ("reads", Json::Num(self.reads as f64)),
-            ("writes", Json::Num(self.writes as f64)),
-            ("refs", Json::Num(self.refs as f64)),
-            ("rfms", Json::Num(self.rfms as f64)),
-            ("mitigations", Json::Num(self.mitigations as f64)),
-            ("victim_refreshes", Json::Num(self.victim_refreshes as f64)),
-            ("row_hits", Json::Num(self.row_hits as f64)),
-            ("row_misses", Json::Num(self.row_misses as f64)),
-            ("queue_depth", Json::Num(self.queue_depth as f64)),
-            (
-                "ipc",
-                Json::Arr(self.ipc.iter().map(|&x| Json::Num(x)).collect()),
-            ),
-        ])
+        ];
+        pairs.extend(
+            COUNTERS
+                .into_iter()
+                .zip(self.counts.map(|n| Json::Num(n as f64))),
+        );
+        pairs.push(("queue_depth", Json::Num(self.queue_depth as f64)));
+        pairs.push((
+            "ipc",
+            Json::Arr(self.ipc.iter().map(|&x| Json::Num(x)).collect()),
+        ));
+        Json::obj(pairs)
     }
 
     fn from_json(v: &Json) -> Option<EpochSample> {
@@ -173,16 +130,7 @@ impl EpochSample {
             start: Cycle::from_ns(num("start_ns")?),
             end: Cycle::from_ns(num("end_ns")?),
             partial: matches!(v.get("partial"), Some(Json::Bool(true))),
-            acts: num("acts").unwrap_or(0),
-            alerts: num("alerts").unwrap_or(0),
-            reads: num("reads").unwrap_or(0),
-            writes: num("writes").unwrap_or(0),
-            refs: num("refs").unwrap_or(0),
-            rfms: num("rfms").unwrap_or(0),
-            mitigations: num("mitigations").unwrap_or(0),
-            victim_refreshes: num("victim_refreshes").unwrap_or(0),
-            row_hits: num("row_hits").unwrap_or(0),
-            row_misses: num("row_misses").unwrap_or(0),
+            counts: COUNTERS.map(|c| num(c).unwrap_or(0)),
             queue_depth: num("queue_depth").unwrap_or(0),
             ipc: v
                 .get("ipc")
@@ -205,15 +153,17 @@ pub struct EpochSeries {
 }
 
 impl EpochSeries {
-    /// All column names this series can dump (scalars plus per-core IPC).
+    /// All column names this series can dump, in CSV order: the
+    /// [`COUNTERS`], `queue_depth`, `row_hit_rate`, `total_ipc`, then one
+    /// `ipc_core<i>` per core.
     pub fn columns(&self) -> Vec<String> {
-        let mut cols: Vec<String> = EpochSample::SCALAR_COLUMNS
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
         let cores = self.samples.first().map_or(0, |s| s.ipc.len());
-        cols.extend((0..cores).map(|i| format!("ipc_core{i}")));
-        cols
+        COUNTERS
+            .into_iter()
+            .chain(["queue_depth", "row_hit_rate", "total_ipc"])
+            .map(String::from)
+            .chain((0..cores).map(|i| format!("ipc_core{i}")))
+            .collect()
     }
 
     /// Writes the series as CSV: a header row (`index,start_ns,end_ns`, the
@@ -321,21 +271,14 @@ pub struct EpochSampler {
 }
 
 impl EpochSampler {
-    /// Creates a sampler with the given window length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch_len` is zero.
-    pub fn new(epoch_len: Cycle) -> Self {
-        Self::with_max_samples(epoch_len, DEFAULT_MAX_SAMPLES)
-    }
-
-    /// Creates a sampler that stops recording after `max_samples` windows.
+    /// Creates a sampler with the given window length that stops recording
+    /// after `max_samples` windows ([`DEFAULT_MAX_SAMPLES`] is the harness's
+    /// cap).
     ///
     /// # Panics
     ///
     /// Panics if `epoch_len` is zero or `max_samples` is zero.
-    pub fn with_max_samples(epoch_len: Cycle, max_samples: usize) -> Self {
+    pub fn new(epoch_len: Cycle, max_samples: usize) -> Self {
         assert!(epoch_len > Cycle::ZERO, "epoch length must be positive");
         assert!(max_samples > 0, "need room for at least one sample");
         EpochSampler {
@@ -386,7 +329,6 @@ impl EpochSampler {
 
     fn emit(&mut self, end: Cycle, partial: bool, obs: &Observation) {
         let cycles = (end - self.window_start).raw();
-        let d = |cur: u64, prev: u64| cur.saturating_sub(prev);
         let ipc: Vec<f64> = obs
             .retired
             .iter()
@@ -396,7 +338,7 @@ impl EpochSampler {
                 if cycles == 0 {
                     0.0
                 } else {
-                    d(r, prev) as f64 / cycles as f64
+                    r.saturating_sub(prev) as f64 / cycles as f64
                 }
             })
             .collect();
@@ -405,16 +347,7 @@ impl EpochSampler {
             start: self.window_start,
             end,
             partial,
-            acts: d(obs.acts, self.prev.acts),
-            alerts: d(obs.alerts, self.prev.alerts),
-            reads: d(obs.reads, self.prev.reads),
-            writes: d(obs.writes, self.prev.writes),
-            refs: d(obs.refs, self.prev.refs),
-            rfms: d(obs.rfms, self.prev.rfms),
-            mitigations: d(obs.mitigations, self.prev.mitigations),
-            victim_refreshes: d(obs.victim_refreshes, self.prev.victim_refreshes),
-            row_hits: d(obs.row_hits, self.prev.row_hits),
-            row_misses: d(obs.row_misses, self.prev.row_misses),
+            counts: std::array::from_fn(|i| obs.counts[i].saturating_sub(self.prev.counts[i])),
             queue_depth: obs.queue_depth,
             ipc,
         };
@@ -442,18 +375,30 @@ fn fmt_cell(x: f64) -> String {
 mod tests {
     use super::*;
 
+    /// `acts`' position in [`COUNTERS`].
+    const ACTS: usize = 0;
+
     fn obs(acts: u64, retired: &[u64]) -> Observation {
+        let mut counts = [0; COUNTERS.len()];
+        counts[ACTS] = acts;
         Observation {
-            acts,
+            counts,
             retired: retired.to_vec(),
             ..Observation::default()
         }
     }
 
     #[test]
+    fn counters_list_acts_first_and_row_hits_misses_last() {
+        // `obs` writes `ACTS`; `row_hit_rate` reads the last two entries.
+        assert_eq!(COUNTERS[ACTS], "acts");
+        assert_eq!(COUNTERS[COUNTERS.len() - 2..], ["row_hits", "row_misses"]);
+    }
+
+    #[test]
     fn windows_align_to_multiples_of_epoch_len() {
         let len = Cycle::from_ns(100);
-        let mut s = EpochSampler::new(len);
+        let mut s = EpochSampler::new(len, DEFAULT_MAX_SAMPLES);
         assert!(!s.due(Cycle::from_ns(99)));
         assert!(s.due(Cycle::from_ns(100)));
         s.observe(Cycle::from_ns(100), obs(10, &[400]));
@@ -465,8 +410,8 @@ mod tests {
         };
         assert_eq!((a.start, a.end), (Cycle::ZERO, len));
         assert_eq!((b.start, b.end), (len, len * 2));
-        assert_eq!(a.acts, 10);
-        assert_eq!(b.acts, 20);
+        assert_eq!(a.counts[ACTS], 10);
+        assert_eq!(b.counts[ACTS], 20);
         assert!(!a.partial && !b.partial);
         // 400 instructions over 400 cycles (100 ns) -> IPC 1.0.
         assert!((a.ipc[0] - 1.0).abs() < 1e-12);
@@ -476,35 +421,38 @@ mod tests {
     fn late_observation_crosses_boundary_once() {
         // The simulator steps at 1 ns, so the first observation at or after
         // the boundary closes the window with deltas measured at that point.
-        let mut s = EpochSampler::new(Cycle::from_ns(100));
+        let mut s = EpochSampler::new(Cycle::from_ns(100), DEFAULT_MAX_SAMPLES);
         s.observe(Cycle::from_ns(103), obs(7, &[]));
         let series = s.finish(Cycle::from_ns(103), obs(7, &[]));
         assert_eq!(series.samples.len(), 2);
         assert_eq!(series.samples[0].end, Cycle::from_ns(100));
-        assert_eq!(series.samples[0].acts, 7);
+        assert_eq!(series.samples[0].counts[ACTS], 7);
         // The 3 ns past the boundary become a zero-delta trailing partial.
         assert!(series.samples[1].partial);
         assert_eq!(series.samples[1].end, Cycle::from_ns(103));
-        assert_eq!(series.samples[1].acts, 0);
+        assert_eq!(series.samples[1].counts[ACTS], 0);
     }
 
     #[test]
     fn skipped_windows_emit_zero_deltas() {
-        let mut s = EpochSampler::new(Cycle::from_ns(100));
+        let mut s = EpochSampler::new(Cycle::from_ns(100), DEFAULT_MAX_SAMPLES);
         // One observation lands past three boundaries.
         s.observe(Cycle::from_ns(310), obs(12, &[]));
         let series = s.finish(Cycle::from_ns(310), obs(12, &[]));
         assert_eq!(series.samples.len(), 4, "3 whole + 1 partial");
-        assert_eq!(series.samples[0].acts, 12, "deltas go to the first window");
-        assert_eq!(series.samples[1].acts, 0);
-        assert_eq!(series.samples[2].acts, 0);
+        assert_eq!(
+            series.samples[0].counts[ACTS], 12,
+            "deltas go to the first window"
+        );
+        assert_eq!(series.samples[1].counts[ACTS], 0);
+        assert_eq!(series.samples[2].counts[ACTS], 0);
         assert!(series.samples[3].partial);
         assert_eq!(series.samples[3].end, Cycle::from_ns(310));
     }
 
     #[test]
     fn final_partial_epoch_is_emitted() {
-        let mut s = EpochSampler::new(Cycle::from_ns(100));
+        let mut s = EpochSampler::new(Cycle::from_ns(100), DEFAULT_MAX_SAMPLES);
         s.observe(Cycle::from_ns(100), obs(4, &[100]));
         // Run ends mid-window at 140 ns with 6 more ACTs.
         let series = s.finish(Cycle::from_ns(140), obs(10, &[260]));
@@ -515,14 +463,14 @@ mod tests {
             (last.start, last.end),
             (Cycle::from_ns(100), Cycle::from_ns(140))
         );
-        assert_eq!(last.acts, 6);
+        assert_eq!(last.counts[ACTS], 6);
         // 160 instructions over 160 cycles (40 ns) -> IPC 1.0.
         assert!((last.ipc[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn finish_exactly_on_boundary_has_no_partial() {
-        let mut s = EpochSampler::new(Cycle::from_ns(100));
+        let mut s = EpochSampler::new(Cycle::from_ns(100), DEFAULT_MAX_SAMPLES);
         s.observe(Cycle::from_ns(100), obs(4, &[]));
         let series = s.finish(Cycle::from_ns(100), obs(4, &[]));
         assert_eq!(series.samples.len(), 1);
@@ -532,18 +480,18 @@ mod tests {
     #[test]
     fn finish_closes_whole_window_then_partial() {
         // finish() past an unobserved boundary closes the whole window first.
-        let s = EpochSampler::new(Cycle::from_ns(100));
+        let s = EpochSampler::new(Cycle::from_ns(100), DEFAULT_MAX_SAMPLES);
         let series = s.finish(Cycle::from_ns(150), obs(9, &[]));
         assert_eq!(series.samples.len(), 2);
         assert!(!series.samples[0].partial);
-        assert_eq!(series.samples[0].acts, 9);
+        assert_eq!(series.samples[0].counts[ACTS], 9);
         assert!(series.samples[1].partial);
-        assert_eq!(series.samples[1].acts, 0);
+        assert_eq!(series.samples[1].counts[ACTS], 0);
     }
 
     #[test]
     fn max_samples_truncates() {
-        let mut s = EpochSampler::with_max_samples(Cycle::from_ns(10), 2);
+        let mut s = EpochSampler::new(Cycle::from_ns(10), 2);
         for k in 1..=5u64 {
             s.observe(Cycle::from_ns(10 * k), obs(k, &[]));
         }
@@ -554,7 +502,7 @@ mod tests {
 
     #[test]
     fn queue_depth_is_a_gauge() {
-        let mut s = EpochSampler::new(Cycle::from_ns(100));
+        let mut s = EpochSampler::new(Cycle::from_ns(100), DEFAULT_MAX_SAMPLES);
         let mut o = obs(1, &[]);
         o.queue_depth = 17;
         s.observe(Cycle::from_ns(100), o.clone());
@@ -566,7 +514,7 @@ mod tests {
 
     #[test]
     fn series_json_round_trip() {
-        let mut s = EpochSampler::new(Cycle::from_ns(100));
+        let mut s = EpochSampler::new(Cycle::from_ns(100), DEFAULT_MAX_SAMPLES);
         s.observe(Cycle::from_ns(100), obs(10, &[100, 200]));
         let series = s.finish(Cycle::from_ns(130), obs(12, &[150, 260]));
         let json = series.to_json();
@@ -576,7 +524,7 @@ mod tests {
 
     #[test]
     fn column_lookup() {
-        let mut s = EpochSampler::new(Cycle::from_ns(100));
+        let mut s = EpochSampler::new(Cycle::from_ns(100), DEFAULT_MAX_SAMPLES);
         s.observe(Cycle::from_ns(100), obs(10, &[200, 400]));
         let series = s.finish(Cycle::from_ns(100), obs(10, &[200, 400]));
         let sample = &series.samples[0];
@@ -593,16 +541,8 @@ mod tests {
             start: Cycle::from_ns(index * 100),
             end: Cycle::from_ns((index + 1) * 100),
             partial: false,
-            acts,
-            alerts: 1,
-            reads: 0,
-            writes: 0,
-            refs: 0,
-            rfms: 0,
-            mitigations: 0,
-            victim_refreshes: 0,
-            row_hits: 3,
-            row_misses: 1,
+            // acts, alerts, …, row_hits, row_misses.
+            counts: [acts, 1, 0, 0, 0, 0, 0, 0, 3, 1],
             queue_depth: 5,
             ipc: vec![0.5, 1.0],
         }
@@ -649,7 +589,7 @@ mod tests {
 
     #[test]
     fn truncated_samples_never_reach_the_csv() {
-        let mut s = EpochSampler::with_max_samples(Cycle::from_ns(10), 3);
+        let mut s = EpochSampler::new(Cycle::from_ns(10), 3);
         for k in 1..=9u64 {
             s.observe(Cycle::from_ns(10 * k), obs(k, &[]));
         }
@@ -724,6 +664,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "epoch length must be positive")]
     fn zero_epoch_panics() {
-        EpochSampler::new(Cycle::ZERO);
+        EpochSampler::new(Cycle::ZERO, DEFAULT_MAX_SAMPLES);
     }
 }

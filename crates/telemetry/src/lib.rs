@@ -6,9 +6,9 @@
 //!   with quantiles) that the simulator's [`autorfm_sim_core`] statistics
 //!   primitives plug into;
 //! * [`EpochSampler`] / [`EpochSeries`] — per-tREFI-window time series of
-//!   ACT/RFM/REF/ALERT rates, queue occupancy, row-hit rate, and per-core IPC,
-//!   retained in the run's result and rendered as CSV by
-//!   [`EpochSeries::write_csv`];
+//!   the [`COUNTERS`] (ACTs, ALERTs, REFs, RFMs, …), queue occupancy,
+//!   row-hit rate, and per-core IPC, retained in the run's result and
+//!   rendered as CSV by [`EpochSeries::write_csv`];
 //! * [`RunManifest`] — the machine-readable `results/<target>.json` documents
 //!   the experiment harness writes next to every `.txt` report;
 //! * [`Json`] — the self-contained JSON value/parser/writer everything above
@@ -21,16 +21,17 @@
 //!
 //! ```
 //! use autorfm_sim_core::Cycle;
-//! use autorfm_telemetry::{EpochSampler, Observation, Registry};
+//! use autorfm_telemetry::{EpochSampler, Observation, Registry, COUNTERS};
 //!
 //! let mut reg = Registry::new();
 //! reg.counter("dram_acts", &[("scenario", "AutoRFM-4")], 1234);
 //!
-//! let mut sampler = EpochSampler::new(Cycle::from_ns(3900)); // one tREFI
-//! let obs = Observation { acts: 40, ..Observation::default() };
+//! let mut sampler = EpochSampler::new(Cycle::from_ns(3900), 4096); // one tREFI
+//! let mut obs = Observation::default();
+//! obs.counts[0] = 40; // COUNTERS[0] is "acts"
 //! sampler.observe(Cycle::from_ns(3900), obs.clone());
 //! let series = sampler.finish(Cycle::from_ns(5000), obs);
-//! assert_eq!(series.samples[0].acts, 40);
+//! assert_eq!(series.samples[0].column(COUNTERS[0]), Some(40.0));
 //! assert!(series.samples[1].partial);
 //!
 //! let mut csv = Vec::new();
@@ -49,7 +50,9 @@ pub mod json;
 pub mod manifest;
 pub mod registry;
 
-pub use epoch::{EpochSample, EpochSampler, EpochSeries, Observation, DEFAULT_MAX_SAMPLES};
+pub use epoch::{
+    EpochSample, EpochSampler, EpochSeries, Observation, COUNTERS, DEFAULT_MAX_SAMPLES,
+};
 pub use json::{Json, JsonError};
 pub use manifest::{MetricDelta, RunEntry, RunManifest, SCHEMA_VERSION};
-pub use registry::{HistogramSnapshot, Labels, Metric, MetricValue, Registry};
+pub use registry::{Labels, Metric, MetricValue, Registry};

@@ -2,90 +2,15 @@
 //!
 //! A [`Registry`] is a flat, ordered collection of named metrics, each with an
 //! optional label set (`("bank", "3")`-style pairs) and a value: a monotonic
-//! counter, a point-in-time gauge, or a binned histogram with quantile
-//! support. The simulator's [`autorfm_sim_core`] statistics primitives
-//! ([`Counter`], [`Average`], [`Ratio`], [`Histogram`]) plug in directly via
-//! the `record_*` helpers.
+//! counter, a point-in-time gauge, or a binned [`Histogram`] (whose
+//! [`Histogram::quantile`] gives the `p50`/`p90`/`p99` the JSON form
+//! carries). The simulator's [`autorfm_sim_core`] statistics primitives
+//! plug in directly: [`Counter`] and [`Average`] via the `record_*`
+//! helpers, [`Histogram`] via [`Registry::histogram`].
 
 use crate::json::Json;
-use autorfm_sim_core::{Average, Counter, Histogram, Ratio};
+use autorfm_sim_core::{Average, Counter, Histogram};
 use std::fmt;
-
-/// An owned snapshot of a binned histogram, with quantile estimation.
-///
-/// Quantiles use the classic binned estimate (as `histogram_quantile` in
-/// Prometheus): locate the bin holding rank `q · total` and interpolate
-/// linearly inside it. Samples in the overflow bin resolve to the recorded
-/// maximum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Width of each bin.
-    pub bin_width: u64,
-    /// Per-bin counts; bin `i` covers `[i·w, (i+1)·w)`.
-    pub bins: Vec<u64>,
-    /// Samples beyond the last bin.
-    pub overflow: u64,
-    /// Total recorded samples.
-    pub total: u64,
-    /// Sum of all samples.
-    pub sum: f64,
-    /// Largest recorded sample.
-    pub max: u64,
-}
-
-impl HistogramSnapshot {
-    /// Mean of the recorded samples; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
-    /// Estimates the `q`-quantile (`0.0 ..= 1.0`) from the binned counts.
-    ///
-    /// Returns `0.0` for an empty histogram. `q <= 0` yields the lower edge of
-    /// the first non-empty bin; `q >= 1` (or any rank landing in the overflow
-    /// bin) yields the recorded maximum.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        if q >= 1.0 {
-            return self.max as f64;
-        }
-        let rank = (q.max(0.0) * self.total as f64).max(f64::MIN_POSITIVE);
-        let mut cum = 0u64;
-        for (i, &count) in self.bins.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let before = cum;
-            cum += count;
-            if cum as f64 >= rank {
-                let lo = (i as u64 * self.bin_width) as f64;
-                let frac = (rank - before as f64) / count as f64;
-                return lo + self.bin_width as f64 * frac;
-            }
-        }
-        // Rank lands in the overflow bin (or floating-point slop ate it).
-        self.max as f64
-    }
-}
-
-impl From<&Histogram> for HistogramSnapshot {
-    fn from(h: &Histogram) -> Self {
-        HistogramSnapshot {
-            bin_width: h.bin_width(),
-            bins: h.bins().to_vec(),
-            overflow: h.overflow(),
-            total: h.total(),
-            sum: h.sum() as f64,
-            max: h.max(),
-        }
-    }
-}
 
 /// The value of one metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,7 +20,7 @@ pub enum MetricValue {
     /// A point-in-time or derived value.
     Gauge(f64),
     /// A binned distribution.
-    Histogram(HistogramSnapshot),
+    Histogram(Histogram),
 }
 
 impl MetricValue {
@@ -147,7 +72,7 @@ pub struct Registry {
     metrics: Vec<Metric>,
 }
 
-/// Borrowed label pairs, as accepted by the `record_*` methods.
+/// Borrowed label pairs, as every recording method accepts them.
 pub type Labels<'a> = &'a [(&'a str, &'a str)];
 
 impl Registry {
@@ -199,9 +124,9 @@ impl Registry {
         self.push(name, labels, MetricValue::Counter(current + delta));
     }
 
-    /// Records (or replaces) a histogram metric from a snapshot.
-    pub fn histogram(&mut self, name: &str, labels: Labels<'_>, snap: HistogramSnapshot) {
-        self.push(name, labels, MetricValue::Histogram(snap));
+    /// Records (or replaces) a histogram metric with a copy of `h`.
+    pub fn histogram(&mut self, name: &str, labels: Labels<'_>, h: &Histogram) {
+        self.push(name, labels, MetricValue::Histogram(h.clone()));
     }
 
     /// Plugs a [`Counter`] in as a counter metric.
@@ -212,16 +137,6 @@ impl Registry {
     /// Plugs an [`Average`] in as a gauge of its mean.
     pub fn record_average(&mut self, name: &str, labels: Labels<'_>, a: &Average) {
         self.gauge(name, labels, a.mean());
-    }
-
-    /// Plugs a [`Ratio`] in as a gauge of its value.
-    pub fn record_ratio(&mut self, name: &str, labels: Labels<'_>, r: &Ratio) {
-        self.gauge(name, labels, r.value());
-    }
-
-    /// Plugs a [`Histogram`] in as a histogram metric.
-    pub fn record_histogram(&mut self, name: &str, labels: Labels<'_>, h: &Histogram) {
-        self.histogram(name, labels, HistogramSnapshot::from(h));
     }
 
     /// All metrics, in insertion order.
@@ -286,17 +201,17 @@ impl Registry {
                             pairs.push((
                                 "value",
                                 Json::obj(vec![
-                                    ("bin_width", Json::Num(h.bin_width as f64)),
+                                    ("bin_width", Json::Num(h.bin_width() as f64)),
                                     (
                                         "bins",
                                         Json::Arr(
-                                            h.bins.iter().map(|&c| Json::Num(c as f64)).collect(),
+                                            h.bins().iter().map(|&c| Json::Num(c as f64)).collect(),
                                         ),
                                     ),
-                                    ("overflow", Json::Num(h.overflow as f64)),
-                                    ("total", Json::Num(h.total as f64)),
-                                    ("sum", Json::Num(h.sum)),
-                                    ("max", Json::Num(h.max as f64)),
+                                    ("overflow", Json::Num(h.overflow() as f64)),
+                                    ("total", Json::Num(h.total() as f64)),
+                                    ("sum", Json::Num(h.sum() as f64)),
+                                    ("max", Json::Num(h.max() as f64)),
                                     ("p50", Json::Num(h.quantile(0.50))),
                                     ("p90", Json::Num(h.quantile(0.90))),
                                     ("p99", Json::Num(h.quantile(0.99))),
@@ -312,7 +227,9 @@ impl Registry {
 
     /// Reconstructs a registry from [`Registry::to_json`] output.
     ///
-    /// Unknown metric types are skipped (forward compatibility).
+    /// Unknown metric types are skipped (forward compatibility), and so is a
+    /// histogram of a shape [`Histogram::new`] rejects (zero or missing bin
+    /// width, no bins).
     pub fn from_json(json: &Json) -> Registry {
         let mut reg = Registry::new();
         let Some(items) = json.as_arr() else {
@@ -332,18 +249,21 @@ impl Registry {
             let value = match (item.get("type").and_then(Json::as_str), item.get("value")) {
                 (Some("counter"), Some(v)) => v.as_u64().map(MetricValue::Counter),
                 (Some("gauge"), Some(v)) => v.as_f64().map(MetricValue::Gauge),
-                (Some("histogram"), Some(v)) => Some(MetricValue::Histogram(HistogramSnapshot {
-                    bin_width: v.get("bin_width").and_then(Json::as_u64).unwrap_or(1),
-                    bins: v
-                        .get("bins")
-                        .and_then(Json::as_arr)
-                        .map(|xs| xs.iter().filter_map(Json::as_u64).collect())
-                        .unwrap_or_default(),
-                    overflow: v.get("overflow").and_then(Json::as_u64).unwrap_or(0),
-                    total: v.get("total").and_then(Json::as_u64).unwrap_or(0),
-                    sum: v.get("sum").and_then(Json::as_f64).unwrap_or(0.0),
-                    max: v.get("max").and_then(Json::as_u64).unwrap_or(0),
-                })),
+                (Some("histogram"), Some(v)) => {
+                    let num = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
+                    Histogram::from_parts(
+                        num("bin_width"),
+                        v.get("bins")
+                            .and_then(Json::as_arr)
+                            .map(|xs| xs.iter().filter_map(Json::as_u64).collect())
+                            .unwrap_or_default(),
+                        num("overflow"),
+                        num("total"),
+                        v.get("sum").and_then(Json::as_f64).unwrap_or(0.0) as u128,
+                        num("max"),
+                    )
+                    .map(MetricValue::Histogram)
+                }
                 _ => None,
             };
             if let Some(value) = value {
@@ -362,16 +282,17 @@ impl Registry {
 mod tests {
     use super::*;
 
-    fn uniform_hist() -> HistogramSnapshot {
-        // 100 samples spread evenly: 10 in each of bins [0,10), [10,20), …
-        HistogramSnapshot {
-            bin_width: 10,
-            bins: vec![10; 10],
-            overflow: 0,
-            total: 100,
-            sum: 5_000.0,
-            max: 99,
+    fn recorded(bin_width: u64, nbins: usize, samples: impl IntoIterator<Item = u64>) -> Histogram {
+        let mut h = Histogram::new(bin_width, nbins);
+        for v in samples {
+            h.record(v);
         }
+        h
+    }
+
+    fn uniform_hist() -> Histogram {
+        // 100 samples spread evenly: 10 in each of bins [0,10), [10,20), …
+        recorded(10, 10, 0..100)
     }
 
     #[test]
@@ -389,27 +310,14 @@ mod tests {
         let h = uniform_hist();
         assert_eq!(h.quantile(1.0), 99.0, "p100 is the recorded max");
         assert!(h.quantile(0.0) <= 10.0, "p0 stays in the first bin");
-        let empty = HistogramSnapshot {
-            bin_width: 1,
-            bins: vec![0; 4],
-            overflow: 0,
-            total: 0,
-            sum: 0.0,
-            max: 0,
-        };
-        assert_eq!(empty.quantile(0.5), 0.0);
+        assert_eq!(Histogram::new(1, 4).quantile(0.5), 0.0);
     }
 
     #[test]
     fn quantile_overflow_resolves_to_max() {
-        let h = HistogramSnapshot {
-            bin_width: 10,
-            bins: vec![5, 0, 0],
-            overflow: 5,
-            total: 10,
-            sum: 0.0,
-            max: 1234,
-        };
+        // Five samples in bin [0,10), five past the last bin, max 1234.
+        let h = recorded(10, 3, [0, 1, 2, 3, 4, 30, 40, 50, 60, 1234]);
+        assert_eq!(h.overflow(), 5);
         assert_eq!(h.quantile(0.9), 1234.0);
         assert!(h.quantile(0.4) <= 10.0);
     }
@@ -417,32 +325,11 @@ mod tests {
     #[test]
     fn quantile_single_spike() {
         // All mass in one width-1 bin: every quantile stays inside [7, 8).
-        let h = HistogramSnapshot {
-            bin_width: 1,
-            bins: vec![0, 0, 0, 0, 0, 0, 0, 20],
-            overflow: 0,
-            total: 20,
-            sum: 140.0,
-            max: 7,
-        };
+        let h = recorded(1, 8, [7; 20]);
         for q in [0.01, 0.5, 0.99] {
             let v = h.quantile(q);
             assert!((7.0..8.0).contains(&v), "q{q} -> {v}");
         }
-    }
-
-    #[test]
-    fn from_sim_core_histogram() {
-        let mut h = Histogram::new(5, 4);
-        for v in [0, 4, 5, 19, 100] {
-            h.record(v);
-        }
-        let snap = HistogramSnapshot::from(&h);
-        assert_eq!(snap.bins, vec![2, 1, 0, 1]);
-        assert_eq!(snap.overflow, 1);
-        assert_eq!(snap.total, 5);
-        assert_eq!(snap.max, 100);
-        assert!((snap.mean() - 128.0 / 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -483,24 +370,15 @@ mod tests {
         let mut c = Counter::new();
         c.add(7);
         let avg: Average = [1.0, 3.0].into_iter().collect();
-        let mut r = Ratio::new();
-        r.add_num(1);
-        r.add_denom(4);
-        let mut h = Histogram::new(1, 4);
-        h.record(2);
+        let h = recorded(1, 4, [2]);
 
         let mut reg = Registry::new();
         reg.record_counter("c", &[], &c);
         reg.record_average("a", &[], &avg);
-        reg.record_ratio("r", &[], &r);
-        reg.record_histogram("h", &[], &h);
+        reg.histogram("h", &[], &h);
         assert_eq!(reg.get("c", &[]), Some(&MetricValue::Counter(7)));
         assert_eq!(reg.get("a", &[]), Some(&MetricValue::Gauge(2.0)));
-        assert_eq!(reg.get("r", &[]), Some(&MetricValue::Gauge(0.25)));
-        assert!(matches!(
-            reg.get("h", &[]),
-            Some(MetricValue::Histogram(s)) if s.total == 1
-        ));
+        assert_eq!(reg.get("h", &[]), Some(&MetricValue::Histogram(h)));
     }
 
     #[test]
@@ -508,11 +386,7 @@ mod tests {
         let mut reg = Registry::new();
         reg.counter("acts", &[("scenario", "AutoRFM-4")], 123);
         reg.gauge("ipc", &[], 2.25);
-        let mut h = Histogram::new(2, 3);
-        h.record(1);
-        h.record(5);
-        h.record(99);
-        reg.record_histogram("lat", &[], &h);
+        reg.histogram("lat", &[], &recorded(2, 3, [1, 5, 99]));
 
         let json = reg.to_json();
         let back = Registry::from_json(&Json::parse(&json.to_pretty()).unwrap());
