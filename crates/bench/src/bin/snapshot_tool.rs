@@ -58,13 +58,13 @@ fn inspect(out: &mut Out, path: &str) -> Result<(), Stop> {
     writeln!(out, "kind      : {} ({})", c.kind, kind_name(c.kind))?;
     writeln!(out, "version   : {}", c.version)?;
     writeln!(out, "payload   : {} bytes", c.payload.len())?;
-    writeln!(out, "digest    : {:016x}", c.digest)?;
+    writeln!(out, "digest    : {:016x}", c.digest())?;
     Ok(())
 }
 
 fn digest(out: &mut Out, path: &str) -> Result<(), Stop> {
     let c = load(path)?;
-    writeln!(out, "{:016x}", c.digest)?;
+    writeln!(out, "{:016x}", c.digest())?;
     Ok(())
 }
 
@@ -86,14 +86,15 @@ fn diff(out: &mut Out, path_a: &str, path_b: &str) -> Result<bool, Stop> {
             out,
             "identical ({} bytes, digest {:016x})",
             a.payload.len(),
-            a.digest
+            a.digest()
         )?;
         return Ok(true);
     }
     writeln!(
         out,
         "digests differ: {:016x} vs {:016x}",
-        a.digest, b.digest
+        a.digest(),
+        b.digest()
     )?;
     let common = a.payload.len().min(b.payload.len());
     let at = (0..common)

@@ -1,7 +1,7 @@
 //! Shared last-level cache: set-associative, LRU, write-back/write-allocate.
 
 use autorfm_sim_core::{ConfigError, LineAddr};
-use autorfm_snapshot::{Reader, SnapError, Snapshot, Writer};
+use autorfm_snapshot::{decode_bool, Reader, SnapError, Snapshot, Writer};
 
 /// LLC geometry parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,14 +24,18 @@ impl Default for LlcParams {
     }
 }
 
+/// One way's valid/dirty/age record, kept apart from its tag so a set's
+/// tags scan as one contiguous run of `u64`s.
 #[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
+struct WayState {
     valid: bool,
     dirty: bool,
-    /// LRU age: 0 = most recently used.
+    /// LRU age: 0 = most recently used; saturates at 255.
     age: u8,
 }
+
+/// Encoded size of one way: tag (`u64`), valid, dirty, age.
+const WAY_BYTES: usize = 11;
 
 /// Result of an LLC access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +63,11 @@ pub enum AccessResult {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Llc {
-    sets: Vec<Vec<Way>>,
+    /// Every way's tag, set-major: set `s` is `[s * ways, (s + 1) * ways)`.
+    tags: Vec<u64>,
+    /// Every way's valid/dirty/age record, indexed like `tags`.
+    state: Vec<WayState>,
+    ways: usize,
     set_mask: u64,
     hits: u64,
     misses: u64,
@@ -97,8 +105,11 @@ impl Llc {
                 "LLC set count must be a power of two, got {num_sets}"
             )));
         }
+        let total = lines as usize;
         Ok(Llc {
-            sets: vec![vec![Way::default(); p.ways as usize]; num_sets as usize],
+            tags: vec![0; total],
+            state: vec![WayState::default(); total],
+            ways: p.ways as usize,
             set_mask: num_sets - 1,
             hits: 0,
             misses: 0,
@@ -114,10 +125,25 @@ impl Llc {
         line.0 >> self.set_mask.count_ones()
     }
 
+    /// Index of set `set_idx`'s first way in `tags` and `state`.
+    fn base_of(&self, set_idx: usize) -> usize {
+        set_idx * self.ways
+    }
+
+    /// The way of the set starting at `base` that holds `tag`, if any.
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        let end = base + self.ways;
+        self.tags[base..end]
+            .iter()
+            .zip(&self.state[base..end])
+            .position(|(&t, w)| w.valid && t == tag)
+    }
+
     /// Looks up `line`; `is_write` marks the line dirty on hit.
     pub fn access(&mut self, line: LineAddr, is_write: bool) -> AccessResult {
         let set_idx = self.set_of(line);
         let tag = self.tag_of(line);
+        let base = self.base_of(set_idx);
         // Hot-way fast path: re-accessing the set's MRU line (the common case
         // on strided streams) needs no way scan and no re-aging — every other
         // way is already older, so the LRU update below would be a no-op. The
@@ -125,15 +151,16 @@ impl Llc {
         // stale hint falls through to the full scan instead of misbehaving.
         let hint = self.hot[set_idx];
         if hint != NO_HINT {
-            let w = &mut self.sets[set_idx][hint as usize];
-            if w.valid && w.tag == tag && w.age == 0 {
+            let i = base + hint as usize;
+            let w = &mut self.state[i];
+            if w.valid && self.tags[i] == tag && w.age == 0 {
                 w.dirty |= is_write;
                 self.hits += 1;
                 return AccessResult::Hit;
             }
         }
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|w| w.valid && w.tag == tag) {
+        if let Some(pos) = self.find(base, tag) {
+            let set = &mut self.state[base..base + self.ways];
             let old_age = set[pos].age;
             for w in set.iter_mut() {
                 if w.valid && w.age < old_age {
@@ -156,12 +183,12 @@ impl Llc {
     pub fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
         let set_idx = self.set_of(line);
         let tag = self.tag_of(line);
-        let set_bits = self.set_mask.count_ones();
-        let set = &mut self.sets[set_idx];
-        if set.iter().any(|w| w.valid && w.tag == tag) {
+        let base = self.base_of(set_idx);
+        if self.find(base, tag).is_some() {
             return None; // already present (racing fills merge in the MSHR)
         }
-        // Victim: an invalid way, else the LRU (max age).
+        let set = &mut self.state[base..base + self.ways];
+        // Victim: an invalid way, else the LRU (max age; the last on a tie).
         let victim = set.iter().position(|w| !w.valid).unwrap_or_else(|| {
             set.iter()
                 .enumerate()
@@ -175,15 +202,16 @@ impl Llc {
                 w.age = w.age.saturating_add(1);
             }
         }
-        set[victim] = Way {
-            tag,
+        set[victim] = WayState {
             valid: true,
             dirty: false,
             age: 0,
         };
+        let evicted_tag = std::mem::replace(&mut self.tags[base + victim], tag);
         self.hot[set_idx] = victim as u32;
         if evicted.valid && evicted.dirty {
-            Some(LineAddr((evicted.tag << set_bits) | set_idx as u64))
+            let set_bits = self.set_mask.count_ones();
+            Some(LineAddr((evicted_tag << set_bits) | set_idx as u64))
         } else {
             None
         }
@@ -194,31 +222,23 @@ impl Llc {
     /// use to defeat the cache (threat model, Section II-A).
     pub fn invalidate(&mut self, line: LineAddr) -> Option<LineAddr> {
         let set_idx = self.set_of(line);
-        let tag = self.tag_of(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|w| w.valid && w.tag == tag) {
-            let was_dirty = set[pos].dirty;
-            set[pos].valid = false;
-            set[pos].dirty = false;
-            if self.hot[set_idx] == pos as u32 {
-                self.hot[set_idx] = NO_HINT;
-            }
-            if was_dirty {
-                return Some(line);
-            }
+        let base = self.base_of(set_idx);
+        let pos = self.find(base, self.tag_of(line))?;
+        let w = &mut self.state[base + pos];
+        let was_dirty = w.dirty;
+        w.valid = false;
+        w.dirty = false;
+        if self.hot[set_idx] == pos as u32 {
+            self.hot[set_idx] = NO_HINT;
         }
-        None
+        was_dirty.then_some(line)
     }
 
     /// Marks `line` dirty if present (used when a store triggered the fill).
     pub fn mark_dirty(&mut self, line: LineAddr) {
-        let set_idx = self.set_of(line);
-        let tag = self.tag_of(line);
-        if let Some(w) = self.sets[set_idx]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        {
-            w.dirty = true;
+        let base = self.base_of(self.set_of(line));
+        if let Some(pos) = self.find(base, self.tag_of(line)) {
+            self.state[base + pos].dirty = true;
         }
     }
 
@@ -243,32 +263,15 @@ impl Llc {
     }
 }
 
-impl Snapshot for Way {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.tag);
-        w.put_bool(self.valid);
-        w.put_bool(self.dirty);
-        w.put_u8(self.age);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Way {
-            tag: r.take_u64()?,
-            valid: r.take_bool()?,
-            dirty: r.take_bool()?,
-            age: r.take_u8()?,
-        })
-    }
-}
-
 impl Snapshot for Llc {
     fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.sets.len());
-        w.put_usize(self.sets.first().map_or(0, Vec::len));
-        for set in &self.sets {
-            for way in set {
-                way.encode(w);
-            }
+        w.put_usize(self.hot.len());
+        w.put_usize(self.ways);
+        for (&tag, s) in self.tags.iter().zip(&self.state) {
+            let mut rec = [0; WAY_BYTES];
+            rec[..8].copy_from_slice(&tag.to_le_bytes());
+            rec[8..].copy_from_slice(&[u8::from(s.valid), u8::from(s.dirty), s.age]);
+            w.put_raw(&rec);
         }
         w.put_u64(self.hits);
         w.put_u64(self.misses);
@@ -280,22 +283,32 @@ impl Snapshot for Llc {
         if num_sets == 0 || !num_sets.is_power_of_two() || num_ways == 0 {
             return Err(SnapError::corrupt("bad LLC geometry in snapshot"));
         }
-        let total = num_sets
+        let block = num_sets
             .checked_mul(num_ways)
+            .and_then(|total| total.checked_mul(WAY_BYTES))
             .ok_or_else(|| SnapError::corrupt("LLC way count overflow"))?;
-        if total > r.remaining() {
-            return Err(SnapError::corrupt("LLC way count exceeds input"));
+        let block = r.take_raw(block)?;
+        let recs = block.chunks_exact(WAY_BYTES);
+        // One branch-light scan for a bad bool byte; `decode_bool` names it.
+        if let Some(rec) = recs.clone().find(|rec| rec[8] > 1 || rec[9] > 1) {
+            decode_bool(rec[8])?;
+            decode_bool(rec[9])?;
         }
-        let mut sets = Vec::with_capacity(num_sets);
-        for _ in 0..num_sets {
-            let mut set = Vec::with_capacity(num_ways);
-            for _ in 0..num_ways {
-                set.push(Way::decode(r)?);
-            }
-            sets.push(set);
-        }
+        let tags = recs
+            .clone()
+            .map(|rec| u64::from_le_bytes(rec[..8].try_into().expect("8 bytes")))
+            .collect();
+        let state = recs
+            .map(|rec| WayState {
+                valid: rec[8] == 1,
+                dirty: rec[9] == 1,
+                age: rec[10],
+            })
+            .collect();
         Ok(Llc {
-            sets,
+            tags,
+            state,
+            ways: num_ways,
             set_mask: num_sets as u64 - 1,
             hits: r.take_u64()?,
             misses: r.take_u64()?,
@@ -303,6 +316,132 @@ impl Snapshot for Llc {
             // empty here, and repopulated by the first access per set.
             hot: vec![NO_HINT; num_sets],
         })
+    }
+}
+
+/// The nested `Vec<Vec<Way>>` LLC the flat [`Llc`] replaced, kept as a
+/// differential oracle. It has no hot-way hint, so agreeing with it also
+/// shows the hint never changes an answer.
+#[cfg(test)]
+mod reference {
+    use super::{AccessResult, LineAddr, Writer};
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Way {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        age: u8,
+    }
+
+    pub struct RefLlc {
+        sets: Vec<Vec<Way>>,
+        set_mask: u64,
+        pub hits: u64,
+        pub misses: u64,
+    }
+
+    impl RefLlc {
+        pub fn new(num_sets: usize, ways: usize) -> Self {
+            RefLlc {
+                sets: vec![vec![Way::default(); ways]; num_sets],
+                set_mask: num_sets as u64 - 1,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn split(&self, line: LineAddr) -> (usize, u64) {
+            (
+                (line.0 & self.set_mask) as usize,
+                line.0 >> self.set_mask.count_ones(),
+            )
+        }
+
+        pub fn access(&mut self, line: LineAddr, is_write: bool) -> AccessResult {
+            let (set_idx, tag) = self.split(line);
+            let set = &mut self.sets[set_idx];
+            if let Some(pos) = set.iter().position(|w| w.valid && w.tag == tag) {
+                let old_age = set[pos].age;
+                for w in set.iter_mut() {
+                    if w.valid && w.age < old_age {
+                        w.age += 1;
+                    }
+                }
+                set[pos].age = 0;
+                set[pos].dirty |= is_write;
+                self.hits += 1;
+                AccessResult::Hit
+            } else {
+                self.misses += 1;
+                AccessResult::Miss
+            }
+        }
+
+        pub fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
+            let (set_idx, tag) = self.split(line);
+            let set_bits = self.set_mask.count_ones();
+            let set = &mut self.sets[set_idx];
+            if set.iter().any(|w| w.valid && w.tag == tag) {
+                return None;
+            }
+            let victim = set.iter().position(|w| !w.valid).unwrap_or_else(|| {
+                set.iter()
+                    .enumerate()
+                    .max_by_key(|(_, w)| w.age)
+                    .map(|(i, _)| i)
+                    .expect("ways > 0")
+            });
+            let evicted = set[victim];
+            for w in set.iter_mut() {
+                if w.valid {
+                    w.age = w.age.saturating_add(1);
+                }
+            }
+            set[victim] = Way {
+                tag,
+                valid: true,
+                dirty: false,
+                age: 0,
+            };
+            (evicted.valid && evicted.dirty)
+                .then(|| LineAddr((evicted.tag << set_bits) | set_idx as u64))
+        }
+
+        pub fn invalidate(&mut self, line: LineAddr) -> Option<LineAddr> {
+            let (set_idx, tag) = self.split(line);
+            let w = self.sets[set_idx]
+                .iter_mut()
+                .find(|w| w.valid && w.tag == tag)?;
+            let was_dirty = w.dirty;
+            w.valid = false;
+            w.dirty = false;
+            was_dirty.then_some(line)
+        }
+
+        pub fn mark_dirty(&mut self, line: LineAddr) {
+            let (set_idx, tag) = self.split(line);
+            if let Some(w) = self.sets[set_idx]
+                .iter_mut()
+                .find(|w| w.valid && w.tag == tag)
+            {
+                w.dirty = true;
+            }
+        }
+
+        /// The snapshot bytes `Llc::encode` wrote before the flat layout.
+        pub fn encode(&self, w: &mut Writer) {
+            w.put_usize(self.sets.len());
+            w.put_usize(self.sets.first().map_or(0, Vec::len));
+            for way in self.sets.iter().flatten() {
+                w.put_u64(way.tag);
+                w.put_bool(way.valid);
+                w.put_bool(way.dirty);
+                w.put_u8(way.age);
+            }
+            w.put_u64(self.hits);
+            w.put_u64(self.misses);
+        }
     }
 }
 
@@ -457,6 +596,110 @@ mod tests {
         assert_eq!(p.capacity_bytes, 8 << 20);
         assert_eq!(p.ways, 16);
         let c = Llc::new(p).unwrap();
-        assert_eq!(c.sets.len(), 8192);
+        assert_eq!(c.hot.len(), 8192);
+        assert_eq!(c.tags.len(), 8192 * 16);
+    }
+
+    fn encoded(encode: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// The flat LLC answers every access, fill, invalidate and mark-dirty
+    /// exactly as the nested reference does, and encodes to the same bytes
+    /// after every operation — including invalidate-then-fill runs that age
+    /// a set's resident ways past `ways - 1` up to the `u8` saturation.
+    #[test]
+    fn flat_llc_matches_the_nested_reference() {
+        use autorfm_sim_core::DetRng;
+        // 4 sets x 4 ways x 64B; 8 tags per set in play.
+        let params = LlcParams {
+            capacity_bytes: 1024,
+            ways: 4,
+            line_bytes: 64,
+        };
+        let mut max_age = 0;
+        for seed in 0..16 {
+            let mut rng = DetRng::seeded(seed);
+            let mut flat = Llc::new(params).unwrap();
+            let mut oracle = reference::RefLlc::new(4, 4);
+            let mut ops = Vec::new();
+            for _ in 0..2_000 {
+                let line = LineAddr(rng.gen_range(32));
+                if rng.gen_range(100) == 0 {
+                    // Invalidate-then-fill run: every fill ages the set's
+                    // other resident ways without evicting any of them.
+                    for _ in 0..300 {
+                        ops.push((3, line));
+                        ops.push((2, line));
+                    }
+                } else {
+                    ops.push((rng.gen_range(5), line));
+                }
+            }
+            for (op, line) in ops {
+                match op {
+                    0 | 1 => assert_eq!(flat.access(line, op == 1), oracle.access(line, op == 1)),
+                    2 => assert_eq!(flat.fill(line), oracle.fill(line)),
+                    3 => assert_eq!(flat.invalidate(line), oracle.invalidate(line)),
+                    _ => {
+                        flat.mark_dirty(line);
+                        oracle.mark_dirty(line);
+                    }
+                }
+                assert_eq!((flat.hits(), flat.misses()), (oracle.hits, oracle.misses));
+                assert_eq!(
+                    encoded(|w| flat.encode(w)),
+                    encoded(|w| oracle.encode(w)),
+                    "seed {seed}: state diverged after op {op} on {line:?}"
+                );
+                max_age = max_age.max(flat.state.iter().map(|w| w.age).max().unwrap());
+            }
+        }
+        assert_eq!(max_age, u8::MAX, "the runs must reach age saturation");
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Llc, SnapError> {
+        Llc::decode(&mut Reader::new(bytes))
+    }
+
+    #[test]
+    fn decode_rejects_a_bad_bool_byte() {
+        let mut c = tiny();
+        c.fill(LineAddr(4)); // set 0, way 0
+        let mut bytes = encoded(|w| c.encode(w));
+        let valid = 16 + 8; // first way's valid byte
+        assert_eq!(bytes[valid], 1);
+        bytes[valid] = 2;
+        assert!(matches!(decode(&bytes), Err(SnapError::Corrupt(_))));
+        bytes[valid] = 1;
+        bytes[valid + 1] = 2; // dirty
+        assert!(matches!(decode(&bytes), Err(SnapError::Corrupt(_))));
+    }
+
+    #[test]
+    fn decode_rejects_a_short_way_block() {
+        let c = tiny();
+        let bytes = encoded(|w| c.encode(w));
+        let block_end = 16 + 8 * WAY_BYTES;
+        assert!(decode(&bytes[..block_end - 1]).is_err());
+        // The counters after the block are checked too.
+        assert!(decode(&bytes[..block_end + 8]).is_err());
+        assert!(decode(&bytes).is_ok());
+    }
+
+    #[test]
+    fn decode_rejects_a_way_block_size_overflow() {
+        // 2^61 sets x 1 way fits a usize; 11 bytes per way does not.
+        let mut w = Writer::new();
+        w.put_usize(1 << 61);
+        w.put_usize(1);
+        assert!(matches!(decode(w.bytes()), Err(SnapError::Corrupt(_))));
+        // Nor does the set x way product itself.
+        let mut w = Writer::new();
+        w.put_usize(1 << 62);
+        w.put_usize(8);
+        assert!(matches!(decode(w.bytes()), Err(SnapError::Corrupt(_))));
     }
 }

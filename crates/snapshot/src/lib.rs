@@ -306,11 +306,7 @@ impl<'a> Reader<'a> {
     /// Returns [`SnapError::Eof`] on truncation or [`SnapError::Corrupt`] on
     /// a byte other than 0 or 1.
     pub fn take_bool(&mut self) -> Result<bool, SnapError> {
-        match self.take_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapError::corrupt(format!("bad bool byte {b}"))),
-        }
+        decode_bool(self.take_u8()?)
     }
 
     /// Takes an `f64` from its bit pattern.
@@ -342,6 +338,20 @@ impl<'a> Reader<'a> {
         let bytes = self.take_bytes()?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| SnapError::corrupt("string is not valid UTF-8"))
+    }
+}
+
+/// Decodes one `bool` byte, for codecs that parse a block taken with
+/// [`Reader::take_raw`] (what [`Reader::take_bool`] does per byte).
+///
+/// # Errors
+///
+/// Returns [`SnapError::Corrupt`] on a byte other than 0 or 1.
+pub fn decode_bool(b: u8) -> Result<bool, SnapError> {
+    match b {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(SnapError::corrupt(format!("bad bool byte {b}"))),
     }
 }
 
@@ -478,8 +488,15 @@ pub struct Container {
     pub version: u16,
     /// The payload bytes.
     pub payload: Vec<u8>,
-    /// FNV-1a digest of the payload (also the state fingerprint).
-    pub digest: u64,
+}
+
+impl Container {
+    /// FNV-1a digest of the payload: the state fingerprint golden tests pin
+    /// (not the trailer, which covers header and payload). Computed on
+    /// demand, so [`open`] pays for one digest pass, not two.
+    pub fn digest(&self) -> u64 {
+        digest64(&self.payload)
+    }
 }
 
 /// Wraps `payload` in a sealed container: magic, version, kind, length,
@@ -535,13 +552,10 @@ pub fn open(bytes: &[u8]) -> Result<Container, SnapError> {
             "digest mismatch (stored {stored:#018x}, computed {actual:#018x})"
         )));
     }
-    let payload = bytes[15..15 + len].to_vec();
-    let digest = digest64(&payload);
     Ok(Container {
         kind,
         version,
-        payload,
-        digest,
+        payload: bytes[15..15 + len].to_vec(),
     })
 }
 
@@ -630,7 +644,7 @@ mod tests {
         assert_eq!(c.kind, KIND_WARM);
         assert_eq!(c.version, FORMAT_VERSION);
         assert_eq!(c.payload, payload);
-        assert_eq!(c.digest, digest64(&payload));
+        assert_eq!(c.digest(), digest64(&payload));
     }
 
     #[test]

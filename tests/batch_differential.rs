@@ -48,7 +48,7 @@ fn snapshot_digest(sys: &System) -> u64 {
     let snap = sys.snapshot().expect("snapshot serializes");
     autorfm::snapshot::open(&snap)
         .expect("snapshot reopens")
-        .digest
+        .digest()
 }
 
 /// Every lane built from warm state must finish bitwise identical to a standalone run of
@@ -121,4 +121,58 @@ fn mid_run_lane_snapshot_restores_identically() {
         fingerprint(&r_restored),
         "restored lane diverged from the live lane's own finish"
     );
+}
+
+/// perfbench's sweep scenario set (`perfbench/src/sweep.rs`).
+const SWEEP_SCENARIOS: [&str; 12] = [
+    "baseline-zen",
+    "baseline-rubix",
+    "RFM-2",
+    "RFM-4",
+    "RFM-8",
+    "RFM-4-rubix",
+    "AutoRFM-2",
+    "AutoRFM-4",
+    "AutoRFM-8",
+    "AutoRFM-4-zen",
+    "AutoRFM-4-recursive",
+    "PRAC-ABO32",
+];
+
+/// The three ways to build a machine — warming it up, decoding sealed warm
+/// bytes, cloning an in-memory `Warm` — reach the same state 1,000 steps in,
+/// for every sweep scenario. perfbench forks through the bytes, so this pins
+/// the warm-state codec (the LLC's above all) on the benchmark's own path.
+#[test]
+fn fork_paths_agree_on_every_sweep_scenario() {
+    let spec = WorkloadSpec::by_name("wrf").expect("known workload");
+    let cfgs: Vec<SimConfig> = SWEEP_SCENARIOS
+        .iter()
+        .map(|s| {
+            SimConfig::builder(spec)
+                .scenario(s.parse().expect("sweep scenarios parse"))
+                .cores(2)
+                .instructions(50_000)
+                .seed(7)
+                .warmup_mem_ops(20_000)
+                .build()
+                .expect("valid sweep config")
+        })
+        .collect();
+    let donor = System::new(cfgs[0].clone()).unwrap();
+    let bytes = donor.warm_state();
+    let warm = donor.into_warm().unwrap();
+    for (cfg, scenario) in cfgs.into_iter().zip(SWEEP_SCENARIOS) {
+        let [warmed, decoded, cloned] = [
+            System::new(cfg.clone()).unwrap(),
+            System::new_from_warm(cfg.clone(), &bytes).expect("warm bytes decode"),
+            System::from_warm(cfg, &warm).expect("same-shape lane"),
+        ]
+        .map(|mut sys| {
+            assert!(sys.run_steps(1_000).is_none(), "1,000 steps is mid-run");
+            snapshot_digest(&sys)
+        });
+        assert_eq!(warmed, decoded, "new_from_warm diverged under {scenario}");
+        assert_eq!(warmed, cloned, "from_warm diverged under {scenario}");
+    }
 }

@@ -132,7 +132,8 @@ fn golden_snapshot_digest() {
         let snap = sys.snapshot().unwrap();
         let container = autorfm::snapshot::open(&snap).unwrap();
         assert_eq!(
-            container.digest, MODEL_FINGERPRINT,
+            container.digest(),
+            MODEL_FINGERPRINT,
             "snapshot digest drifted under {kernel:?}"
         );
     }

@@ -42,7 +42,7 @@ fn snapshot_digest(sys: &System) -> u64 {
     let snap = sys.snapshot().expect("snapshot serializes");
     autorfm::snapshot::open(&snap)
         .expect("snapshot reopens")
-        .digest
+        .digest()
 }
 
 /// Completed runs must be bitwise identical across the smoke matrix, and the

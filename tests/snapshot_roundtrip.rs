@@ -1,12 +1,13 @@
 //! Property tests for the snapshot subsystem: encode → decode → encode must
 //! be the identity for every state-bearing `Snapshot` impl, and a restored
 //! object must behave bitwise identically to the original from that point on.
-//! Covers the three state families the checkpoint format leans on hardest:
-//! RNG streams, tracker tables, and per-row disturbance counters.
+//! Covers the state families the checkpoint format leans on hardest: RNG
+//! streams, tracker tables, per-row disturbance counters, and the LLC.
 
+use autorfm::cpu::{AccessResult, Llc, LlcParams};
 use autorfm::dram::prac::PracState;
 use autorfm::dram::RowhammerAudit;
-use autorfm::sim_core::{BankId, DetRng, RowAddr};
+use autorfm::sim_core::{BankId, DetRng, LineAddr, RowAddr};
 use autorfm::snapshot::{Reader, Snapshot, Writer};
 use autorfm::trackers::{build_tracker, TrackerKind};
 use proptest::prelude::*;
@@ -15,6 +16,23 @@ use proptest::prelude::*;
 /// registry — a newly registered tracker enters these properties with no
 /// edit here.
 const KINDS: [TrackerKind; TrackerKind::ALL.len()] = TrackerKind::ALL;
+
+/// One random LLC operation over 64 lines of an 8-set cache, and what it
+/// answered: an access's hit or miss, or the dirty line a fill or
+/// invalidate hands back for writeback.
+fn llc_op(llc: &mut Llc, rng: &mut DetRng) -> (Option<AccessResult>, Option<LineAddr>) {
+    let line = LineAddr(rng.gen_range(64));
+    match rng.gen_range(5) {
+        0 => (Some(llc.access(line, false)), None),
+        1 => (Some(llc.access(line, true)), None),
+        2 => (None, llc.fill(line)),
+        3 => (None, llc.invalidate(line)),
+        _ => {
+            llc.mark_dirty(line);
+            (None, None)
+        }
+    }
+}
 
 proptest! {
     /// A mid-stream RNG round-trips: same bytes re-encoded, same draws after.
@@ -159,6 +177,31 @@ proptest! {
             let b = fresh.select_for_mitigation(&mut rng_b).map(|m| m.row);
             prop_assert_eq!(a, b, "restored tracker must mitigate identically after reset");
         }
+    }
+
+    /// A used LLC round-trips: the same bytes re-encoded, and the decoded
+    /// cache answers every later operation as the original does.
+    #[test]
+    fn llc_state_round_trips(seed in any::<u64>(), n_ops in 0usize..600) {
+        let params = LlcParams { capacity_bytes: 2048, ways: 4, line_bytes: 64 };
+        let mut rng = DetRng::seeded(seed);
+        let mut llc = Llc::new(params).unwrap();
+        for _ in 0..n_ops {
+            llc_op(&mut llc, &mut rng);
+        }
+        let mut w = Writer::new();
+        llc.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = Llc::decode(&mut Reader::new(&bytes)).unwrap();
+        let mut w2 = Writer::new();
+        restored.encode(&mut w2);
+        prop_assert_eq!(w2.bytes(), &bytes[..], "re-encode must be identity");
+
+        let mut rng_b = rng.clone();
+        for _ in 0..200 {
+            prop_assert_eq!(llc_op(&mut llc, &mut rng), llc_op(&mut restored, &mut rng_b));
+        }
+        prop_assert_eq!((llc.hits(), llc.misses()), (restored.hits(), restored.misses()));
     }
 
     /// Truncating an encoded tracker state never panics — it errors.
