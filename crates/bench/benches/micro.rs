@@ -254,7 +254,7 @@ fn bench_llc(c: &mut Criterion) {
     c.bench_function("llc/hot_hit", |b| {
         let mut llc = Llc::new(p).unwrap();
         llc.access(LineAddr(3), false);
-        llc.fill(LineAddr(3));
+        llc.fill(LineAddr(3), false);
         b.iter(|| black_box(llc.access(LineAddr(3), false)))
     });
 
@@ -266,7 +266,7 @@ fn bench_llc(c: &mut Criterion) {
             .collect();
         for &line in &lines {
             llc.access(line, false);
-            llc.fill(line);
+            llc.fill(line, false);
         }
         let mut k = 0usize;
         b.iter(|| {

@@ -16,9 +16,8 @@
 //!     diverging payload byte.
 //! ```
 
-use autorfm::snapshot::{kind_name, read_file, Container};
+use autorfm::snapshot::{kind_name, open, Container};
 use std::io::Write;
-use std::path::Path;
 use std::process::ExitCode;
 
 /// Why a subcommand stopped: output failed (e.g. stdout closed by `head`,
@@ -45,15 +44,23 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load(path: &str) -> Result<Container, Stop> {
-    read_file(Path::new(path)).map_err(|e| {
-        eprintln!("error: {path}: {e}");
-        Stop::Exit(2)
-    })
+fn fail(path: &str, e: impl std::fmt::Display) -> Stop {
+    eprintln!("error: {path}: {e}");
+    Stop::Exit(2)
+}
+
+/// Reads the sealed file at `path`; [`load`] opens it.
+fn read(path: &str) -> Result<Vec<u8>, Stop> {
+    std::fs::read(path).map_err(|e| fail(path, e))
+}
+
+fn load<'a>(path: &str, bytes: &'a [u8]) -> Result<Container<'a>, Stop> {
+    open(bytes).map_err(|e| fail(path, e))
 }
 
 fn inspect(out: &mut Out, path: &str) -> Result<(), Stop> {
-    let c = load(path)?;
+    let bytes = read(path)?;
+    let c = load(path, &bytes)?;
     writeln!(out, "file      : {path}")?;
     writeln!(out, "kind      : {} ({})", c.kind, kind_name(c.kind))?;
     writeln!(out, "version   : {}", c.version)?;
@@ -63,13 +70,15 @@ fn inspect(out: &mut Out, path: &str) -> Result<(), Stop> {
 }
 
 fn digest(out: &mut Out, path: &str) -> Result<(), Stop> {
-    let c = load(path)?;
+    let bytes = read(path)?;
+    let c = load(path, &bytes)?;
     writeln!(out, "{:016x}", c.digest())?;
     Ok(())
 }
 
 fn diff(out: &mut Out, path_a: &str, path_b: &str) -> Result<bool, Stop> {
-    let (a, b) = (load(path_a)?, load(path_b)?);
+    let (bytes_a, bytes_b) = (read(path_a)?, read(path_b)?);
+    let (a, b) = (load(path_a, &bytes_a)?, load(path_b, &bytes_b)?);
     if a.kind != b.kind {
         writeln!(
             out,

@@ -50,7 +50,7 @@ fn mutate(rng: &mut DetRng, bytes: &mut Vec<u8>) {
 /// Everything a store reader does with a cell file's bytes.
 fn read_cell(file: &[u8]) {
     let Ok(container) = open(file) else { return };
-    let Ok(record) = CellRecord::decode(&container.payload) else {
+    let Ok(record) = CellRecord::decode(container.payload) else {
         return;
     };
     if let Ok(bytes) = record.outcome {

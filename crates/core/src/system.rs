@@ -81,6 +81,10 @@ impl InstructionStream for BoundedStream {
             Op::NonMem => Op::NonMem,
         }
     }
+
+    fn take_nonmem(&mut self, max: u32) -> u32 {
+        self.inner.take_nonmem(max)
+    }
 }
 
 /// What warmup produces for one shape ([`warm_digest`]): each core's
@@ -524,7 +528,7 @@ impl System {
                 "cannot restore into a telemetry-enabled configuration",
             ));
         }
-        let mut r = Reader::new(&c.payload);
+        let mut r = Reader::new(c.payload);
         if r.take_u64()? != config_digest(&cfg) {
             return Err(SnapError::corrupt(
                 "snapshot was taken under a different configuration",
@@ -609,7 +613,7 @@ impl System {
                 c.kind
             )));
         }
-        let mut r = Reader::new(&c.payload);
+        let mut r = Reader::new(c.payload);
         if r.take_u64()? != warm_digest(&cfg) {
             return Err(SnapError::corrupt(
                 "warm snapshot was taken under an incompatible configuration",

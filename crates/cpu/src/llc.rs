@@ -57,7 +57,7 @@ pub enum AccessResult {
 ///
 /// let mut llc = Llc::new(LlcParams::default())?;
 /// assert_eq!(llc.access(LineAddr(42), false), AccessResult::Miss);
-/// llc.fill(LineAddr(42));
+/// llc.fill(LineAddr(42), false);
 /// assert_eq!(llc.access(LineAddr(42), false), AccessResult::Hit);
 /// # Ok::<(), autorfm_sim_core::ConfigError>(())
 /// ```
@@ -178,14 +178,17 @@ impl Llc {
         }
     }
 
-    /// Inserts `line` (after a miss fill). Returns the evicted line if it was
-    /// dirty (the caller must write it back to memory).
-    pub fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
+    /// Inserts `line` (after a miss fill), dirty if `dirty` (a store
+    /// triggered the fill). Returns the evicted line if it was dirty (the
+    /// caller must write it back to memory).
+    pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<LineAddr> {
         let set_idx = self.set_of(line);
         let tag = self.tag_of(line);
         let base = self.base_of(set_idx);
-        if self.find(base, tag).is_some() {
-            return None; // already present (racing fills merge in the MSHR)
+        if let Some(pos) = self.find(base, tag) {
+            // Already present (racing fills merge in the MSHR).
+            self.state[base + pos].dirty |= dirty;
+            return None;
         }
         let set = &mut self.state[base..base + self.ways];
         // Victim: an invalid way, else the LRU (max age; the last on a tie).
@@ -204,7 +207,7 @@ impl Llc {
         }
         set[victim] = WayState {
             valid: true,
-            dirty: false,
+            dirty,
             age: 0,
         };
         let evicted_tag = std::mem::replace(&mut self.tags[base + victim], tag);
@@ -378,11 +381,12 @@ mod reference {
             }
         }
 
-        pub fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
+        pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<LineAddr> {
             let (set_idx, tag) = self.split(line);
             let set_bits = self.set_mask.count_ones();
             let set = &mut self.sets[set_idx];
-            if set.iter().any(|w| w.valid && w.tag == tag) {
+            if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+                w.dirty |= dirty;
                 return None;
             }
             let victim = set.iter().position(|w| !w.valid).unwrap_or_else(|| {
@@ -401,7 +405,7 @@ mod reference {
             set[victim] = Way {
                 tag,
                 valid: true,
-                dirty: false,
+                dirty,
                 age: 0,
             };
             (evicted.valid && evicted.dirty)
@@ -463,7 +467,7 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut c = tiny();
         assert_eq!(c.access(LineAddr(5), false), AccessResult::Miss);
-        assert_eq!(c.fill(LineAddr(5)), None);
+        assert_eq!(c.fill(LineAddr(5), false), None);
         assert_eq!(c.access(LineAddr(5), false), AccessResult::Hit);
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
@@ -474,10 +478,10 @@ mod tests {
     fn lru_evicts_oldest() {
         let mut c = tiny();
         // Set 0: lines 0, 4, 8 (stride = number of sets).
-        c.fill(LineAddr(0));
-        c.fill(LineAddr(4));
+        c.fill(LineAddr(0), false);
+        c.fill(LineAddr(4), false);
         c.access(LineAddr(0), false); // 0 is now MRU; 4 is LRU
-        c.fill(LineAddr(8)); // evicts 4
+        c.fill(LineAddr(8), false); // evicts 4
         assert_eq!(c.access(LineAddr(0), false), AccessResult::Hit);
         assert_eq!(c.access(LineAddr(4), false), AccessResult::Miss);
         assert_eq!(c.access(LineAddr(8), false), AccessResult::Hit);
@@ -486,51 +490,64 @@ mod tests {
     #[test]
     fn dirty_eviction_returns_victim() {
         let mut c = tiny();
-        c.fill(LineAddr(0));
+        c.fill(LineAddr(0), false);
         c.access(LineAddr(0), true); // dirty
-        c.fill(LineAddr(4));
-        let evicted = c.fill(LineAddr(8)); // evicts 0 (LRU, dirty)
+        c.fill(LineAddr(4), false);
+        let evicted = c.fill(LineAddr(8), false); // evicts 0 (LRU, dirty)
         assert_eq!(evicted, Some(LineAddr(0)));
     }
 
     #[test]
     fn clean_eviction_returns_none() {
         let mut c = tiny();
-        c.fill(LineAddr(0));
-        c.fill(LineAddr(4));
-        assert_eq!(c.fill(LineAddr(8)), None);
+        c.fill(LineAddr(0), false);
+        c.fill(LineAddr(4), false);
+        assert_eq!(c.fill(LineAddr(8), false), None);
     }
 
     #[test]
     fn mark_dirty_after_fill() {
         let mut c = tiny();
-        c.fill(LineAddr(12));
+        c.fill(LineAddr(12), false);
         c.mark_dirty(LineAddr(12));
-        c.fill(LineAddr(16));
-        c.fill(LineAddr(20)); // evict 12
-                              // One of the fills must have evicted dirty line 12.
-                              // (12 maps to set 0b00? 12 & 3 == 0 ... all in set 0.)
-        let evicted = c.fill(LineAddr(24));
+        c.fill(LineAddr(16), false);
+        c.fill(LineAddr(20), false); // evict 12
+                                     // One of the fills must have evicted dirty line 12.
+                                     // (12 maps to set 0b00? 12 & 3 == 0 ... all in set 0.)
+        let evicted = c.fill(LineAddr(24), false);
         // Either the earlier fill or this one returned Some(12); ensure 12 gone.
         assert_eq!(c.access(LineAddr(12), false), AccessResult::Miss);
         let _ = evicted;
     }
 
     #[test]
+    fn dirty_fill_marks_the_inserted_or_present_way() {
+        let mut c = tiny();
+        // A dirty fill comes back as a writeback when it is evicted.
+        c.fill(LineAddr(0), true);
+        c.fill(LineAddr(4), false);
+        assert_eq!(c.fill(LineAddr(8), false), Some(LineAddr(0)));
+        // A racing dirty fill of a present clean line marks it dirty.
+        c.fill(LineAddr(8), true);
+        c.access(LineAddr(4), false); // 8 is now the LRU
+        assert_eq!(c.fill(LineAddr(12), false), Some(LineAddr(8)));
+    }
+
+    #[test]
     fn double_fill_is_idempotent() {
         let mut c = tiny();
-        c.fill(LineAddr(7));
-        assert_eq!(c.fill(LineAddr(7)), None);
+        c.fill(LineAddr(7), false);
+        assert_eq!(c.fill(LineAddr(7), false), None);
         assert_eq!(c.access(LineAddr(7), false), AccessResult::Hit);
     }
 
     #[test]
     fn invalidate_flushes_line() {
         let mut c = tiny();
-        c.fill(LineAddr(5));
+        c.fill(LineAddr(5), false);
         assert_eq!(c.invalidate(LineAddr(5)), None); // clean: no writeback
         assert_eq!(c.access(LineAddr(5), false), AccessResult::Miss);
-        c.fill(LineAddr(5));
+        c.fill(LineAddr(5), false);
         c.access(LineAddr(5), true);
         assert_eq!(c.invalidate(LineAddr(5)), Some(LineAddr(5))); // dirty
         assert_eq!(c.invalidate(LineAddr(5)), None); // already gone
@@ -574,11 +591,11 @@ mod tests {
     #[test]
     fn hot_way_hint_tracks_mru_and_invalidation() {
         let mut c = tiny();
-        c.fill(LineAddr(0)); // hint -> way holding line 0
+        c.fill(LineAddr(0), false); // hint -> way holding line 0
         assert_eq!(c.access(LineAddr(0), false), AccessResult::Hit);
         // Fast-path hit must still set the dirty bit.
         assert_eq!(c.access(LineAddr(0), true), AccessResult::Hit);
-        c.fill(LineAddr(4)); // hint moves to line 4's way; line 0 ages
+        c.fill(LineAddr(4), false); // hint moves to line 4's way; line 0 ages
         assert_eq!(c.access(LineAddr(0), false), AccessResult::Hit); // slow path
         assert_eq!(c.invalidate(LineAddr(0)), Some(LineAddr(0))); // dirty via fast path
         assert_eq!(c.access(LineAddr(0), false), AccessResult::Miss);
@@ -635,13 +652,13 @@ mod tests {
                         ops.push((2, line));
                     }
                 } else {
-                    ops.push((rng.gen_range(5), line));
+                    ops.push((rng.gen_range(6), line));
                 }
             }
             for (op, line) in ops {
                 match op {
                     0 | 1 => assert_eq!(flat.access(line, op == 1), oracle.access(line, op == 1)),
-                    2 => assert_eq!(flat.fill(line), oracle.fill(line)),
+                    2 | 5 => assert_eq!(flat.fill(line, op == 5), oracle.fill(line, op == 5)),
                     3 => assert_eq!(flat.invalidate(line), oracle.invalidate(line)),
                     _ => {
                         flat.mark_dirty(line);
@@ -667,7 +684,7 @@ mod tests {
     #[test]
     fn decode_rejects_a_bad_bool_byte() {
         let mut c = tiny();
-        c.fill(LineAddr(4)); // set 0, way 0
+        c.fill(LineAddr(4), false); // set 0, way 0
         let mut bytes = encoded(|w| c.encode(w));
         let valid = 16 + 8; // first way's valid byte
         assert_eq!(bytes[valid], 1);

@@ -238,10 +238,7 @@ impl Uncore {
     /// measured phase sees steady-state hit rates and writeback traffic.
     pub fn warm(&mut self, line: LineAddr, is_write: bool) {
         if self.llc.access(line, is_write) == AccessResult::Miss {
-            let _ = self.llc.fill(line);
-            if is_write {
-                self.llc.mark_dirty(line);
-            }
+            let _ = self.llc.fill(line, is_write);
         }
     }
 
@@ -401,10 +398,7 @@ impl Uncore {
             for w in entry.waiters {
                 w.set(resp.done_at);
             }
-            let victim = self.llc.fill(line);
-            if entry.dirty_on_fill {
-                self.llc.mark_dirty(line);
-            }
+            let victim = self.llc.fill(line, entry.dirty_on_fill);
             if let Some(victim) = victim {
                 self.stats.writebacks.inc();
                 self.outbox.push_back(MemRequest {

@@ -39,11 +39,11 @@
 //! let file = seal(7, w.bytes());
 //! let c = open(&file).unwrap();
 //! assert_eq!(c.kind, 7);
-//! let mut r = Reader::new(&c.payload);
+//! let mut r = Reader::new(c.payload);
 //! assert_eq!(u64::decode(&mut r).unwrap(), 42);
 //! assert_eq!(Vec::<u32>::decode(&mut r).unwrap(), vec![1, 2, 3]);
 //! assert!(r.is_empty());
-//! let _fingerprint = digest64(&c.payload);
+//! let _fingerprint = digest64(c.payload);
 //! ```
 
 #![warn(missing_docs)]
@@ -479,23 +479,24 @@ pub fn digest64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A validated, opened snapshot container.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Container {
+/// A validated, opened snapshot container, borrowing its payload from the
+/// sealed bytes it was opened from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Container<'a> {
     /// Payload kind (one of the `KIND_*` constants).
     pub kind: u8,
     /// Format version the payload was written with.
     pub version: u16,
     /// The payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl Container {
+impl Container<'_> {
     /// FNV-1a digest of the payload: the state fingerprint golden tests pin
     /// (not the trailer, which covers header and payload). Computed on
     /// demand, so [`open`] pays for one digest pass, not two.
     pub fn digest(&self) -> u64 {
-        digest64(&self.payload)
+        digest64(self.payload)
     }
 }
 
@@ -519,7 +520,7 @@ pub fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
 ///
 /// Returns [`SnapError::BadContainer`] on a wrong magic number, an
 /// unsupported format version, a truncated payload, or a digest mismatch.
-pub fn open(bytes: &[u8]) -> Result<Container, SnapError> {
+pub fn open(bytes: &[u8]) -> Result<Container<'_>, SnapError> {
     if bytes.len() < 23 {
         return Err(SnapError::BadContainer(format!(
             "file too short ({} bytes) to be a snapshot",
@@ -555,7 +556,7 @@ pub fn open(bytes: &[u8]) -> Result<Container, SnapError> {
     Ok(Container {
         kind,
         version,
-        payload: bytes[15..15 + len].to_vec(),
+        payload: &bytes[15..15 + len],
     })
 }
 
@@ -591,18 +592,6 @@ pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()>
         let _ = std::fs::remove_file(&tmp);
     }
     result
-}
-
-/// Reads and validates a sealed container from `path`.
-///
-/// # Errors
-///
-/// Returns an I/O error string or a container-validation error, both as
-/// [`SnapError::BadContainer`].
-pub fn read_file(path: &std::path::Path) -> Result<Container, SnapError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| SnapError::BadContainer(format!("cannot read {}: {e}", path.display())))?;
-    open(&bytes)
 }
 
 #[cfg(test)]
@@ -643,7 +632,7 @@ mod tests {
         let c = open(&sealed).unwrap();
         assert_eq!(c.kind, KIND_WARM);
         assert_eq!(c.version, FORMAT_VERSION);
-        assert_eq!(c.payload, payload);
+        assert_eq!(c.payload, &payload[..]);
         assert_eq!(c.digest(), digest64(&payload));
     }
 

@@ -254,7 +254,7 @@ fn read_record(path: &Path, kind: u8, key: u64) -> Option<CellRecord> {
     if c.kind != kind {
         return None;
     }
-    let record = CellRecord::decode(&c.payload).ok()?;
+    let record = CellRecord::decode(c.payload).ok()?;
     (record.key == key).then_some(record)
 }
 

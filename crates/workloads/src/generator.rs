@@ -207,10 +207,16 @@ impl InstructionStream for WorkloadGen {
         self.gap_left = self.rng.gen_range(self.mean_gap as u64 * 2 + 1) as u32;
         self.mem_op()
     }
+
+    fn take_nonmem(&mut self, max: u32) -> u32 {
+        let n = self.gap_left.min(max);
+        self.gap_left -= n;
+        n
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::ALL_WORKLOADS;
     use std::collections::HashSet;
@@ -353,6 +359,43 @@ mod tests {
         let mut gen = WorkloadGen::new(copy, 0, 9);
         let (_, _, deps) = count_ops(&mut gen, 200_000);
         assert_eq!(deps, 0);
+    }
+
+    /// Drains `stream` as a core does: a run of non-memory ops through
+    /// `take_nonmem` when it offers one (at most `max` at a time), else one
+    /// op through `next_op`. Returns the first `n` ops in order.
+    pub(crate) fn ops_through_runs(
+        stream: &mut impl InstructionStream,
+        n: usize,
+        max: u32,
+    ) -> Vec<Op> {
+        let mut ops = Vec::with_capacity(n);
+        while ops.len() < n {
+            let k = stream.take_nonmem(max.min((n - ops.len()) as u32));
+            if k > 0 {
+                ops.extend(std::iter::repeat_n(Op::NonMem, k as usize));
+            } else {
+                ops.push(stream.next_op());
+            }
+        }
+        ops
+    }
+
+    #[test]
+    fn take_nonmem_yields_the_next_op_sequence() {
+        for name in ["wrf", "xz", "mcf"] {
+            let spec = WorkloadSpec::by_name(name).unwrap();
+            for max in [1, 7, 16, 256] {
+                let mut per_op = WorkloadGen::new(spec, 1, 11);
+                let mut runs = per_op.clone();
+                let expected: Vec<Op> = (0..20_000).map(|_| per_op.next_op()).collect();
+                assert_eq!(ops_through_runs(&mut runs, 20_000, max), expected, "{name}");
+                // No RNG draw went missing or extra: the streams continue alike.
+                for _ in 0..2_000 {
+                    assert_eq!(runs.next_op(), per_op.next_op(), "{name}");
+                }
+            }
+        }
     }
 
     #[test]

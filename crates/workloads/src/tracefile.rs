@@ -167,6 +167,12 @@ impl InstructionStream for TraceReplay<'_> {
         self.gap_left = self.trace.ops[self.idx].gap;
         op
     }
+
+    fn take_nonmem(&mut self, max: u32) -> u32 {
+        let n = self.gap_left.min(max);
+        self.gap_left -= n;
+        n
+    }
 }
 
 #[cfg(test)]
@@ -233,6 +239,21 @@ mod tests {
                 dependent: false
             }
         );
+    }
+
+    #[test]
+    fn take_nonmem_yields_the_next_op_sequence_across_the_wrap() {
+        let path = tmp("runs.trace");
+        std::fs::write(&path, "5 L a\n0 S b\n40 LD c\n3 F d\n").unwrap();
+        let trace = TraceFile::load(&path).unwrap();
+        // 300 ops replay the 52-op slice almost six times.
+        let mut per_op = trace.replay();
+        let expected: Vec<Op> = (0..300).map(|_| per_op.next_op()).collect();
+        for max in [1, 4, 16, 64] {
+            let mut runs = trace.replay();
+            let got = crate::generator::tests::ops_through_runs(&mut runs, 300, max);
+            assert_eq!(got, expected, "max {max}");
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 
 use autorfm::experiments::Scenario;
 use autorfm::memctrl::{PagePolicy, RaaRefCredit, RetryPolicy, WritePolicy};
+use autorfm::sim_core::Cycle;
 use autorfm::trackers::{self, TrackerKind};
-use autorfm::{KernelKind, SimConfig, SimResult, System};
+use autorfm::{KernelKind, SimConfig, SimResult, System, TelemetryConfig};
 use autorfm_dram::RefreshPolicy;
 use autorfm_workloads::WorkloadSpec;
 
@@ -153,6 +154,40 @@ fn kernels_agree_across_controller_policies() {
                 "{workload} × {name} wrote nothing back"
             );
         }
+    }
+}
+
+/// Compute-heavy 8-core runs, where nearly every op is non-memory and the
+/// cores dispatch and retire them as runs, with a telemetry epoch short
+/// enough that many epochs close mid-run: both kernels must produce the same
+/// result and the same epoch series.
+#[test]
+fn kernels_agree_on_compute_heavy_eight_core_runs_with_telemetry() {
+    for workload in ["xz", "cam4"] {
+        let spec = WorkloadSpec::by_name(workload).expect("known workload");
+        let cfg = SimConfig::builder(spec)
+            .scenario(Scenario::AutoRfm { th: 4 })
+            .cores(8)
+            .instructions(200_000)
+            .seed(42)
+            .warmup_mem_ops(2_000)
+            .telemetry(TelemetryConfig {
+                epoch: Some(Cycle::from_ns(1_000)),
+                max_samples: None,
+            })
+            .build()
+            .expect("valid compute config");
+        let mut stepped = System::new(cfg.clone()).unwrap();
+        let mut event = System::new(cfg).unwrap();
+        let r_stepped = stepped.run_with(KernelKind::Stepped);
+        let r_event = event.run_with(KernelKind::Event);
+        let epochs = r_event.series.as_ref().map_or(0, |s| s.samples.len());
+        assert!(epochs > 8, "{workload}: only {epochs} epochs");
+        assert_eq!(
+            fingerprint(&r_stepped),
+            fingerprint(&r_event),
+            "SimResult diverged on {workload}"
+        );
     }
 }
 

@@ -25,7 +25,7 @@ fn llc_op(llc: &mut Llc, rng: &mut DetRng) -> (Option<AccessResult>, Option<Line
     match rng.gen_range(5) {
         0 => (Some(llc.access(line, false)), None),
         1 => (Some(llc.access(line, true)), None),
-        2 => (None, llc.fill(line)),
+        2 => (None, llc.fill(line, line.0 % 2 == 1)),
         3 => (None, llc.invalidate(line)),
         _ => {
             llc.mark_dirty(line);
