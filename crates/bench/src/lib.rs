@@ -3,8 +3,7 @@
 //! The experiment harness: every table/figure of the paper is a registered
 //! function in [`experiments::ALL`] (see DESIGN.md for the index), run in
 //! one process over one [`ResultCache`] by the `run_all` binary
-//! (`run_all --only <target>` runs one), plus Criterion micro-benchmarks
-//! (`benches/`).
+//! (`run_all --only <target>` runs one).
 //!
 //! Every run accepts the same flags ([`RunOpts::from_args`]):
 //!

@@ -131,9 +131,9 @@ impl Snapshot for QueuedReq {
 /// (its queues, holds, open row, mitigation counters, and own-command
 /// timings), so they stay valid until an event touches *that bank*; the
 /// shared, cross-bank terms — data-bus availability, rank tRRD/tFAW spacing,
-/// and the (rotating) next-REF bound — are folded in with O(1) arithmetic at
-/// query time by [`MemController::combine_cand`]. Every field is a timestamp
-/// or `Cycle::MAX` ("no such candidate"), so the mere passage of time never
+/// and the (rotating) next-REF bound — are folded in with O(1) arithmetic
+/// by [`MemController::live_wake`]. Every field is a timestamp or
+/// `Cycle::MAX` ("no such candidate"), so the mere passage of time never
 /// invalidates a cached entry.
 #[derive(Debug, Clone, Copy)]
 struct WakeCand {
@@ -192,10 +192,10 @@ pub struct MemController<M: MemoryMap> {
     t_m: Cycle,
     /// Cached bank-local wake candidates (see [`WakeCand`]), stored as four
     /// parallel per-field arrays indexed by bank rather than an array of
-    /// structs: the wake query and the tick's due filter sweep one field
-    /// class across many banks (their early skips touch only the three
-    /// candidate bases), so the SoA split keeps the hot sweep on contiguous
-    /// memory. Redundant state:
+    /// structs, next to the combined `wake_at` column: the wake query and
+    /// the tick's due filter sweep `wake_at` across many banks and read the
+    /// candidate columns only for the few banks they re-combine, so the SoA
+    /// split keeps the hot sweep on contiguous memory. Redundant state:
     /// rebuilt on restore, never serialized — as are the bank bitmasks below
     /// (one bit per bank, 64 banks per word).
     wake_fixed: Vec<Cycle>,
@@ -205,19 +205,27 @@ pub struct MemController<M: MemoryMap> {
     wake_hit_window_end: Vec<Cycle>,
     /// SoA column of [`WakeCand::act_local`].
     wake_act_local: Vec<Cycle>,
+    /// Each bank's combined wake: its candidates folded with the shared
+    /// terms as they stood when it was last combined ([`Cycle::MAX`] for a
+    /// bank with no candidate). The shared terms only ever move later while
+    /// the bank stays clean — the bus and rank ACT spacing are monotone, and
+    /// a bank's next-REF bound moves only when a REF dirties that bank — so
+    /// for a clean bank this is a lower bound on its live wake, and the bank
+    /// provably cannot act before it.
+    wake_at: Vec<Cycle>,
     /// Banks whose cached candidates must be recomputed before being
     /// trusted. Set only by events that change the *bank's own* state —
-    /// shared couplings (data bus, rank ACT spacing, the next-REF bound) are
-    /// read live when candidates are combined, so they never dirty anything.
+    /// shared couplings (data bus, rank ACT spacing, the next-REF bound) only
+    /// leave `wake_at` early, never late, so they never dirty anything.
     dirty_mask: Vec<u64>,
     /// Banks whose cached candidates contain at least one entry: a clear bit
-    /// (a clean idle bank) contributes nothing to the wake and is skipped
-    /// without so much as a load of its candidates.
+    /// (a clean idle bank, whose `wake_at` is `Cycle::MAX`) contributes
+    /// nothing to the wake and is skipped without a load of its columns.
     active_mask: Vec<u64>,
-    /// Lower bound on the earliest local wake base of any clean active bank:
-    /// no such bank can act before it. Set exactly by every `tick_event`
-    /// pass, lowered by every `refresh_wake`; a dirty bank is not covered,
-    /// which is why `tick_or_skip` also requires `dirty_mask` to be clear.
+    /// Lower bound on `wake_at` over the clean active banks: no such bank can
+    /// act before it. Set exactly by every `tick_event` pass, lowered by
+    /// every `refresh_wake`; a dirty bank is not covered, which is why
+    /// `tick_or_skip` also requires `dirty_mask` to be clear.
     due_floor: Cycle,
     /// Valid bit positions in the final mask word (banks beyond `num_banks`
     /// must never be set).
@@ -309,6 +317,7 @@ impl<M: MemoryMap> MemController<M> {
             wake_hit_local: vec![Cycle::MAX; n],
             wake_hit_window_end: vec![Cycle::MAX; n],
             wake_act_local: vec![Cycle::MAX; n],
+            wake_at: vec![Cycle::MAX; n],
             dirty_mask: vec![0; n.div_ceil(64)],
             active_mask: vec![0; n.div_ceil(64)],
             due_floor: Cycle::MAX,
@@ -453,13 +462,14 @@ impl<M: MemoryMap> MemController<M> {
     /// could act at `now`. It walks the set bits of `active_mask |
     /// dirty_mask` in round-robin order from `rr_start` (a clean inactive
     /// bank has no candidate of any kind), refreshes each dirty bank's
-    /// cached candidates on the spot, and skips every bank whose local base
-    /// `min(fixed, hit_local, act_local)` lies beyond `now`: the shared terms
-    /// (bus, tRRD/tFAW, next REF) only push candidates later, so
-    /// `service_bank` would provably return `false` there without touching
-    /// state. A serviced bank is refreshed straight away, so the pass leaves
-    /// every bank clean and recomputes `due_floor` — the earliest local base
-    /// left — for [`MemController::tick_or_skip`].
+    /// cached wake on the spot, and skips every bank whose combined
+    /// `wake_at` lies beyond `now`: that is a lower bound on the bank's live
+    /// wake, so `service_bank` would provably return `false` there without
+    /// touching state. A serviced bank is refreshed straight away; a bank
+    /// whose service fails kept its state, so only its shared terms are
+    /// re-read (the bus or rank ACT spacing another bank just took). The
+    /// pass leaves every bank clean and recomputes `due_floor` — the
+    /// earliest `wake_at` left — for [`MemController::tick_or_skip`].
     pub fn tick_event(&mut self, now: Cycle) {
         self.tick_refresh(now);
         let n = self.queues.len();
@@ -472,7 +482,7 @@ impl<M: MemoryMap> MemController<M> {
 
     /// The [`MemController::tick_event`] pass over banks `lo..hi`, in order:
     /// refreshes dirty banks and services the due ones. Returns the earliest
-    /// local base the walked banks hold afterwards.
+    /// `wake_at` the walked banks hold afterwards.
     fn tick_due_banks(&mut self, lo: usize, hi: usize, now: Cycle) -> Cycle {
         let mut floor = Cycle::MAX;
         for w in lo >> 6..hi.div_ceil(64) {
@@ -492,23 +502,17 @@ impl<M: MemoryMap> MemController<M> {
                 if (self.dirty_mask[w] >> (bi & 63)) & 1 != 0 {
                     self.refresh_wake(bi);
                 }
-                let mut local = self.local_wake(bi);
-                if local <= now && self.service_bank(BankId(bi as u16), now) {
-                    self.refresh_wake(bi);
-                    local = self.local_wake(bi);
+                if self.wake_at[bi] <= now {
+                    if self.service_bank(BankId(bi as u16), now) {
+                        self.refresh_wake(bi);
+                    } else {
+                        self.recombine(bi);
+                    }
                 }
-                floor = floor.min(local);
+                floor = floor.min(self.wake_at[bi]);
             }
         }
         floor
-    }
-
-    /// Bank `bi`'s cached local base: no shared term can make it act earlier.
-    #[inline]
-    fn local_wake(&self, bi: usize) -> Cycle {
-        self.wake_fixed[bi]
-            .min(self.wake_hit_local[bi])
-            .min(self.wake_act_local[bi])
     }
 
     /// Shared tick prologue: advances the device (REF / refresh-window
@@ -562,8 +566,10 @@ impl<M: MemoryMap> MemController<M> {
     /// Quiet means no cached candidate is stale (`dirty_mask` zero — a dirty
     /// bank *might* have work, so it forces a real tick rather than a
     /// recompute here), no clean bank is due (`now < due_floor`: every
-    /// active bank's local base lies beyond `now`, so the tick's due filter
-    /// would skip them all), and the device's next self-scheduled
+    /// active bank's `wake_at` lies beyond `now`, so the tick's due filter
+    /// would skip them all — also when a bank's own timing has passed and
+    /// only the data bus or rank ACT spacing still holds it), and the
+    /// device's next self-scheduled
     /// REF/refresh-window event lies beyond `now`. Under those conditions a
     /// tick could issue no command, produce no response, and move no device
     /// state — the same contract that lets the event kernel leap over such
@@ -580,9 +586,9 @@ impl<M: MemoryMap> MemController<M> {
         true
     }
 
-    /// Recomputes and caches bank `bi`'s local wake candidates, clearing its
-    /// dirty bit, maintaining its active bit and folding its local base into
-    /// `due_floor`.
+    /// Recomputes and caches bank `bi`'s local wake candidates and its
+    /// combined `wake_at`, clearing its dirty bit, maintaining its active bit
+    /// and folding `wake_at` into `due_floor`.
     fn refresh_wake(&mut self, bi: usize) {
         let cand = self.bank_wake_cand(BankId(bi as u16));
         let active = cand.fixed != Cycle::MAX
@@ -596,10 +602,23 @@ impl<M: MemoryMap> MemController<M> {
         self.dirty_mask[w] &= !bit;
         if active {
             self.active_mask[w] |= bit;
-            self.due_floor = self.due_floor.min(self.local_wake(bi));
+            let wake = self.recombine(bi);
+            self.due_floor = self.due_floor.min(wake);
         } else {
             self.active_mask[w] &= !bit;
+            self.wake_at[bi] = Cycle::MAX;
         }
+    }
+
+    /// Re-folds bank `bi`'s cached candidates with the live shared terms,
+    /// stores the result as its `wake_at` and returns it. Only ever raises a
+    /// clean bank's `wake_at` (the shared terms move one way), so any
+    /// `due_floor` taken before stays a lower bound.
+    #[inline]
+    fn recombine(&mut self, bi: usize) -> Cycle {
+        let wake = self.live_wake(bi);
+        self.wake_at[bi] = wake;
+        wake
     }
 
     /// Derives bank `bank`'s [`WakeCand`] from current state. Mirrors the
@@ -751,39 +770,25 @@ impl<M: MemoryMap> MemController<M> {
     /// ticking.
     ///
     /// The wake is *cached*, not recomputed: every bank keeps its last
-    /// derived bank-local candidates in the `wake_*` SoA columns, and only banks whose
-    /// own state changed since (tracked in `dirty_mask` — see DESIGN.md "The
-    /// clocking contract" for the invalidation rules) are recomputed here;
+    /// derived bank-local candidates in the `wake_*` SoA columns and their
+    /// combination with the shared terms in `wake_at`, and only banks whose
+    /// own state changed since (tracked in `dirty_mask` — see DESIGN.md
+    /// "Cached wakes and invalidation rules") are recomputed here;
     /// [`MemController::tick_event`] refreshes them too, so few are left.
     /// The shared couplings — data-bus availability, rank tRRD/tFAW spacing,
-    /// the rotating next-REF bound — never dirty anything: they are read
-    /// live and folded into each bank's candidates with O(1) arithmetic by
-    /// `MemController::combine_cand`. The query is therefore an
-    /// O(dirty-banks) refresh plus an O(banks) arithmetic min, instead of a
-    /// full rescan of every bank queue.
+    /// the rotating next-REF bound — never dirty anything: they only move a
+    /// clean bank's live wake later, so its `wake_at` stays a lower bound. A
+    /// bank whose `wake_at` already reaches the running minimum cannot lower
+    /// it and is passed over; any other is re-combined live
+    /// (`MemController::live_wake`). The query is therefore an
+    /// O(dirty-banks) refresh plus an O(banks) min, instead of a full rescan
+    /// of every bank queue, and it equals that rescan exactly.
     pub fn next_event_at(&mut self, now: Cycle) -> Cycle {
         // The device's REF / refresh-window boundaries are global wakes: they
         // must be ticked on time so REF processing, RAA credits, and audit
         // windows land on the same step as under per-step ticking. They are
         // O(1) state reads on the device, so they are not cached here.
         let mut wake = self.device.next_event_at(now).unwrap_or(Cycle::MAX);
-        let n = self.queues.len();
-        // Next-REF bound, precomputed to match `DramDevice::bank_next_ref`
-        // bank-by-bank without per-bank divisions.
-        let next_ref = self.device.next_ref_at();
-        let per_bank_ref = self.per_bank_ref;
-        let ref_slice = self.ref_slice;
-        let ref_cursor = if per_bank_ref {
-            self.device.ref_cursor() as usize % n
-        } else {
-            0
-        };
-        // Shared rank/bus terms, refetched at sub-channel boundaries (the
-        // rank and sub-channel partitions coincide: both split the banks in
-        // half).
-        let half = (self.banks_per_subch as usize).min(n);
-        let mut seg_end = 0usize;
-        let (mut rank_act, mut bus_free) = (Cycle::ZERO, Cycle::ZERO);
         // Only banks that are active (have candidates) or dirty (might) can
         // contribute: everything else is a clean idle bank, skipped a word
         // (64 banks) at a time.
@@ -793,63 +798,58 @@ impl<M: MemoryMap> MemController<M> {
                 let bi = (w << 6) + m.trailing_zeros() as usize;
                 m &= m - 1;
                 if (self.dirty_mask[w] >> (bi & 63)) & 1 != 0 {
+                    // Refreshing combines against the live terms: exact.
                     self.refresh_wake(bi);
-                    if (self.active_mask[w] >> (bi & 63)) & 1 == 0 {
-                        continue;
-                    }
+                    wake = wake.min(self.wake_at[bi]);
+                } else if self.wake_at[bi] < wake {
+                    wake = wake.min(self.recombine(bi));
                 }
-                // Shared terms only push candidates later (or disqualify
-                // them), so `combine_cand` can never return less than the
-                // bare minimum of the local bases: banks that cannot improve
-                // the running minimum are skipped before any shared-term
-                // arithmetic, touching only the three SoA base columns.
-                if self.local_wake(bi) >= wake {
-                    continue;
-                }
-                if bi >= seg_end {
-                    let seg = bi / half;
-                    seg_end = (seg + 1) * half;
-                    rank_act = self.device.earliest_act_rank(BankId(bi as u16));
-                    bus_free = self.bus_free[self.subch_of(BankId(bi as u16))];
-                }
-                let bank_ref = if per_bank_ref {
-                    let mut ahead = bi + n - ref_cursor;
-                    if ahead >= n {
-                        ahead -= n;
-                    }
-                    next_ref + ref_slice * ahead as u64
-                } else {
-                    next_ref
-                };
-                wake = wake.min(self.combine_cand(bi, rank_act, bus_free, bank_ref));
             }
         }
         wake
     }
 
-    /// Folds the live shared terms into a bank's cached local candidates:
-    /// the data-bus free time and rank ACT spacing push candidate bases
-    /// later; the bank's next-REF bound disqualifies candidates whose data
-    /// phase would collide with it. Exactly mirrors the eligibility checks
-    /// of [`MemController::fresh_bank_next_event`].
+    /// Folds the live shared terms into bank `bi`'s cached local
+    /// candidates: the data-bus free time and rank ACT spacing push
+    /// candidate bases later; the bank's next-REF bound disqualifies
+    /// candidates whose data phase would collide with it. Exactly mirrors
+    /// the eligibility checks of [`MemController::fresh_bank_next_event`].
+    /// Each shared term is read only when a candidate needs it.
     #[inline]
-    fn combine_cand(&self, bi: usize, rank_act: Cycle, bus_free: Cycle, bank_ref: Cycle) -> Cycle {
+    fn live_wake(&self, bi: usize) -> Cycle {
+        let bank = BankId(bi as u16);
         let mut wake = self.wake_fixed[bi];
         let hit_local = self.wake_hit_local[bi];
         if hit_local != Cycle::MAX {
-            let t = hit_local.max(bus_free);
-            if t <= self.wake_hit_window_end[bi] && t + self.t_data <= bank_ref {
+            let t = hit_local.max(self.bus_free[self.subch_of(bank)]);
+            if t <= self.wake_hit_window_end[bi] && t + self.t_data <= self.bank_ref(bi) {
                 wake = wake.min(t);
             }
         }
         let act_local = self.wake_act_local[bi];
         if act_local != Cycle::MAX {
-            let t = act_local.max(rank_act);
-            if t + self.t_act_data <= bank_ref {
+            let t = act_local.max(self.device.earliest_act_rank(bank));
+            if t + self.t_act_data <= self.bank_ref(bi) {
                 wake = wake.min(t);
             }
         }
         wake
+    }
+
+    /// Bank `bi`'s next REF: [`DramDevice::bank_next_ref`] from the
+    /// controller's hoisted `ref_slice`, without its per-call division.
+    #[inline]
+    fn bank_ref(&self, bi: usize) -> Cycle {
+        let next_ref = self.device.next_ref_at();
+        if !self.per_bank_ref {
+            return next_ref;
+        }
+        let n = self.queues.len();
+        let mut ahead = bi + n - self.device.ref_cursor() as usize % n;
+        if ahead >= n {
+            ahead -= n;
+        }
+        next_ref + self.ref_slice * ahead as u64
     }
 
     /// Test oracle: the same wake computed from scratch, bypassing both the
@@ -1077,8 +1077,8 @@ impl<M: MemoryMap> MemController<M> {
             if let Some(pos) = pos {
                 let col_ready = now >= self.device.earliest_col(bank);
                 let bus_ready = self.bus_free[sub] <= now;
-                let transfer_done = now + self.timings.t_cl + self.timings.t_burst;
-                let before_ref = transfer_done <= self.device.bank_next_ref(bank);
+                let transfer_done = now + self.t_data;
+                let before_ref = transfer_done <= self.bank_ref(bi);
                 if col_ready && bus_ready && before_ref {
                     let req = if from_writes {
                         self.wqueues[bi].remove(pos).expect("position valid")
@@ -1160,8 +1160,7 @@ impl<M: MemoryMap> MemController<M> {
             return false;
         }
         // Do not start a service whose data phase would collide with REF.
-        let service_end = now + self.timings.t_rcd + self.timings.t_cl + self.timings.t_burst;
-        if service_end > self.device.bank_next_ref(bank) {
+        if now + self.t_act_data > self.bank_ref(bi) {
             return false;
         }
         let row = if from_writes {
@@ -1821,6 +1820,234 @@ mod tests {
         assert_eq!(Some(wake), m.device().next_event_at(now), "a bank is due");
         assert!(wake > now + STEP, "the next REF is due next step");
         assert!(m.tick_or_skip(now + STEP), "a quiet tick was not elided");
+    }
+
+    /// Two banks on one sub-channel each get a row-buffer hit at the same
+    /// step. The first takes the data bus; the second is then due by its
+    /// own timing but held only by the bus, which must not force a tick on
+    /// the steps until the burst ends. Eliding them leaves the controller
+    /// bitwise identical to a twin ticked step by step.
+    #[test]
+    fn a_bank_waiting_only_on_the_bus_does_not_force_a_tick() {
+        let open_page = || {
+            let geometry = Geometry::small();
+            let device = DramDevice::new(
+                DramConfig {
+                    geometry,
+                    ..DramConfig::default()
+                },
+                5,
+            )
+            .unwrap();
+            let cfg = McConfig {
+                page_policy: PagePolicy::Open,
+                ..McConfig::default()
+            };
+            MemController::new(ZenMap::new(geometry).unwrap(), device, cfg)
+        };
+        let (mut m, mut twin) = (open_page(), open_page());
+        assert_eq!(m.subch_of(BankId(0)), m.subch_of(BankId(1)));
+        let read = |m: &MemController<ZenMap>, id: u64, bank: u16| MemRequest {
+            id,
+            core: 0,
+            line: m.map().line_of(autorfm_mapping::Location {
+                bank: BankId(bank),
+                row: RowAddr(5),
+                col: id as u32,
+            }),
+            is_write: false,
+        };
+        // One step of each controller: `true` when `m` elided it.
+        let step = |m: &mut MemController<ZenMap>, twin: &mut MemController<ZenMap>, now| {
+            twin.tick(now);
+            let elided = m.tick_or_skip(now);
+            if !elided {
+                m.tick_event(now);
+            }
+            assert_eq!(m.take_responses(), twin.take_responses());
+            elided
+        };
+        let mut now = Cycle::ZERO;
+        // Open row 5 in banks 0 and 1; the open-page policy keeps it open.
+        for (id, bank) in [(0, 0), (1, 1)] {
+            assert!(m.enqueue(read(&m, id, bank), now) && twin.enqueue(read(&twin, id, bank), now));
+        }
+        for _ in 0..200 {
+            now += STEP;
+            step(&mut m, &mut twin, now);
+        }
+        assert!(m.is_idle() && m.device().open_row(BankId(0)).is_some());
+        assert!(m.device().open_row(BankId(1)).is_some());
+        // A hit to each open row, queued at the same step.
+        for (id, bank) in [(2, 0), (3, 1)] {
+            assert!(m.enqueue(read(&m, id, bank), now) && twin.enqueue(read(&twin, id, bank), now));
+        }
+        now += STEP;
+        assert!(!step(&mut m, &mut twin, now));
+        assert_eq!(m.stats().row_hits.get(), 1, "one hit takes the bus");
+        let waiting = if m.queues[0].is_empty() { 1 } else { 0 };
+        now += STEP;
+        assert!(
+            m.wake_hit_local[waiting] <= now,
+            "the waiting bank is due locally"
+        );
+        assert!(m.bus_free[0] > now, "the burst still holds the bus");
+        assert!(
+            step(&mut m, &mut twin, now),
+            "a step with only a bus wait was ticked"
+        );
+        while !m.is_idle() {
+            now += STEP;
+            step(&mut m, &mut twin, now);
+        }
+        assert_eq!(m.stats().row_hits.get(), 2);
+        let bytes = |m: &MemController<ZenMap>| {
+            let mut w = Writer::new();
+            m.snapshot_state(&mut w);
+            w.bytes().to_vec()
+        };
+        assert_eq!(bytes(&m), bytes(&twin));
+    }
+
+    /// A controller from the wake-cache sweep (`tests/wake_cache.rs`): the
+    /// five `bits` pick open page, per-request retry, per-bank REF, PRAC
+    /// (else AutoRFM) and buffered writes.
+    fn swept(bits: u8, seed: u64) -> MemController<ZenMap> {
+        let bit = |i: u32| (bits >> i) & 1 != 0;
+        let geometry = Geometry::small();
+        let dram = DramConfig {
+            geometry,
+            mitigation: if bit(3) {
+                DeviceMitigation::Prac {
+                    abo_threshold: 4,
+                    policy: autorfm_mitigation::MitigationKind::Fractal,
+                }
+            } else {
+                DeviceMitigation::auto_rfm(4)
+            },
+            timings: if bit(3) {
+                DramTimings::ddr5_prac()
+            } else {
+                DramTimings::ddr5()
+            },
+            refresh: if bit(2) {
+                autorfm_dram::RefreshPolicy::PerBank
+            } else {
+                autorfm_dram::RefreshPolicy::AllBank
+            },
+            ..DramConfig::default()
+        };
+        let cfg = McConfig {
+            page_policy: if bit(0) {
+                PagePolicy::Open
+            } else {
+                PagePolicy::ClosedWithinTras
+            },
+            retry: if bit(1) {
+                RetryPolicy::PerRequest
+            } else {
+                RetryPolicy::WholeBank
+            },
+            write_policy: if bit(4) {
+                WritePolicy::Buffered {
+                    capacity: 8,
+                    high: 6,
+                    low: 2,
+                }
+            } else {
+                WritePolicy::Inline
+            },
+            queue_capacity: 8,
+            ..McConfig::default()
+        };
+        let device = DramDevice::new(dram, seed).unwrap();
+        MemController::new(ZenMap::new(geometry).unwrap(), device, cfg)
+    }
+
+    /// The invariant behind the due filter and the wake query's pass-over:
+    /// every clean bank's cached `wake_at` is at most its fresh wake, and a
+    /// clean bank outside `active_mask` (which both walks skip) holds
+    /// `Cycle::MAX`.
+    fn check_wake_bounds(m: &MemController<ZenMap>) -> Result<(), String> {
+        for bi in 0..m.queues.len() {
+            let bit = |mask: &[u64]| (mask[bi >> 6] >> (bi & 63)) & 1 != 0;
+            if bit(&m.dirty_mask) {
+                continue;
+            }
+            let fresh = m.fresh_bank_next_event(BankId(bi as u16));
+            let cached = m.wake_at[bi];
+            if cached > fresh.unwrap_or(Cycle::MAX) {
+                return Err(format!("bank {bi}: wake_at {cached:?} > fresh {fresh:?}"));
+            }
+            if !bit(&m.active_mask) && cached != Cycle::MAX {
+                return Err(format!("inactive bank {bi}: wake_at {cached:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Drives the sweep's configurations with enqueues, event-kernel
+        /// steps (`tick_or_skip`, then `tick_event`), stepped ticks, long
+        /// jumps, wake queries and drains, and checks the cached wakes after
+        /// every one of them; each query must equal the full scan.
+        #[test]
+        fn cached_wake_at_is_a_lower_bound_after_every_op(
+            bits in 0u8..32,
+            seed in 0u64..1000,
+            op_seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut m = swept(bits, seed);
+            let lines = m.device().config().geometry.total_lines();
+            let mut rng = autorfm_sim_core::DetRng::seeded(op_seed);
+            let mut now = Cycle::from_ns(50);
+            for id in 0..150u64 {
+                match rng.gen_range(12) {
+                    0..=3 => {
+                        let req = MemRequest {
+                            id,
+                            core: 0,
+                            line: LineAddr(rng.next_u64() % lines),
+                            is_write: rng.gen_bool(0.3),
+                        };
+                        let _ = m.enqueue(req, now);
+                    }
+                    4..=7 => {
+                        for _ in 0..=rng.gen_range(8) {
+                            now += STEP;
+                            if !m.tick_or_skip(now) {
+                                m.tick_event(now);
+                            }
+                        }
+                    }
+                    8 => {
+                        now += STEP;
+                        m.tick(now);
+                    }
+                    9 => {
+                        now += Cycle::from_ns(100 + rng.gen_range(7900));
+                        m.tick_event(now);
+                    }
+                    10 => {
+                        // After event ticks (the wake_cache.rs sweep queries
+                        // after stepped ones), the query is still exact.
+                        let fresh = m.fresh_next_event_at(now);
+                        proptest::prop_assert_eq!(m.next_event_at(now), fresh);
+                    }
+                    _ => {
+                        let _ = m.take_responses();
+                    }
+                }
+                let checked = check_wake_bounds(&m);
+                proptest::prop_assert!(
+                    checked.is_ok(),
+                    "{} after op {} [bits={}, seed={}, op_seed={}]",
+                    checked.unwrap_err(), id, bits, seed, op_seed
+                );
+            }
+        }
     }
 
     /// Snapshots `forge(controller)` and restores it into a fresh one.

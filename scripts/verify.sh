@@ -30,11 +30,13 @@ echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors) =="
 # (or a public doc linking a private item) fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== cargo build --release --workspace =="
-cargo build --release --workspace
+echo "== cargo build --release --workspace --locked =="
+# --locked here and below: a dependency edit that would rewrite the committed
+# Cargo.lock fails instead of silently changing it.
+cargo build --release --workspace --locked
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --locked =="
+cargo test -q --locked
 
 echo "== perfbench builds against the workspace, lockfile untouched =="
 # perfbench (the repository benchmark) is a separate package with its own
