@@ -4,11 +4,12 @@
 //!
 //! ```text
 //! snapshot_tool inspect <file>
-//!     Print kind, format version, payload size, and digest.
+//!     Print kind, format version, payload size, the payload digest (FNV-1a,
+//!     the identity) and the verified trailer checksum (XXH64, integrity).
 //!
 //! snapshot_tool digest <file>
-//!     Print the 64-bit payload digest as 16 hex digits (the golden-test
-//!     fingerprint) and nothing else.
+//!     Print the 64-bit FNV-1a payload digest as 16 hex digits (the
+//!     golden-test fingerprint) and nothing else.
 //!
 //! snapshot_tool diff <a> <b>
 //!     Compare two snapshot files. Exit 0 when the payloads are identical,
@@ -37,9 +38,10 @@ type Out<'a> = std::io::BufWriter<std::io::StdoutLock<'a>>;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: snapshot_tool inspect <file>\n\
-         \x20      snapshot_tool digest <file>\n\
-         \x20      snapshot_tool diff <a> <b>"
+        "usage: snapshot_tool inspect <file>   kind, version, size, digest, checksum\n\
+         \x20      snapshot_tool digest <file>    payload digest (FNV-1a, the identity)\n\
+         \x20      snapshot_tool diff <a> <b>     compare two payloads\n\
+         the trailer checksum (XXH64) covers header and payload; open verifies it"
     );
     ExitCode::from(2)
 }
@@ -66,6 +68,7 @@ fn inspect(out: &mut Out, path: &str) -> Result<(), Stop> {
     writeln!(out, "version   : {}", c.version)?;
     writeln!(out, "payload   : {} bytes", c.payload.len())?;
     writeln!(out, "digest    : {:016x}", c.digest())?;
+    writeln!(out, "checksum  : {:016x} (xxh64, ok)", c.checksum)?;
     Ok(())
 }
 

@@ -377,6 +377,10 @@ impl Daemon {
     /// abandoned (they resume from the store on the next start).
     pub fn request_shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Take the state lock before notifying: a worker that read the flag
+        // as false under it is then already waiting, and wakes; notified
+        // between its check and its wait, it would sleep forever.
+        drop(self.inner.state.lock().expect("state lock"));
         self.inner.work_ready.notify_all();
     }
 

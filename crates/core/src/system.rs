@@ -19,6 +19,12 @@ use autorfm_workloads::WorkloadGen;
 const STEP: Cycle = Cycle::new(4);
 const CPU_CYCLES_PER_STEP: u32 = 4;
 
+/// How long the machine may run with no unfinished core retiring an
+/// instruction before the run loop panics: 2^22 ns, about 1,000 tREFI and
+/// far above any legitimate stall. A machine that stops retiring has lost a
+/// wake or a request, and would otherwise spin forever.
+const WATCHDOG_NS: u64 = 1 << 22;
+
 /// Which simulation loop drives the machine.
 ///
 /// Both kernels execute the *same* per-step transition ([`System::run_steps`]
@@ -118,6 +124,11 @@ pub struct System {
     /// and leapt over.
     steps_executed: u64,
     steps_skipped: u64,
+    /// Progress watchdog (diagnostic, never snapshotted): the cycle at which
+    /// [`System::watchdog`] next checks, `ZERO` until it is armed, and the
+    /// cores' summed retired count at its last check.
+    watchdog_at: Cycle,
+    watchdog_retired: u64,
 }
 
 impl core::fmt::Debug for System {
@@ -152,23 +163,7 @@ impl System {
         uncore: Uncore,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let map: Box<dyn MemoryMap> = match cfg.mapping {
-            MappingKind::Zen => Box::new(ZenMap::new(cfg.geometry)?),
-            MappingKind::Rubix { key } => Box::new(RubixMap::new(cfg.geometry, key)?),
-            MappingKind::Linear => Box::new(LinearMap::new(cfg.geometry)?),
-        };
-        let device = DramDevice::new(
-            DramConfig {
-                geometry: cfg.geometry,
-                timings: cfg.timings.clone(),
-                mitigation: cfg.mitigation,
-                audit: cfg.audit,
-                trace_capacity: cfg.trace_capacity,
-                refresh: cfg.refresh,
-            },
-            cfg.seed,
-        )?;
-        let mc = MemController::new(map, device, cfg.mc);
+        let mc = controller(&cfg)?;
         let line_mask = cfg.geometry.total_lines() - 1;
         let cores = (0..cfg.num_cores)
             .map(|i| Core::new(i, cfg.core_params))
@@ -194,6 +189,8 @@ impl System {
             telemetry,
             steps_executed: 0,
             steps_skipped: 0,
+            watchdog_at: Cycle::ZERO,
+            watchdog_retired: 0,
         })
     }
 
@@ -243,6 +240,9 @@ impl System {
     pub fn run_steps_with(&mut self, max_steps: u64, kernel: KernelKind) -> Option<SimResult> {
         let mut remaining = max_steps;
         while remaining > 0 {
+            if self.now >= self.watchdog_at {
+                self.watchdog();
+            }
             let done = self.step_once(kernel);
             self.steps_executed += 1;
             if done {
@@ -258,6 +258,22 @@ impl System {
             }
         }
         None
+    }
+
+    /// Arms the progress watchdog, or panics if no core has retired an
+    /// instruction since it last ran, [`WATCHDOG_NS`] or more ago. Finished
+    /// cores no longer retire, so a grown sum means an unfinished core made
+    /// progress. Runs once per window, not per step: the run loop only
+    /// compares the clock with `watchdog_at`.
+    fn watchdog(&mut self) {
+        let retired = self.cores.iter().map(Core::retired).sum();
+        assert!(
+            self.watchdog_at == Cycle::ZERO || retired != self.watchdog_retired,
+            "cycle {}: no core retired for {WATCHDOG_NS} ns (lost wake?)",
+            self.now.raw()
+        );
+        self.watchdog_retired = retired;
+        self.watchdog_at = self.now + Cycle::new(STEP.raw() * WATCHDOG_NS);
     }
 
     /// How many upcoming steps (at most `cap`) are provably no-ops for every
@@ -682,6 +698,27 @@ impl System {
     }
 }
 
+/// A fresh memory controller, with its mapping and DRAM device, for `cfg`.
+fn controller(cfg: &SimConfig) -> Result<MemController<Box<dyn MemoryMap>>, ConfigError> {
+    let map: Box<dyn MemoryMap> = match cfg.mapping {
+        MappingKind::Zen => Box::new(ZenMap::new(cfg.geometry)?),
+        MappingKind::Rubix { key } => Box::new(RubixMap::new(cfg.geometry, key)?),
+        MappingKind::Linear => Box::new(LinearMap::new(cfg.geometry)?),
+    };
+    let device = DramDevice::new(
+        DramConfig {
+            geometry: cfg.geometry,
+            timings: cfg.timings.clone(),
+            mitigation: cfg.mitigation,
+            audit: cfg.audit,
+            trace_capacity: cfg.trace_capacity,
+            refresh: cfg.refresh,
+        },
+        cfg.seed,
+    )?;
+    Ok(MemController::new(map, device, cfg.mc))
+}
+
 /// Each core's workload stream as construction leaves it, before warmup.
 fn fresh_streams(cfg: &SimConfig) -> Vec<WorkloadGen> {
     (0..cfg.num_cores)
@@ -1084,6 +1121,30 @@ mod tests {
             .unwrap();
         let sys = System::new(traced).unwrap();
         assert!(sys.snapshot().is_err());
+    }
+
+    #[test]
+    fn watchdog_trips_when_a_lost_request_stops_every_core() {
+        let spec = WorkloadSpec::by_name("mcf").unwrap();
+        let cfg = SimConfig::builder(spec)
+            .cores(2)
+            .instructions(50_000)
+            .build()
+            .unwrap();
+        let mut sys = System::new(cfg).unwrap();
+        assert!(sys.run_steps(2_000).is_none());
+        assert!(sys.uncore.outstanding_misses() > 0);
+        // A controller that lost every queued and in-flight request: the
+        // cores' waiting loads never complete, so their ROBs never drain.
+        sys.mc = controller(&sys.cfg).unwrap();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run()))
+            .expect_err("a machine that stops retiring must not run forever");
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            msg.starts_with("cycle ")
+                && msg.ends_with(": no core retired for 4194304 ns (lost wake?)"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -16,16 +16,20 @@
 //!   states always produce equal bytes (and therefore equal digests).
 //!
 //! On-disk snapshots are wrapped in a [`seal`]ed container: a magic number,
-//! a format version, a payload kind, the payload, and a trailing [FNV-1a]
-//! digest of everything before it. [`open`] verifies all four, so truncated
-//! or corrupted checkpoint files are rejected with a clear error instead of
-//! yielding garbage state.
+//! a format version, a payload kind, the payload, and a trailing [XXH64]
+//! checksum ([`checksum64`]) of everything before it. [`open`] verifies all
+//! four, so truncated or corrupted checkpoint files are rejected with a clear
+//! error instead of yielding garbage state.
 //!
-//! The digest doubles as the repo's *state fingerprint*: golden tests pin
-//! `digest64` of a snapshot taken after a seeded run, which catches both
-//! nondeterminism and accidental format drift in one assertion (see
+//! The crate has two hashes with two jobs. [`checksum64`] is the integrity
+//! check: word-parallel, it never leaves the container, so it can change
+//! with the format version. [`digest64`] ([FNV-1a]) is the *identity*: golden
+//! tests pin `digest64` of a snapshot payload taken after a seeded run, which
+//! catches both nondeterminism and accidental format drift in one assertion,
+//! and every store key is built from it, so its values never change (see
 //! DESIGN.md, "Snapshot format").
 //!
+//! [XXH64]: https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md
 //! [FNV-1a]: http://www.isthe.com/chongo/tech/comp/fnv/
 //!
 //! # Examples
@@ -57,8 +61,9 @@ pub const MAGIC: [u8; 4] = *b"ARFM";
 
 /// Current snapshot format version. Bump on any incompatible layout change;
 /// [`open`] rejects mismatched versions (no cross-version migration — see
-/// DESIGN.md for the compatibility policy).
-pub const FORMAT_VERSION: u16 = 1;
+/// DESIGN.md for the compatibility policy). Version 2 seals with the
+/// [`checksum64`] trailer; version 1 sealed with [`digest64`].
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Payload kind: a full mid-run [`System`](https://docs.rs) checkpoint.
 pub const KIND_SYSTEM: u8 = 0;
@@ -95,7 +100,7 @@ pub enum SnapError {
     Eof,
     /// The bytes decoded to an impossible value (bad tag, unknown name, …).
     Corrupt(String),
-    /// A sealed container failed validation (magic / version / digest).
+    /// A sealed container failed validation (magic / version / checksum).
     BadContainer(String),
 }
 
@@ -466,8 +471,10 @@ impl<A: Snapshot, B: Snapshot> Snapshot for (A, B) {
     }
 }
 
-/// 64-bit FNV-1a hash of `bytes` — the snapshot digest. Stable across
-/// platforms and releases; golden tests pin its value for seeded runs.
+/// 64-bit FNV-1a hash of `bytes` — the snapshot digest, the identity of a
+/// state or a configuration. Stable across platforms and releases; golden
+/// tests pin its value for seeded runs, and every store key is built from
+/// it. Byte-serial: [`open`] checks containers with [`checksum64`] instead.
 pub fn digest64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -477,6 +484,75 @@ pub fn digest64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// XXH64 of `bytes` with seed 0 — the container trailer [`seal`] writes and
+/// [`open`] verifies. Four independent 64-bit lanes over 32-byte stripes, so
+/// it runs at memory speed where the byte-serial [`digest64`] does not. An
+/// integrity check only: it never leaves the container, and nothing pins
+/// its values but the published test vectors.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+    const P5: u64 = 0x27d4_eb2f_1656_67c5;
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    }
+    fn merge(h: u64, acc: u64) -> u64 {
+        (h ^ round(0, acc)).wrapping_mul(P1).wrapping_add(P4)
+    }
+    fn word(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b[..8].try_into().unwrap())
+    }
+    let stripes = bytes.chunks_exact(32);
+    let mut tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut acc = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (lane, b) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = round(*lane, word(b));
+            }
+        }
+        let [a, b, c, d] = acc;
+        let h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        acc.iter().fold(h, |h, &lane| merge(h, lane))
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while tail.len() >= 8 {
+        h = (h ^ round(0, word(tail)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let w = u32::from_le_bytes(tail[..4].try_into().unwrap());
+        h = (h ^ u64::from(w).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// A validated, opened snapshot container, borrowing its payload from the
@@ -489,19 +565,21 @@ pub struct Container<'a> {
     pub version: u16,
     /// The payload bytes.
     pub payload: &'a [u8],
+    /// The trailer [`open`] verified: [`checksum64`] of header and payload.
+    pub checksum: u64,
 }
 
 impl Container<'_> {
-    /// FNV-1a digest of the payload: the state fingerprint golden tests pin
-    /// (not the trailer, which covers header and payload). Computed on
-    /// demand, so [`open`] pays for one digest pass, not two.
+    /// FNV-1a [`digest64`] of the payload: the state fingerprint golden
+    /// tests pin (not the [`checksum64`] trailer, which covers header and
+    /// payload). Computed on demand, never by [`open`].
     pub fn digest(&self) -> u64 {
         digest64(self.payload)
     }
 }
 
 /// Wraps `payload` in a sealed container: magic, version, kind, length,
-/// payload, digest.
+/// payload, [`checksum64`] trailer.
 pub fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 23);
     out.extend_from_slice(&MAGIC);
@@ -509,8 +587,8 @@ pub fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
     out.push(kind);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    let digest = digest64(&out);
-    out.extend_from_slice(&digest.to_le_bytes());
+    let checksum = checksum64(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -519,7 +597,7 @@ pub fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`SnapError::BadContainer`] on a wrong magic number, an
-/// unsupported format version, a truncated payload, or a digest mismatch.
+/// unsupported format version, a truncated payload, or a checksum mismatch.
 pub fn open(bytes: &[u8]) -> Result<Container<'_>, SnapError> {
     if bytes.len() < 23 {
         return Err(SnapError::BadContainer(format!(
@@ -547,16 +625,17 @@ pub fn open(bytes: &[u8]) -> Result<Container<'_>, SnapError> {
         )));
     }
     let stored = u64::from_le_bytes(bytes[15 + len..].try_into().unwrap());
-    let actual = digest64(&bytes[..15 + len]);
+    let actual = checksum64(&bytes[..15 + len]);
     if stored != actual {
         return Err(SnapError::BadContainer(format!(
-            "digest mismatch (stored {stored:#018x}, computed {actual:#018x})"
+            "checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
         )));
     }
     Ok(Container {
         kind,
         version,
         payload: &bytes[15..15 + len],
+        checksum: stored,
     })
 }
 
@@ -634,6 +713,7 @@ mod tests {
         assert_eq!(c.version, FORMAT_VERSION);
         assert_eq!(c.payload, &payload[..]);
         assert_eq!(c.digest(), digest64(&payload));
+        assert_eq!(c.checksum, checksum64(&sealed[..sealed.len() - 8]));
     }
 
     #[test]
@@ -667,7 +747,7 @@ mod tests {
     #[test]
     fn corrupt_containers_are_rejected() {
         let sealed = seal(KIND_SYSTEM, b"payload");
-        // Flip a payload byte: digest mismatch.
+        // Flip a payload byte: checksum mismatch.
         let mut bad = sealed.clone();
         bad[16] ^= 1;
         assert!(matches!(open(&bad), Err(SnapError::BadContainer(_))));
@@ -686,6 +766,67 @@ mod tests {
         assert!(matches!(open(&bad), Err(SnapError::BadContainer(_))));
         // Empty file.
         assert!(matches!(open(&[]), Err(SnapError::BadContainer(_))));
+    }
+
+    /// A container as format version 1 sealed it: the v2 layout with
+    /// version 1 and a [`digest64`] trailer.
+    pub(crate) fn seal_v1(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&1u16.to_le_bytes());
+        out.push(kind);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        let digest = digest64(&out);
+        out.extend_from_slice(&digest.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn checksum_matches_xxh64_vectors() {
+        // Published XXH64 (seed 0) vectors; the last is 39 bytes, so it
+        // runs one 32-byte stripe through the four lanes, then the tail.
+        assert_eq!(checksum64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(checksum64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(checksum64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            checksum64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_is_rejected() {
+        // Payloads of 0..=40 bytes cover every tail length (8-, 4- and
+        // 1-byte steps) with and without a full 32-byte stripe.
+        for n in 0..=40u8 {
+            let payload: Vec<u8> = (0..n)
+                .map(|i| i.wrapping_mul(37).wrapping_add(11))
+                .collect();
+            let sealed = seal(KIND_CELL, &payload);
+            assert_eq!(open(&sealed).unwrap().payload, &payload[..]);
+            for bit in 0..sealed.len() * 8 {
+                let mut bad = sealed.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(open(&bad).is_err(), "{n}-byte payload, bit {bit} flipped");
+            }
+            for cut in 0..sealed.len() {
+                assert!(
+                    open(&sealed[..cut]).is_err(),
+                    "{n}-byte payload cut at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn version_1_containers_are_refused_by_version() {
+        let v1 = seal_v1(KIND_CELL, b"an old record");
+        assert_eq!(
+            open(&v1),
+            Err(SnapError::BadContainer(
+                "format version 1 unsupported (expected 2)".into()
+            ))
+        );
     }
 
     #[test]

@@ -334,6 +334,30 @@ mod tests {
     }
 
     #[test]
+    fn version_1_records_read_as_misses_and_are_replaced() {
+        let dir = scratch("v1");
+        let store = CellStore::open(&dir).unwrap();
+        let key = 0x0bad_5eed_0000_0001;
+        let old = CellRecord::ok(key, b"v1 result".to_vec()).encode();
+        std::fs::write(store.cell_path(key), crate::tests::seal_v1(KIND_CELL, &old)).unwrap();
+        std::fs::write(store.fuzz_path(key), crate::tests::seal_v1(KIND_FUZZ, &old)).unwrap();
+        assert!(store.get(key).is_none());
+        assert!(store.get_fuzz(key).is_none());
+        // The re-simulated record overwrites the old file with a v2 one.
+        let cell = CellRecord::ok(key, b"cell".to_vec());
+        let fuzz = CellRecord::ok(key, b"fuzz".to_vec());
+        store.put(key, &cell).unwrap();
+        store.put_fuzz(key, &fuzz).unwrap();
+        assert_eq!(store.get(key), Some(cell));
+        assert_eq!(store.get_fuzz(key), Some(fuzz));
+        for path in [store.cell_path(key), store.fuzz_path(key)] {
+            let bytes = std::fs::read(path).unwrap();
+            assert_eq!(open(&bytes).unwrap().version, crate::FORMAT_VERSION);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn fuzz_records_live_beside_cells_without_shadowing() {
         let dir = scratch("fuzz");
         let store = CellStore::open(&dir).unwrap();

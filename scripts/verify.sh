@@ -93,6 +93,18 @@ for target in ablations seed_sensitivity; do
     cmp "results/golden/${target}.txt" "results/${target}.txt"
 done
 
+echo "== snapshot_tool inspect on a stored cell =="
+# The store's records are sealed at the current format version (2: XXH64
+# trailer); inspect opens one end to end and prints both hashes.
+cells=(results/store/cells/*.cell)
+inspect_out="$(./target/release/snapshot_tool inspect "${cells[0]}")"
+printf '%s\n' "${inspect_out}"
+if ! grep -q '^version   : 2$' <<< "${inspect_out}" ||
+    ! grep -q '^checksum  : [0-9a-f]\{16\} (xxh64, ok)$' <<< "${inspect_out}"; then
+    echo "verify: ${cells[0]} is not a version-2 container with a checksum line" >&2
+    exit 1
+fi
+
 echo "== campaign service smoke (campaignd + campaign CLI) =="
 # Boot the always-on sweep server on an ephemeral port over a scratch store
 # (that campaignd adopts fuzz records next to its sweep cells is pinned by

@@ -107,8 +107,9 @@ fn golden_baseline_vs_scenarios_ordering() {
 
 #[test]
 fn golden_snapshot_digest() {
-    // The sealed-container digest of a mid-run checkpoint under a pinned
-    // seed fingerprints the *entire* machine state — clocks, RNG streams,
+    // The payload digest (`Container::digest`, FNV-1a, not the container's
+    // XXH64 trailer) of a mid-run checkpoint under a pinned seed
+    // fingerprints the *entire* machine state — clocks, RNG streams,
     // tracker tables, queues, caches. Any behavioural drift anywhere in the
     // simulator shows up here. If a change is intentional, re-run with
     // `snapshot_tool digest` and update `MODEL_FINGERPRINT`, saying why:
